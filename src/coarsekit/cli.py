@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from . import documents as docs
-from .colimit import FilteredSystem, colimit_bounded, colimit_star
+from .colimit import colimit_bounded, colimit_star
 from .corpus import (
     RandomCaps,
     gen_c0,
@@ -55,7 +56,7 @@ from .maps import (
     system_bornologous_check,
     system_slowly_oscillating_verify,
 )
-from .reports import Clause, Report, Verdict
+from .reports import Clause, Report, Verdict, from_clauses
 from .spaces import ScaledSpace
 
 EX_VERIFIED = 0
@@ -107,19 +108,6 @@ def _load_map(path: str):
     return docs.doc_to_map(doc.body)
 
 
-def _piece_index(system: FilteredSystem, token: str) -> int:
-    for i, p in enumerate(system.pieces):
-        if p.name == token:
-            return i
-    try:
-        i = int(token)
-    except ValueError:
-        raise DomainError(f"no piece named {token!r}") from None
-    if not 0 <= i < len(system.pieces):
-        raise DomainError(f"piece index {i} out of range")
-    return i
-
-
 def _digest(path: str) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -156,8 +144,7 @@ def _render(args, report: Report, inputs: Sequence[str], artifact=None) -> int:
 
 
 def _truncation_report(name: str, exc: TruncationError) -> Report:
-    clause = Clause(name, False, str(exc), truncation=True)
-    return Report(Verdict.UNDECIDED, (clause,))
+    return from_clauses([Clause(name, False, str(exc), truncation=True)])
 
 
 # commands
@@ -181,12 +168,9 @@ def cmd_validate(args) -> int:
             clauses.append(
                 Clause("pieces", True, ", ".join(p.name for p in system.pieces))
             )
-        report = Report(Verdict.VERIFIED, tuple(clauses))
     except (ValidationError, DomainError) as exc:
-        report = Report(
-            Verdict.REFUTED, (Clause("document validates", False, str(exc)),)
-        )
-    return _render(args, report, [args.document])
+        clauses = [Clause("document validates", False, str(exc))]
+    return _render(args, from_clauses(clauses), [args.document])
 
 
 def cmd_bounded(args) -> int:
@@ -194,30 +178,18 @@ def cmd_bounded(args) -> int:
     fam = _load_family(args.family, system.ambient)
     cert = colimit_bounded(system, fam)
     if cert is None:
-        report = Report(
-            Verdict.UNDECIDED,
-            (
-                Clause(
-                    "bounded in some piece",
-                    False,
-                    "no piece bounds the family within this truncation",
-                    truncation=True,
-                ),
-            ),
+        clause = Clause(
+            "bounded in some piece",
+            False,
+            "no piece bounds the family within this truncation",
+            truncation=True,
         )
     else:
         name = system.pieces[cert.piece].name
-        report = Report(
-            Verdict.VERIFIED,
-            (
-                Clause(
-                    "bounded in some piece",
-                    True,
-                    f"piece {name!r} at level {cert.level}",
-                ),
-            ),
+        clause = Clause(
+            "bounded in some piece", True, f"piece {name!r} at level {cert.level}"
         )
-    return _render(args, report, [args.system, args.family])
+    return _render(args, from_clauses([clause]), [args.system, args.family])
 
 
 def cmd_star(args) -> int:
@@ -230,16 +202,11 @@ def cmd_star(args) -> int:
     except TruncationError as exc:
         return _render(args, _truncation_report("star stays bounded", exc), inputs)
     name = system.pieces[cert.piece].name
-    report = Report(
-        Verdict.VERIFIED,
-        (
+    report = from_clauses(
+        [
             Clause("star assembled", True, f"{len(star.members)} members"),
-            Clause(
-                "star stays bounded",
-                True,
-                f"piece {name!r} at level {cert.level}",
-            ),
-        ),
+            Clause("star stays bounded", True, f"piece {name!r} at level {cert.level}"),
+        ]
     )
     return _render(args, report, inputs, artifact=("star", docs.family_to_doc(star)))
 
@@ -250,100 +217,120 @@ def _require(args, parser, names) -> None:
             parser.error(f"--{name} is required here")
 
 
-def cmd_check(args) -> int:
-    inv = args.invariant
-    if inv == "generators":
-        gens = docs.doc_to_generators(_load(args.target, ("witness:generators",)).body)
-        report = metrizability_generator_check(gens)
-        return _render(args, report, [args.target])
-    target = _load_target(args.target)
-    inputs = [args.target]
-    artifact = None
-    if inv == "asdim":
-        _require(args, args.parser, ["n"])
-        if args.search:
-            if not isinstance(target, ScaledSpace):
-                raise DomainError("witness search needs a single-space target")
-            _require(args, args.parser, ["level"])
-            result = asdim_search(target, args.n, args.level, mode=args.mode)
-            if result.witness is None:
-                if result.exhaustive:
-                    report = Report(
-                        Verdict.REFUTED,
-                        (
-                            Clause(
-                                "witness search",
-                                False,
-                                "no coarsening of the scale verifies at this dimension",
-                            ),
-                        ),
-                    )
-                else:
-                    report = Report(
-                        Verdict.UNDECIDED,
-                        (
-                            Clause(
-                                "witness search",
-                                False,
-                                "greedy search found nothing; absence decides nothing",
-                                truncation=True,
-                            ),
-                        ),
-                    )
-                return _render(args, report, inputs)
-            report = asdim_verify(target, args.n, result.witness)
-            artifact = ("witness", docs.asdim_witness_to_doc(result.witness))
+@dataclass(frozen=True)
+class WitnessInvariant:
+    """How check and lift handle one invariant's witness documents.
+
+    Each slot is a lambda that looks the library function up by name when it
+    is called, so code that rebinds module attributes (tracers, test doubles)
+    sees every call.
+    """
+
+    decode: Callable  # (witness body, target) -> witness
+    verify: Callable  # (target, witness, args) -> Report
+    encode: Optional[Callable]  # witness -> Document
+    lift: Optional[Callable]  # (system, piece index, witness, args) -> witness
+    needs: tuple[str, ...]  # flags that check and lift require
+    lift_inputs: tuple[str, ...]  # flags naming further documents lift reads
+
+
+INVARIANTS = {
+    "asdim": WitnessInvariant(
+        decode=lambda b, t: docs.doc_to_asdim_witness(b, t),
+        verify=lambda t, w, a: asdim_verify(t, a.n, w),
+        encode=lambda w: docs.asdim_witness_to_doc(w),
+        lift=lambda s, i, w, a: asdim_lift(s, i, a.n, w),
+        needs=("n",),
+        lift_inputs=(),
+    ),
+    "apc": WitnessInvariant(
+        decode=lambda b, t: docs.doc_to_apc_witness(b, t),
+        verify=lambda t, w, a: apc_verify(t, *w),
+        encode=None,
+        lift=None,
+        needs=(),
+        lift_inputs=(),
+    ),
+    "exactness": WitnessInvariant(
+        decode=lambda b, t: docs.doc_to_exactness_witness(b, t),
+        verify=lambda t, w, a: exactness_verify(t, w),
+        encode=lambda w: docs.exactness_witness_to_doc(w),
+        lift=lambda s, i, w, a: exactness_lift(s, i, w),
+        needs=(),
+        lift_inputs=(),
+    ),
+    "pinch": WitnessInvariant(
+        decode=lambda b, t: docs.doc_to_pinch_witness(b, t),
+        verify=lambda t, w, a: pinch_verify(t, w),
+        encode=lambda w: docs.pinch_witness_to_doc(w),
+        lift=lambda s, i, w, a: pinch_lift(s, i, w),
+        needs=(),
+        lift_inputs=(),
+    ),
+    "amenability": WitnessInvariant(
+        decode=lambda b, t: docs.doc_to_amenability_witness(b, t),
+        verify=lambda t, w, a: amenability_verify(t, w),
+        encode=lambda w: docs.amenability_witness_to_doc(w),
+        lift=lambda s, i, w, a: amenability_lift(
+            s, i, w, _load_family(a.input, s.ambient)
+        ),
+        needs=(),
+        lift_inputs=("input",),
+    ),
+    "property-a": WitnessInvariant(
+        decode=lambda b, t: docs.doc_to_property_a_witness(b, t),
+        verify=lambda t, w, a: property_a_verify(t, w),
+        encode=lambda w: docs.property_a_witness_to_doc(w),
+        lift=lambda s, i, w, a: property_a_lift(s, i, w),
+        needs=(),
+        lift_inputs=(),
+    ),
+}
+
+
+def _check_asdim_search(args, target) -> int:
+    if not isinstance(target, ScaledSpace):
+        raise DomainError("witness search needs a single-space target")
+    _require(args, args.parser, ["level"])
+    result = asdim_search(target, args.n, args.level, mode=args.mode)
+    if result.witness is None:
+        if result.exhaustive:
+            detail = "no coarsening of the scale verifies at this dimension"
         else:
-            _require(args, args.parser, ["witness"])
-            wdoc = _load(args.witness, ("witness:asdim",))
-            w = docs.doc_to_asdim_witness(wdoc.body, target)
-            report = asdim_verify(target, args.n, w)
-            inputs.append(args.witness)
-    elif inv == "apc":
-        _require(args, args.parser, ["witness"])
-        wdoc = _load(args.witness, ("witness:apc",))
-        w, chain = docs.doc_to_apc_witness(wdoc.body, target)
-        report = apc_verify(target, w, chain)
-        inputs.append(args.witness)
-    elif inv == "exactness":
-        _require(args, args.parser, ["witness"])
-        wdoc = _load(args.witness, ("witness:exactness",))
-        report = exactness_verify(target, docs.doc_to_exactness_witness(wdoc.body, target))
-        inputs.append(args.witness)
-    elif inv == "pinch":
-        _require(args, args.parser, ["witness"])
-        wdoc = _load(args.witness, ("witness:pinch",))
-        report = pinch_verify(target, docs.doc_to_pinch_witness(wdoc.body, target))
-        inputs.append(args.witness)
-    elif inv == "amenability":
-        _require(args, args.parser, ["witness"])
-        wdoc = _load(args.witness, ("witness:amenability",))
-        report = amenability_verify(
-            target, docs.doc_to_amenability_witness(wdoc.body, target)
-        )
-        inputs.append(args.witness)
-    else:
-        _require(args, args.parser, ["witness"])
-        wdoc = _load(args.witness, ("witness:property_a",))
-        report = property_a_verify(
-            target, docs.doc_to_property_a_witness(wdoc.body, target)
-        )
-        inputs.append(args.witness)
-    return _render(args, report, inputs, artifact=artifact)
+            detail = "greedy search found nothing; absence decides nothing"
+        clause = Clause("witness search", False, detail, truncation=not result.exhaustive)
+        return _render(args, from_clauses([clause]), [args.target])
+    report = asdim_verify(target, args.n, result.witness)
+    artifact = ("witness", docs.asdim_witness_to_doc(result.witness))
+    return _render(args, report, [args.target], artifact=artifact)
+
+
+def cmd_check(args) -> int:
+    if args.invariant == "generators":
+        gens = docs.doc_to_generators(_load(args.target, ("witness:generators",)).body)
+        return _render(args, metrizability_generator_check(gens), [args.target])
+    target = _load_target(args.target)
+    inv = INVARIANTS[args.invariant]
+    _require(args, args.parser, inv.needs)
+    if args.invariant == "asdim" and args.search:
+        return _check_asdim_search(args, target)
+    _require(args, args.parser, ["witness"])
+    wdoc = _load(args.witness, ("witness:" + args.invariant.replace("-", "_"),))
+    w = inv.decode(wdoc.body, target)
+    return _render(args, inv.verify(target, w, args), [args.target, args.witness])
 
 
 def cmd_lift(args) -> int:
     system = docs.doc_to_system(_load(args.system, ("system",)).body)
     inputs = [args.system]
-    inv = args.invariant
-    if inv == "generators":
+    if args.invariant == "generators":
         _require(args, args.parser, ["sets"])
         if len(args.sets) != len(system.pieces):
             raise DomainError(
                 f"{len(system.pieces)} generator sets are required, one per piece"
             )
         piece_sets = []
-        for path, pc in zip(args.sets, system.pieces):
+        for path in args.sets:
             gdoc = _load(path, ("witness:generators",))
             piece_sets.append(docs.doc_to_generators(gdoc.body))
             inputs.append(path)
@@ -357,45 +344,20 @@ def cmd_lift(args) -> int:
             args, report, inputs, artifact=("generators", docs.generators_to_doc(merged))
         )
     _require(args, args.parser, ["piece", "witness"])
-    idx = _piece_index(system, args.piece)
-    pc = system.pieces[idx]
-    wdoc = _load(args.witness, ("witness:" + inv.replace("-", "_"),))
-    inputs.append(args.witness)
-    if inv == "asdim":
-        _require(args, args.parser, ["n"])
-        w = docs.doc_to_asdim_witness(wdoc.body, pc.space)
-        lifted = asdim_lift(system, idx, args.n, w)
-        report = asdim_verify(system, args.n, lifted)
-        artifact = ("witness", docs.asdim_witness_to_doc(lifted))
-    elif inv == "exactness":
-        w = docs.doc_to_exactness_witness(wdoc.body, pc.space)
-        lifted = exactness_lift(system, idx, w)
-        report = exactness_verify(system, lifted)
-        artifact = ("witness", docs.exactness_witness_to_doc(lifted))
-    elif inv == "pinch":
-        w = docs.doc_to_pinch_witness(wdoc.body, pc.space)
-        lifted = pinch_lift(system, idx, w)
-        report = pinch_verify(system, lifted)
-        artifact = ("witness", docs.pinch_witness_to_doc(lifted))
-    elif inv == "amenability":
-        _require(args, args.parser, ["input"])
-        w = docs.doc_to_amenability_witness(wdoc.body, pc.space)
-        u = _load_family(args.input, system.ambient)
-        inputs.append(args.input)
-        lifted = amenability_lift(system, idx, w, u)
-        report = amenability_verify(system, lifted)
-        artifact = ("witness", docs.amenability_witness_to_doc(lifted))
-    else:
-        w = docs.doc_to_property_a_witness(wdoc.body, pc.space)
-        lifted = property_a_lift(system, idx, w)
-        report = property_a_verify(system, lifted)
-        artifact = ("witness", docs.property_a_witness_to_doc(lifted))
-    return _render(args, report, inputs, artifact=artifact)
+    idx = system.piece_index(args.piece)
+    inv = INVARIANTS[args.invariant]
+    wdoc = _load(args.witness, ("witness:" + args.invariant.replace("-", "_"),))
+    _require(args, args.parser, inv.needs + inv.lift_inputs)
+    inputs += [args.witness, *(getattr(args, name) for name in inv.lift_inputs)]
+    w = inv.decode(wdoc.body, system.pieces[idx].space)
+    lifted = inv.lift(system, idx, w, args)
+    report = inv.verify(system, lifted, args)
+    return _render(args, report, inputs, artifact=("witness", inv.encode(lifted)))
 
 
 def cmd_restrict(args) -> int:
     system = docs.doc_to_system(_load(args.system, ("system",)).body)
-    idx = _piece_index(system, args.piece)
+    idx = system.piece_index(args.piece)
     wdoc = _load(args.witness, ("witness:asdim",))
     w = docs.doc_to_asdim_witness(wdoc.body, system)
     cut = asdim_restrict(system, idx, args.n, w)
@@ -443,23 +405,15 @@ def cmd_map_check(args) -> int:
         if args.search:
             b = slowly_oscillating_search(f, target, src, args.level, args.eps)
             if b is None:
-                report = Report(
-                    Verdict.UNDECIDED,
-                    (
-                        Clause(
-                            "witness set search",
-                            False,
-                            "no weakly bounded witness set in the search space",
-                            truncation=True,
-                        ),
-                    ),
+                clause = Clause(
+                    "witness set search",
+                    False,
+                    "no weakly bounded witness set in the search space",
+                    truncation=True,
                 )
-                return _render(args, report, inputs)
+                return _render(args, from_clauses([clause]), inputs)
             report = slowly_oscillating_verify(f, target, src, args.level, args.eps, b)
-            artifact = (
-                "witness-set",
-                docs.family_to_doc(Family(src.points, (b,))),
-            )
+            artifact = ("witness-set", docs.family_to_doc(Family(src.points, (b,))))
             return _render(args, report, inputs, artifact=artifact)
         _require(args, parser, ["witness_set"])
         bfam = _load_family(args.witness_set, src.points)
@@ -476,6 +430,13 @@ def cmd_map_check(args) -> int:
     report = system_slowly_oscillating_verify(f, target, src, scale, args.eps, b)
     inputs += [args.scale, args.witness_set]
     return _render(args, report, inputs)
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _parse_radii(text: Optional[str]):
@@ -588,9 +549,8 @@ def build_parser() -> _Parser:
     sp.add_argument("second")
     sp.set_defaults(func=cmd_star, parser=sp)
 
-    invariants = ("asdim", "apc", "exactness", "pinch", "amenability", "property-a", "generators")
     sp = sub.add_parser("check", parents=[common], help="verify an invariant witness")
-    sp.add_argument("invariant", choices=invariants)
+    sp.add_argument("invariant", choices=(*INVARIANTS, "generators"))
     sp.add_argument("target", help="space, system, or generator document")
     sp.add_argument("--witness", metavar="FILE")
     sp.add_argument("--n", type=int, help="dimension bound (asdim)")
@@ -599,11 +559,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--mode", choices=("auto", "exhaustive", "greedy"), default="auto")
     sp.set_defaults(func=cmd_check, parser=sp)
 
-    liftable = ("asdim", "exactness", "pinch", "amenability", "property-a", "generators")
+    liftable = (*(name for name, inv in INVARIANTS.items() if inv.lift), "generators")
     sp = sub.add_parser("lift", parents=[common], help="push a piece witness to the colimit")
     sp.add_argument("invariant", choices=liftable)
     sp.add_argument("system")
-    sp.add_argument("--piece", metavar="NAME")
+    sp.add_argument("--piece", metavar="NAME|INDEX")
     sp.add_argument("--witness", metavar="FILE")
     sp.add_argument("--n", type=int, help="dimension bound (asdim)")
     sp.add_argument("--input", metavar="FILE", help="ambient input family (amenability)")
@@ -612,7 +572,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("restrict", parents=[common], help="cut a colimit witness down to a piece")
     sp.add_argument("system")
-    sp.add_argument("--piece", required=True, metavar="NAME")
+    sp.add_argument("--piece", required=True, metavar="NAME|INDEX")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--witness", required=True, metavar="FILE")
     sp.set_defaults(func=cmd_restrict, parser=sp)
@@ -620,7 +580,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("map-check", parents=[common], help="check a map property")
     sp.add_argument("mode", choices=("bornologous", "close", "so"))
     sp.add_argument("documents", nargs="+", help="input documents, order depends on the mode")
-    sp.add_argument("--eps", type=Fraction, help="oscillation threshold (so)")
+    sp.add_argument("--eps", type=_rational, help="oscillation threshold (so)")
     sp.add_argument("--level", type=int, help="source scale level (so, single space)")
     sp.add_argument("--scale", metavar="FILE", help="ambient scale family (so, system)")
     sp.add_argument("--witness-set", metavar="FILE", help="family whose union is the witness set")

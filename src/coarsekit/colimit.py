@@ -19,6 +19,7 @@ from .families import (
     Point,
     PointSet,
     Subset,
+    chain_components,
     essentially_refines,
     reroot,
     star_family,
@@ -65,10 +66,17 @@ class FilteredSystem:
         object.__setattr__(self, "_upper_map", m)
 
     def piece_index(self, name: str) -> int:
+        """Index of the piece with this name, else the name read as an index."""
         for i, p in enumerate(self.pieces):
             if p.name == name:
                 return i
-        raise DomainError(f"no piece named {name!r}")
+        try:
+            i = int(name)
+        except ValueError:
+            raise DomainError(f"no piece named {name!r}") from None
+        if not 0 <= i < len(self.pieces):
+            raise DomainError(f"piece index {i} out of range")
+        return i
 
     def upper_piece(self, r: int, s: int) -> int:
         key = (min(r, s), max(r, s))
@@ -257,29 +265,8 @@ def extended_level(system: FilteredSystem, piece: int, level: int) -> Family:
 
 def system_coarse_components(system: FilteredSystem) -> tuple[Subset, ...]:
     """Transitive closure of per-piece coarse components over the ambient set."""
-    idx = system.ambient.index
-    parent = list(range(len(system.ambient)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for piece in system.pieces:
-        for block in coarse_components(piece.space):
-            it = iter(block)
-            first = next(it)
-            ra = find(idx(first))
-            for p in it:
-                rb = find(idx(p))
-                if ra != rb:
-                    parent[rb] = ra
-    blocks: dict[int, set] = {}
-    for i, p in enumerate(system.ambient.ids):
-        blocks.setdefault(find(i), set()).add(p)
-    ordered = sorted(blocks.values(), key=lambda b: min(idx(p) for p in b))
-    return tuple(frozenset(b) for b in ordered)
+    blocks = tuple(b for piece in system.pieces for b in coarse_components(piece.space))
+    return chain_components(Family(system.ambient, blocks))
 
 
 def system_weakly_bounded(system: FilteredSystem, b: Subset) -> bool:

@@ -29,6 +29,7 @@ from .invariants import (
     generator_set,
     partition_of_unity,
 )
+from .invariants.common import target_points
 from .maps import GroundedMap, MetricTarget, INF, metric_target
 from .reports import Report
 from .spaces import ScaledSpace, validate_space
@@ -306,12 +307,10 @@ def metric_to_doc(t: MetricTarget) -> Document:
 
 def resolve_scale(value, target: Target, path="scale") -> Family:
     """A scale value is {"level": i}, {"piece": i, "level": j}, or members."""
-    from .spaces import ScaledSpace as _Space
-
     if isinstance(value, dict):
         if "piece" in value:
             _check_keys(value, ("piece", "level"), (), path)
-            if isinstance(target, _Space):
+            if isinstance(target, ScaledSpace):
                 _fail("a piece reference needs a system target", path)
             s = _int(value["piece"], f"{path}.piece")
             if not 0 <= s < len(target.pieces):
@@ -322,20 +321,16 @@ def resolve_scale(value, target: Target, path="scale") -> Family:
                 _fail(f"level {i} out of range 1..{depth}", f"{path}.level")
             return extended_level(target, s, i)
         _check_keys(value, ("level",), (), path)
-        if not isinstance(target, _Space):
+        if not isinstance(target, ScaledSpace):
             _fail("a bare level reference needs a single-space target", path)
         i = _int(value["level"], f"{path}.level")
         if not 1 <= i <= target.depth:
             _fail(f"level {i} out of range 1..{target.depth}", f"{path}.level")
         return target.level(i)
     if isinstance(value, list):
-        pts = target.points if isinstance(target, _Space) else target.ambient
+        pts = target_points(target)
         return Family(pts, _members(value, pts, path))
     _fail("expected a level reference or a member list", path)
-
-
-def encode_scale(fam: Family) -> list:
-    return _encode_members(fam)
 
 
 def resolve_bound(value, path="bound"):
@@ -362,7 +357,7 @@ def encode_bound(bound) -> Any:
 
 def doc_to_asdim_witness(body, target: Target, path="body") -> AsdimWitness:
     _check_keys(body, ("scale", "coarsening"), ("bound",), path)
-    pts = target.points if isinstance(target, ScaledSpace) else target.ambient
+    pts = target_points(target)
     return AsdimWitness(
         resolve_scale(body["scale"], target, f"{path}.scale"),
         Family(pts, _members(body["coarsening"], pts, f"{path}.coarsening")),
@@ -372,7 +367,7 @@ def doc_to_asdim_witness(body, target: Target, path="body") -> AsdimWitness:
 
 def asdim_witness_to_doc(w: AsdimWitness) -> Document:
     body = {
-        "scale": encode_scale(w.scale),
+        "scale": _encode_members(w.scale),
         "coarsening": _encode_members(w.coarsening),
         "bound": encode_bound(w.bound),
     }
@@ -381,7 +376,7 @@ def asdim_witness_to_doc(w: AsdimWitness) -> Document:
 
 def doc_to_apc_witness(body, target: Target, path="body"):
     _check_keys(body, ("selections", "bounds"), ("chain",), path)
-    pts = target.points if isinstance(target, ScaledSpace) else target.ambient
+    pts = target_points(target)
     raw = body["selections"]
     if not isinstance(raw, list) or not raw:
         _fail("expected a non-empty list of selections", f"{path}.selections")
@@ -413,13 +408,13 @@ def apc_witness_to_doc(w: ApcWitness, chain=None) -> Document:
         "bounds": [encode_bound(b) for b in w.bounds],
     }
     if chain is not None:
-        body["chain"] = [encode_scale(u) for u in chain]
+        body["chain"] = [_encode_members(u) for u in chain]
     return Document("witness:apc", VERSION, body)
 
 
 def doc_to_exactness_witness(body, target: Target, path="body") -> ExactnessWitness:
     _check_keys(body, ("scale", "eps", "indices", "weights"), ("support_bound",), path)
-    pts = target.points if isinstance(target, ScaledSpace) else target.ambient
+    pts = target_points(target)
     indices = _str_list(body["indices"], f"{path}.indices")
     raw = body["weights"]
     if not isinstance(raw, dict):
@@ -466,7 +461,7 @@ def exactness_witness_to_doc(w: ExactnessWitness) -> Document:
         if cell:
             weights[p] = cell
     body = {
-        "scale": encode_scale(w.scale),
+        "scale": _encode_members(w.scale),
         "eps": _encode_fraction(w.eps),
         "indices": list(w.pou.indices),
         "weights": weights,
@@ -479,7 +474,7 @@ def doc_to_pinch_witness(body, target: Target, path="body") -> PinchWitness:
     _check_keys(
         body, ("scale", "sep", "c", "eps", "dim", "coords"), ("sep_bound",), path
     )
-    pts = target.points if isinstance(target, ScaledSpace) else target.ambient
+    pts = target_points(target)
     dim = _int(body["dim"], f"{path}.dim")
     raw = body["coords"]
     if not isinstance(raw, dict):
@@ -512,7 +507,7 @@ def doc_to_pinch_witness(body, target: Target, path="body") -> PinchWitness:
 
 def pinch_witness_to_doc(w: PinchWitness) -> Document:
     body = {
-        "scale": encode_scale(w.scale),
+        "scale": _encode_members(w.scale),
         "sep": _encode_members(w.sep),
         "c": _encode_fraction(w.c),
         "eps": _encode_fraction(w.eps),
@@ -528,7 +523,7 @@ def pinch_witness_to_doc(w: PinchWitness) -> Document:
 
 def doc_to_amenability_witness(body, target: Target, path="body") -> AmenabilityWitness:
     _check_keys(body, ("scale", "companion", "eps"), ("bound",), path)
-    pts = target.points if isinstance(target, ScaledSpace) else target.ambient
+    pts = target_points(target)
     return AmenabilityWitness(
         resolve_scale(body["scale"], target, f"{path}.scale"),
         Family(pts, _members(body["companion"], pts, f"{path}.companion")),
@@ -539,7 +534,7 @@ def doc_to_amenability_witness(body, target: Target, path="body") -> Amenability
 
 def amenability_witness_to_doc(w: AmenabilityWitness) -> Document:
     body = {
-        "scale": encode_scale(w.scale),
+        "scale": _encode_members(w.scale),
         "companion": _encode_members(w.v),
         "eps": _encode_fraction(w.eps),
         "bound": encode_bound(w.v_bound),
@@ -554,7 +549,7 @@ def doc_to_property_a_witness(body, target: Target, path="body") -> PropertyAFam
         ("support_bound",),
         path,
     )
-    pts = target.points if isinstance(target, ScaledSpace) else target.ambient
+    pts = target_points(target)
     raw = body["sets"]
     if not isinstance(raw, dict):
         _fail("expected an object mapping points to tag lists", f"{path}.sets")
@@ -591,7 +586,7 @@ def doc_to_property_a_witness(body, target: Target, path="body") -> PropertyAFam
 
 def property_a_witness_to_doc(w: PropertyAFamily) -> Document:
     body = {
-        "scale": encode_scale(w.scale),
+        "scale": _encode_members(w.scale),
         "support": _encode_members(w.support),
         "eps": _encode_fraction(w.eps),
         "n_cap": w.n_cap,

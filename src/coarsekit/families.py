@@ -198,7 +198,7 @@ def chain_components(u: Family, x: Optional[PointSet] = None) -> tuple[Subset, .
         return a
 
     for m in u.members:
-        it = iter(x.sort(m))
+        it = iter(m)
         first = next(it, None)
         if first is None:
             continue

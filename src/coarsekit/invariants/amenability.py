@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ..colimit import ColimitBoundedness, FilteredSystem, strip
+from ..colimit import FilteredSystem, strip
 from ..errors import CoarseError, DomainError
 from ..families import Family, Point, family_key, horizon, reroot, star_set
 from ..reports import Clause, Report, from_clauses
-from .common import Bound, Target, bound_clause, ensure_over_target, resolve_bound
+from .common import Bound, Target, bound_clause, ensure_over_target, piece_certificate
 
 
 @dataclass(frozen=True)
@@ -100,5 +100,4 @@ def amenability_lift(
         outside_part = len(horizon(star, Family(system.ambient, outside_members)))
         if piece_part + outside_part != total:
             raise CoarseError("horizon decomposition is not disjoint")
-    lvl = resolve_bound(pc.space, w.v, w.v_bound)
-    return AmenabilityWitness(u, v, w.eps, ColimitBoundedness(piece, lvl))
+    return AmenabilityWitness(u, v, w.eps, piece_certificate(system, piece, w.v, w.v_bound))

@@ -12,12 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..colimit import ColimitBoundedness, FilteredSystem, extend_to_ambient
+from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, essentially_refines, multiplicity, reroot
+from ..families import Family, essentially_refines, multiplicity
 from ..reports import Clause, Report, from_clauses
 from ..spaces import ScaledSpace, is_bounded
-from .common import Bound, Target, bound_clause, ensure_over_target, resolve_bound
+from .common import (
+    Bound,
+    Target,
+    bound_clause,
+    ensure_over_target,
+    piece_certificate,
+    with_outside_singletons,
+)
 
 
 @dataclass(frozen=True)
@@ -186,20 +193,12 @@ def asdim_search(
 
 def asdim_lift(system: FilteredSystem, piece: int, n: int, w: AsdimWitness) -> AsdimWitness:
     """Colimit witness from a piece witness: adjoin outside singletons."""
-    pc = system.pieces[piece]
-    if not asdim_verify(pc.space, n, w):
+    if not asdim_verify(system.pieces[piece].space, n, w):
         raise DomainError("piece witness does not verify at the stated dimension")
-    outside = tuple(
-        frozenset({p}) for p in system.ambient.ids if p not in pc.carrier
-    )
-    coarsening = Family(
-        system.ambient, reroot(w.coarsening, system.ambient).members + outside
-    )
-    lvl = resolve_bound(pc.space, w.coarsening, w.bound)
     return AsdimWitness(
         extend_to_ambient(system, w.scale),
-        coarsening,
-        ColimitBoundedness(piece, lvl),
+        with_outside_singletons(system, piece, w.coarsening),
+        piece_certificate(system, piece, w.coarsening, w.bound),
     )
 
 

@@ -8,11 +8,12 @@ claim that fails to check is a hard failure.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from fractions import Fraction
+from typing import Union
 
 from ..colimit import ColimitBoundedness, FilteredSystem, check_boundedness, colimit_bounded
 from ..errors import DomainError
-from ..families import Family, PointSet, essentially_refines
+from ..families import Family, Point, PointSet, essentially_refines, reroot
 from ..reports import Clause
 from ..spaces import ScaledSpace, is_bounded
 
@@ -76,3 +77,47 @@ def resolve_bound(target: Target, fam: Family, bound: Bound) -> Bound:
     if bound is not None:
         return bound
     return find_bound(target, fam)
+
+
+# steps shared by the lifters, which push a verified piece witness to the colimit
+
+
+def outside_points(system: FilteredSystem, piece: int) -> tuple[Point, ...]:
+    """Ambient points off the piece's carrier, in ambient order."""
+    carrier = system.pieces[piece].carrier
+    return tuple(p for p in system.ambient.ids if p not in carrier)
+
+
+def with_outside_singletons(system: FilteredSystem, piece: int, fam: Family) -> Family:
+    """A piece family over the ambient set, plus one singleton per outside point."""
+    singletons = tuple(frozenset({p}) for p in outside_points(system, piece))
+    return Family(system.ambient, reroot(fam, system.ambient).members + singletons)
+
+
+def piece_certificate(
+    system: FilteredSystem, piece: int, fam: Family, bound: Bound
+) -> ColimitBoundedness:
+    """The piece witness's bound on fam, as a certificate in that piece."""
+    return ColimitBoundedness(piece, resolve_bound(system.pieces[piece].space, fam, bound))
+
+
+def unit_padded_rows(
+    system: FilteredSystem, piece: int, rows: tuple[tuple[Fraction, ...], ...]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows over the ambient set from rows over the piece's points.
+
+    A piece row gains one zero per outside point; the k-th outside point gets
+    zeros in the piece's columns and the k-th unit vector after them.
+    """
+    pc = system.pieces[piece]
+    zero_pad = (Fraction(0),) * len(outside_points(system, piece))
+    zero_row = (Fraction(0),) * len(rows[0])
+    out = []
+    k = 0
+    for p in system.ambient.ids:
+        if p in pc.carrier:
+            out.append(rows[pc.space.points.index(p)] + zero_pad)
+        else:
+            out.append(zero_row + zero_pad[:k] + (Fraction(1),) + zero_pad[k + 1 :])
+            k += 1
+    return tuple(out)

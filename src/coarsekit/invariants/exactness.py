@@ -8,12 +8,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from ..colimit import ColimitBoundedness, FilteredSystem, extend_to_ambient
+from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
 from ..families import Family, Point, PointSet
 from ..reports import Clause, Report, from_clauses
-from .common import Bound, Target, bound_clause, ensure_over_target, resolve_bound
+from .common import (
+    Bound,
+    Target,
+    bound_clause,
+    ensure_over_target,
+    outside_points,
+    piece_certificate,
+    unit_padded_rows,
+)
 
 ONE = Fraction(1)
 
@@ -46,12 +55,20 @@ def partition_of_unity(space: PointSet, indices, rows) -> PartitionOfUnity:
     """Validated construction: nonnegative rational rows summing to one."""
     rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
     pou = PartitionOfUnity(space, tuple(indices), rows)
-    for p, row in zip(space.ids, rows):
-        if any(v < 0 for v in row):
-            raise DomainError(f"negative weight at point {p!r}")
-        if sum(row) != ONE:
-            raise DomainError(f"weights at point {p!r} sum to {sum(row)}, not 1")
+    offense = _unit_offense(pou)
+    if offense is not None:
+        raise DomainError(offense)
     return pou
+
+
+def _unit_offense(pou: PartitionOfUnity) -> Optional[str]:
+    """The first point whose weights are negative or do not sum to one."""
+    for p, row in zip(pou.space.ids, pou.rows):
+        if any(v < 0 for v in row):
+            return f"negative weight at point {p!r}"
+        if sum(row) != ONE:
+            return f"weights at point {p!r} sum to {sum(row)}, not 1"
+    return None
 
 
 def support_family(pou: PartitionOfUnity) -> Family:
@@ -85,20 +102,9 @@ def exactness_verify(target: Target, w: ExactnessWitness) -> Report:
             "support family bounded", target, support_family(w.pou), w.support_bound
         )
     ]
-    unit_offense = None
-    for p, row in zip(w.pou.space.ids, w.pou.rows):
-        if any(v < 0 for v in row):
-            unit_offense = f"negative weight at point {p!r}"
-            break
-        if sum(row) != ONE:
-            unit_offense = f"weights at point {p!r} sum to {sum(row)}, not 1"
-            break
+    offense = _unit_offense(w.pou)
     clauses.append(
-        Clause(
-            "weights form a unit partition at every point",
-            unit_offense is None,
-            unit_offense or "",
-        )
+        Clause("weights form a unit partition at every point", offense is None, offense or "")
     )
     var_offense = None
     for m in w.scale.members:
@@ -129,30 +135,16 @@ def exactness_lift(
     system: FilteredSystem, piece: int, w: ExactnessWitness
 ) -> ExactnessWitness:
     """Zero-extend the partition off the piece and adjoin outside deltas."""
-    pc = system.pieces[piece]
-    if not exactness_verify(pc.space, w):
+    if not exactness_verify(system.pieces[piece].space, w):
         raise DomainError("piece witness does not verify")
-    outside = tuple(p for p in system.ambient.ids if p not in pc.carrier)
-    deltas = tuple(f"delta:{p}" for p in outside)
+    deltas = tuple(f"delta:{p}" for p in outside_points(system, piece))
     if set(deltas) & set(w.pou.indices):
         raise DomainError("delta index names collide with existing indices")
-    zero_pad = (Fraction(0),) * len(outside)
-    zero_row = (Fraction(0),) * len(w.pou.indices)
-    rows = []
-    for p in system.ambient.ids:
-        if p in pc.carrier:
-            rows.append(w.pou.rows[pc.space.points.index(p)] + zero_pad)
-        else:
-            k = outside.index(p)
-            rows.append(
-                zero_row
-                + tuple(ONE if j == k else Fraction(0) for j in range(len(outside)))
-            )
-    pou = PartitionOfUnity(system.ambient, w.pou.indices + deltas, tuple(rows))
-    lvl = resolve_bound(pc.space, support_family(w.pou), w.support_bound)
+    rows = unit_padded_rows(system, piece, w.pou.rows)
+    pou = PartitionOfUnity(system.ambient, w.pou.indices + deltas, rows)
     return ExactnessWitness(
         extend_to_ambient(system, w.scale),
         w.eps,
         pou,
-        ColimitBoundedness(piece, lvl),
+        piece_certificate(system, piece, support_family(w.pou), w.support_bound),
     )

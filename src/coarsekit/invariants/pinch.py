@@ -13,11 +13,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..colimit import ColimitBoundedness, FilteredSystem, extend_to_ambient
+from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, Point, PointSet, reroot
+from ..families import Family, Point, PointSet
 from ..reports import Clause, Report, from_clauses
-from .common import Bound, Target, bound_clause, ensure_over_target, resolve_bound
+from .common import (
+    Bound,
+    Target,
+    bound_clause,
+    ensure_over_target,
+    outside_points,
+    piece_certificate,
+    unit_padded_rows,
+)
 
 DEFAULT_TOL = Fraction(1, 10**9)
 TOL_ENV_VAR = "COARSEKIT_PINCH_TOL"
@@ -28,7 +36,10 @@ def comparison_tolerance(tol: Optional[Fraction] = None) -> Fraction:
         value = Fraction(tol)
     else:
         raw = os.environ.get(TOL_ENV_VAR)
-        value = Fraction(raw) if raw else DEFAULT_TOL
+        try:
+            value = Fraction(raw) if raw else DEFAULT_TOL
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"{TOL_ENV_VAR}={raw!r} is not a rational") from None
     if value < 0:
         raise DomainError("comparison tolerance must be nonnegative")
     return value
@@ -145,38 +156,15 @@ def pinch_lift(
     """
     if w.c != 1:
         raise DomainError("lift is calibrated for unit separation")
-    pc = system.pieces[piece]
-    if not pinch_verify(pc.space, w, tol):
+    if not pinch_verify(system.pieces[piece].space, w, tol):
         raise DomainError("piece witness does not verify")
-    outside = tuple(p for p in system.ambient.ids if p not in pc.carrier)
-    dim = w.dim + len(outside)
-    zero_pad = (Fraction(0),) * len(outside)
-    zero_row = (Fraction(0),) * w.dim
-    rows = []
-    for p in system.ambient.ids:
-        if p in pc.carrier:
-            rows.append(w.vec(p) + zero_pad)
-        else:
-            k = outside.index(p)
-            rows.append(
-                zero_row
-                + tuple(
-                    Fraction(1) if j == k else Fraction(0)
-                    for j in range(len(outside))
-                )
-            )
-    singletons = tuple(frozenset({p}) for p in system.ambient.ids)
-    sep = Family(
-        system.ambient, reroot(w.sep, system.ambient).members + singletons
-    )
-    lvl = resolve_bound(pc.space, w.sep, w.sep_bound)
     return PinchWitness(
         system.ambient,
-        dim,
-        tuple(rows),
+        w.dim + len(outside_points(system, piece)),
+        unit_padded_rows(system, piece, w.coords),
         extend_to_ambient(system, w.scale),
-        sep,
+        extend_to_ambient(system, w.sep),
         Fraction(1),
         w.eps,
-        ColimitBoundedness(piece, lvl),
+        piece_certificate(system, piece, w.sep, w.sep_bound),
     )

@@ -12,12 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ..colimit import ColimitBoundedness, FilteredSystem, extend_to_ambient
+from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, Point, PointSet, reroot, star_set
+from ..families import Family, Point, PointSet, star_set
 from ..reports import Clause, Report, from_clauses
 from ..spaces import ScaledSpace
-from .common import Bound, Target, bound_clause, ensure_over_target, resolve_bound
+from .common import (
+    Bound,
+    Target,
+    bound_clause,
+    ensure_over_target,
+    piece_certificate,
+    with_outside_singletons,
+)
 
 Tag = tuple[Point, int]
 
@@ -141,19 +148,12 @@ def property_a_lift(
         w.tags(p) if p in pc.carrier else frozenset({(p, 1)})
         for p in system.ambient.ids
     )
-    outside = tuple(
-        frozenset({p}) for p in system.ambient.ids if p not in pc.carrier
-    )
-    support = Family(
-        system.ambient, reroot(w.support, system.ambient).members + outside
-    )
-    lvl = resolve_bound(pc.space, w.support, w.support_bound)
     return PropertyAFamily(
         system.ambient,
         w.n_cap,
         sets,
         extend_to_ambient(system, w.scale),
-        support,
+        with_outside_singletons(system, piece, w.support),
         w.eps,
-        ColimitBoundedness(piece, lvl),
+        piece_certificate(system, piece, w.support, w.support_bound),
     )

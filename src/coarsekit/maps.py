@@ -149,21 +149,22 @@ def bornologous_levels(
     )
 
 
+def _image_clause(name: str, j: Optional[int]) -> Clause:
+    if j is None:
+        return Clause(
+            name,
+            False,
+            "no level of the target chain bounds the image family",
+            truncation=True,
+        )
+    return Clause(name, True, f"bounded at level {j}")
+
+
 def bornologous_check(f: GroundedMap, src: ScaledSpace, dst: ScaledSpace) -> Report:
-    clauses = []
-    for i, j in enumerate(bornologous_levels(f, src, dst), start=1):
-        if j is None:
-            clauses.append(
-                Clause(
-                    f"image of level {i}",
-                    False,
-                    "no level of the target chain bounds the image family",
-                    truncation=True,
-                )
-            )
-        else:
-            clauses.append(Clause(f"image of level {i}", True, f"bounded at level {j}"))
-    return from_clauses(clauses)
+    levels = bornologous_levels(f, src, dst)
+    return from_clauses(
+        _image_clause(f"image of level {i}", j) for i, j in enumerate(levels, start=1)
+    )
 
 
 def system_bornologous_check(
@@ -177,18 +178,7 @@ def system_bornologous_check(
         for i in range(1, piece.space.depth + 1):
             u = extend_to_ambient(src, piece.space.level(i))
             j = is_bounded(dst, image_family(f, u))
-            name = f"image of piece {piece.name} level {i}"
-            if j is None:
-                clauses.append(
-                    Clause(
-                        name,
-                        False,
-                        "no level of the target chain bounds the image family",
-                        truncation=True,
-                    )
-                )
-            else:
-                clauses.append(Clause(name, True, f"bounded at level {j}"))
+            clauses.append(_image_clause(f"image of piece {piece.name} level {i}", j))
     return from_clauses(clauses)
 
 
@@ -253,40 +243,29 @@ def coarse_equivalence_check(
     if g.domain != b.points or g.codomain != a.points:
         raise DomainError("backward map endpoints do not match the spaces")
     clauses = []
-    fwd = bornologous_check(f, a, b)
-    clauses.append(
-        Clause(
-            "forward map bornologous",
-            bool(fwd),
-            "; ".join(c.detail for c in fwd.failures()) or "all levels map",
-            truncation=not fwd and fwd.verdict is Verdict.UNDECIDED,
+    for name, rep in (
+        ("forward", bornologous_check(f, a, b)),
+        ("backward", bornologous_check(g, b, a)),
+    ):
+        clauses.append(
+            Clause(
+                f"{name} map bornologous",
+                bool(rep),
+                "; ".join(c.detail for c in rep.failures()) or "all levels map",
+                truncation=not rep and rep.verdict is Verdict.UNDECIDED,
+            )
         )
-    )
-    bwd = bornologous_check(g, b, a)
-    clauses.append(
-        Clause(
-            "backward map bornologous",
-            bool(bwd),
-            "; ".join(c.detail for c in bwd.failures()) or "all levels map",
-            truncation=not bwd and bwd.verdict is Verdict.UNDECIDED,
+    for name, j in (
+        ("domain", close_check(compose(g, f), identity_map(a.points), a)),
+        ("codomain", close_check(compose(f, g), identity_map(b.points), b)),
+    ):
+        clauses.append(
+            Clause(
+                f"round trip on {name} close to identity",
+                j is not None,
+                f"close at level {j}" if j is not None else "no level witnesses closeness",
+            )
         )
-    )
-    j = close_check(compose(g, f), identity_map(a.points), a)
-    clauses.append(
-        Clause(
-            "round trip on domain close to identity",
-            j is not None,
-            f"close at level {j}" if j is not None else "no level witnesses closeness",
-        )
-    )
-    k = close_check(compose(f, g), identity_map(b.points), b)
-    clauses.append(
-        Clause(
-            "round trip on codomain close to identity",
-            k is not None,
-            f"close at level {k}" if k is not None else "no level witnesses closeness",
-        )
-    )
     return from_clauses(clauses)
 
 

@@ -18,6 +18,7 @@ from .families import (
     Point,
     PointSet,
     Subset,
+    chain_components,
     covers,
     essentially_refines,
     refines,
@@ -111,23 +112,15 @@ def chains_coincide(a: ScaledSpace, b: ScaledSpace) -> bool:
     """Mutual essential cofinality of the two chains over the same points."""
     if a.points != b.points:
         raise DomainError("spaces live over different point sets")
-    for la in a.levels:
-        if not any(essentially_refines(la, lb) for lb in b.levels):
-            return False
-    for lb in b.levels:
-        if not any(essentially_refines(lb, la) for la in a.levels):
-            return False
-    return True
+    return coincidence_failure(a, b) is None
 
 
 def coincidence_failure(a: ScaledSpace, b: ScaledSpace) -> Optional[tuple[str, int]]:
     """Which side and 1-based level breaks coincidence, for error reporting."""
-    for i, la in enumerate(a.levels, 1):
-        if not any(essentially_refines(la, lb) for lb in b.levels):
-            return ("first", i)
-    for i, lb in enumerate(b.levels, 1):
-        if not any(essentially_refines(lb, la) for la in a.levels):
-            return ("second", i)
+    for side, xs, ys in (("first", a, b), ("second", b, a)):
+        for i, lx in enumerate(xs.levels, 1):
+            if not any(essentially_refines(lx, ly) for ly in ys.levels):
+                return (side, i)
     return None
 
 
@@ -137,31 +130,8 @@ def coarse_components(space: ScaledSpace) -> tuple[Subset, ...]:
     The chain is monotone, so this equals the top level's block partition and
     also the union over levels of per-level blocks.
     """
-    idx = space.points.index
-    parent = list(range(len(space.points)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for lv in space.levels:
-        for m in lv.members:
-            it = iter(m)
-            first = next(it, None)
-            if first is None:
-                continue
-            ra = find(idx(first))
-            for p in it:
-                rb = find(idx(p))
-                if ra != rb:
-                    parent[rb] = ra
-    blocks: dict[int, set] = {}
-    for i, p in enumerate(space.points.ids):
-        blocks.setdefault(find(i), set()).add(p)
-    ordered = sorted(blocks.values(), key=lambda b: min(idx(p) for p in b))
-    return tuple(frozenset(b) for b in ordered)
+    members = tuple(m for lv in space.levels for m in lv.members)
+    return chain_components(Family(space.points, members))
 
 
 def coarse_chain_component(space: ScaledSpace, p: Point) -> Subset:

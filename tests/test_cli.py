@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from coarsekit.documents import (
 )
 from coarsekit.families import Family, points
 from coarsekit.invariants import AmenabilityWitness, asdim_search, generator_set
+from coarsekit.invariants.pinch import TOL_ENV_VAR
 from coarsekit.maps import grounded_map, identity_map, path_metric
 from coarsekit.spaces import validate_space
 
@@ -279,6 +282,106 @@ def test_lift_and_restrict_asdim_round_trip(tmp_path, capsys):
     assert parse_document(cut_path.read_text(encoding="utf-8")).kind == "witness:asdim"
 
 
+# Witnesses for piece M0 of two_islands(): its points are 0:a and 0:b, and its
+# single level holds {0:a, 0:b} twice.
+PIECE_WITNESSES = {
+    "asdim": {"scale": {"level": 1}, "coarsening": [["0:a", "0:b"]]},
+    "exactness": {
+        "scale": {"level": 1},
+        "eps": 1,
+        "indices": ["u"],
+        "weights": {"0:a": {"u": 1}, "0:b": {"u": 1}},
+    },
+    "pinch": {
+        "scale": {"level": 1},
+        "sep": [["0:a", "0:b"]],
+        "c": 1,
+        "eps": 1,
+        "dim": 1,
+        "coords": {"0:a": [0], "0:b": [0]},
+    },
+    "amenability": {
+        "scale": {"level": 1},
+        "companion": [["0:a", "0:b"], ["0:a", "0:b"]],
+        "eps": "1/2",
+    },
+    "property-a": {
+        "scale": [["0:a"], ["0:b"]],
+        "support": [["0:a"], ["0:b"]],
+        "eps": "1/2",
+        "n_cap": 1,
+        "sets": {"0:a": [["0:a", 1]], "0:b": [["0:b", 1]]},
+    },
+}
+
+
+def two_islands():
+    return gen_disjoint_union(
+        [path_metric(points(["a", "b"])), path_metric(points(["c", "d"]))]
+    )
+
+
+def lift_then_check_argv(tmp_path, inv, piece):
+    """Arguments that lift the M0 witness of inv and then check the lift."""
+    fs = two_islands()
+    system = save(tmp_path, "sys.json", system_to_doc(fs))
+    kind = "witness:" + inv.replace("-", "_")
+    witness = save(tmp_path, f"{inv}.json", Document(kind, "1", PIECE_WITNESSES[inv]))
+    lifted = str(tmp_path / f"{inv}-lifted.json")
+    extra = []
+    if inv == "asdim":
+        extra = ["--n", "0"]
+    lift = ["lift", inv, system, "--piece", piece, "--witness", witness, "-o", lifted, *extra]
+    if inv == "amenability":
+        members = (frozenset({"0:a", "0:b"}),) * 2 + (frozenset({"1:c"}), frozenset({"1:d"}))
+        u = save(tmp_path, "input.json", family_to_doc(Family(fs.ambient, members)))
+        lift += ["--input", u]
+    return lift, ["check", inv, system, "--witness", lifted, *extra]
+
+
+@pytest.mark.parametrize("piece", ["M0", "0"])
+@pytest.mark.parametrize("inv", ["exactness", "pinch", "amenability", "property-a"])
+def test_lift_then_check(tmp_path, capsys, inv, piece):
+    lift, check = lift_then_check_argv(tmp_path, inv, piece)
+    assert main(lift) == 0
+    assert main(check) == 0
+    assert capsys.readouterr().out.count("verdict: verified") == 2
+
+
+def test_tracer_sees_every_verify_and_lift(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("coarsekit_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        for inv in PIECE_WITNESSES:
+            lift, check = lift_then_check_argv(tmp_path, inv, "M0")
+            assert main(lift) == 0
+            assert main(check) == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    got = tracer.snapshot()
+    assert tracing.INVARIANTS == tuple(inv.replace("-", "_") for inv in PIECE_WITNESSES)
+    for inv in tracing.INVARIANTS:
+        assert got[f"invariants.{inv}.verify_s"] > 0, inv
+        assert got[f"invariants.{inv}.lift_s"] > 0, inv
+
+
+@pytest.mark.parametrize("raw", ["abc", "1/0"])
+def test_malformed_pinch_tolerance_exits_65(tmp_path, capsys, monkeypatch, raw):
+    space = save(tmp_path, "m0.json", space_to_doc(two_islands().pieces[0].space))
+    witness = save(tmp_path, "w.json", Document("witness:pinch", "1", PIECE_WITNESSES["pinch"]))
+    argv = ["check", "pinch", space, "--witness", witness]
+    assert main(argv) == 0
+    monkeypatch.setenv(TOL_ENV_VAR, raw)
+    assert main(argv) == 65
+    assert TOL_ENV_VAR in capsys.readouterr().err
+
+
 def test_lift_generators(tmp_path, capsys):
     fs = gen_disjoint_union(
         [path_metric(points(["a", "b"])), path_metric(points(["c", "d"]))]
@@ -358,6 +461,14 @@ def test_map_check_so_search_and_system(tmp_path, capsys):
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("eps", ["abc", "1/0"])
+def test_malformed_eps_is_a_usage_error(capsys, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["map-check", "so", "src.json", "metric.json", "map.json", "--eps", eps])
+    assert exc.value.code == 64
+    assert f"invalid Fraction value: {eps!r}" in capsys.readouterr().err
 
 
 def test_corpus_unit_interval_files(tmp_path, capsys):
