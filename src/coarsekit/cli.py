@@ -439,6 +439,21 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _at_least(least: int):
+    """An argparse type for integers no smaller than least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_radii(text: Optional[str]):
     if text is None:
         return None
@@ -604,8 +619,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("probe", parents=[common], help="run a two-sided witness probe")
     sp.add_argument("what", choices=("apc",))
     sp.add_argument("system")
-    sp.add_argument("--prefix", type=int, help="chain prefix length")
-    sp.add_argument("--budget", type=int, default=16, help="search budget")
+    sp.add_argument("--prefix", type=_at_least(1), help="chain prefix length")
+    sp.add_argument("--budget", type=_at_least(0), default=16, help="search budget")
     sp.set_defaults(func=cmd_probe, parser=sp)
 
     return parser

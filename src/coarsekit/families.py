@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
 
@@ -123,6 +123,41 @@ def star_family(v: Family, u: Family) -> Family:
     """Member-wise star of v against u, preserving index correspondence."""
     _check_same_space(v, u)
     return Family(v.space, tuple(star_set(m, u) for m in v.members))
+
+
+def member_masks(u: Family) -> tuple[int, ...]:
+    """Each member as a bitmask: bit i is set when the member holds point i."""
+    index = u.space._index
+    masks = []
+    for m in u.members:
+        mask = 0
+        for p in m:
+            mask |= 1 << index[p]
+        masks.append(mask)
+    return tuple(masks)
+
+
+def incidence(u: Family) -> tuple[int, ...]:
+    """Per point index, the union of the members of u holding that point, as a
+    bitmask; a point in no member has 0. Two points share a member exactly
+    when each one's bit is set in the other's entry."""
+    index = u.space._index
+    inc = [0] * len(u.space)
+    for m, mask in zip(u.members, member_masks(u)):
+        for p in m:
+            inc[index[p]] |= mask
+    return tuple(inc)
+
+
+def star_mask(v: int, inc: Sequence[int]) -> int:
+    """star_set on bitmasks: v joined with the incidence entry of each of its
+    points, for the incidence table of the family starred against."""
+    out = v
+    while v:
+        low = v & -v
+        out |= inc[low.bit_length() - 1]
+        v ^= low
+    return out
 
 
 def refines(u: Family, v: Family) -> bool:

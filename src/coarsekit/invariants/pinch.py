@@ -3,7 +3,9 @@ uniform separation off a bounded family.
 
 The separation and diameter comparisons run on exact squared distances; the
 stated tolerance is subtracted from the thresholds before squaring, so no
-floating point enters any verdict.
+floating point enters any verdict. The verifier scales every coordinate row
+by the lcm of all denominators once, so each squared distance is an integer
+sum over that common denominator squared.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, Point, PointSet
+from ..families import Family, Point, PointSet, incidence
 from ..reports import Clause, Report, from_clauses
 from .common import (
     Bound,
@@ -92,17 +95,26 @@ def pinch_verify(
         raise DomainError("embedding is not over the target's point set")
     clauses = [bound_clause("separation family bounded", target, w.sep, w.sep_bound)]
 
+    den = lcm(*(x.denominator for row in w.coords for x in row))
+    rows = [tuple(x.numerator * (den // x.denominator) for x in row) for row in w.coords]
+
+    def sq(a: int, b: int) -> int:
+        """Squared distance between the points at indices a and b, times den**2."""
+        return sum((x - y) ** 2 for x, y in zip(rows[a], rows[b]))
+
     diam_threshold = w.eps - tol
     worst_pair = None
-    worst = Fraction(-1)
+    worst = -1
     for m in w.scale.members:
         inside = w.space.sort(m)
+        at = [w.space.index(p) for p in inside]
         for a in range(len(inside)):
             for b in range(a + 1, len(inside)):
-                d = sq_dist(w.vec(inside[a]), w.vec(inside[b]))
+                d = sq(at[a], at[b])
                 if d > worst:
                     worst = d
                     worst_pair = (inside[a], inside[b])
+    worst = Fraction(worst, den**2)
     diam_ok = worst_pair is None or (
         diam_threshold > 0 and worst < diam_threshold**2
     )
@@ -120,15 +132,17 @@ def pinch_verify(
     nearest_pair = None
     nearest = None
     ids = w.space.ids
+    shared = incidence(w.sep)
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            pair = frozenset((ids[a], ids[b]))
-            if any(pair <= m for m in w.sep.members):
+            if shared[a] >> b & 1:
                 continue
-            d = sq_dist(w.vec(ids[a]), w.vec(ids[b]))
+            d = sq(a, b)
             if nearest is None or d < nearest:
                 nearest = d
                 nearest_pair = (ids[a], ids[b])
+    if nearest is not None:
+        nearest = Fraction(nearest, den**2)
     sep_ok = nearest is None or nearest >= sep_threshold**2
     clauses.append(
         Clause(

@@ -5,11 +5,16 @@ A ScaledSpace carries its certified star depth: the largest d such that for
 all levels i, j <= d the member-wise star of level i against level j
 essentially refines some level of the chain. Operations that would need stars
 past that depth raise TruncationError instead of silently extending the chain.
+
+Star depth is certified lazily, on its first read, and then kept with the
+space. Only the colimit star reads it, so loading, validating and restricting
+a space never pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import DomainError, ValidationError
@@ -21,8 +26,10 @@ from .families import (
     chain_components,
     covers,
     essentially_refines,
+    incidence,
+    member_masks,
     refines,
-    star_family,
+    star_mask,
     uncovered_point,
 )
 
@@ -31,7 +38,11 @@ from .families import (
 class ScaledSpace:
     points: PointSet
     levels: tuple[Family, ...]
-    star_depth: int
+
+    @cached_property
+    def star_depth(self) -> int:
+        """Certified on first read, once per space."""
+        return _compute_star_depth(self.levels)
 
     @property
     def depth(self) -> int:
@@ -45,25 +56,42 @@ class ScaledSpace:
 
 
 def _compute_star_depth(levels: tuple[Family, ...]) -> int:
+    """Grow the certified depth one level at a time, checking the star pairs
+    each new level adds, on bitmasks.
+
+    The chain is monotone, so a star family essentially refines some level
+    exactly when it essentially refines the top one. Duplicate members star
+    alike and are checked once.
+    """
+    masks = [set(member_masks(lv)) for lv in levels]
+    incs = [incidence(lv) for lv in levels]
+    top = masks[-1]
+
+    def stars_fit(i: int, j: int) -> bool:
+        inc = incs[j]
+        for m in masks[i]:
+            s = star_mask(m, inc)
+            if s & (s - 1) and not any(s & ~v == 0 for v in top):
+                return False
+        return True
+
     depth = 0
     for cand in range(1, len(levels) + 1):
         new_pairs = [(cand - 1, j) for j in range(cand)] + [
             (i, cand - 1) for i in range(cand - 1)
         ]
-        ok = True
-        for i, j in new_pairs:
-            st = star_family(levels[i], levels[j])
-            if not any(essentially_refines(st, lv) for lv in levels):
-                ok = False
-                break
-        if not ok:
+        if not all(stars_fit(i, j) for i, j in new_pairs):
             break
         depth = cand
     return depth
 
 
 def validate_space(pts: PointSet, levels: Iterable[Family]) -> ScaledSpace:
-    """Check covering and monotonicity, certify star depth, build the space."""
+    """Check covering and monotonicity and build the space.
+
+    Star depth is not certified here: ScaledSpace.star_depth certifies it on
+    its first read.
+    """
     levels = tuple(levels)
     if not levels:
         raise ValidationError("a scaled space needs at least one level")
@@ -78,7 +106,7 @@ def validate_space(pts: PointSet, levels: Iterable[Family]) -> ScaledSpace:
             raise ValidationError(
                 f"chain not monotone: level {i + 1} does not refine level {i + 2}"
             )
-    return ScaledSpace(pts, levels, _compute_star_depth(levels))
+    return ScaledSpace(pts, levels)
 
 
 def is_bounded(space: ScaledSpace, f: Family) -> Optional[int]:

@@ -73,3 +73,21 @@ def horizon_masks(a: int, u: list[int]) -> list[int]:
 
 def horizon_index_set(a: int, u: list[int]) -> set[int]:
     return {i for i, m in enumerate(u) if a & m}
+
+
+def star_depth_masks(levels: list[list[int]]) -> int:
+    """Largest d such that for all levels i, j <= d the member-wise star of
+    level i against level j essentially refines some level. Every d is
+    checked on its own, with all of its pairs."""
+    return max(
+        d
+        for d in range(len(levels) + 1)
+        if all(
+            any(
+                essentially_refines_masks([star_mask(m, levels[j]) for m in levels[i]], lv)
+                for lv in levels
+            )
+            for i in range(d)
+            for j in range(d)
+        )
+    )

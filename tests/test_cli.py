@@ -471,6 +471,22 @@ def test_malformed_eps_is_a_usage_error(capsys, eps):
     assert f"invalid Fraction value: {eps!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--budget", "-1", "must be at least 0, got -1"),
+        ("--prefix", "-2", "must be at least 1, got -2"),
+        ("--prefix", "0", "must be at least 1, got 0"),
+        ("--budget", "many", "invalid int value: 'many'"),
+    ],
+)
+def test_invalid_probe_settings_are_usage_errors(deep_system, capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "apc", deep_system, flag, value])
+    assert exc.value.code == 64
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
 def test_corpus_unit_interval_files(tmp_path, capsys):
     out = tmp_path / "corpus"
     assert main(["corpus", "unit-interval", "--n-max", "4", "--out-dir", str(out)]) == 0

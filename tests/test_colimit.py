@@ -10,6 +10,7 @@ from coarsekit import (
     TruncationError,
     ValidationError,
 )
+from coarsekit import colimit, spaces
 from coarsekit.colimit import (
     ColimitBoundedness,
     Piece,
@@ -23,7 +24,8 @@ from coarsekit.colimit import (
     system_weakly_bounded,
     validate_system,
 )
-from coarsekit.corpus import gen_random_system
+from coarsekit.corpus import gen_c0, gen_random_system
+from coarsekit.documents import doc_to_system, system_to_doc
 from coarsekit.families import Family, family, points, refines, reroot, star_family
 from coarsekit.spaces import restrict, validate_space, weakly_bounded
 
@@ -241,6 +243,29 @@ def test_colimit_star_respects_the_star_budget():
     f = fam(ambient, {"1", "2"})
     with pytest.raises(TruncationError, match="star budget"):
         colimit_star(fs, f, f)
+
+
+def test_star_depth_is_certified_once_and_only_by_the_star(monkeypatch):
+    certified = []
+    restricted = []
+    compute, restrict_ = spaces._compute_star_depth, colimit.restrict
+    monkeypatch.setattr(
+        spaces, "_compute_star_depth", lambda levels: certified.append(levels) or compute(levels)
+    )
+    monkeypatch.setattr(
+        colimit, "restrict", lambda sp, carrier: restricted.append(carrier) or restrict_(sp, carrier)
+    )
+    body = system_to_doc(gen_c0(2, 2)).body
+    fs = doc_to_system(body)
+    assert restricted and certified == []
+
+    f = fam(fs.ambient, {"0,0", "1,0"})
+    g = fam(fs.ambient, {"1,0", "1,1"})
+    starred, cert = colimit_star(fs, f, g)
+    assert check_boundedness(fs, starred, cert)
+    assert certified == [fs.pieces[cert.piece].space.levels]
+    colimit_star(fs, f, g)
+    assert len(certified) == 1
 
 
 def test_extended_piece_levels_are_colimit_bounded():

@@ -5,8 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from coarsekit import DomainError, Verdict
+from coarsekit import Clause, DomainError, Verdict, from_clauses
 from coarsekit.colimit import ColimitBoundedness, Piece, validate_system
 from coarsekit.families import family, points
 from coarsekit.invariants import (
@@ -272,3 +273,81 @@ def test_lift_rejects_a_failing_piece_witness():
     )
     with pytest.raises(DomainError, match="does not verify"):
         pinch_lift(fs, 0, spread)
+
+
+# the verifier on integer rows against a plain Fraction reference
+
+
+def reference_clauses(w, tol):
+    """The pinch clauses computed pair by pair on Fractions, scanning the
+    separation members for every pair."""
+
+    def sq(p, q):
+        return sum(((x - y) ** 2 for x, y in zip(w.vec(p), w.vec(q))), Fraction(0))
+
+    worst_pair, worst = None, None
+    for m in w.scale.members:
+        inside = w.space.sort(m)
+        for a, p in enumerate(inside):
+            for q in inside[a + 1 :]:
+                if worst is None or sq(p, q) > worst:
+                    worst, worst_pair = sq(p, q), (p, q)
+    eps = w.eps - tol
+    diam = Clause(
+        "image diameters stay below the pinch threshold",
+        worst is None or (eps > 0 and worst < eps**2),
+        "" if worst is None else f"extremal pair {worst_pair!r} at squared distance {worst}",
+    )
+
+    nearest_pair, nearest = None, None
+    ids = w.space.ids
+    for a, p in enumerate(ids):
+        for q in ids[a + 1 :]:
+            if any(p in m and q in m for m in w.sep.members):
+                continue
+            if nearest is None or sq(p, q) < nearest:
+                nearest, nearest_pair = sq(p, q), (p, q)
+    c = max(w.c - tol, Fraction(0))
+    sep = Clause(
+        "separated off the separation family",
+        nearest is None or nearest >= c**2,
+        ""
+        if nearest is None
+        else f"extremal pair {nearest_pair!r} at squared distance {nearest}",
+    )
+    return [Clause("separation family bounded", True, "bounded at level 1"), diam, sep]
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+positive = st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12)
+
+
+@st.composite
+def witness_cases(draw):
+    """Rows with mixed and negative denominators, then the zero-padded unit
+    columns a lift appends for some of the points, over scale and separation
+    families whose members overlap."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    ids = [f"p{i}" for i in range(n)]
+    pts = points(ids)
+    dim = draw(st.integers(min_value=1, max_value=3))
+    rows = [draw(st.lists(rationals, min_size=dim, max_size=dim)) for _ in ids]
+    lifted = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    axes = [i for i, on in enumerate(lifted) if on]
+    for i, row in enumerate(rows):
+        row += [Fraction(1) if i == k else Fraction(0) for k in axes]
+    subsets = st.lists(st.sampled_from(ids), unique=True, max_size=n)
+    scale = family(pts, draw(st.lists(subsets, max_size=4)))
+    sep = family(pts, draw(st.lists(subsets, max_size=5)))
+    w = pinch_witness(pts, dim + len(axes), rows, scale, sep, draw(positive), draw(positive))
+    tol = draw(st.sampled_from([Fraction(0), Fraction(1, 10**9), Fraction(1, 3)]))
+    return validate_space(pts, [family(pts, [ids])]), w, tol
+
+
+@given(witness_cases())
+def test_verifier_agrees_with_the_fraction_reference(case):
+    sp, w, tol = case
+    report = pinch_verify(sp, w, tol)
+    reference = reference_clauses(w, tol)
+    assert list(report.clauses) == reference
+    assert report.verdict is from_clauses(reference).verdict

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coarsekit import DomainError, ValidationError
+from coarsekit.corpus import gen_c0
 from coarsekit.families import family, points
 from coarsekit.spaces import (
     chains_coincide,
@@ -18,6 +19,8 @@ from coarsekit.spaces import (
     validate_space,
     weakly_bounded,
 )
+
+import oracles
 
 P3 = points(["1", "2", "3"])
 
@@ -55,6 +58,36 @@ def partition_chains(draw):
     return validate_space(space, levels)
 
 
+@st.composite
+def cover_chains(draw):
+    """Monotone covering chains with overlapping members: each level grows
+    every member of the one before and may add members of its own."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    ids = tuple(str(i) for i in range(n))
+    space = points(ids)
+    subsets = st.integers(min_value=0, max_value=(1 << n) - 1)
+    first = draw(st.lists(subsets, max_size=4))
+    covered = 0
+    for m in first:
+        covered |= m
+    level = first + [1 << i for i in range(n) if not covered >> i & 1]
+    levels = [level]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        level = [m | draw(subsets) for m in level] + draw(st.lists(subsets, max_size=2))
+        levels.append(level)
+    return validate_space(
+        space,
+        [family(space, [oracles.from_mask(ids, m) for m in lv]) for lv in levels],
+    )
+
+
+def oracle_star_depth(sp):
+    ids = list(sp.points.ids)
+    return oracles.star_depth_masks(
+        [[oracles.to_mask(ids, m) for m in lv.members] for lv in sp.levels]
+    )
+
+
 def test_validate_accepts_a_monotone_covering_chain():
     sp = path3()
     assert sp.depth == 3
@@ -81,6 +114,38 @@ def test_star_depth_certifies_when_stars_stay_inside():
     )
     # the star of the pair level against itself needs the whole set
     assert short.star_depth == 1
+
+
+def test_star_depth_agrees_with_the_oracle_below_full_depth():
+    P4 = points(["1", "2", "3", "4"])
+    chains = [
+        # path pairs then triples: the star of a middle pair needs all four points
+        [
+            fam(P4, {"1"}, {"2"}, {"3"}, {"4"}),
+            fam(P4, {"1", "2"}, {"2", "3"}, {"3", "4"}),
+            fam(P4, {"1", "2", "3"}, {"2", "3", "4"}),
+        ],
+        # overlapping first level whose self-star fits no level at all
+        [fam(P3, {"1", "2"}, {"2", "3"})],
+        # only the top level's stars escape: {3} against it is already {1, 2, 3, 4}
+        [
+            fam(P4, {"1"}, {"2"}, {"3"}, {"4"}),
+            fam(P4, {"1", "2"}, {"2", "3"}, {"4"}),
+            fam(P4, {"1", "2", "3"}, {"4"}),
+            fam(P4, {"1", "2", "3"}, {"3", "4"}),
+        ],
+    ]
+    depths = []
+    for levels in chains:
+        sp = validate_space(levels[0].space, levels)
+        assert sp.star_depth == oracle_star_depth(sp)
+        depths.append((sp.star_depth, sp.depth))
+    assert depths == [(1, 3), (0, 1), (3, 4)]
+
+
+def test_star_depth_agrees_with_the_oracle_on_c0_pieces():
+    for piece in gen_c0(2, 3).pieces:
+        assert piece.space.star_depth == oracle_star_depth(piece.space)
 
 
 def test_validate_rejects_a_non_covering_level():
@@ -208,6 +273,11 @@ def test_connected_space_has_one_component():
 @given(partition_chains())
 def test_partition_chains_have_full_star_depth(sp):
     assert sp.star_depth == sp.depth
+
+
+@given(cover_chains())
+def test_star_depth_agrees_with_the_oracle(sp):
+    assert sp.star_depth == oracle_star_depth(sp)
 
 
 @given(partition_chains())
