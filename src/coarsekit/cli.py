@@ -14,6 +14,7 @@ import hashlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -78,12 +79,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _load(args, path: str, kinds: Sequence[str]) -> docs.Document:
+    """Read, digest and parse one input document.
 
-
-def _load(path: str, kinds: Sequence[str]) -> docs.Document:
-    doc = docs.parse_document(_read(path), validate_body=False)
+    The digest is taken of the bytes that are parsed, before anything is
+    written, and recorded in args.digests for the report's provenance.
+    """
+    data = Path(path).read_bytes()
+    args.digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    doc = docs.parse_document(text, validate_body=False)
     if doc.kind not in kinds:
         raise ParseError(
             f"{path}: expected a {' or '.join(kinds)} document, got {doc.kind!r}"
@@ -91,34 +99,33 @@ def _load(path: str, kinds: Sequence[str]) -> docs.Document:
     return doc
 
 
-def _load_target(path: str):
-    doc = _load(path, ("space", "system"))
+def _load_target(args, path: str):
+    doc = _load(args, path, ("space", "system"))
     if doc.kind == "space":
         return docs.doc_to_space(doc.body)
     return docs.doc_to_system(doc.body)
 
 
-def _load_family(path: str, pts: PointSet) -> Family:
-    doc = _load(path, ("family",))
+def _load_family(args, path: str, pts: PointSet) -> Family:
+    doc = _load(args, path, ("family",))
     return reroot(docs.doc_to_family(doc.body), pts)
 
 
-def _load_map(path: str):
-    doc = _load(path, ("map",))
+def _load_map(args, path: str):
+    doc = _load(args, path, ("map",))
     return docs.doc_to_map(doc.body)
 
 
-def _digest(path: str) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _render(args, report: Report, artifact=None) -> int:
+    """Print the report, persist the artifact if -o was given, return the exit code.
 
-
-def _render(args, report: Report, inputs: Sequence[str], artifact=None) -> int:
-    """Print the report, persist the artifact if -o was given, return the exit code."""
+    Provenance lists the digest of every document the command read.
+    """
     out = getattr(args, "output", None)
     if artifact is not None and out:
         Path(out).write_text(docs.emit_document(artifact[1]), encoding="utf-8")
     provenance = {
-        "inputs": {p: _digest(p) for p in inputs},
+        "inputs": args.digests,
         "tool": f"coarsekit {__version__}",
         "seed": None,
     }
@@ -151,7 +158,7 @@ def _truncation_report(name: str, exc: TruncationError) -> Report:
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args.document, ("space", "system"))
+    doc = _load(args, args.document, ("space", "system"))
     clauses = []
     try:
         if doc.kind == "space":
@@ -170,12 +177,12 @@ def cmd_validate(args) -> int:
             )
     except (ValidationError, DomainError) as exc:
         clauses = [Clause("document validates", False, str(exc))]
-    return _render(args, from_clauses(clauses), [args.document])
+    return _render(args, from_clauses(clauses))
 
 
 def cmd_bounded(args) -> int:
-    system = docs.doc_to_system(_load(args.system, ("system",)).body)
-    fam = _load_family(args.family, system.ambient)
+    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
+    fam = _load_family(args, args.family, system.ambient)
     cert = colimit_bounded(system, fam)
     if cert is None:
         clause = Clause(
@@ -189,18 +196,17 @@ def cmd_bounded(args) -> int:
         clause = Clause(
             "bounded in some piece", True, f"piece {name!r} at level {cert.level}"
         )
-    return _render(args, from_clauses([clause]), [args.system, args.family])
+    return _render(args, from_clauses([clause]))
 
 
 def cmd_star(args) -> int:
-    system = docs.doc_to_system(_load(args.system, ("system",)).body)
-    f = _load_family(args.first, system.ambient)
-    g = _load_family(args.second, system.ambient)
-    inputs = [args.system, args.first, args.second]
+    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
+    f = _load_family(args, args.first, system.ambient)
+    g = _load_family(args, args.second, system.ambient)
     try:
         star, cert = colimit_star(system, f, g)
     except TruncationError as exc:
-        return _render(args, _truncation_report("star stays bounded", exc), inputs)
+        return _render(args, _truncation_report("star stays bounded", exc))
     name = system.pieces[cert.piece].name
     report = from_clauses(
         [
@@ -208,7 +214,7 @@ def cmd_star(args) -> int:
             Clause("star stays bounded", True, f"piece {name!r} at level {cert.level}"),
         ]
     )
-    return _render(args, report, inputs, artifact=("star", docs.family_to_doc(star)))
+    return _render(args, report, artifact=("star", docs.family_to_doc(star)))
 
 
 def _require(args, parser, names) -> None:
@@ -272,7 +278,7 @@ INVARIANTS = {
         verify=lambda t, w, a: amenability_verify(t, w),
         encode=lambda w: docs.amenability_witness_to_doc(w),
         lift=lambda s, i, w, a: amenability_lift(
-            s, i, w, _load_family(a.input, s.ambient)
+            s, i, w, _load_family(a, a.input, s.ambient)
         ),
         needs=(),
         lift_inputs=("input",),
@@ -299,30 +305,29 @@ def _check_asdim_search(args, target) -> int:
         else:
             detail = "greedy search found nothing; absence decides nothing"
         clause = Clause("witness search", False, detail, truncation=not result.exhaustive)
-        return _render(args, from_clauses([clause]), [args.target])
+        return _render(args, from_clauses([clause]))
     report = asdim_verify(target, args.n, result.witness)
     artifact = ("witness", docs.asdim_witness_to_doc(result.witness))
-    return _render(args, report, [args.target], artifact=artifact)
+    return _render(args, report, artifact=artifact)
 
 
 def cmd_check(args) -> int:
     if args.invariant == "generators":
-        gens = docs.doc_to_generators(_load(args.target, ("witness:generators",)).body)
-        return _render(args, metrizability_generator_check(gens), [args.target])
-    target = _load_target(args.target)
+        gens = docs.doc_to_generators(_load(args, args.target, ("witness:generators",)).body)
+        return _render(args, metrizability_generator_check(gens))
+    target = _load_target(args, args.target)
     inv = INVARIANTS[args.invariant]
     _require(args, args.parser, inv.needs)
     if args.invariant == "asdim" and args.search:
         return _check_asdim_search(args, target)
     _require(args, args.parser, ["witness"])
-    wdoc = _load(args.witness, ("witness:" + args.invariant.replace("-", "_"),))
+    wdoc = _load(args, args.witness, ("witness:" + args.invariant.replace("-", "_"),))
     w = inv.decode(wdoc.body, target)
-    return _render(args, inv.verify(target, w, args), [args.target, args.witness])
+    return _render(args, inv.verify(target, w, args))
 
 
 def cmd_lift(args) -> int:
-    system = docs.doc_to_system(_load(args.system, ("system",)).body)
-    inputs = [args.system]
+    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
     if args.invariant == "generators":
         _require(args, args.parser, ["sets"])
         if len(args.sets) != len(system.pieces):
@@ -331,43 +336,32 @@ def cmd_lift(args) -> int:
             )
         piece_sets = []
         for path in args.sets:
-            gdoc = _load(path, ("witness:generators",))
+            gdoc = _load(args, path, ("witness:generators",))
             piece_sets.append(docs.doc_to_generators(gdoc.body))
-            inputs.append(path)
         try:
             merged, report = metrizability_merge(system, piece_sets)
         except TruncationError as exc:
-            return _render(
-                args, _truncation_report("pairs coarsened after routing", exc), inputs
-            )
-        return _render(
-            args, report, inputs, artifact=("generators", docs.generators_to_doc(merged))
-        )
+            return _render(args, _truncation_report("pairs coarsened after routing", exc))
+        return _render(args, report, artifact=("generators", docs.generators_to_doc(merged)))
     _require(args, args.parser, ["piece", "witness"])
     idx = system.piece_index(args.piece)
     inv = INVARIANTS[args.invariant]
-    wdoc = _load(args.witness, ("witness:" + args.invariant.replace("-", "_"),))
+    wdoc = _load(args, args.witness, ("witness:" + args.invariant.replace("-", "_"),))
     _require(args, args.parser, inv.needs + inv.lift_inputs)
-    inputs += [args.witness, *(getattr(args, name) for name in inv.lift_inputs)]
     w = inv.decode(wdoc.body, system.pieces[idx].space)
     lifted = inv.lift(system, idx, w, args)
     report = inv.verify(system, lifted, args)
-    return _render(args, report, inputs, artifact=("witness", inv.encode(lifted)))
+    return _render(args, report, artifact=("witness", inv.encode(lifted)))
 
 
 def cmd_restrict(args) -> int:
-    system = docs.doc_to_system(_load(args.system, ("system",)).body)
+    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
     idx = system.piece_index(args.piece)
-    wdoc = _load(args.witness, ("witness:asdim",))
+    wdoc = _load(args, args.witness, ("witness:asdim",))
     w = docs.doc_to_asdim_witness(wdoc.body, system)
     cut = asdim_restrict(system, idx, args.n, w)
     report = asdim_verify(system.pieces[idx].space, args.n, cut)
-    return _render(
-        args,
-        report,
-        [args.system, args.witness],
-        artifact=("witness", docs.asdim_witness_to_doc(cut)),
-    )
+    return _render(args, report, artifact=("witness", docs.asdim_witness_to_doc(cut)))
 
 
 def cmd_map_check(args) -> int:
@@ -377,29 +371,28 @@ def cmd_map_check(args) -> int:
     if mode == "bornologous":
         if len(paths) != 3:
             parser.error("bornologous needs SRC DST MAP")
-        src = _load_target(paths[0])
-        dst = docs.doc_to_space(_load(paths[1], ("space",)).body)
-        f = _load_map(paths[2])
+        src = _load_target(args, paths[0])
+        dst = docs.doc_to_space(_load(args, paths[1], ("space",)).body)
+        f = _load_map(args, paths[2])
         if isinstance(src, ScaledSpace):
             report = bornologous_check(f, src, dst)
         else:
             report = system_bornologous_check(f, src, dst)
-        return _render(args, report, paths)
+        return _render(args, report)
     if mode == "close":
         if len(paths) != 3:
             parser.error("close needs DST MAP MAP")
-        dst = docs.doc_to_space(_load(paths[0], ("space",)).body)
-        f = _load_map(paths[1])
-        g = _load_map(paths[2])
-        return _render(args, close_report(f, g, dst), paths)
+        dst = docs.doc_to_space(_load(args, paths[0], ("space",)).body)
+        f = _load_map(args, paths[1])
+        g = _load_map(args, paths[2])
+        return _render(args, close_report(f, g, dst))
     if len(paths) != 3:
         parser.error("so needs SRC METRIC MAP")
-    src = _load_target(paths[0])
-    target = docs.doc_to_metric(_load(paths[1], ("metric",)).body)
-    f = _load_map(paths[2])
+    src = _load_target(args, paths[0])
+    target = docs.doc_to_metric(_load(args, paths[1], ("metric",)).body)
+    f = _load_map(args, paths[2])
     if args.eps is None:
         parser.error("--eps is required here")
-    inputs = list(paths)
     if isinstance(src, ScaledSpace):
         _require(args, parser, ["level"])
         if args.search:
@@ -411,25 +404,23 @@ def cmd_map_check(args) -> int:
                     "no weakly bounded witness set in the search space",
                     truncation=True,
                 )
-                return _render(args, from_clauses([clause]), inputs)
+                return _render(args, from_clauses([clause]))
             report = slowly_oscillating_verify(f, target, src, args.level, args.eps, b)
             artifact = ("witness-set", docs.family_to_doc(Family(src.points, (b,))))
-            return _render(args, report, inputs, artifact=artifact)
+            return _render(args, report, artifact=artifact)
         _require(args, parser, ["witness_set"])
-        bfam = _load_family(args.witness_set, src.points)
+        bfam = _load_family(args, args.witness_set, src.points)
         b = frozenset().union(*bfam.members) if bfam.members else frozenset()
         report = slowly_oscillating_verify(f, target, src, args.level, args.eps, b)
-        inputs.append(args.witness_set)
-        return _render(args, report, inputs)
+        return _render(args, report)
     if args.search:
         raise DomainError("witness search needs a single-space source")
     _require(args, parser, ["scale", "witness_set"])
-    scale = _load_family(args.scale, src.ambient)
-    bfam = _load_family(args.witness_set, src.ambient)
+    scale = _load_family(args, args.scale, src.ambient)
+    bfam = _load_family(args, args.witness_set, src.ambient)
     b = frozenset().union(*bfam.members) if bfam.members else frozenset()
     report = system_slowly_oscillating_verify(f, target, src, scale, args.eps, b)
-    inputs += [args.scale, args.witness_set]
-    return _render(args, report, inputs)
+    return _render(args, report)
 
 
 def _rational(text: str) -> Fraction:
@@ -515,7 +506,7 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    system = docs.doc_to_system(_load(args.system, ("system",)).body)
+    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
     outcome = apc_probe(system, prefix_len=args.prefix, budget=args.budget)
     artifact = None
     if outcome.colimit_witness is not None:
@@ -523,13 +514,20 @@ def cmd_probe(args) -> int:
             "witness",
             docs.apc_witness_to_doc(outcome.colimit_witness, outcome.colimit_chain),
         )
-    return _render(args, outcome.report, [args.system], artifact=artifact)
+    return _render(args, outcome.report, artifact=artifact)
 
 
 # parser assembly
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command line parser, built once per process and reused by main.
+
+    Parsing leaves the parser unchanged: every call gets a fresh namespace
+    with the declared defaults, and usage errors, help and --version write to
+    the sys.stdout and sys.stderr in effect when they are raised.
+    """
     parser = _Parser(prog="coarsekit", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"coarsekit {__version__}"
@@ -627,8 +625,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # input path -> digest, filled by _load; made per call, since a default
+    # on the reused parser would be one dict shared by every call
+    args.digests = {}
     try:
         return args.func(args)
     except ParseError as exc:

@@ -679,6 +679,8 @@ def parse_document(text: str, validate_body: bool = True) -> Document:
         raise ParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError("document nests too deeply to parse") from None
     _check_keys(raw, ("kind", "version", "body"), (), "document")
     kind = raw["kind"]
     if kind not in KINDS:

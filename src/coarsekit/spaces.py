@@ -124,7 +124,14 @@ def is_bounded(space: ScaledSpace, f: Family) -> Optional[int]:
 
 
 def restrict(space: ScaledSpace, carrier: Subset) -> ScaledSpace:
-    """Subspace on a non-empty carrier: intersect members, drop empties, revalidate."""
+    """Subspace on a non-empty carrier: intersect members and drop empties.
+
+    The result needs no revalidation, because restriction keeps a valid
+    chain valid. Each level still covers: a point of the carrier lies in
+    some member m, so it lies in m & carrier, which is kept. The chain stays
+    monotone: if m is inside w then m & carrier is inside w & carrier, and
+    that is non-empty, so kept, whenever m & carrier is.
+    """
     carrier = space.points.subset(carrier)
     if not carrier:
         raise DomainError("restriction carrier must be non-empty")
@@ -133,7 +140,7 @@ def restrict(space: ScaledSpace, carrier: Subset) -> ScaledSpace:
     for lv in space.levels:
         members = tuple(m & carrier for m in lv.members if m & carrier)
         new_levels.append(Family(pts, members))
-    return validate_space(pts, new_levels)
+    return ScaledSpace(pts, tuple(new_levels))
 
 
 def chains_coincide(a: ScaledSpace, b: ScaledSpace) -> bool:

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from coarsekit import __version__
-from coarsekit.cli import main
+from coarsekit.cli import build_parser, main
 from coarsekit.colimit import Piece, validate_system
 from coarsekit.corpus import gen_disjoint_union
 from coarsekit.documents import (
     Document,
     amenability_witness_to_doc,
     asdim_witness_to_doc,
+    doc_to_system,
     emit_document,
     family_to_doc,
     generators_to_doc,
@@ -175,6 +182,36 @@ def test_star_writes_artifact(tmp_path, deep_system, capsys):
     assert f"wrote {out_path}" in out
     star_doc = parse_document(out_path.read_text(encoding="utf-8"))
     assert star_doc.kind == "family"
+
+
+def test_provenance_digests_the_bytes_read_before_the_output_is_written(tmp_path, capsys):
+    out = tmp_path / "c0"
+    assert main(["corpus", "c0", "--s-max", "2", "--box", "1", "--out-dir", str(out)]) == 0
+    system = str(out / "system.json")
+    ambient = doc_to_system(parse_document(Path(system).read_text(encoding="utf-8")).body).ambient
+    ids = ambient.ids
+    members = (frozenset(ids[:2]), frozenset(ids[1:3]))
+    f = save(tmp_path, "f.json", family_to_doc(Family(ambient, members)))
+    before = hashlib.sha256(Path(f).read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert main(["star", system, f, f, "--format", "structured", "-o", f]) == 0
+    report = parse_document(capsys.readouterr().out)
+    assert hashlib.sha256(Path(f).read_bytes()).hexdigest() != before  # the star overwrote f
+    assert report.body["provenance"]["inputs"][f] == "sha256:" + before
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b"\xff{}", "not UTF-8 text"), (b"[" * 100000, "nests too deeply")],
+    ids=["undecodable", "over-deep"],
+)
+def test_unreadable_documents_exit_65(tmp_path, capsys, raw, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    assert main(["validate", str(path)]) == 65
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_star_truncation_exits_2(tmp_path, shallow_system, capsys):
@@ -533,3 +570,51 @@ def test_probe_apc(tmp_path, deep_system, capsys):
 
     assert main(["probe", "apc", deep_system, "--budget", "0"]) == 2
     assert "verdict: undecided-at-truncation" in capsys.readouterr().out
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != TOL_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coarsekit", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_answers_like_a_fresh_process(tmp_path, monkeypatch):
+    """One interpreter runs every argv through the one parser; each answer
+    must match that of the same argv in its own process."""
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the same width
+    monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+    assert build_parser() is build_parser()
+    _, space = pair_space_doc(tmp_path)
+    islands = [path_metric(points(["a", "b"])), path_metric(points(["c", "d", "e"]))]
+    system = save(tmp_path, "islands.json", system_to_doc(gen_disjoint_union(islands)))
+    witness = str(tmp_path / "witness.json")
+    asdim = ["check", "asdim", space, "--n", "1", "--format", "structured"]
+    argvs = [
+        ["probe", "apc", system, "--budget", "-1"],
+        ["validate", space],
+        [*asdim, "--search", "--level", "2", "--mode", "exhaustive", "-o", witness],
+        [*asdim, "--witness", witness],
+        ["check", "asdim", space, "--search"],
+        ["probe", "apc", system, "--budget", "3", "--format", "structured"],
+        ["probe", "apc", system, "--format", "structured"],
+        ["--version"],
+        ["check", "--help"],
+    ]
+    reused = [_in_process(argv) for argv in argvs]
+    assert [code for code, _, _ in reused] == [64, 0, 0, 0, 64, 2, 0, 0, 0]
+    for argv, answer in zip(argvs, reused):
+        assert answer == _fresh_process(argv), argv

@@ -296,6 +296,13 @@ def test_restrict_to_everything_is_identity(sp):
     assert sub.levels == sp.levels
 
 
+@given(cover_chains(), st.data())
+def test_restriction_of_a_valid_chain_is_valid(sp, data):
+    carrier = data.draw(st.sets(st.sampled_from(sp.points.ids), min_size=1))
+    sub = restrict(sp, frozenset(carrier))
+    assert validate_space(sub.points, sub.levels) == sub
+
+
 @given(partition_chains())
 def test_restriction_preserves_boundedness_levels(sp):
     carrier = frozenset(sp.points.ids[: 1 + len(sp.points.ids) // 2])
