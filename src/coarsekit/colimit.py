@@ -2,7 +2,9 @@
 
 A FilteredSystem is a list of pieces (carrier + scaled space over it) covering
 an ambient point set, with an upper-bound map on piece pairs and pairwise
-coincidence of restricted chains. A family over the ambient set is
+coincidence of the chains restricted to each overlap. validate_system checks
+carriers, directedness and coincidence on bitmasks over the ambient index,
+without building restricted spaces. A family over the ambient set is
 colimit-bounded when, for some piece, every member with more than one point
 sits inside the carrier and the family stripped of outside singletons is
 bounded in that piece's chain.
@@ -16,22 +18,16 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import DomainError, TruncationError, ValidationError
 from .families import (
     Family,
-    Point,
     PointSet,
     Subset,
     chain_components,
     essentially_refines,
+    member_masks,
     reroot,
     star_family,
     trivial_extension,
 )
-from .spaces import (
-    ScaledSpace,
-    coarse_components,
-    coincidence_failure,
-    is_bounded,
-    restrict,
-)
+from .spaces import ScaledSpace, coarse_components, coincidence_masks, is_bounded
 
 
 @dataclass(frozen=True)
@@ -98,6 +94,9 @@ def validate_system(
 ) -> FilteredSystem:
     """Check coverage, directedness, and pairwise coincidence of restrictions.
 
+    Carriers and chain levels become ambient-indexed bitmasks once; each
+    overlapping pair is then compared by spaces.coincidence_masks.
+
     When upper is None or partial, missing pairs are filled by scanning for
     the least piece whose carrier contains the union; an unfillable pair is a
     directedness failure.
@@ -108,36 +107,36 @@ def validate_system(
     names = [p.name for p in pieces]
     if len(set(names)) != len(names):
         raise ValidationError("piece names must be distinct")
+    index = ambient._index
+    carriers = []
     for p in pieces:
-        for q in p.carrier:
-            if q not in ambient:
-                raise DomainError(f"piece {p.name!r} carrier leaves the ambient set")
+        if not index.keys() >= p.carrier:
+            raise DomainError(f"piece {p.name!r} carrier leaves the ambient set")
         if p.space.points != _carrier_points(ambient, p.carrier):
             raise DomainError(f"piece {p.name!r} space is not over its carrier")
-    covered = set()
-    for p in pieces:
-        covered |= p.carrier
-    for q in ambient.ids:
-        if q not in covered:
-            raise ValidationError(f"carriers do not cover: point {q!r} is in no piece")
+        carriers.append(sum(1 << index[q] for q in p.carrier))
+    covered = 0
+    for c in carriers:
+        covered |= c
+    uncovered = ~covered & ((1 << len(ambient)) - 1)
+    if uncovered:
+        q = ambient.ids[(uncovered & -uncovered).bit_length() - 1]
+        raise ValidationError(f"carriers do not cover: point {q!r} is in no piece")
 
     table: dict[tuple[int, int], int] = {}
     n = len(pieces)
     for r in range(n):
         for s in range(r, n):
             t = None if upper is None else upper.get((r, s), upper.get((s, r)))
-            union = pieces[r].carrier | pieces[s].carrier
+            union = carriers[r] | carriers[s]
             if t is not None:
-                if not union <= pieces[t].carrier:
+                if union & ~carriers[t]:
                     raise ValidationError(
                         f"directedness failure: upper({names[r]}, {names[s]}) = "
                         f"{names[t]} does not contain the union"
                     )
             else:
-                for cand in range(n):
-                    if union <= pieces[cand].carrier:
-                        t = cand
-                        break
+                t = next((c for c in range(n) if not union & ~carriers[c]), None)
                 if t is None:
                     raise ValidationError(
                         f"directedness failure: no piece contains "
@@ -145,14 +144,15 @@ def validate_system(
                     )
             table[(r, s)] = t
 
+    chains = [
+        [set(member_masks(lv, ambient)) for lv in p.space.levels] for p in pieces
+    ]
     for r in range(n):
         for s in range(r + 1, n):
-            inter = pieces[r].carrier & pieces[s].carrier
+            inter = carriers[r] & carriers[s]
             if not inter:
                 continue
-            ra = restrict(pieces[r].space, inter)
-            rb = restrict(pieces[s].space, inter)
-            failure = coincidence_failure(ra, rb)
+            failure = coincidence_masks(chains[r], chains[s], inter)
             if failure is not None:
                 side, lvl = failure
                 owner = names[r] if side == "first" else names[s]

@@ -117,13 +117,20 @@ def _points(v, path) -> PointSet:
 def _members(v, pts: PointSet, path) -> tuple[frozenset, ...]:
     if not isinstance(v, list):
         _fail("expected a list of members", path)
+    keys = pts._index.keys()
     out = []
     for i, m in enumerate(v):
-        ids = _str_list(m, f"{path}[{i}]")
-        for p in ids:
-            if p not in pts:
-                _fail(f"unknown point {p!r}", f"{path}[{i}]")
-        out.append(frozenset(ids))
+        try:
+            s = frozenset(m) if isinstance(m, list) else None
+        except TypeError:  # an unhashable entry
+            s = None
+        if s is None or not keys >= s:
+            # the per-point check words the error: first bad entry in list order
+            for p in _str_list(m, f"{path}[{i}]"):
+                if p not in pts:
+                    _fail(f"unknown point {p!r}", f"{path}[{i}]")
+            raise AssertionError("a member failing the set check has a bad entry")
+        out.append(s)
     return tuple(out)
 
 

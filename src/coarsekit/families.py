@@ -54,9 +54,9 @@ class PointSet:
 
     def subset(self, ids: Iterable[Point]) -> Subset:
         s = frozenset(ids)
-        for p in s:
-            if p not in self._index:
-                raise DomainError(f"point {p!r} not in this point set")
+        if not self._index.keys() >= s:
+            p = next(p for p in s if p not in self._index)
+            raise DomainError(f"point {p!r} not in this point set")
         return s
 
     def sort(self, s: Iterable[Point]) -> tuple[Point, ...]:
@@ -76,12 +76,13 @@ class Family:
     members: tuple[Subset, ...]
 
     def __post_init__(self):
+        keys = self.space._index.keys()
         for m in self.members:
             if not isinstance(m, frozenset):
                 raise DomainError("family members must be frozensets")
-            for p in m:
-                if p not in self.space:
-                    raise DomainError(f"member point {p!r} outside the point set")
+            if not keys >= m:
+                p = next(p for p in m if p not in keys)
+                raise DomainError(f"member point {p!r} outside the point set")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -125,16 +126,11 @@ def star_family(v: Family, u: Family) -> Family:
     return Family(v.space, tuple(star_set(m, u) for m in v.members))
 
 
-def member_masks(u: Family) -> tuple[int, ...]:
-    """Each member as a bitmask: bit i is set when the member holds point i."""
-    index = u.space._index
-    masks = []
-    for m in u.members:
-        mask = 0
-        for p in m:
-            mask |= 1 << index[p]
-        masks.append(mask)
-    return tuple(masks)
+def member_masks(u: Family, over: Optional[PointSet] = None) -> tuple[int, ...]:
+    """Each member as a bitmask: bit i is set when the member holds point i
+    of u's point set, or of ``over``, a point set holding every member."""
+    bit = {p: 1 << i for p, i in (u.space if over is None else over)._index.items()}
+    return tuple(sum(map(bit.__getitem__, m)) for m in u.members)
 
 
 def incidence(u: Family) -> tuple[int, ...]:

@@ -9,13 +9,17 @@ past that depth raise TruncationError instead of silently extending the chain.
 Star depth is certified lazily, on its first read, and then kept with the
 space. Only the colimit star reads it, so loading, validating and restricting
 a space never pay for it.
+
+Coincidence of two chains on a shared carrier is decided by one kernel,
+coincidence_masks, on member bitmasks; it cuts members to the carrier as
+bits and builds no restricted space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .families import (
@@ -24,7 +28,6 @@ from .families import (
     PointSet,
     Subset,
     chain_components,
-    covers,
     essentially_refines,
     incidence,
     member_masks,
@@ -131,6 +134,9 @@ def restrict(space: ScaledSpace, carrier: Subset) -> ScaledSpace:
     some member m, so it lies in m & carrier, which is kept. The chain stays
     monotone: if m is inside w then m & carrier is inside w & carrier, and
     that is non-empty, so kept, whenever m & carrier is.
+
+    Loading a system does not restrict: validate_system compares overlaps
+    on bitmasks with coincidence_masks.
     """
     carrier = space.points.subset(carrier)
     if not carrier:
@@ -145,16 +151,38 @@ def restrict(space: ScaledSpace, carrier: Subset) -> ScaledSpace:
 
 def chains_coincide(a: ScaledSpace, b: ScaledSpace) -> bool:
     """Mutual essential cofinality of the two chains over the same points."""
-    if a.points != b.points:
-        raise DomainError("spaces live over different point sets")
     return coincidence_failure(a, b) is None
 
 
 def coincidence_failure(a: ScaledSpace, b: ScaledSpace) -> Optional[tuple[str, int]]:
     """Which side and 1-based level breaks coincidence, for error reporting."""
+    if a.points != b.points:
+        raise DomainError("spaces live over different point sets")
+    full = (1 << len(a.points)) - 1
+    return coincidence_masks(
+        [member_masks(lv) for lv in a.levels], [member_masks(lv) for lv in b.levels], full
+    )
+
+
+def coincidence_masks(
+    a: Sequence[Iterable[int]], b: Sequence[Iterable[int]], inter: int
+) -> Optional[tuple[str, int]]:
+    """Coincidence of two chains restricted to ``inter``, on member masks.
+
+    Each chain is a per-level list of member masks over one shared index.
+    Returns the first (side, 1-based level) whose level, cut to ``inter``,
+    essentially refines no level of the other chain cut alike, or None.
+    A cut member with at most one point is ignored, and equal cut members
+    are checked once. The other side's members need no cut: m & inter sits
+    inside w & inter exactly when it sits inside w. Levels are tried from
+    the top down, which on a monotone chain settles at the first try.
+    """
     for side, xs, ys in (("first", a, b), ("second", b, a)):
-        for i, lx in enumerate(xs.levels, 1):
-            if not any(essentially_refines(lx, ly) for ly in ys.levels):
+        for i, lx in enumerate(xs, 1):
+            cut = {r for m in lx if (r := m & inter) & (r - 1)}
+            if not any(
+                all(any(r & ~w == 0 for w in ly) for r in cut) for ly in reversed(ys)
+            ):
                 return (side, i)
     return None
 

@@ -618,3 +618,47 @@ def test_reused_parser_answers_like_a_fresh_process(tmp_path, monkeypatch):
     assert [code for code, _, _ in reused] == [64, 0, 0, 0, 64, 2, 0, 0, 0]
     for argv, answer in zip(argvs, reused):
         assert answer == _fresh_process(argv), argv
+
+
+def _three_piece_body(member):
+    """A valid three-piece system when ``member`` is ``["a", "b"]``; the
+    member is the second of piece A's one scale."""
+    return {
+        "ambient": ["a", "b", "c"],
+        "pieces": [
+            {"name": "A", "carrier": ["a", "b"], "scales": [[["a"], member]]},
+            {"name": "B", "carrier": ["b", "c"], "scales": [[["b", "c"]]]},
+            {"name": "C", "carrier": ["a", "b", "c"], "scales": [[["a", "b", "c"]]]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        (["b", "c", "zz"], "unknown point 'c'"),
+        (["b", 1], "expected a list of strings"),
+        (["b", ["a"]], "expected a list of strings"),
+        ("ab", "expected a list of strings"),
+    ],
+    ids=["outside-carrier", "integer", "nested-list", "string"],
+)
+def test_untrusted_scale_members_exit_65(tmp_path, capsys, member, message):
+    good = save(tmp_path, "good.json", Document("system", "1", _three_piece_body(["a", "b"])))
+    assert main(["validate", good]) == 0
+    bad = save(tmp_path, "bad.json", Document("system", "1", _three_piece_body(member)))
+    capsys.readouterr()
+    assert main(["validate", bad]) == 65
+    assert capsys.readouterr().err == (
+        f"coarsekit: input error: body.pieces[0].scales[0][1]: {message}\n"
+    )
+
+
+def test_family_outside_the_ambient_set_exits_65(tmp_path, capsys):
+    system = save(tmp_path, "system.json", Document("system", "1", _three_piece_body(["a", "b"])))
+    body = {"points": ["zz"], "members": [["zz"]]}
+    fam = save(tmp_path, "f.json", Document("family", "1", body))
+    assert main(["bounded", system, fam]) == 65
+    assert capsys.readouterr().err == (
+        "coarsekit: input error: member point 'zz' outside the point set\n"
+    )

@@ -10,7 +10,7 @@ from coarsekit import (
     TruncationError,
     ValidationError,
 )
-from coarsekit import colimit, spaces
+from coarsekit import spaces
 from coarsekit.colimit import (
     ColimitBoundedness,
     Piece,
@@ -27,7 +27,13 @@ from coarsekit.colimit import (
 from coarsekit.corpus import gen_c0, gen_random_system
 from coarsekit.documents import doc_to_system, system_to_doc
 from coarsekit.families import Family, family, points, refines, reroot, star_family
-from coarsekit.spaces import restrict, validate_space, weakly_bounded
+from coarsekit.spaces import (
+    ScaledSpace,
+    coincidence_failure,
+    restrict,
+    validate_space,
+    weakly_bounded,
+)
 
 import oracles
 
@@ -93,6 +99,16 @@ def test_validate_system_rejects_carrier_gaps():
     sp = validate_space(sub, [fam(sub, {"0"})])
     with pytest.raises(ValidationError, match="'1'"):
         validate_system(ambient, [Piece("p", frozenset({"0"}), sp)])
+
+
+def test_validate_system_carrier_errors_name_the_first_fault():
+    ambient = points(["0", "1", "2"])
+    sub = points(["1"])
+    sp = validate_space(sub, [fam(sub, {"1"})])
+    with pytest.raises(ValidationError, match=r"^carriers do not cover: point '0' is in no"):
+        validate_system(ambient, [Piece("p", frozenset({"1"}), sp)])
+    with pytest.raises(DomainError, match=r"^piece 'p' carrier leaves the ambient set$"):
+        validate_system(ambient, [Piece("p", frozenset({"1", "9"}), sp)])
 
 
 def test_validate_system_rejects_undirected_pieces():
@@ -248,16 +264,16 @@ def test_colimit_star_respects_the_star_budget():
 def test_star_depth_is_certified_once_and_only_by_the_star(monkeypatch):
     certified = []
     restricted = []
-    compute, restrict_ = spaces._compute_star_depth, colimit.restrict
+    compute, restrict_ = spaces._compute_star_depth, spaces.restrict
     monkeypatch.setattr(
         spaces, "_compute_star_depth", lambda levels: certified.append(levels) or compute(levels)
     )
     monkeypatch.setattr(
-        colimit, "restrict", lambda sp, carrier: restricted.append(carrier) or restrict_(sp, carrier)
+        spaces, "restrict", lambda sp, carrier: restricted.append(carrier) or restrict_(sp, carrier)
     )
     body = system_to_doc(gen_c0(2, 2)).body
     fs = doc_to_system(body)
-    assert restricted and certified == []
+    assert restricted == [] and certified == []
 
     f = fam(fs.ambient, {"0,0", "1,0"})
     g = fam(fs.ambient, {"1,0", "1,1"})
@@ -383,3 +399,90 @@ def test_random_system_certificates_survive_oracle_audit(seed):
                 None,
             )
             assert got
+
+
+def coincidence_oracle(ids, a, b, inter):
+    """First (side, level) at which one chain, restricted to the inter mask
+    with empties dropped, essentially refines no level of the other."""
+
+    def cut(space):
+        return [
+            [r for m in lv.members if (r := oracles.to_mask(ids, m) & inter)]
+            for lv in space.levels
+        ]
+
+    ca, cb = cut(a), cut(b)
+    for side, xs, ys in (("first", ca, cb), ("second", cb, ca)):
+        for i, lx in enumerate(xs, 1):
+            if not any(oracles.essentially_refines_masks(lx, ly) for ly in ys):
+                return side, i
+    return None
+
+
+@st.composite
+def piece_systems(draw):
+    """Two or three pieces over at most 8 points, one of them carrying all.
+
+    Each piece cuts a pick of base levels, in any order and with repeats, to
+    its carrier; a piece may gain one extra member. Spaces are built directly,
+    so a chain need not be monotone, nor a level cover.
+    """
+    ids = tuple(str(i) for i in range(draw(st.integers(2, 8))))
+    ambient = points(ids)
+    base = draw(
+        st.lists(
+            st.lists(st.frozensets(st.sampled_from(ids), min_size=2, max_size=3), max_size=3),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    n = draw(st.integers(2, 3))
+    top = draw(st.integers(0, n - 1))
+    pieces = []
+    for k in range(n):
+        if k == top:
+            carrier = frozenset(ids)
+        else:
+            carrier = draw(st.frozensets(st.sampled_from(ids), min_size=2))
+        pts = points(p for p in ids if p in carrier)
+        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=3))
+        levels = [[m & carrier for m in base[j] if m & carrier] for j in picks]
+        if draw(st.booleans()):
+            extra = draw(st.frozensets(st.sampled_from(pts.ids), min_size=min(2, len(pts))))
+            levels[draw(st.integers(0, len(levels) - 1))].append(extra)
+        # without the singletons a level need not cover its carrier
+        singletons = [frozenset({p}) for p in pts.ids] if draw(st.booleans()) else []
+        space = ScaledSpace(pts, tuple(Family(pts, tuple(lv + singletons)) for lv in levels))
+        pieces.append(Piece(f"P{k}", carrier, space))
+    return ambient, pieces
+
+
+@given(piece_systems())
+@settings(max_examples=300)
+def test_coincidence_matches_the_oracle(data):
+    ambient, pieces = data
+    ids = ambient.ids
+    expected = None
+    for r in range(len(pieces)):
+        for s in range(r + 1, len(pieces)):
+            a, b = pieces[r], pieces[s]
+            inter = a.carrier & b.carrier
+            if not inter:
+                continue
+            want = coincidence_oracle(ids, a.space, b.space, oracles.to_mask(ids, inter))
+            got = coincidence_failure(restrict(a.space, inter), restrict(b.space, inter))
+            assert got == want
+            if want is not None and expected is None:
+                side, lvl = want
+                owner = a.name if side == "first" else b.name
+                expected = (
+                    f"restrictions of pieces {a.name} and {b.name} do not coincide: "
+                    f"level {lvl} of {owner} restricted to the intersection "
+                    f"essentially refines no level of the other"
+                )
+    if expected is None:
+        validate_system(ambient, pieces)
+    else:
+        with pytest.raises(ValidationError) as exc:
+            validate_system(ambient, pieces)
+        assert str(exc.value) == expected
