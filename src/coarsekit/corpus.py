@@ -9,7 +9,10 @@ not a silent clamp.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -41,13 +44,36 @@ def _check_radii(radii) -> tuple:
 
 
 def _ball_levels(pts: PointSet, dist, radii) -> tuple[Family, ...]:
-    levels = []
-    for r in radii:
-        members = tuple(
-            frozenset(q for q in pts.ids if dist(p, q) <= r) for p in pts.ids
-        )
-        levels.append(Family(pts, members))
-    return tuple(levels)
+    """One Family per radius: the closed ball around each point, in point
+    order. Each point's distance row is computed once and sorted; its ball
+    of radius r is the prefix of that order up to ``bisect_right(row, r)``.
+    """
+    ids = pts.ids
+    balls = []
+    for p in ids:
+        row = [dist(p, q) for q in ids]
+        order = sorted(range(len(ids)), key=row.__getitem__)
+        row = [row[i] for i in order]
+        prefix = {}
+        for r in radii:
+            k = bisect_right(row, r)
+            if k not in prefix:
+                prefix[k] = frozenset(ids[i] for i in order[:k])
+            balls.append(prefix[k])
+    depth = len(radii)
+    return tuple(Family(pts, tuple(balls[l::depth])) for l in range(depth))
+
+
+def _cut_levels(levels: tuple[Family, ...], pts: PointSet) -> tuple[Family, ...]:
+    """The ball levels of a piece whose metric is the levels' metric
+    restricted to ``pts``: each ball is the ambient ball cut to the piece."""
+    if pts == levels[0].space:
+        return levels
+    carrier = frozenset(pts.ids)
+    at = [levels[0].space.index(p) for p in pts.ids]
+    return tuple(
+        Family(pts, tuple(lv.members[i] & carrier for i in at)) for lv in levels
+    )
 
 
 def _doubling_radii(diameter: Fraction) -> tuple[Fraction, ...]:
@@ -82,17 +108,16 @@ def gen_c0(s_max: int, box: int, radii: Optional[Sequence] = None) -> FilteredSy
     ambient = PointSet(tuple(ident[c] for c in coords))
 
     def l1(a, b):
-        return sum(abs(x - y) for x, y in zip(a, b))
+        return sum(map(abs, map(operator.sub, a, b)))
 
     diameter = Fraction(2 * box * s_max)
     rs = _check_radii(radii) if radii is not None else _doubling_radii(diameter)
+    by_id = {ident[c]: c for c in coords}
+    balls = _ball_levels(ambient, lambda p, q: l1(by_id[p], by_id[q]), rs)
     pieces = []
     for s in range(1, s_max + 1):
-        sub = [c for c in coords if all(v == 0 for v in c[s:])]
-        pts = PointSet(tuple(ident[c] for c in sub))
-        by_id = {ident[c]: c for c in sub}
-        levels = _ball_levels(pts, lambda p, q: l1(by_id[p], by_id[q]), rs)
-        space = validate_space(pts, levels)
+        pts = PointSet(tuple(ident[c] for c in coords if all(v == 0 for v in c[s:])))
+        space = validate_space(pts, _cut_levels(balls, pts))
         pieces.append(Piece(f"grid{s}", frozenset(pts.ids), space))
     meta = (
         f"truncation: integer tuples of length {s_max} within [-{box}, {box}]",
@@ -142,22 +167,21 @@ def gen_disjoint_union(
     if full not in groups:
         groups.append(full)
 
+    tagged_levels = [
+        [
+            tuple(frozenset(f"{k}:{q}" for q in m) for m in lv.members)
+            for lv in _ball_levels(isl.points, isl.dist, rs)
+        ]
+        for k, isl in enumerate(islands)
+    ]
     pieces = []
     for group in groups:
         pts = PointSet(tuple(full_id for k, _, full_id in tagged if k in group))
-        levels = []
-        for r in rs:
-            members = tuple(
-                frozenset(
-                    f"{k}:{q}"
-                    for q in islands[k].points.ids
-                    if islands[k].dist(p, q) <= r
-                )
-                for k in group
-                for p in islands[k].points.ids
-            )
-            levels.append(Family(pts, members))
-        space = validate_space(pts, tuple(levels))
+        levels = tuple(
+            Family(pts, tuple(m for k in group for m in tagged_levels[k][l]))
+            for l in range(len(rs))
+        )
+        space = validate_space(pts, levels)
         name = "+".join(f"M{k}" for k in group)
         pieces.append(Piece(name, frozenset(pts.ids), space))
     meta = (
@@ -210,13 +234,17 @@ def gen_unit_interval(n_max: int) -> UnitIntervalInstance:
     ambient = PointSet(tuple(ident[v] for v in values))
     ladder = tuple(Fraction(2**j, 2**3) for j in range(4))
 
+    # Balls from integer distances: every value scaled by the lcm of the
+    # denominators, and the radii with it.
+    scale = math.lcm(*range(1, n_max + 2))
+    scaled = {ident[v]: v.numerator * (scale // v.denominator) for v in values}
+    balls = _ball_levels(
+        ambient, lambda p, q: abs(scaled[p] - scaled[q]), [r * scale for r in ladder]
+    )
     pieces = []
     for n in range(1, n_max + 1):
-        sub = values[: n + 1]
-        pts = PointSet(tuple(ident[v] for v in sub))
-        by_id = {ident[v]: v for v in sub}
-        levels = _ball_levels(pts, lambda p, q: abs(by_id[p] - by_id[q]), ladder)
-        space = validate_space(pts, levels)
+        pts = PointSet(tuple(ident[v] for v in values[: n + 1]))
+        space = validate_space(pts, _cut_levels(balls, pts))
         pieces.append(Piece(f"X{n}", frozenset(pts.ids), space))
     meta = (
         f"truncation: harmonic points 1/m for m up to {n_max + 1}",
@@ -236,17 +264,24 @@ def gen_unit_interval(n_max: int) -> UnitIntervalInstance:
     )
     g = GroundedMap(ambient, target_pts, tuple("1" for _ in ambient.ids))
 
+    chains: dict[tuple[int, ...], ScaledSpace] = {}
+
+    def chain(radii: tuple[int, ...]) -> ScaledSpace:
+        if radii not in chains:
+            chains[radii] = _integer_chain(target_pts, radii)
+        return chains[radii]
+
     piece_chains = []
     for n in range(1, n_max + 1):
         radii = [1]
         while 2 * radii[-1] < n:
             radii.append(2 * radii[-1])
-        piece_chains.append(_integer_chain(target_pts, radii))
+        piece_chains.append(chain(tuple(radii)))
     radii, r = [], 1
     while 2 * r <= n_max - 1:
         radii.append(r)
         r *= 2
-    colimit_chain = _integer_chain(target_pts, radii or [1])
+    colimit_chain = chain(tuple(radii or [1]))
     return UnitIntervalInstance(
         system, f, g, target, tuple(piece_chains), colimit_chain
     )

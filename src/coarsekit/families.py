@@ -61,7 +61,10 @@ class PointSet:
 
     def sort(self, s: Iterable[Point]) -> tuple[Point, ...]:
         """Order points by their position in this point set."""
-        return tuple(sorted(s, key=self.index))
+        try:
+            return tuple(sorted(s, key=self._index.__getitem__))
+        except KeyError as exc:
+            raise DomainError(f"point {exc.args[0]!r} not in this point set") from None
 
 
 def points(ids: Iterable[Point]) -> PointSet:
@@ -102,7 +105,7 @@ def reroot(u: Family, space: PointSet) -> Family:
 
 def family_key(u: Family):
     """Canonical multiset key: sorted tuple of sorted member tuples."""
-    return tuple(sorted(tuple(sorted(m, key=u.space.index)) for m in u.members))
+    return tuple(sorted(u.space.sort(m) for m in u.members))
 
 
 def _check_same_space(u: Family, v: Family) -> None:

@@ -8,6 +8,7 @@ target. All distance arithmetic is exact: rationals plus an infinity marker.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
@@ -96,23 +97,38 @@ def metric_target(pts: PointSet, rows) -> MetricTarget:
     )
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DomainError("distance matrix shape does not match the point set")
-    for i in range(n):
-        if rows[i][i] != 0:
+    # The axioms run on integers: finite entries scaled by the lcm of their
+    # denominators, INF replaced by a value above every finite one, so INF
+    # equals only INF, is positive and, once every entry is non-negative,
+    # any sum holding it exceeds every finite distance.
+    scale = math.lcm(*{d.denominator for row in rows for d in row if d != INF})
+    ints = [
+        [None if d == INF else d.numerator * (scale // d.denominator) for d in row]
+        for row in rows
+    ]
+    big = max((abs(d) for row in ints for d in row if d is not None), default=0) + 1
+    ints = [tuple(big if d is None else d for d in row) for row in ints]
+    cols = list(zip(*ints))
+    for i, row in enumerate(ints):
+        if row[i] != 0:
             raise DomainError(f"nonzero self-distance at {pts.ids[i]!r}")
-        for j in range(n):
-            if rows[i][j] != rows[j][i]:
+        for a, b in zip(row, cols[i]):
+            if a != b:
                 raise DomainError("distance matrix is not symmetric")
-            if rows[i][j] < 0:
+            if a < 0:
                 raise DomainError("negative distance")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                a, b, c = rows[i][j], rows[i][k], rows[k][j]
-                if a != INF and b != INF and c != INF and a > b + c:
-                    raise DomainError(
-                        f"triangle inequality fails on "
-                        f"({pts.ids[i]!r}, {pts.ids[j]!r}, {pts.ids[k]!r})"
-                    )
+    # Symmetric now, so (i, j, k) fails exactly when (j, i, k) does, and the
+    # first failing triple has i < j (a zero diagonal never fails).
+    for i, ri in enumerate(ints):
+        for j in range(i + 1, n):
+            a, rj = ri[j], ints[j]
+            if a == big or a <= min(map(operator.add, ri, rj)):
+                continue
+            k = next(k for k in range(n) if a > ri[k] + rj[k])
+            raise DomainError(
+                f"triangle inequality fails on "
+                f"({pts.ids[i]!r}, {pts.ids[j]!r}, {pts.ids[k]!r})"
+            )
     return MetricTarget(pts, rows)
 
 

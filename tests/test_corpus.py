@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coarsekit import DomainError
 from coarsekit.colimit import validate_system
 from coarsekit.corpus import (
     RandomCaps,
+    _ball_levels,
     gen_c0,
     gen_disjoint_union,
     gen_random_system,
@@ -18,6 +22,7 @@ from coarsekit.corpus import (
 from coarsekit.documents import emit_document, system_to_doc
 from coarsekit.families import points
 from coarsekit.maps import (
+    INF,
     close_check,
     close_violation,
     metric_target,
@@ -188,3 +193,80 @@ def test_infinite_distances_never_enter_balls():
             assert frozenset({"0:u", "0:v"}) not in lv.members
             for m in lv.members:
                 assert len(m) == 1
+
+
+# balls against their literal definition
+
+
+@st.composite
+def distances_and_radii(draw):
+    """Up to seven points in blocks, with int or Fraction distances drawn per
+    ordered pair inside a block and INF between blocks, and radii drawn with
+    repeats from a small pool that holds some of the distances exactly."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    value = st.one_of(
+        st.integers(0, 6), st.fractions(0, 6, max_denominator=4)
+    )
+    table = {
+        (i, j): draw(value) if block[i] == block[j] else INF
+        for i in range(n)
+        for j in range(n)
+    }
+    finite = sorted({d for d in table.values() if d != INF})
+    pool = finite[:3] + draw(st.lists(value, min_size=1, max_size=2))
+    radii = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    pts = points(f"p{i}" for i in range(n))
+    return pts, (lambda p, q: table[pts.index(p), pts.index(q)]), radii
+
+
+@given(distances_and_radii())
+def test_ball_levels_match_the_definition(case):
+    pts, dist, radii = case
+    levels = _ball_levels(pts, dist, radii)
+    assert len(levels) == len(radii)
+    for lv, r in zip(levels, radii):
+        assert lv.space == pts
+        assert lv.members == tuple(
+            frozenset(q for q in pts.ids if dist(p, q) <= r) for p in pts.ids
+        )
+
+
+def test_one_point_balls_hold_the_point():
+    pts = points(["o"])
+    levels = _ball_levels(pts, lambda p, q: 0, [Fraction(1, 2), 1, 1])
+    assert [lv.members for lv in levels] == [(frozenset({"o"}),)] * 3
+
+
+# generated documents, pinned byte for byte
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+_spec = importlib.util.spec_from_file_location(
+    "corpus_digest", ROOT / "scripts" / "corpus_digest.py"
+)
+corpus_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus_digest)
+
+
+@pytest.mark.parametrize(
+    "case, files, digest",
+    [
+        ("c0 --s-max 3 --box 2", 1,
+         "339d662dc70b6e42ae151ec94c80d53f32e9c5ee152d0399e95959be83d3770a"),
+        ("c0 --s-max 2 --box 3 --radii 1,3/2,3,12", 1,
+         "8ac9669afe264334daae8ac56563171d8524bdf1e9411096c510d849697b4940"),
+        ("unit-interval --n-max 16", 21,
+         "f0224ef5d51156f2c3f5ee207895c3040de261b88691eac6bbb5a249b8e9e9bb"),
+        ("disjoint-union --islands 16,16,16,16", 1,
+         "9c6ea13d055f59f102baa0c662456f96d9b7976e736afd479ea36e32dbfc0dc6"),
+        ("disjoint-union --islands 3,1,2 --radii 1,2", 1,
+         "e50a4932c240926811dbff6a9da76105f0e29ed5fc6d3fe53d9fa02acd91b996"),
+        ("random --seed 3", 1,
+         "d20d05c76b59a7b8855686633b2083daee02106e0917556cbab3f8e0b451bf4f"),
+    ],
+)
+def test_corpus_documents_are_pinned(case, files, digest):
+    got, count, _ = corpus_digest.corpus_digest(case.split())
+    assert (got, count) == (digest, files)

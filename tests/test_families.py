@@ -12,6 +12,7 @@ from coarsekit.families import (
     covers,
     essentially_refines,
     family,
+    family_key,
     horizon,
     horizon_indices,
     multiplicity,
@@ -64,6 +65,18 @@ def as_masks(u):
 
 
 # frozen examples
+
+
+def test_sorting_orders_by_position_and_names_an_unknown_point():
+    assert X5.sort({"4", "1", "3"}) == ("1", "3", "4")
+    assert family_key(fam(X5, {"5", "2"}, {"3"}, {"1", "4"})) == (
+        ("1", "4"),
+        ("2", "5"),
+        ("3",),
+    )
+    with pytest.raises(DomainError) as exc:
+        X5.sort(["2", "x"])
+    assert str(exc.value) == "point 'x' not in this point set"
 
 
 def test_star_set_grows_v_by_overlapping_members():

@@ -116,6 +116,92 @@ def test_metric_target_validates_the_axioms():
     assert line.dist("3", "1") == Fraction(2)
 
 
+def reference_metric_failure(pts, rows):
+    """The metric axioms checked entry by entry on plain Fractions, in the
+    order (diagonal, symmetry, sign) per row, then triangles in (i, j, k)
+    order; the first failure's text, or None for a metric."""
+    n = len(pts)
+    rows = [[d if d == INF else Fraction(d) for d in row] for row in rows]
+    for i in range(n):
+        if rows[i][i] != 0:
+            return f"nonzero self-distance at {pts.ids[i]!r}"
+        for j in range(n):
+            if rows[i][j] != rows[j][i]:
+                return "distance matrix is not symmetric"
+            if rows[i][j] < 0:
+                return "negative distance"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                a, b, c = rows[i][j], rows[i][k], rows[k][j]
+                if INF not in (a, b, c) and a > b + c:
+                    return (
+                        f"triangle inequality fails on "
+                        f"({pts.ids[i]!r}, {pts.ids[j]!r}, {pts.ids[k]!r})"
+                    )
+    return None
+
+
+ENTRIES = st.one_of(
+    st.integers(-2, 9),
+    st.fractions(-2, 9, max_denominator=12),
+    st.floats(-2, 9, allow_nan=False),
+    st.just(INF),
+)
+
+
+@st.composite
+def distance_matrices(draw):
+    """Line distances between rational spots, INF between two islands, with
+    up to three entries overwritten, mostly on both sides: negative,
+    float, INF, asymmetric, diagonal, too long or too short entries."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    island = draw(st.lists(st.sampled_from([0, 0, 0, 1]), min_size=n, max_size=n))
+    spot = draw(
+        st.lists(st.fractions(0, 8, max_denominator=6), min_size=n, max_size=n)
+    )
+    rows = [
+        [abs(spot[i] - spot[j]) if island[i] == island[j] else INF for j in range(n)]
+        for i in range(n)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j and n > 1 and draw(st.integers(0, 3)):
+            j = (i + 1) % n
+        rows[i][j] = draw(ENTRIES)
+        if draw(st.integers(0, 3)):
+            rows[j][i] = rows[i][j]
+    return points(f"p{i}" for i in range(n)), rows
+
+
+@given(distance_matrices())
+def test_metric_target_agrees_with_the_fraction_reference(case):
+    pts, rows = case
+    expected = reference_metric_failure(pts, rows)
+    if expected is None:
+        t = metric_target(pts, rows)
+        assert t.rows == tuple(
+            tuple(d if d == INF else Fraction(d) for d in row) for row in rows
+        )
+    else:
+        with pytest.raises(DomainError) as exc:
+            metric_target(pts, rows)
+        assert str(exc.value) == expected
+
+
+def test_metric_target_names_the_first_failing_triple():
+    p4 = points(["a", "b", "c", "d"])
+    rows = [
+        [0, Fraction(9, 2), 1, 1],
+        [Fraction(9, 2), 0, 1, 1],
+        [1, 1, 0, INF],
+        [1, 1, INF, 0],
+    ]
+    with pytest.raises(DomainError) as exc:
+        metric_target(p4, rows)
+    assert str(exc.value) == "triangle inequality fails on ('a', 'b', 'c')"
+
+
 def test_image_diameter_is_exact():
     f = identity_map(Y5)
     target = path_metric(Y5)
