@@ -5,6 +5,16 @@ are rejected, rationals travel as "p/q" strings (plain integers allowed),
 metric infinities as "inf". Emission is canonical: sorted keys, two-space
 indent, members listed in point order, so equal objects serialize to equal
 bytes.
+
+``emit_document`` is a small writer of its own. It gives the bytes the
+standard ``json`` encoder gives with a two-space indent, sorted keys and its
+other defaults, plus a final newline; ``json`` itself would fall back to its
+pure-Python encoder whenever an indent is asked for. The rule: ``": "`` after
+each key, a comma, a newline and the indent between items, ``{}`` and ``[]``
+for empty containers, strings escaped to ASCII. Its values are str, None,
+bool, int, float (``NaN``, ``Infinity`` and ``-Infinity`` as ``json`` writes
+them), list or tuple, and dict with str keys; any other value or key raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Union
 
 from .colimit import ColimitBoundedness, FilteredSystem, Piece, extended_level, validate_system
@@ -700,8 +711,69 @@ def parse_document(text: str, validate_body: bool = True) -> Document:
     return doc
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == INF:
+        return "Infinity"
+    if x == -INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append the canonical text of one JSON value, nested at ``indent``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        try:
+            # Member lists, all strings, make up most of every document;
+            # the encoder raises TypeError at the first item that is not.
+            out.append(sep.join(map(encode_basestring_ascii, value)))
+        except TypeError:
+            _write(value[0], inner, out)
+            for v in value[1:]:
+                out.append(sep)
+                _write(v, inner, out)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        head = "{\n" + inner
+        for k in sorted(value):
+            # raises TypeError on a key that is not a str
+            out.append(head + encode_basestring_ascii(k) + ": ")
+            head = sep
+            _write(value[k], inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit_document(doc: Document) -> str:
+    """The canonical text of a document: see the module docstring."""
     if not isinstance(doc.body, dict):
         raise ParseError("document body must be an object")
-    payload = {"kind": doc.kind, "version": doc.version, "body": doc.body}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out: list = []
+    _write({"kind": doc.kind, "version": doc.version, "body": doc.body}, "", out)
+    out.append("\n")
+    return "".join(out)

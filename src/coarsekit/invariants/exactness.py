@@ -1,13 +1,18 @@
 """Exactness: partitions of unity with bounded supports and small variation.
 
 All weights are rationals and sums are compared exactly; there is no drift
-tolerance anywhere in this module.
+tolerance anywhere in this module. The checks scale every weight row by the
+lcm of all weight denominators once, so each row sum and each l1 variation is
+an integer over that common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import sub
 from typing import Optional
 
 from ..colimit import FilteredSystem, extend_to_ambient
@@ -24,8 +29,6 @@ from .common import (
     unit_padded_rows,
 )
 
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class PartitionOfUnity:
@@ -41,6 +44,16 @@ class PartitionOfUnity:
         for row in self.rows:
             if len(row) != len(self.indices):
                 raise DomainError("weight row length must match the index count")
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(den, rows)``: den is the lcm of every weight's denominator and
+        rows are the weight rows times den, as integers."""
+        den = lcm(*(v.denominator for row in self.rows for v in row))
+        return den, tuple(
+            tuple(v.numerator * (den // v.denominator) for v in row)
+            for row in self.rows
+        )
 
     def weight(self, p: Point, i: int) -> Fraction:
         return self.rows[self.space.index(p)][i]
@@ -63,11 +76,13 @@ def partition_of_unity(space: PointSet, indices, rows) -> PartitionOfUnity:
 
 def _unit_offense(pou: PartitionOfUnity) -> Optional[str]:
     """The first point whose weights are negative or do not sum to one."""
-    for p, row in zip(pou.space.ids, pou.rows):
-        if any(v < 0 for v in row):
+    den, rows = pou.scaled
+    for p, row in zip(pou.space.ids, rows):
+        if min(row, default=0) < 0:
             return f"negative weight at point {p!r}"
-        if sum(row) != ONE:
-            return f"weights at point {p!r} sum to {sum(row)}, not 1"
+        total = sum(row)
+        if total != den:
+            return f"weights at point {p!r} sum to {Fraction(total, den)}, not 1"
     return None
 
 
@@ -77,10 +92,14 @@ def support_family(pou: PartitionOfUnity) -> Family:
     )
 
 
+def _scaled_l1(rows, a: int, b: int) -> int:
+    """l1 distance between the scaled rows at indices a and b."""
+    return sum(map(abs, map(sub, rows[a], rows[b])))
+
+
 def l1_variation(pou: PartitionOfUnity, x: Point, y: Point) -> Fraction:
-    rx = pou.rows[pou.space.index(x)]
-    ry = pou.rows[pou.space.index(y)]
-    return sum((abs(a - b) for a, b in zip(rx, ry)), Fraction(0))
+    den, rows = pou.scaled
+    return Fraction(_scaled_l1(rows, pou.space.index(x), pou.space.index(y)), den)
 
 
 @dataclass(frozen=True)
@@ -89,6 +108,25 @@ class ExactnessWitness:
     eps: Fraction
     pou: PartitionOfUnity
     support_bound: Bound = None
+
+
+def _variation_offense(w: ExactnessWitness) -> Optional[str]:
+    """The first pair inside a scale member whose variation reaches eps."""
+    den, rows = w.pou.scaled
+    limit = w.eps.numerator * den
+    per = w.eps.denominator
+    space = w.scale.space
+    for m in w.scale.members:
+        at = sorted(map(space.index, m))
+        for i, a in enumerate(at):
+            for b in at[i + 1 :]:
+                v = _scaled_l1(rows, a, b)
+                if not v * per < limit:
+                    return (
+                        f"pair ({space.ids[a]!r}, {space.ids[b]!r}) varies by "
+                        f"{Fraction(v, den)}"
+                    )
+    return None
 
 
 def exactness_verify(target: Target, w: ExactnessWitness) -> Report:
@@ -106,21 +144,7 @@ def exactness_verify(target: Target, w: ExactnessWitness) -> Report:
     clauses.append(
         Clause("weights form a unit partition at every point", offense is None, offense or "")
     )
-    var_offense = None
-    for m in w.scale.members:
-        inside = w.scale.space.sort(m)
-        for a in range(len(inside)):
-            for b in range(a + 1, len(inside)):
-                v = l1_variation(w.pou, inside[a], inside[b])
-                if not v < w.eps:
-                    var_offense = (
-                        f"pair ({inside[a]!r}, {inside[b]!r}) varies by {v}"
-                    )
-                    break
-            if var_offense:
-                break
-        if var_offense:
-            break
+    var_offense = _variation_offense(w)
     clauses.append(
         Clause(
             "variation below threshold inside every member",

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional, Union
 
 from .colimit import FilteredSystem, extend_to_ambient, system_weakly_bounded
 from .errors import DomainError
-from .families import Family, Point, PointSet, Subset, star_set
+from .families import Family, Point, PointSet, Subset, incidence, star_set
 from .reports import Clause, Report, Verdict, from_clauses
 from .spaces import ScaledSpace, is_bounded, weakly_bounded
 
@@ -90,10 +90,23 @@ class MetricTarget:
         return self.rows[self.points.index(x)][self.points.index(y)]
 
 
+def _distance(d, i: int, j: int) -> Distance:
+    """Entry (i, j) as a Fraction, or INF itself."""
+    if d == INF:
+        return d
+    try:
+        return Fraction(d)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"distance entry ({i}, {j}) is {d!r}, not a rational or positive infinity"
+        ) from None
+
+
 def metric_target(pts: PointSet, rows) -> MetricTarget:
     n = len(pts)
     rows = tuple(
-        tuple(d if d == INF else Fraction(d) for d in row) for row in rows
+        tuple(_distance(d, i, j) for j, d in enumerate(row))
+        for i, row in enumerate(rows)
     )
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DomainError("distance matrix shape does not match the point set")
@@ -206,12 +219,13 @@ def close_violation(
     Equal images never violate: the scale is read as trivially extended, so
     singleton witnesses always exist.
     """
-    for x in f.domain.ids:
-        a, b = f(x), g(x)
+    pts = scale.space
+    shared = incidence(scale)
+    for x, a in zip(f.domain.ids, f.images):
+        b = g(x)
         if a == b:
             continue
-        pair = frozenset((a, b))
-        if not any(pair <= m for m in scale.members):
+        if a not in pts or b not in pts or not shared[pts.index(a)] >> pts.index(b) & 1:
             return x
     return None
 

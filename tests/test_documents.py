@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coarsekit import ParseError, ValidationError
 from coarsekit.colimit import ColimitBoundedness, extended_level
@@ -202,6 +203,49 @@ def test_emission_is_canonical():
     # canonical emission is parse-stable too
     assert emit_document(parse_document(text)) == text
 
+
+
+# Text that exercises every escape: quotes, backslashes, control characters,
+# DEL, non-ASCII in and beyond the BMP, and lone surrogates.
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u2028", "\ud800", "\udfff", "é", "\U0001f600"]
+)
+# Keys that differ only in case or in non-ASCII characters.
+JSON_KEYS = st.text(st.sampled_from("aAbBeéÉ\u0301zZ\"\\\n"), max_size=3) | JSON_TEXT
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**63) - 1, 10**40])
+    | st.floats()
+    | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), 1e300, 5e-324])
+    | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(JSON_TEXT, max_size=4)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_TEXT, JSON_TEXT, st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=5))
+def test_emission_matches_json_dumps(kind, version, body):
+    payload = {"kind": kind, "version": version, "body": body}
+    assert emit_document(Document(kind, version, body)) == (
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "body",
+    [{1: "a"}, {"a": {None: 1}}, {"a": [{"b": 1, 2: 3}]}, {"a": {1, 2}}, {"a": [Fraction(1, 2)]}],
+)
+def test_emission_rejects_values_outside_json(body):
+    with pytest.raises(TypeError):
+        emit_document(Document("family", "1", body))
 
 def test_unknown_fields_are_rejected_with_paths():
     sp = pair_space()

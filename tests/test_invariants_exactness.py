@@ -19,6 +19,8 @@ from coarsekit.invariants import (
     partition_of_unity,
     support_family,
 )
+from coarsekit.invariants.common import bound_clause
+from coarsekit.reports import Clause, from_clauses
 from coarsekit.spaces import restrict, validate_space
 
 
@@ -255,3 +257,128 @@ def test_variation_is_symmetric_and_vanishes_on_equal_rows(vals):
     assert l1_variation(pou, "x", "y") >= 0
     if rows[0] == rows[1]:
         assert l1_variation(pou, "x", "y") == 0
+
+
+# properties: the verifier against a plain-Fraction reference
+
+
+def reference_unit_offense(pts, rows):
+    for p, row in zip(pts.ids, rows):
+        if any(v < 0 for v in row):
+            return f"negative weight at point {p!r}"
+        if sum(row) != 1:
+            return f"weights at point {p!r} sum to {sum(row)}, not 1"
+    return None
+
+
+def reference_variation(rows, a, b):
+    return sum((abs(Fraction(x) - y) for x, y in zip(rows[a], rows[b])), Fraction(0))
+
+
+def reference_report(target, w):
+    """exactness_verify transcribed on Fraction sums over the weight rows."""
+    pts = w.scale.space
+    unit = reference_unit_offense(pts, w.pou.rows)
+    var = None
+    for m in w.scale.members:
+        at = sorted(pts.ids.index(p) for p in m)
+        pairs = [(a, b) for i, a in enumerate(at) for b in at[i + 1 :]]
+        for a, b in pairs:
+            v = reference_variation(w.pou.rows, a, b)
+            if not v < w.eps:
+                var = f"pair ({pts.ids[a]!r}, {pts.ids[b]!r}) varies by {v}"
+                break
+        if var:
+            break
+    return from_clauses(
+        [
+            bound_clause(
+                "support family bounded", target, support_family(w.pou), w.support_bound
+            ),
+            Clause("weights form a unit partition at every point", unit is None, unit or ""),
+            Clause("variation below threshold inside every member", var is None, var or ""),
+        ]
+    )
+
+
+# ints and Fractions drawn from numerators over mixed, also negative, denominators
+WEIGHTS = st.integers(-1, 2) | st.builds(
+    Fraction, st.integers(-3, 8), st.integers(-6, 6).filter(bool)
+)
+
+
+@st.composite
+def exactness_cases(draw):
+    """A two-level space over up to six points, hand-built weight rows that
+    are mostly nonnegative and mostly rescaled to sum to one, a scale of up
+    to four members, and eps often equal to the variation of a scale pair."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 4))
+    pts = points(f"p{i}" for i in range(n))
+    sp = validate_space(
+        pts, [family(pts, [[p] for p in pts.ids]), family(pts, [pts.ids])]
+    )
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(WEIGHTS, min_size=k, max_size=k))
+        if draw(st.integers(0, 9)):
+            row = [abs(v) for v in row]
+        total = sum(row)
+        if total not in (0, 1) and draw(st.integers(0, 9)):
+            row = [Fraction(v) / total for v in row]
+        rows.append(tuple(row))
+    scale = family(pts, draw(st.lists(st.sets(st.sampled_from(pts.ids)), max_size=4)))
+    variations = sorted(
+        {
+            reference_variation(rows, a, b)
+            for m in scale.members
+            for a in map(pts.ids.index, m)
+            for b in map(pts.ids.index, m)
+        }
+        - {0}
+    )
+    if variations and draw(st.booleans()):
+        eps = draw(st.sampled_from(variations))
+    else:
+        eps = draw(st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12))
+    pou = PartitionOfUnity(pts, tuple(f"i{j}" for j in range(k)), tuple(rows))
+    return sp, ExactnessWitness(scale, eps, pou, draw(st.sampled_from([None, 1, 2])))
+
+
+@given(exactness_cases())
+def test_verify_agrees_with_the_fraction_reference(case):
+    sp, w = case
+    assert exactness_verify(sp, w) == reference_report(sp, w)
+    ids = w.pou.space.ids
+    for a in range(len(ids)):
+        for b in range(len(ids)):
+            v = l1_variation(w.pou, ids[a], ids[b])
+            assert type(v) is Fraction and v == reference_variation(w.pou.rows, a, b)
+
+    expected = reference_unit_offense(w.pou.space, w.pou.rows)
+    if expected is None:
+        built = partition_of_unity(w.pou.space, w.pou.indices, w.pou.rows)
+        assert built == PartitionOfUnity(
+            w.pou.space,
+            w.pou.indices,
+            tuple(tuple(map(Fraction, row)) for row in w.pou.rows),
+        )
+    else:
+        with pytest.raises(DomainError) as exc:
+            partition_of_unity(w.pou.space, w.pou.indices, w.pou.rows)
+        assert str(exc.value) == expected
+
+
+def test_offending_sums_and_variations_print_in_lowest_terms():
+    pts = points(["a", "b"])
+    sp = validate_space(pts, [family(pts, [["a", "b"]])])
+    pou = PartitionOfUnity(
+        pts, ("i", "j"), ((Fraction(3, 2), Fraction(1, 2)), (0, Fraction(1, 4)))
+    )
+    report = exactness_verify(sp, ExactnessWitness(sp.level(1), Fraction(1), pou, 1))
+    assert report.clause("weights form a unit partition at every point").detail == (
+        "weights at point 'a' sum to 2, not 1"
+    )
+    assert report.clause("variation below threshold inside every member").detail == (
+        "pair ('a', 'b') varies by 7/4"
+    )

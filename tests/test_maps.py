@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,15 @@ def test_metric_target_names_the_first_failing_triple():
     assert str(exc.value) == "triangle inequality fails on ('a', 'b', 'c')"
 
 
+@pytest.mark.parametrize("bad", [-math.inf, math.nan, "far", None])
+def test_metric_target_rejects_entries_that_are_not_rationals(bad):
+    pts = points(["a", "b"])
+    with pytest.raises(DomainError) as exc:
+        metric_target(pts, [[0, bad], [bad, 0]])
+    assert str(exc.value) == (
+        f"distance entry (0, 1) is {bad!r}, not a rational or positive infinity"
+    )
+
 def test_image_diameter_is_exact():
     f = identity_map(Y5)
     target = path_metric(Y5)
@@ -279,6 +289,35 @@ def test_close_maps_and_violations():
     assert close_violation(f, far, dst.level(1)) == "0"
     assert close_violation(f, far, dst.level(2)) is None
 
+
+@st.composite
+def close_cases(draw):
+    """Two maps into up to six points, often with equal images, and a scale
+    of up to four members that may leave points in no member. The scale's
+    point set is a prefix of the codomain, so some images may lie outside it."""
+    dst = points(str(i) for i in range(draw(st.integers(1, 6))))
+    image = st.sampled_from(dst.ids)
+    pairs = draw(st.lists(st.tuples(image, image), min_size=1, max_size=6))
+    src = points(f"x{i}" for i in range(len(pairs)))
+    f = grounded_map(src, dst, {x: a for x, (a, _) in zip(src.ids, pairs)})
+    g = grounded_map(src, dst, {x: b for x, (_, b) in zip(src.ids, pairs)})
+    over = points(dst.ids[: draw(st.integers(1, len(dst)))])
+    return f, g, family(over, draw(st.lists(st.sets(st.sampled_from(over.ids)), max_size=4)))
+
+
+@given(close_cases())
+def test_close_violation_agrees_with_the_member_definition(case):
+    f, g, scale = case
+    expected = next(
+        (
+            x
+            for x in f.domain.ids
+            if f(x) != g(x)
+            and not any(frozenset((f(x), g(x))) <= m for m in scale.members)
+        ),
+        None,
+    )
+    assert close_violation(f, g, scale) == expected
 
 def test_close_report_refutes_shallow_chains():
     shallow = validate_space(

@@ -1,9 +1,10 @@
-"""Byte identity of the CLI's answers on one benchmark workload.
+"""Byte identity of the CLI's answers on the benchmark workloads.
 
 ``scripts/replay_digest.py`` runs one pass of a workload's operations and
 prints a sha256 over every argv, exit code, stdout, stderr and ``-o`` file.
-A change that alters any answer byte on the harmonic-cli workload at seed 7
-changes the digest recorded here.
+A change that alters any answer byte on a workload at seed 7 changes the
+digest recorded here. random-cli is the only workload that emits every
+document shape.
 """
 
 from __future__ import annotations
@@ -12,17 +13,38 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 HARMONIC_SEED_7 = "42b63369c7b22f3b57f501dcf76fa26a83af0979bb76d335157127e2b96ec54b"
+# workload: (operations in one pass, digest at seed 7)
+OTHER_SEED_7 = {
+    "random-cli": (2288, "831e192bd4982262b7b9858d8feb44a7ddd69b6186258509ee762b1804557f3d"),
+    "grid-cli": (35, "32491fbef6a628517ab48f9206e60fe2ce9df3bc8806fe9678fa02139887aefe"),
+}
 
 
-def test_harmonic_replay_digest_is_unchanged():
+def replay_line(workload: str) -> str:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "replay_digest.py"),
-         "--workload", "harmonic-cli", "--seed", "7"],
+         "--workload", workload, "--seed", "7"],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"harmonic-cli seed 7: 93 operations, sha256 {HARMONIC_SEED_7}\n"
+    return proc.stdout
+
+
+def test_harmonic_replay_digest_is_unchanged():
+    assert replay_line("harmonic-cli") == (
+        f"harmonic-cli seed 7: 93 operations, sha256 {HARMONIC_SEED_7}\n"
+    )
+
+
+@pytest.mark.parametrize("workload", list(OTHER_SEED_7))
+def test_replay_digest_is_unchanged(workload):
+    count, digest = OTHER_SEED_7[workload]
+    assert replay_line(workload) == (
+        f"{workload} seed 7: {count} operations, sha256 {digest}\n"
+    )
