@@ -23,6 +23,7 @@ from . import documents as docs
 from .colimit import colimit_bounded, colimit_star
 from .corpus import (
     RandomCaps,
+    check_island_caps,
     gen_c0,
     gen_disjoint_union,
     gen_random_system,
@@ -99,21 +100,17 @@ def _load(args, path: str, kinds: Sequence[str]) -> docs.Document:
     return doc
 
 
-def _load_target(args, path: str):
-    doc = _load(args, path, ("space", "system"))
-    if doc.kind == "space":
-        return docs.doc_to_space(doc.body)
-    return docs.doc_to_system(doc.body)
+def _read(args, path: str, kinds: Sequence[str], *target):
+    """Load one input document of the given kinds and decode its body.
+
+    A witness body other than a generator set decodes over target.
+    """
+    doc = _load(args, path, kinds)
+    return docs.DECODERS[doc.kind](doc.body, *target)
 
 
 def _load_family(args, path: str, pts: PointSet) -> Family:
-    doc = _load(args, path, ("family",))
-    return reroot(docs.doc_to_family(doc.body), pts)
-
-
-def _load_map(args, path: str):
-    doc = _load(args, path, ("map",))
-    return docs.doc_to_map(doc.body)
+    return reroot(_read(args, path, ("family",)), pts)
 
 
 def _render(args, report: Report, artifact=None) -> int:
@@ -159,29 +156,27 @@ def _truncation_report(name: str, exc: TruncationError) -> Report:
 
 def cmd_validate(args) -> int:
     doc = _load(args, args.document, ("space", "system"))
-    clauses = []
     try:
-        if doc.kind == "space":
-            docs.doc_to_space(doc.body)
-            clauses.append(Clause("space validates", True, "chain is monotone and covering"))
-        else:
-            system = docs.doc_to_system(doc.body)
-            detail = (
-                "upper bounds given in the document"
-                if isinstance(doc.body, dict) and "upper" in doc.body
-                else "upper bounds synthesized by containment search"
-            )
-            clauses.append(Clause("system validates", True, detail))
-            clauses.append(
-                Clause("pieces", True, ", ".join(p.name for p in system.pieces))
-            )
+        decoded = docs.DECODERS[doc.kind](doc.body)
     except (ValidationError, DomainError) as exc:
-        clauses = [Clause("document validates", False, str(exc))]
+        return _render(args, from_clauses([Clause("document validates", False, str(exc))]))
+    if doc.kind == "space":
+        clauses = [Clause("space validates", True, "chain is monotone and covering")]
+    else:
+        detail = (
+            "upper bounds given in the document"
+            if "upper" in doc.body
+            else "upper bounds synthesized by containment search"
+        )
+        clauses = [
+            Clause("system validates", True, detail),
+            Clause("pieces", True, ", ".join(p.name for p in decoded.pieces)),
+        ]
     return _render(args, from_clauses(clauses))
 
 
 def cmd_bounded(args) -> int:
-    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
+    system = _read(args, args.system, ("system",))
     fam = _load_family(args, args.family, system.ambient)
     cert = colimit_bounded(system, fam)
     if cert is None:
@@ -200,7 +195,7 @@ def cmd_bounded(args) -> int:
 
 
 def cmd_star(args) -> int:
-    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
+    system = _read(args, args.system, ("system",))
     f = _load_family(args, args.first, system.ambient)
     g = _load_family(args, args.second, system.ambient)
     try:
@@ -229,12 +224,12 @@ class WitnessInvariant:
 
     Each slot is a lambda that looks the library function up by name when it
     is called, so code that rebinds module attributes (tracers, test doubles)
-    sees every call.
+    sees every call. Witness documents are read and written by kind through
+    ``documents``.
     """
 
-    decode: Callable  # (witness body, target) -> witness
+    kind: str  # the witness document kind
     verify: Callable  # (target, witness, args) -> Report
-    encode: Optional[Callable]  # witness -> Document
     lift: Optional[Callable]  # (system, piece index, witness, args) -> witness
     needs: tuple[str, ...]  # flags that check and lift require
     lift_inputs: tuple[str, ...]  # flags naming further documents lift reads
@@ -242,41 +237,36 @@ class WitnessInvariant:
 
 INVARIANTS = {
     "asdim": WitnessInvariant(
-        decode=lambda b, t: docs.doc_to_asdim_witness(b, t),
+        kind="witness:asdim",
         verify=lambda t, w, a: asdim_verify(t, a.n, w),
-        encode=lambda w: docs.asdim_witness_to_doc(w),
         lift=lambda s, i, w, a: asdim_lift(s, i, a.n, w),
         needs=("n",),
         lift_inputs=(),
     ),
     "apc": WitnessInvariant(
-        decode=lambda b, t: docs.doc_to_apc_witness(b, t),
+        kind="witness:apc",
         verify=lambda t, w, a: apc_verify(t, *w),
-        encode=None,
         lift=None,
         needs=(),
         lift_inputs=(),
     ),
     "exactness": WitnessInvariant(
-        decode=lambda b, t: docs.doc_to_exactness_witness(b, t),
+        kind="witness:exactness",
         verify=lambda t, w, a: exactness_verify(t, w),
-        encode=lambda w: docs.exactness_witness_to_doc(w),
         lift=lambda s, i, w, a: exactness_lift(s, i, w),
         needs=(),
         lift_inputs=(),
     ),
     "pinch": WitnessInvariant(
-        decode=lambda b, t: docs.doc_to_pinch_witness(b, t),
+        kind="witness:pinch",
         verify=lambda t, w, a: pinch_verify(t, w),
-        encode=lambda w: docs.pinch_witness_to_doc(w),
         lift=lambda s, i, w, a: pinch_lift(s, i, w),
         needs=(),
         lift_inputs=(),
     ),
     "amenability": WitnessInvariant(
-        decode=lambda b, t: docs.doc_to_amenability_witness(b, t),
+        kind="witness:amenability",
         verify=lambda t, w, a: amenability_verify(t, w),
-        encode=lambda w: docs.amenability_witness_to_doc(w),
         lift=lambda s, i, w, a: amenability_lift(
             s, i, w, _load_family(a, a.input, s.ambient)
         ),
@@ -284,9 +274,8 @@ INVARIANTS = {
         lift_inputs=("input",),
     ),
     "property-a": WitnessInvariant(
-        decode=lambda b, t: docs.doc_to_property_a_witness(b, t),
+        kind="witness:property_a",
         verify=lambda t, w, a: property_a_verify(t, w),
-        encode=lambda w: docs.property_a_witness_to_doc(w),
         lift=lambda s, i, w, a: property_a_lift(s, i, w),
         needs=(),
         lift_inputs=(),
@@ -313,31 +302,27 @@ def _check_asdim_search(args, target) -> int:
 
 def cmd_check(args) -> int:
     if args.invariant == "generators":
-        gens = docs.doc_to_generators(_load(args, args.target, ("witness:generators",)).body)
+        gens = _read(args, args.target, ("witness:generators",))
         return _render(args, metrizability_generator_check(gens))
-    target = _load_target(args, args.target)
+    target = _read(args, args.target, ("space", "system"))
     inv = INVARIANTS[args.invariant]
     _require(args, args.parser, inv.needs)
     if args.invariant == "asdim" and args.search:
         return _check_asdim_search(args, target)
     _require(args, args.parser, ["witness"])
-    wdoc = _load(args, args.witness, ("witness:" + args.invariant.replace("-", "_"),))
-    w = inv.decode(wdoc.body, target)
+    w = _read(args, args.witness, (inv.kind,), target)
     return _render(args, inv.verify(target, w, args))
 
 
 def cmd_lift(args) -> int:
-    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
+    system = _read(args, args.system, ("system",))
     if args.invariant == "generators":
         _require(args, args.parser, ["sets"])
         if len(args.sets) != len(system.pieces):
             raise DomainError(
                 f"{len(system.pieces)} generator sets are required, one per piece"
             )
-        piece_sets = []
-        for path in args.sets:
-            gdoc = _load(args, path, ("witness:generators",))
-            piece_sets.append(docs.doc_to_generators(gdoc.body))
+        piece_sets = [_read(args, path, ("witness:generators",)) for path in args.sets]
         try:
             merged, report = metrizability_merge(system, piece_sets)
         except TruncationError as exc:
@@ -346,19 +331,17 @@ def cmd_lift(args) -> int:
     _require(args, args.parser, ["piece", "witness"])
     idx = system.piece_index(args.piece)
     inv = INVARIANTS[args.invariant]
-    wdoc = _load(args, args.witness, ("witness:" + args.invariant.replace("-", "_"),))
     _require(args, args.parser, inv.needs + inv.lift_inputs)
-    w = inv.decode(wdoc.body, system.pieces[idx].space)
+    w = _read(args, args.witness, (inv.kind,), system.pieces[idx].space)
     lifted = inv.lift(system, idx, w, args)
     report = inv.verify(system, lifted, args)
-    return _render(args, report, artifact=("witness", inv.encode(lifted)))
+    return _render(args, report, artifact=("witness", docs.witness_to_doc(inv.kind, lifted)))
 
 
 def cmd_restrict(args) -> int:
-    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
+    system = _read(args, args.system, ("system",))
     idx = system.piece_index(args.piece)
-    wdoc = _load(args, args.witness, ("witness:asdim",))
-    w = docs.doc_to_asdim_witness(wdoc.body, system)
+    w = _read(args, args.witness, ("witness:asdim",), system)
     cut = asdim_restrict(system, idx, args.n, w)
     report = asdim_verify(system.pieces[idx].space, args.n, cut)
     return _render(args, report, artifact=("witness", docs.asdim_witness_to_doc(cut)))
@@ -371,9 +354,9 @@ def cmd_map_check(args) -> int:
     if mode == "bornologous":
         if len(paths) != 3:
             parser.error("bornologous needs SRC DST MAP")
-        src = _load_target(args, paths[0])
-        dst = docs.doc_to_space(_load(args, paths[1], ("space",)).body)
-        f = _load_map(args, paths[2])
+        src = _read(args, paths[0], ("space", "system"))
+        dst = _read(args, paths[1], ("space",))
+        f = _read(args, paths[2], ("map",))
         if isinstance(src, ScaledSpace):
             report = bornologous_check(f, src, dst)
         else:
@@ -382,15 +365,15 @@ def cmd_map_check(args) -> int:
     if mode == "close":
         if len(paths) != 3:
             parser.error("close needs DST MAP MAP")
-        dst = docs.doc_to_space(_load(args, paths[0], ("space",)).body)
-        f = _load_map(args, paths[1])
-        g = _load_map(args, paths[2])
+        dst = _read(args, paths[0], ("space",))
+        f = _read(args, paths[1], ("map",))
+        g = _read(args, paths[2], ("map",))
         return _render(args, close_report(f, g, dst))
     if len(paths) != 3:
         parser.error("so needs SRC METRIC MAP")
-    src = _load_target(args, paths[0])
-    target = docs.doc_to_metric(_load(args, paths[1], ("metric",)).body)
-    f = _load_map(args, paths[2])
+    src = _read(args, paths[0], ("space", "system"))
+    target = _read(args, paths[1], ("metric",))
+    f = _read(args, paths[2], ("map",))
     if args.eps is None:
         parser.error("--eps is required here")
     if isinstance(src, ScaledSpace):
@@ -477,6 +460,7 @@ def cmd_corpus(args) -> int:
             sizes = [int(part) for part in args.islands.split(",")]
         except ValueError:
             args.parser.error(f"malformed island sizes {args.islands!r}")
+        check_island_caps(sizes)
         islands = [
             path_metric(PointSet(tuple(f"q{i}" for i in range(size))))
             for size in sizes
@@ -506,7 +490,7 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    system = docs.doc_to_system(_load(args, args.system, ("system",)).body)
+    system = _read(args, args.system, ("system",))
     outcome = apc_probe(system, prefix_len=args.prefix, budget=args.budget)
     artifact = None
     if outcome.colimit_witness is not None:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .colimit import FilteredSystem, Piece, validate_system
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, number_text
 from .families import Family, PointSet
 from .maps import GroundedMap, INF, MetricTarget, metric_target
 from .spaces import ScaledSpace, restrict, validate_space
@@ -129,6 +129,21 @@ def gen_c0(s_max: int, box: int, radii: Optional[Sequence] = None) -> FilteredSy
 # finite disjoint unions of metric islands
 
 
+def check_island_caps(sizes: Sequence[int]) -> None:
+    """Refuse island sizes over the disjoint-union caps, before any is built."""
+    if not sizes:
+        raise DomainError("at least one island is required")
+    if min(sizes) < 1:  # worded as PointSet words it
+        raise DomainError("point set must be non-empty")
+    if len(sizes) > MAX_ISLANDS:
+        raise DomainError(f"cap exceeded: {len(sizes)} islands, at most {MAX_ISLANDS} allowed")
+    total = sum(sizes)
+    if total > MAX_ISLAND_POINTS:
+        raise DomainError(
+            f"cap exceeded: {number_text(total)} points, at most {MAX_ISLAND_POINTS} allowed"
+        )
+
+
 def gen_disjoint_union(
     islands: Sequence[MetricTarget], radii: Optional[Sequence] = None
 ) -> FilteredSystem:
@@ -136,17 +151,7 @@ def gen_disjoint_union(
     the full union; balls never cross islands, so piece chains agree on
     every overlap by construction.
     """
-    if not islands:
-        raise DomainError("at least one island is required")
-    if len(islands) > MAX_ISLANDS:
-        raise DomainError(
-            f"cap exceeded: {len(islands)} islands, at most {MAX_ISLANDS} allowed"
-        )
-    total = sum(len(isl.points) for isl in islands)
-    if total > MAX_ISLAND_POINTS:
-        raise DomainError(
-            f"cap exceeded: {total} points, at most {MAX_ISLAND_POINTS} allowed"
-        )
+    check_island_caps([len(isl.points) for isl in islands])
     tagged = [
         (k, p, f"{k}:{p}") for k, isl in enumerate(islands) for p in isl.points.ids
     ]

@@ -6,6 +6,16 @@ metric infinities as "inf". Emission is canonical: sorted keys, two-space
 indent, members listed in point order, so equal objects serialize to equal
 bytes.
 
+Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
+the witness class and its body fields in decode order, each as (body key,
+witness attribute, field type). ``decode_witness`` checks the required and
+optional keys and reads every field through its type; ``witness_to_doc``
+writes every body back by type: families as member lists, rationals as text,
+bounds as an integer, null or certificate. Only the point-keyed weights,
+coordinates and tag sets have readers of their own. apc pairs its witness
+with a chain the witness does not hold, so its codec is written out.
+``DECODERS`` maps every kind to the decoder of its body.
+
 ``emit_document`` is a small writer of its own. It gives the bytes the
 standard ``json`` encoder gives with a two-space indent, sorted keys and its
 other defaults, plus a final newline; ``json`` itself would fall back to its
@@ -20,10 +30,13 @@ them), list or tuple, and dict with str keys; any other value or key raises
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields as class_fields
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Any, Union
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from .colimit import ColimitBoundedness, FilteredSystem, Piece, extended_level, validate_system
 from .errors import CoarseError, ParseError
@@ -37,7 +50,6 @@ from .invariants import (
     PinchWitness,
     PropertyAFamily,
     Target,
-    generator_set,
     partition_of_unity,
 )
 from .invariants.common import target_points
@@ -46,17 +58,6 @@ from .reports import Report
 from .spaces import ScaledSpace, validate_space
 
 VERSION = "1"
-
-WITNESS_KINDS = (
-    "witness:asdim",
-    "witness:apc",
-    "witness:exactness",
-    "witness:pinch",
-    "witness:amenability",
-    "witness:property_a",
-    "witness:generators",
-)
-KINDS = ("space", "system", "family", "map", "metric", "report") + WITNESS_KINDS
 
 
 @dataclass(frozen=True)
@@ -145,21 +146,27 @@ def _members(v, pts: PointSet, path) -> tuple[frozenset, ...]:
     return tuple(out)
 
 
-def _encode_members(fam: Family) -> list:
-    return [list(fam.space.sort(m)) for m in fam.members]
-
-
-def _scales(v, pts: PointSet, path) -> tuple[Family, ...]:
+def _family_list(v, pts: PointSet, path, what) -> tuple[Family, ...]:
     if not isinstance(v, list) or not v:
-        _fail("expected a non-empty list of scales", path)
-    return tuple(
-        Family(pts, _members(level, pts, f"{path}[{i}]"))
-        for i, level in enumerate(v)
-    )
+        _fail(f"expected a non-empty list of {what}", path)
+    return tuple(Family(pts, _members(m, pts, f"{path}[{i}]")) for i, m in enumerate(v))
 
 
-def _encode_scales(levels) -> list:
-    return [_encode_members(lv) for lv in levels]
+def _encode(value):
+    """The body value of a witness attribute or a list of families, by its type."""
+    if isinstance(value, Family):
+        return [list(value.space.sort(m)) for m in value.members]
+    if isinstance(value, Fraction):
+        return _encode_fraction(value)
+    if isinstance(value, ColimitBoundedness):
+        return {"piece": value.piece, "level": value.level}
+    if isinstance(value, PointSet):
+        return list(value.ids)
+    if isinstance(value, frozenset):
+        return [_encode(v) for v in sorted(value)]
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    return value  # a str, an int, or the null bound
 
 
 # Structural problems raise ParseError; builders below let the semantic
@@ -173,12 +180,12 @@ def _encode_scales(levels) -> list:
 def doc_to_space(body, path="body") -> ScaledSpace:
     _check_keys(body, ("points", "scales"), (), path)
     pts = _points(body["points"], f"{path}.points")
-    levels = _scales(body["scales"], pts, f"{path}.scales")
+    levels = _family_list(body["scales"], pts, f"{path}.scales", "scales")
     return validate_space(pts, levels)
 
 
 def space_to_doc(sp: ScaledSpace) -> Document:
-    body = {"points": list(sp.points.ids), "scales": _encode_scales(sp.levels)}
+    body = {"points": list(sp.points.ids), "scales": _encode(sp.levels)}
     return Document("space", VERSION, body)
 
 
@@ -205,7 +212,7 @@ def doc_to_system(body, path="body") -> FilteredSystem:
             _fail("duplicate point in carrier", f"{p_path}.carrier")
         carrier = frozenset(carrier_ids)
         sub = PointSet(tuple(p for p in ambient.ids if p in carrier))
-        levels = _scales(rp["scales"], sub, f"{p_path}.scales")
+        levels = _family_list(rp["scales"], sub, f"{p_path}.scales", "scales")
         pieces.append(Piece(rp["name"], carrier, validate_space(sub, levels)))
     upper = None
     if "upper" in body:
@@ -233,7 +240,7 @@ def system_to_doc(system: FilteredSystem) -> Document:
             {
                 "name": pc.name,
                 "carrier": list(system.ambient.sort(pc.carrier)),
-                "scales": _encode_scales(pc.space.levels),
+                "scales": _encode(pc.space.levels),
             }
             for pc in system.pieces
         ],
@@ -254,7 +261,7 @@ def doc_to_family(body, path="body") -> Family:
 
 
 def family_to_doc(fam: Family) -> Document:
-    body = {"points": list(fam.space.ids), "members": _encode_members(fam)}
+    body = {"points": list(fam.space.ids), "members": _encode(fam)}
     return Document("family", VERSION, body)
 
 
@@ -364,44 +371,192 @@ def resolve_bound(value, path="bound"):
     _fail("expected null, a level, or a piece certificate", path)
 
 
-def encode_bound(bound) -> Any:
-    if bound is None or isinstance(bound, int):
-        return bound
-    return {"piece": bound.piece, "level": bound.level}
+def _positive_fraction(v, path) -> Fraction:
+    f = _fraction(v, path)
+    if f <= 0:
+        _fail("expected a positive rational", path)
+    return f
 
 
-# witnesses
+# witnesses: field types, the WITNESSES table, and its decoder and encoder
 
 
-def doc_to_asdim_witness(body, target: Target, path="body") -> AsdimWitness:
-    _check_keys(body, ("scale", "coarsening"), ("bound",), path)
-    pts = target_points(target)
-    return AsdimWitness(
-        resolve_scale(body["scale"], target, f"{path}.scale"),
-        Family(pts, _members(body["coarsening"], pts, f"{path}.coarsening")),
-        resolve_bound(body.get("bound"), f"{path}.bound"),
+class FieldType(NamedTuple):
+    """How one body field maps to one witness attribute.
+
+    ``read(raw, path, got)`` decodes the raw value; ``got`` holds the target,
+    the points the witness lives over (``"space"``) and every attribute read
+    before this field. ``write(value, witness)`` gives the raw value back.
+    """
+
+    read: Callable
+    write: Callable = lambda value, w: _encode(value)
+
+
+def _by_point(raw, pts: PointSet, path, what) -> dict:
+    """raw as an object keyed by points of pts; an unknown point is an error."""
+    if not isinstance(raw, dict):
+        _fail(f"expected an object mapping points to {what}", path)
+    for p in raw:
+        if p not in pts:
+            _fail(f"unknown point {p!r}", path)
+    return raw
+
+
+def _read_weights(raw, path, got):
+    pts, indices = got["space"], got["pou.indices"]
+    raw = _by_point(raw, pts, path, "weight objects")
+    pos = {name: k for k, name in enumerate(indices)}
+    rows = []
+    for p in pts.ids:
+        row = [Fraction(0)] * len(indices)
+        cell = raw.get(p, {})
+        if not isinstance(cell, dict):
+            _fail(f"weights at {p!r} must be an object", path)
+        for name, v in cell.items():
+            if name not in pos:
+                _fail(f"unknown index {name!r}", f"{path}.{p}")
+            row[pos[name]] = _fraction(v, f"{path}.{p}.{name}")
+        rows.append(tuple(row))
+    return partition_of_unity(pts, indices, rows)
+
+
+def _write_weights(pou, w) -> dict:
+    """Each point's nonzero weights; a point with none is left out."""
+    cells = (
+        (p, {name: _encode(v) for name, v in zip(pou.indices, row) if v != 0})
+        for p, row in zip(pou.space.ids, pou.rows)
     )
+    return {p: cell for p, cell in cells if cell}
 
 
-def asdim_witness_to_doc(w: AsdimWitness) -> Document:
+def _read_coords(raw, path, got) -> tuple:
+    pts, dim = got["space"], got["dim"]
+    raw = _by_point(raw, pts, path, "coordinate rows")
+    rows = []
+    for p in pts.ids:
+        if p not in raw:
+            _fail(f"no coordinates for point {p!r}", path)
+        row = raw[p]
+        if not isinstance(row, list) or len(row) != dim:
+            _fail(f"coordinates of {p!r} must be a list of length {dim}", path)
+        rows.append(tuple(_fraction(v, f"{path}.{p}") for v in row))
+    return tuple(rows)
+
+
+def _read_sets(raw, path, got) -> tuple:
+    pts = got["space"]
+    raw = _by_point(raw, pts, path, "tag lists")
+    sets = []
+    for p in pts.ids:
+        if p not in raw:
+            _fail(f"no tag set for point {p!r}", path)
+        tags = raw[p]
+        if not isinstance(tags, list):
+            _fail(f"tags at {p!r} must be a list", path)
+        parsed = set()
+        for t in tags:
+            if not isinstance(t, list) or len(t) != 2 or not isinstance(t[0], str):
+                _fail(f"tags at {p!r} must be [point, index] pairs", path)
+            parsed.add((t[0], _int(t[1], f"{path}.{p}")))
+        sets.append(frozenset(parsed))
+    return tuple(sets)
+
+
+def _write_by_point(rows, w) -> dict:
+    return dict(zip(w.space.ids, _encode(rows)))
+
+
+SCALE = FieldType(lambda raw, path, got: resolve_scale(raw, got["target"], path))
+FAMILY = FieldType(lambda raw, path, got: Family(got["space"], _members(raw, got["space"], path)))
+POSITIVE = FieldType(lambda raw, path, got: _positive_fraction(raw, path))
+INTEGER = FieldType(lambda raw, path, got: _int(raw, path))
+BOUND = FieldType(lambda raw, path, got: resolve_bound(raw, path))  # the one optional type
+NAMES = FieldType(lambda raw, path, got: _str_list(raw, path))
+POINTS = FieldType(lambda raw, path, got: _points(raw, path))
+FAMILIES = FieldType(lambda raw, path, got: _family_list(raw, got["space"], path, "families"))
+WEIGHTS = FieldType(_read_weights, _write_weights)
+COORDS = FieldType(_read_coords, _write_by_point)
+SETS = FieldType(_read_sets, _write_by_point)
+
+
+@dataclass(frozen=True)
+class WitnessCodec:
+    cls: type
+    fields: tuple  # (body key, witness attribute, FieldType), in decode order
+
+
+WITNESSES = {
+    "witness:asdim": WitnessCodec(AsdimWitness, (
+        ("scale", "scale", SCALE),
+        ("coarsening", "coarsening", FAMILY),
+        ("bound", "bound", BOUND),
+    )),
+    "witness:exactness": WitnessCodec(ExactnessWitness, (
+        ("scale", "scale", SCALE),
+        ("eps", "eps", POSITIVE),
+        ("indices", "pou.indices", NAMES),
+        ("weights", "pou", WEIGHTS),
+        ("support_bound", "support_bound", BOUND),
+    )),
+    "witness:pinch": WitnessCodec(PinchWitness, (
+        ("scale", "scale", SCALE),
+        ("sep", "sep", FAMILY),
+        ("c", "c", POSITIVE),
+        ("eps", "eps", POSITIVE),
+        ("dim", "dim", INTEGER),
+        ("coords", "coords", COORDS),
+        ("sep_bound", "sep_bound", BOUND),
+    )),
+    "witness:amenability": WitnessCodec(AmenabilityWitness, (
+        ("scale", "scale", SCALE),
+        ("companion", "v", FAMILY),
+        ("eps", "eps", POSITIVE),
+        ("bound", "v_bound", BOUND),
+    )),
+    "witness:property_a": WitnessCodec(PropertyAFamily, (
+        ("scale", "scale", SCALE),
+        ("support", "support", FAMILY),
+        ("eps", "eps", POSITIVE),
+        ("n_cap", "n_cap", INTEGER),
+        ("sets", "sets", SETS),
+        ("support_bound", "support_bound", BOUND),
+    )),
+    "witness:generators": WitnessCodec(GeneratorSet, (
+        ("points", "space", POINTS),
+        ("families", "families", FAMILIES),
+    )),
+}
+
+
+def decode_witness(kind: str, body, target: Optional[Target] = None, path="body"):
+    """The witness a body of a WITNESSES kind describes over target."""
+    row = WITNESSES[kind].fields
+    required = [key for key, _, ftype in row if ftype is not BOUND]
+    _check_keys(body, required, [key for key, _, ftype in row if ftype is BOUND], path)
+    got = {"target": target, "space": None if target is None else target_points(target)}
+    for key, attr, ftype in row:
+        got[attr] = ftype.read(body.get(key), f"{path}.{key}", got)
+    cls = WITNESSES[kind].cls
+    return cls(**{f.name: got[f.name] for f in class_fields(cls)})
+
+
+def witness_to_doc(kind: str, w) -> Document:
+    """The document of a witness of a WITNESSES kind."""
     body = {
-        "scale": _encode_members(w.scale),
-        "coarsening": _encode_members(w.coarsening),
-        "bound": encode_bound(w.bound),
+        key: ftype.write(attrgetter(attr)(w), w) for key, attr, ftype in WITNESSES[kind].fields
     }
-    return Document("witness:asdim", VERSION, body)
+    return Document(kind, VERSION, body)
+
+
+# apc pairs its witness with the chain it was found on, which the witness
+# does not hold, so its codec is written out
 
 
 def doc_to_apc_witness(body, target: Target, path="body"):
     _check_keys(body, ("selections", "bounds"), ("chain",), path)
     pts = target_points(target)
-    raw = body["selections"]
-    if not isinstance(raw, list) or not raw:
-        _fail("expected a non-empty list of selections", f"{path}.selections")
-    selections = tuple(
-        Family(pts, _members(sel, pts, f"{path}.selections[{i}]"))
-        for i, sel in enumerate(raw)
-    )
+    selections = _family_list(body["selections"], pts, f"{path}.selections", "selections")
     raw_bounds = body["bounds"]
     if not isinstance(raw_bounds, list) or len(raw_bounds) != len(selections):
         _fail("expected one bound per selection", f"{path}.bounds")
@@ -421,220 +576,10 @@ def doc_to_apc_witness(body, target: Target, path="body"):
 
 
 def apc_witness_to_doc(w: ApcWitness, chain=None) -> Document:
-    body = {
-        "selections": [_encode_members(sel) for sel in w.selections],
-        "bounds": [encode_bound(b) for b in w.bounds],
-    }
+    body = {"selections": _encode(w.selections), "bounds": _encode(w.bounds)}
     if chain is not None:
-        body["chain"] = [_encode_members(u) for u in chain]
+        body["chain"] = _encode(chain)
     return Document("witness:apc", VERSION, body)
-
-
-def doc_to_exactness_witness(body, target: Target, path="body") -> ExactnessWitness:
-    _check_keys(body, ("scale", "eps", "indices", "weights"), ("support_bound",), path)
-    pts = target_points(target)
-    indices = _str_list(body["indices"], f"{path}.indices")
-    raw = body["weights"]
-    if not isinstance(raw, dict):
-        _fail("expected an object mapping points to weight objects", f"{path}.weights")
-    for p in raw:
-        if p not in pts:
-            _fail(f"unknown point {p!r}", f"{path}.weights")
-    pos = {name: k for k, name in enumerate(indices)}
-    rows = []
-    for p in pts.ids:
-        row = [Fraction(0)] * len(indices)
-        cell = raw.get(p, {})
-        if not isinstance(cell, dict):
-            _fail(f"weights at {p!r} must be an object", f"{path}.weights")
-        for name, v in cell.items():
-            if name not in pos:
-                _fail(f"unknown index {name!r}", f"{path}.weights.{p}")
-            row[pos[name]] = _fraction(v, f"{path}.weights.{p}.{name}")
-        rows.append(tuple(row))
-    pou = partition_of_unity(pts, indices, rows)
-    return ExactnessWitness(
-        resolve_scale(body["scale"], target, f"{path}.scale"),
-        _positive_fraction(body["eps"], f"{path}.eps"),
-        pou,
-        resolve_bound(body.get("support_bound"), f"{path}.support_bound"),
-    )
-
-
-def _positive_fraction(v, path) -> Fraction:
-    f = _fraction(v, path)
-    if f <= 0:
-        _fail("expected a positive rational", path)
-    return f
-
-
-def exactness_witness_to_doc(w: ExactnessWitness) -> Document:
-    weights = {}
-    for p, row in zip(w.pou.space.ids, w.pou.rows):
-        cell = {
-            name: _encode_fraction(v)
-            for name, v in zip(w.pou.indices, row)
-            if v != 0
-        }
-        if cell:
-            weights[p] = cell
-    body = {
-        "scale": _encode_members(w.scale),
-        "eps": _encode_fraction(w.eps),
-        "indices": list(w.pou.indices),
-        "weights": weights,
-        "support_bound": encode_bound(w.support_bound),
-    }
-    return Document("witness:exactness", VERSION, body)
-
-
-def doc_to_pinch_witness(body, target: Target, path="body") -> PinchWitness:
-    _check_keys(
-        body, ("scale", "sep", "c", "eps", "dim", "coords"), ("sep_bound",), path
-    )
-    pts = target_points(target)
-    dim = _int(body["dim"], f"{path}.dim")
-    raw = body["coords"]
-    if not isinstance(raw, dict):
-        _fail("expected an object mapping points to coordinate rows", f"{path}.coords")
-    rows = []
-    for p in pts.ids:
-        if p not in raw:
-            _fail(f"no coordinates for point {p!r}", f"{path}.coords")
-        row = raw[p]
-        if not isinstance(row, list) or len(row) != dim:
-            _fail(
-                f"coordinates of {p!r} must be a list of length {dim}",
-                f"{path}.coords",
-            )
-        rows.append(tuple(_fraction(v, f"{path}.coords.{p}") for v in row))
-    for p in raw:
-        if p not in pts:
-            _fail(f"unknown point {p!r}", f"{path}.coords")
-    return PinchWitness(
-        pts,
-        dim,
-        tuple(rows),
-        resolve_scale(body["scale"], target, f"{path}.scale"),
-        Family(pts, _members(body["sep"], pts, f"{path}.sep")),
-        _positive_fraction(body["c"], f"{path}.c"),
-        _positive_fraction(body["eps"], f"{path}.eps"),
-        resolve_bound(body.get("sep_bound"), f"{path}.sep_bound"),
-    )
-
-
-def pinch_witness_to_doc(w: PinchWitness) -> Document:
-    body = {
-        "scale": _encode_members(w.scale),
-        "sep": _encode_members(w.sep),
-        "c": _encode_fraction(w.c),
-        "eps": _encode_fraction(w.eps),
-        "dim": w.dim,
-        "coords": {
-            p: [_encode_fraction(v) for v in row]
-            for p, row in zip(w.space.ids, w.coords)
-        },
-        "sep_bound": encode_bound(w.sep_bound),
-    }
-    return Document("witness:pinch", VERSION, body)
-
-
-def doc_to_amenability_witness(body, target: Target, path="body") -> AmenabilityWitness:
-    _check_keys(body, ("scale", "companion", "eps"), ("bound",), path)
-    pts = target_points(target)
-    return AmenabilityWitness(
-        resolve_scale(body["scale"], target, f"{path}.scale"),
-        Family(pts, _members(body["companion"], pts, f"{path}.companion")),
-        _positive_fraction(body["eps"], f"{path}.eps"),
-        resolve_bound(body.get("bound"), f"{path}.bound"),
-    )
-
-
-def amenability_witness_to_doc(w: AmenabilityWitness) -> Document:
-    body = {
-        "scale": _encode_members(w.scale),
-        "companion": _encode_members(w.v),
-        "eps": _encode_fraction(w.eps),
-        "bound": encode_bound(w.v_bound),
-    }
-    return Document("witness:amenability", VERSION, body)
-
-
-def doc_to_property_a_witness(body, target: Target, path="body") -> PropertyAFamily:
-    _check_keys(
-        body,
-        ("scale", "support", "eps", "n_cap", "sets"),
-        ("support_bound",),
-        path,
-    )
-    pts = target_points(target)
-    raw = body["sets"]
-    if not isinstance(raw, dict):
-        _fail("expected an object mapping points to tag lists", f"{path}.sets")
-    for p in raw:
-        if p not in pts:
-            _fail(f"unknown point {p!r}", f"{path}.sets")
-    sets = []
-    for p in pts.ids:
-        if p not in raw:
-            _fail(f"no tag set for point {p!r}", f"{path}.sets")
-        tags = raw[p]
-        if not isinstance(tags, list):
-            _fail(f"tags at {p!r} must be a list", f"{path}.sets")
-        parsed = set()
-        for t in tags:
-            if (
-                not isinstance(t, list)
-                or len(t) != 2
-                or not isinstance(t[0], str)
-            ):
-                _fail(f"tags at {p!r} must be [point, index] pairs", f"{path}.sets")
-            parsed.add((t[0], _int(t[1], f"{path}.sets.{p}")))
-        sets.append(frozenset(parsed))
-    return PropertyAFamily(
-        pts,
-        _int(body["n_cap"], f"{path}.n_cap"),
-        tuple(sets),
-        resolve_scale(body["scale"], target, f"{path}.scale"),
-        Family(pts, _members(body["support"], pts, f"{path}.support")),
-        _positive_fraction(body["eps"], f"{path}.eps"),
-        resolve_bound(body.get("support_bound"), f"{path}.support_bound"),
-    )
-
-
-def property_a_witness_to_doc(w: PropertyAFamily) -> Document:
-    body = {
-        "scale": _encode_members(w.scale),
-        "support": _encode_members(w.support),
-        "eps": _encode_fraction(w.eps),
-        "n_cap": w.n_cap,
-        "sets": {
-            p: [[q, k] for q, k in sorted(w.tags(p))] for p in w.space.ids
-        },
-        "support_bound": encode_bound(w.support_bound),
-    }
-    return Document("witness:property_a", VERSION, body)
-
-
-def doc_to_generators(body, path="body") -> GeneratorSet:
-    _check_keys(body, ("points", "families"), (), path)
-    pts = _points(body["points"], f"{path}.points")
-    raw = body["families"]
-    if not isinstance(raw, list) or not raw:
-        _fail("expected a non-empty list of families", f"{path}.families")
-    families = tuple(
-        Family(pts, _members(fam, pts, f"{path}.families[{i}]"))
-        for i, fam in enumerate(raw)
-    )
-    return generator_set(pts, families)
-
-
-def generators_to_doc(g: GeneratorSet) -> Document:
-    body = {
-        "points": list(g.space.ids),
-        "families": [_encode_members(fam) for fam in g.families],
-    }
-    return Document("witness:generators", VERSION, body)
 
 
 # report
@@ -671,23 +616,44 @@ def _validate_report_body(body, path="body"):
         _fail("expected an object", f"{path}.provenance")
 
 
-_BODY_VALIDATORS = {
+# kind -> decoder of its body; a witness decoder takes the target second
+DECODERS = {
     "space": doc_to_space,
     "system": doc_to_system,
     "family": doc_to_family,
     "map": doc_to_map,
     "metric": doc_to_metric,
-    "witness:generators": doc_to_generators,
     "report": _validate_report_body,
+    "witness:apc": doc_to_apc_witness,
+    **{kind: partial(decode_witness, kind) for kind in WITNESSES},
 }
+KINDS = tuple(DECODERS)
+WITNESS_KINDS = tuple(kind for kind in KINDS if kind.startswith("witness:"))
+# witness kinds whose bodies do not list their own points
+_NEEDS_TARGET = {"witness:apc"} | {
+    kind for kind, codec in WITNESSES.items() if all(t is not POINTS for _, _, t in codec.fields)
+}
+
+doc_to_asdim_witness = DECODERS["witness:asdim"]
+doc_to_exactness_witness = DECODERS["witness:exactness"]
+doc_to_pinch_witness = DECODERS["witness:pinch"]
+doc_to_amenability_witness = DECODERS["witness:amenability"]
+doc_to_property_a_witness = DECODERS["witness:property_a"]
+doc_to_generators = DECODERS["witness:generators"]
+asdim_witness_to_doc = partial(witness_to_doc, "witness:asdim")
+exactness_witness_to_doc = partial(witness_to_doc, "witness:exactness")
+pinch_witness_to_doc = partial(witness_to_doc, "witness:pinch")
+amenability_witness_to_doc = partial(witness_to_doc, "witness:amenability")
+property_a_witness_to_doc = partial(witness_to_doc, "witness:property_a")
+generators_to_doc = partial(witness_to_doc, "witness:generators")
 
 
 def parse_document(text: str, validate_body: bool = True) -> Document:
     """Strict parse; body semantics are checked for self-contained kinds.
 
     Witness bodies other than generator sets need a verification target to
-    resolve level references, so only their envelope is checked here; the
-    doc_to_* converters finish the job once the target is known. Structural
+    resolve level references, so only their envelope is checked here; their
+    DECODERS entries finish the job once the target is known. Structural
     problems raise ParseError; a well-formed body that fails its semantic
     checks raises ValidationError or DomainError from the relevant builder.
     """
@@ -696,6 +662,10 @@ def parse_document(text: str, validate_body: bool = True) -> Document:
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError:  # an integer past the limit of int() on text
+        raise ParseError(
+            f"an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from None
     except RecursionError:
         raise ParseError("document nests too deeply to parse") from None
@@ -706,8 +676,8 @@ def parse_document(text: str, validate_body: bool = True) -> Document:
     if raw["version"] != VERSION:
         _fail(f"unsupported version {raw['version']!r}", "document.version")
     doc = Document(kind, raw["version"], raw["body"])
-    if validate_body and kind in _BODY_VALIDATORS:
-        _BODY_VALIDATORS[kind](doc.body)
+    if validate_body and kind not in _NEEDS_TARGET:
+        DECODERS[kind](doc.body)
     return doc
 
 

@@ -16,7 +16,7 @@ from operator import sub
 from typing import Optional
 
 from ..colimit import FilteredSystem, extend_to_ambient
-from ..errors import DomainError
+from ..errors import DomainError, number_text
 from ..families import Family, Point, PointSet
 from ..reports import Clause, Report, from_clauses
 from .common import (
@@ -82,7 +82,7 @@ def _unit_offense(pou: PartitionOfUnity) -> Optional[str]:
             return f"negative weight at point {p!r}"
         total = sum(row)
         if total != den:
-            return f"weights at point {p!r} sum to {Fraction(total, den)}, not 1"
+            return f"weights at point {p!r} sum to {number_text(Fraction(total, den))}, not 1"
     return None
 
 
@@ -124,7 +124,7 @@ def _variation_offense(w: ExactnessWitness) -> Optional[str]:
                 if not v * per < limit:
                     return (
                         f"pair ({space.ids[a]!r}, {space.ids[b]!r}) varies by "
-                        f"{Fraction(v, den)}"
+                        f"{number_text(Fraction(v, den))}"
                     )
     return None
 

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from ..colimit import FilteredSystem, extend_to_ambient
-from ..errors import DomainError
+from ..errors import DomainError, number_text
 from ..families import Family, Point, PointSet, incidence
 from ..reports import Clause, Report, from_clauses
 from .common import (
@@ -124,7 +124,7 @@ def pinch_verify(
             diam_ok,
             ""
             if worst_pair is None
-            else f"extremal pair {worst_pair!r} at squared distance {worst}",
+            else f"extremal pair {worst_pair!r} at squared distance {number_text(worst)}",
         )
     )
 
@@ -150,7 +150,7 @@ def pinch_verify(
             sep_ok,
             ""
             if nearest_pair is None
-            else f"extremal pair {nearest_pair!r} at squared distance {nearest}",
+            else f"extremal pair {nearest_pair!r} at squared distance {number_text(nearest)}",
         )
     )
     return from_clauses(clauses)

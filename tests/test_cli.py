@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from coarsekit import __version__
+from coarsekit import DomainError, ParseError, __version__, cli
 from coarsekit.cli import build_parser, main
 from coarsekit.colimit import Piece, validate_system
 from coarsekit.corpus import gen_disjoint_union
@@ -560,6 +560,60 @@ def test_corpus_disjoint_union(tmp_path):
     assert doc.kind == "system"
     names = [p["name"] for p in doc.body["pieces"]]
     assert names == ["M0", "M1", "M0+M1"]
+
+
+@pytest.mark.parametrize(
+    "islands, message",
+    [
+        ("100000", "cap exceeded: 100000 points, at most 64 allowed"),
+        ("100000,-99999", "point set must be non-empty"),
+        ("1,1,1,1,1", "cap exceeded: 5 islands, at most 4 allowed"),
+    ],
+    ids=["one-large", "negative", "five"],
+)
+def test_oversized_islands_are_refused_before_any_is_built(
+    tmp_path, capsys, monkeypatch, islands, message
+):
+    def refuse(pts):
+        raise AssertionError(f"built an island of {len(pts)} points")
+
+    monkeypatch.setattr(cli, "path_metric", refuse)
+    argv = ["corpus", "disjoint-union", "--islands", islands, "--out-dir", str(tmp_path)]
+    assert main(argv) == 65
+    assert capsys.readouterr().err == f"coarsekit: input error: {message}\n"
+
+
+def test_island_total_too_long_to_print_is_refused():
+    # corpus disjoint-union passes its parsed sizes to check_island_caps;
+    # called directly here so that no code path can start building islands.
+    limit = sys.get_int_max_str_digits()
+    size = 10**limit - 1  # the largest size int() reads from text
+    with pytest.raises(DomainError, match=f"a reported number has more than {limit} digits"):
+        cli.check_island_caps([size, size])
+
+
+def test_integer_beyond_the_conversion_limit_is_a_parse_error(tmp_path, capsys):
+    fam = family_to_doc(Family(points(["a"]), (frozenset({"a"}),)))
+    text = emit_document(fam)[:-2] + ', "x": 1' + "0" * 5000 + "}\n"
+    message = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+    with pytest.raises(ParseError, match=message):
+        parse_document(text)
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 65
+    assert capsys.readouterr().err == f"coarsekit: input error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_number_too_long_to_report_exits_65(tmp_path, capsys, fmt):
+    space = save(tmp_path, "m0.json", space_to_doc(two_islands().pieces[0].space))
+    body = dict(PIECE_WITNESSES["pinch"], coords={"0:a": [0], "0:b": ["1" + "0" * 2200]})
+    witness = save(tmp_path, "w.json", Document("witness:pinch", "1", body))
+    assert main(["check", "pinch", space, "--witness", witness, "--format", fmt]) == 65
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr() == (
+        "", f"coarsekit: input error: a reported number has more than {limit} digits\n"
+    )
 
 
 def test_probe_apc(tmp_path, deep_system, capsys):
