@@ -4,16 +4,22 @@ A FilteredSystem is a list of pieces (carrier + scaled space over it) covering
 an ambient point set, with an upper-bound map on piece pairs and pairwise
 coincidence of the chains restricted to each overlap. validate_system checks
 carriers, directedness and coincidence on bitmasks over the ambient index,
-without building restricted spaces. A family over the ambient set is
-colimit-bounded when, for some piece, every member with more than one point
-sits inside the carrier and the family stripped of outside singletons is
-bounded in that piece's chain.
+without building restricted spaces; validate_masks is its core, which the
+system decoder feeds with the masks it built while reading the document.
+Coincidence is decided on the pieces' cofinal levels only; a pair is scanned
+in full only when it fails, to name the failing level.
+
+A family over the ambient set is colimit-bounded when, for some piece, every
+member with more than one point sits inside the carrier and the family
+stripped of outside singletons is bounded in that piece's chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import reduce
+from operator import or_
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, TruncationError, ValidationError
 from .families import (
@@ -27,7 +33,13 @@ from .families import (
     star_family,
     trivial_extension,
 )
-from .spaces import ScaledSpace, coarse_components, coincidence_masks, is_bounded
+from .spaces import (
+    ScaledSpace,
+    coarse_components,
+    cofinal_levels,
+    coincidence_masks,
+    is_bounded,
+)
 
 
 @dataclass(frozen=True)
@@ -94,8 +106,8 @@ def validate_system(
 ) -> FilteredSystem:
     """Check coverage, directedness, and pairwise coincidence of restrictions.
 
-    Carriers and chain levels become ambient-indexed bitmasks once; each
-    overlapping pair is then compared by spaces.coincidence_masks.
+    Carriers and chain levels become ambient-indexed bitmasks once, and
+    validate_masks checks the system on them.
 
     When upper is None or partial, missing pairs are filled by scanning for
     the least piece whose carrier contains the union; an unfillable pair is a
@@ -104,9 +116,6 @@ def validate_system(
     pieces = tuple(pieces)
     if not pieces:
         raise ValidationError("a system needs at least one piece")
-    names = [p.name for p in pieces]
-    if len(set(names)) != len(names):
-        raise ValidationError("piece names must be distinct")
     index = ambient._index
     carriers = []
     for p in pieces:
@@ -115,10 +124,35 @@ def validate_system(
         if p.space.points != _carrier_points(ambient, p.carrier):
             raise DomainError(f"piece {p.name!r} space is not over its carrier")
         carriers.append(sum(1 << index[q] for q in p.carrier))
-    covered = 0
-    for c in carriers:
-        covered |= c
-    uncovered = ~covered & ((1 << len(ambient)) - 1)
+    chains = [[member_masks(lv, ambient) for lv in p.space.levels] for p in pieces]
+    cofinal = [cofinal_levels(chain) for chain in chains]
+    return validate_masks(ambient, pieces, carriers, chains, cofinal, upper, meta)
+
+
+def validate_masks(
+    ambient: PointSet,
+    pieces: Sequence[Piece],
+    carriers: Sequence[int],
+    chains: Sequence[Sequence[Collection[int]]],
+    cofinal: Sequence[Sequence[int]],
+    upper: Optional[Mapping[tuple[int, int], int]] = None,
+    meta: Iterable[str] = (),
+) -> FilteredSystem:
+    """validate_system on masks already built: distinct names, coverage,
+    directedness and coincidence.
+
+    Per piece, ``carriers`` holds the carrier and ``chains`` the member masks
+    of each level, all over the ambient index, and ``cofinal`` the 0-based
+    cofinal levels of its chain (spaces.cofinal_levels). Each overlapping
+    pair is compared on its cofinal levels only, which is exact: a level that
+    refines its successor fits wherever the successor fits, and whatever
+    fits it fits the successor too. Only a pair that fails is scanned in
+    full, to name the first failing level as coincidence_masks does.
+    """
+    names = [p.name for p in pieces]
+    if len(set(names)) != len(names):
+        raise ValidationError("piece names must be distinct")
+    uncovered = ~reduce(or_, carriers) & ((1 << len(ambient)) - 1)
     if uncovered:
         q = ambient.ids[(uncovered & -uncovered).bit_length() - 1]
         raise ValidationError(f"carriers do not cover: point {q!r} is in no piece")
@@ -144,26 +178,22 @@ def validate_system(
                     )
             table[(r, s)] = t
 
-    chains = [
-        [set(member_masks(lv, ambient)) for lv in p.space.levels] for p in pieces
-    ]
+    tops = [[set(chain[i]) for i in idx] for chain, idx in zip(chains, cofinal)]
     for r in range(n):
         for s in range(r + 1, n):
             inter = carriers[r] & carriers[s]
-            if not inter:
+            if not inter or coincidence_masks(tops[r], tops[s], inter) is None:
                 continue
-            failure = coincidence_masks(chains[r], chains[s], inter)
-            if failure is not None:
-                side, lvl = failure
-                owner = names[r] if side == "first" else names[s]
-                raise ValidationError(
-                    f"restrictions of pieces {names[r]} and {names[s]} do not "
-                    f"coincide: level {lvl} of {owner} restricted to the "
-                    f"intersection essentially refines no level of the other"
-                )
+            side, lvl = coincidence_masks(chains[r], chains[s], inter)
+            owner = names[r] if side == "first" else names[s]
+            raise ValidationError(
+                f"restrictions of pieces {names[r]} and {names[s]} do not "
+                f"coincide: level {lvl} of {owner} restricted to the "
+                f"intersection essentially refines no level of the other"
+            )
 
     triples = tuple(sorted((r, s, t) for (r, s), t in table.items()))
-    return FilteredSystem(ambient, pieces, triples, tuple(meta))
+    return FilteredSystem(ambient, tuple(pieces), triples, tuple(meta))
 
 
 def strip(f: Family, carrier: Subset) -> Family:

@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,6 +87,14 @@ def _doubling_radii(diameter: Fraction) -> tuple[Fraction, ...]:
 # integer grids with vanishing tails
 
 
+def _power_text(base: int, exp: int) -> str:
+    """base ** exp in digits when Python can print it, else as the power."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exp * math.log10(base) < limit - 1:
+        return str(base**exp)
+    return f"{number_text(base)}**{number_text(exp)}"
+
+
 def gen_c0(s_max: int, box: int, radii: Optional[Sequence] = None) -> FilteredSystem:
     """Nested grid system: piece s holds the tuples supported on the first
     s coordinates, each carrying its l1-ball chain.
@@ -98,10 +107,13 @@ def gen_c0(s_max: int, box: int, radii: Optional[Sequence] = None) -> FilteredSy
         raise DomainError("at least one coordinate is required")
     if box < 0:
         raise DomainError("the box radius must be non-negative")
-    total = (2 * box + 1) ** s_max
-    if total > MAX_GRID_POINTS:
+    side = 2 * box + 1
+    # side ** s_max against the cap without forming a power past it: a
+    # side of 2 or more passes the cap within its bit length of factors
+    if side ** min(s_max, MAX_GRID_POINTS.bit_length()) > MAX_GRID_POINTS:
         raise DomainError(
-            f"cap exceeded: {total} grid points, at most {MAX_GRID_POINTS} allowed"
+            f"cap exceeded: {_power_text(side, s_max)} grid points, "
+            f"at most {MAX_GRID_POINTS} allowed"
         )
     coords = list(itertools.product(range(-box, box + 1), repeat=s_max))
     ident = {c: ",".join(str(v) for v in c) for c in coords}

@@ -6,6 +6,12 @@ metric infinities as "inf". Emission is canonical: sorted keys, two-space
 indent, members listed in point order, so equal objects serialize to equal
 bytes.
 
+The space and system decoders build each member's bitmask once, while
+reading it, by a bit lookup that is also the check that its points are
+known; covering, monotonicity and the system checks then run on those masks
+(spaces.check_chain, colimit.validate_masks), and no member's mask is built
+twice. Family construction still checks each member against its point set.
+
 Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
 the witness class and its body fields in decode order, each as (body key,
 witness attribute, field type). ``decode_witness`` checks the required and
@@ -38,7 +44,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional, Union
 
-from .colimit import ColimitBoundedness, FilteredSystem, Piece, extended_level, validate_system
+from .colimit import ColimitBoundedness, FilteredSystem, Piece, extended_level, validate_masks
 from .errors import CoarseError, ParseError
 from .families import Family, PointSet
 from .invariants import (
@@ -55,7 +61,7 @@ from .invariants import (
 from .invariants.common import target_points
 from .maps import GroundedMap, MetricTarget, INF, metric_target
 from .reports import Report
-from .spaces import ScaledSpace, validate_space
+from .spaces import ScaledSpace, check_chain
 
 VERSION = "1"
 
@@ -137,13 +143,40 @@ def _members(v, pts: PointSet, path) -> tuple[frozenset, ...]:
         except TypeError:  # an unhashable entry
             s = None
         if s is None or not keys >= s:
-            # the per-point check words the error: first bad entry in list order
-            for p in _str_list(m, f"{path}[{i}]"):
-                if p not in pts:
-                    _fail(f"unknown point {p!r}", f"{path}[{i}]")
-            raise AssertionError("a member failing the set check has a bad entry")
+            _member_fault(v, pts, path)
         out.append(s)
     return tuple(out)
+
+
+def _member_fault(v: list, pts: PointSet, path):
+    """Word the error of a member list that failed a set check: the first
+    bad entry of the first bad member, in list order."""
+    for i, m in enumerate(v):
+        for p in _str_list(m, f"{path}[{i}]"):
+            if p not in pts:
+                _fail(f"unknown point {p!r}", f"{path}[{i}]")
+    raise AssertionError("a member list failing the set check has a bad entry")
+
+
+def _scales(v, pts: PointSet, bit: dict, path) -> tuple[tuple[Family, ...], list]:
+    """The scales as families over pts and as member masks by ``bit``, which
+    maps exactly the points of pts to their bits: the lookup that builds a
+    mask is also the membership check."""
+    if not isinstance(v, list) or not v:
+        _fail("expected a non-empty list of scales", path)
+    levels, masks = [], []
+    for i, raw in enumerate(v):
+        if not isinstance(raw, list):
+            _fail("expected a list of members", f"{path}[{i}]")
+        try:
+            # an unhashable entry raises TypeError, and so does a member
+            # that is not a list (None); an unknown point raises KeyError
+            members = [frozenset(m) if isinstance(m, list) else None for m in raw]
+            masks.append([sum(map(bit.__getitem__, s)) for s in members])
+        except (TypeError, KeyError):
+            _member_fault(raw, pts, f"{path}[{i}]")
+        levels.append(Family(pts, tuple(members)))
+    return tuple(levels), masks
 
 
 def _family_list(v, pts: PointSet, path, what) -> tuple[Family, ...]:
@@ -178,10 +211,14 @@ def _encode(value):
 
 
 def doc_to_space(body, path="body") -> ScaledSpace:
+    """A space from its body. Each member's mask is built once, while it is
+    read, and spaces.check_chain checks covering and monotonicity on them."""
     _check_keys(body, ("points", "scales"), (), path)
     pts = _points(body["points"], f"{path}.points")
-    levels = _family_list(body["scales"], pts, f"{path}.scales", "scales")
-    return validate_space(pts, levels)
+    bit = {p: 1 << i for p, i in pts._index.items()}
+    levels, masks = _scales(body["scales"], pts, bit, f"{path}.scales")
+    check_chain(masks, (1 << len(pts)) - 1, pts.ids)
+    return ScaledSpace(pts, levels)
 
 
 def space_to_doc(sp: ScaledSpace) -> Document:
@@ -193,12 +230,19 @@ def space_to_doc(sp: ScaledSpace) -> Document:
 
 
 def doc_to_system(body, path="body") -> FilteredSystem:
+    """A system from its body. Each piece's members become masks over the
+    ambient index once, while they are read, by the ambient bits restricted
+    to the piece's carrier; spaces.check_chain checks each chain on them,
+    and colimit.validate_masks checks the system on them. Every piece is
+    read and checked in full before the next, and every piece before the
+    upper triples, the meta lines and the checks across pieces."""
     _check_keys(body, ("ambient", "pieces"), ("upper", "meta"), path)
     ambient = _points(body["ambient"], f"{path}.ambient")
     raw_pieces = body["pieces"]
     if not isinstance(raw_pieces, list) or not raw_pieces:
         _fail("expected a non-empty list of pieces", f"{path}.pieces")
-    pieces = []
+    ambient_bit = {p: 1 << i for p, i in ambient._index.items()}
+    pieces, carriers, chains = [], [], []
     for i, rp in enumerate(raw_pieces):
         p_path = f"{path}.pieces[{i}]"
         _check_keys(rp, ("name", "carrier", "scales"), (), p_path)
@@ -212,8 +256,12 @@ def doc_to_system(body, path="body") -> FilteredSystem:
             _fail("duplicate point in carrier", f"{p_path}.carrier")
         carrier = frozenset(carrier_ids)
         sub = PointSet(tuple(p for p in ambient.ids if p in carrier))
-        levels = _family_list(rp["scales"], sub, f"{p_path}.scales", "scales")
-        pieces.append(Piece(rp["name"], carrier, validate_space(sub, levels)))
+        bit = {p: ambient_bit[p] for p in sub.ids}
+        levels, masks = _scales(rp["scales"], sub, bit, f"{p_path}.scales")
+        carriers.append(sum(bit.values()))
+        check_chain(masks, carriers[-1], ambient.ids)
+        chains.append(masks)
+        pieces.append(Piece(rp["name"], carrier, ScaledSpace(sub, levels)))
     upper = None
     if "upper" in body:
         raw_upper = body["upper"]
@@ -230,7 +278,9 @@ def doc_to_system(body, path="body") -> FilteredSystem:
                     _fail(f"piece index {x} out of range", t_path)
             upper[(r, s)] = t
     meta = _str_list(body.get("meta", []), f"{path}.meta")
-    return validate_system(ambient, pieces, upper, meta)
+    # every chain passed check_chain, so its top level is its only cofinal one
+    cofinal = [[len(chain) - 1] for chain in chains]
+    return validate_masks(ambient, pieces, carriers, chains, cofinal, upper, meta)
 
 
 def system_to_doc(system: FilteredSystem) -> Document:

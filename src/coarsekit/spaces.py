@@ -10,6 +10,12 @@ Star depth is certified lazily, on its first read, and then kept with the
 space. Only the colimit star reads it, so loading, validating and restricting
 a space never pay for it.
 
+Covering and monotonicity are checked once, on member bitmasks, by
+check_chain: validate_space builds the masks from its families, and the space
+and system decoders hand it the masks they built while reading each member.
+The levels that do not refine their successor, with the top level, are the
+chain's cofinal levels (cofinal_levels); a monotone chain has only its top.
+
 Coincidence of two chains on a shared carrier is decided by one kernel,
 coincidence_masks, on member bitmasks; it cuts members to the carrier as
 bits and builds no restricted space.
@@ -18,8 +24,10 @@ bits and builds no restricted space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, reduce
+from itertools import cycle
+from operator import or_
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .families import (
@@ -31,9 +39,7 @@ from .families import (
     essentially_refines,
     incidence,
     member_masks,
-    refines,
     star_mask,
-    uncovered_point,
 )
 
 
@@ -98,18 +104,59 @@ def validate_space(pts: PointSet, levels: Iterable[Family]) -> ScaledSpace:
     levels = tuple(levels)
     if not levels:
         raise ValidationError("a scaled space needs at least one level")
+    check_chain(_level_masks(pts, levels), (1 << len(pts)) - 1, pts.ids)
+    return ScaledSpace(pts, levels)
+
+
+def _level_masks(pts: PointSet, levels: Sequence[Family]) -> Iterator[tuple[int, ...]]:
+    """Each level's member masks, made as check_chain reaches the level, so a
+    level over another point set is reported after the earlier levels'
+    covers and before any monotonicity."""
     for i, lv in enumerate(levels, 1):
         if lv.space != pts:
             raise DomainError(f"level {i} is not over the space's point set")
-        missing = uncovered_point(lv)
-        if missing is not None:
+        yield member_masks(lv)
+
+
+def check_chain(levels: Iterable[Collection[int]], carrier: int, ids: Sequence[Point]) -> None:
+    """Covering and monotonicity of a chain given as per-level member masks.
+
+    ``carrier`` is the mask of the chain's points and ``ids[i]`` names bit i.
+    Every level's cover is checked, in level order, before any monotonicity;
+    an uncovered point is named in point order.
+    """
+    out = []
+    for i, lv in enumerate(levels, 1):
+        gap = carrier & ~reduce(or_, lv, 0)
+        if gap:
+            missing = ids[(gap & -gap).bit_length() - 1]
             raise ValidationError(f"level {i} does not cover: point {missing!r} is in no member")
-    for i in range(len(levels) - 1):
-        if not refines(levels[i], levels[i + 1]):
-            raise ValidationError(
-                f"chain not monotone: level {i + 1} does not refine level {i + 2}"
-            )
-    return ScaledSpace(pts, levels)
+        out.append(lv)
+    first = cofinal_levels(out)[0]
+    if first != len(out) - 1:
+        raise ValidationError(
+            f"chain not monotone: level {first + 1} does not refine level {first + 2}"
+        )
+
+
+def cofinal_levels(levels: Sequence[Collection[int]]) -> list[int]:
+    """0-based indices of the levels that do not refine their successor, in
+    order, then the top level's. Every index but the last is a monotonicity
+    fault, and a monotone chain's only cofinal level is its top."""
+    out = [i for i in range(len(levels) - 1) if not _refines(levels[i], levels[i + 1])]
+    out.append(len(levels) - 1)
+    return out
+
+
+def _refines(lx: Collection[int], ly: Collection[int]) -> bool:
+    """Each member of lx, singletons and empties included, sits inside some
+    member of ly. Chains of balls keep one member per point in point order,
+    so the member of ly at the same position is tried first."""
+    if not ly:
+        return not lx
+    return all(
+        m & ~w == 0 or any(m & ~v == 0 for v in ly) for m, w in zip(lx, cycle(ly))
+    )
 
 
 def is_bounded(space: ScaledSpace, f: Family) -> Optional[int]:

@@ -583,6 +583,18 @@ def test_oversized_islands_are_refused_before_any_is_built(
     assert capsys.readouterr().err == f"coarsekit: input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "s_max, count",
+    [("6", "729"), ("10000", "3**10000")],
+    ids=["printable", "too-long-to-print"],
+)
+def test_oversized_grid_exits_65_naming_its_size(tmp_path, capsys, s_max, count):
+    argv = ["corpus", "c0", "--s-max", s_max, "--box", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 65
+    message = f"cap exceeded: {count} grid points, at most 512 allowed"
+    assert capsys.readouterr().err == f"coarsekit: input error: {message}\n"
+
+
 def test_island_total_too_long_to_print_is_refused():
     # corpus disjoint-union passes its parsed sizes to check_island_caps;
     # called directly here so that no code path can start building islands.

@@ -1,0 +1,23 @@
+"""Smoke test of ``scripts/load_timing.py`` on its smallest case."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("load_timing", ROOT / "scripts" / "load_timing.py")
+load_timing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(load_timing)
+
+
+def test_unit_interval_8_loads_and_re_emits_byte_for_byte():
+    lines, digest, count, differ = load_timing.load_timing(["unit-interval-8"], repeat=1)
+    assert [line.split(":")[0] for line in lines] == [
+        "unit-interval-8 system",
+        "unit-interval-8 space",
+    ]
+    assert lines[1].startswith("unit-interval-8 space: 9 documents, ")
+    assert (count, differ) == (10, 0)
+    assert len(digest) == 64
