@@ -205,7 +205,7 @@ def cmd_star(args) -> int:
     name = system.pieces[cert.piece].name
     report = from_clauses(
         [
-            Clause("star assembled", True, f"{len(star.members)} members"),
+            Clause("star assembled", True, f"{len(star)} members"),
             Clause("star stays bounded", True, f"piece {name!r} at level {cert.level}"),
         ]
     )

@@ -17,8 +17,6 @@ stripped of outside singletons is bounded in that piece's chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, TruncationError, ValidationError
@@ -27,11 +25,13 @@ from .families import (
     PointSet,
     Subset,
     chain_components,
+    component_masks,
     essentially_refines,
-    member_masks,
+    first_misfit,
     reroot,
     star_family,
     trivial_extension,
+    uncovered_point,
 )
 from .spaces import (
     ScaledSpace,
@@ -94,10 +94,6 @@ class FilteredSystem:
             raise DomainError(f"no upper bound recorded for pieces {r}, {s}") from None
 
 
-def _carrier_points(ambient: PointSet, carrier: Subset) -> PointSet:
-    return PointSet(tuple(p for p in ambient.ids if p in carrier))
-
-
 def validate_system(
     ambient: PointSet,
     pieces: Sequence[Piece],
@@ -116,15 +112,14 @@ def validate_system(
     pieces = tuple(pieces)
     if not pieces:
         raise ValidationError("a system needs at least one piece")
-    index = ambient._index
     carriers = []
     for p in pieces:
-        if not index.keys() >= p.carrier:
+        if not ambient._bit.keys() >= p.carrier:
             raise DomainError(f"piece {p.name!r} carrier leaves the ambient set")
-        if p.space.points != _carrier_points(ambient, p.carrier):
+        carriers.append(ambient.mask(p.carrier))
+        if p.space.points.ids != ambient.points_of(carriers[-1]):
             raise DomainError(f"piece {p.name!r} space is not over its carrier")
-        carriers.append(sum(1 << index[q] for q in p.carrier))
-    chains = [[member_masks(lv, ambient) for lv in p.space.levels] for p in pieces]
+    chains = [[reroot(lv, ambient).masks for lv in p.space.levels] for p in pieces]
     cofinal = [cofinal_levels(chain) for chain in chains]
     return validate_masks(ambient, pieces, carriers, chains, cofinal, upper, meta)
 
@@ -152,9 +147,8 @@ def validate_masks(
     names = [p.name for p in pieces]
     if len(set(names)) != len(names):
         raise ValidationError("piece names must be distinct")
-    uncovered = ~reduce(or_, carriers) & ((1 << len(ambient)) - 1)
-    if uncovered:
-        q = ambient.ids[(uncovered & -uncovered).bit_length() - 1]
+    q = uncovered_point(Family.from_masks(ambient, tuple(carriers)))
+    if q is not None:
         raise ValidationError(f"carriers do not cover: point {q!r} is in no piece")
 
     table: dict[tuple[int, int], int] = {}
@@ -198,10 +192,8 @@ def validate_masks(
 
 def strip(f: Family, carrier: Subset) -> Family:
     """Drop singleton members lying outside the carrier; keep everything else."""
-    return Family(
-        f.space,
-        tuple(m for m in f.members if len(m) != 1 or m <= carrier),
-    )
+    inside = f.space.mask(p for p in carrier if p in f.space)
+    return Family.from_masks(f.space, tuple(m for m in f.masks if m & (m - 1) or not m & ~inside))
 
 
 def _check_ambient(system: FilteredSystem, f: Family) -> None:
@@ -217,9 +209,10 @@ def colimit_bounded(system: FilteredSystem, f: Family) -> Optional[ColimitBounde
     """
     _check_ambient(system, f)
     for s, piece in enumerate(system.pieces):
-        if not all(len(m) <= 1 or m <= piece.carrier for m in f.members):
+        try:
+            inner = reroot(strip(f, piece.carrier), piece.space.points)
+        except DomainError:  # a member with two or more points leaves the carrier
             continue
-        inner = reroot(strip(f, piece.carrier), piece.space.points)
         lvl = is_bounded(piece.space, inner)
         if lvl is not None:
             return ColimitBoundedness(s, lvl)
@@ -234,9 +227,10 @@ def check_boundedness(system: FilteredSystem, f: Family, cert: ColimitBoundednes
     piece = system.pieces[cert.piece]
     if not 1 <= cert.level <= piece.space.depth:
         return False
-    if not all(len(m) <= 1 or m <= piece.carrier for m in f.members):
+    try:
+        inner = reroot(strip(f, piece.carrier), piece.space.points)
+    except DomainError:  # a member with two or more points leaves the carrier
         return False
-    inner = reroot(strip(f, piece.carrier), piece.space.points)
     return essentially_refines(inner, piece.space.level(cert.level))
 
 
@@ -275,7 +269,7 @@ def colimit_star(
             f"star budget exhausted in piece {pt.name!r}: inputs bounded at levels "
             f"{i} and {j} but star depth is {pt.space.star_depth}"
         )
-    pushed = Family(pt.space.points, fs.members + gs.members)
+    pushed = Family.from_masks(pt.space.points, fs.masks + gs.masks)
     bounding = is_bounded(pt.space, star_family(pushed, gs))
     if bounding is None:
         raise TruncationError(
@@ -300,12 +294,7 @@ def system_coarse_components(system: FilteredSystem) -> tuple[Subset, ...]:
 
 
 def system_weakly_bounded(system: FilteredSystem, b: Subset) -> bool:
-    b = system.ambient.subset(b)
-    member_pools = [
-        m for piece in system.pieces for lv in piece.space.levels for m in lv.members
-    ]
-    for block in system_coarse_components(system):
-        inter = b & block
-        if not any(inter <= m for m in member_pools):
-            return False
-    return True
+    bm = system.ambient.mask(b)
+    levels = [reroot(lv, system.ambient) for pc in system.pieces for lv in pc.space.levels]
+    pool = [m for lv in levels for m in lv.masks]
+    return first_misfit([bm & block for block in component_masks(pool)], pool) is None

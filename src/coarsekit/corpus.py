@@ -25,6 +25,7 @@ from .maps import GroundedMap, INF, MetricTarget, metric_target
 from .spaces import ScaledSpace, restrict, validate_space
 
 MAX_GRID_POINTS = 512
+MAX_GRID_DIMENSION = 5  # the most coordinates a box-1 grid has under MAX_GRID_POINTS
 MAX_ISLANDS = 4
 MAX_ISLAND_POINTS = 64
 MAX_HARMONIC_DEPTH = 64
@@ -114,6 +115,10 @@ def gen_c0(s_max: int, box: int, radii: Optional[Sequence] = None) -> FilteredSy
         raise DomainError(
             f"cap exceeded: {_power_text(side, s_max)} grid points, "
             f"at most {MAX_GRID_POINTS} allowed"
+        )
+    if s_max > MAX_GRID_DIMENSION:
+        raise DomainError(
+            f"cap exceeded: {number_text(s_max)} coordinates, at most {MAX_GRID_DIMENSION} allowed"
         )
     coords = list(itertools.product(range(-box, box + 1), repeat=s_max))
     ident = {c: ",".join(str(v) for v in c) for c in coords}

@@ -6,11 +6,12 @@ metric infinities as "inf". Emission is canonical: sorted keys, two-space
 indent, members listed in point order, so equal objects serialize to equal
 bytes.
 
-The space and system decoders build each member's bitmask once, while
-reading it, by a bit lookup that is also the check that its points are
-known; covering, monotonicity and the system checks then run on those masks
-(spaces.check_chain, colimit.validate_masks), and no member's mask is built
-twice. Family construction still checks each member against its point set.
+Every decoder builds each member's bitmask once, while reading it, by a bit
+lookup that is also the check that its points are known, and hands the masks
+to Family.from_masks, which checks nothing again. A repeated point in a
+member counts once. Covering, monotonicity and the system checks run on the
+same masks (spaces.check_chain, colimit.validate_masks); a system piece's
+members are also read over the ambient index, which those checks share.
 
 Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
 the witness class and its body fields in decode order, each as (body key,
@@ -39,9 +40,9 @@ import json
 import sys
 from dataclasses import dataclass, fields as class_fields
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, or_
 from typing import Any, Callable, NamedTuple, Optional, Union
 
 from .colimit import ColimitBoundedness, FilteredSystem, Piece, extended_level, validate_masks
@@ -132,63 +133,63 @@ def _points(v, path) -> PointSet:
         _fail(str(exc), path)
 
 
-def _members(v, pts: PointSet, path) -> tuple[frozenset, ...]:
+def _masks(v, pts: PointSet, path, bit: Optional[dict] = None) -> tuple[int, ...]:
+    """A member list as masks by ``bit``, which maps exactly the points of pts
+    to their bits (pts's own bits by default): the lookup that builds a mask
+    is also the membership check."""
     if not isinstance(v, list):
         _fail("expected a list of members", path)
-    keys = pts._index.keys()
+    get = (pts._bit if bit is None else bit).__getitem__
     out = []
-    for i, m in enumerate(v):
-        try:
-            s = frozenset(m) if isinstance(m, list) else None
-        except TypeError:  # an unhashable entry
-            s = None
-        if s is None or not keys >= s:
+    for m in v:
+        if not isinstance(m, list):
             _member_fault(v, pts, path)
-        out.append(s)
+        try:
+            out.append(reduce(or_, map(get, m), 0))
+        except (TypeError, KeyError):  # an unhashable entry, or an unknown point
+            _member_fault(v, pts, path)
     return tuple(out)
 
 
 def _member_fault(v: list, pts: PointSet, path):
-    """Word the error of a member list that failed a set check: the first
+    """Word the error of a member list that failed a bit lookup: the first
     bad entry of the first bad member, in list order."""
     for i, m in enumerate(v):
         for p in _str_list(m, f"{path}[{i}]"):
             if p not in pts:
                 _fail(f"unknown point {p!r}", f"{path}[{i}]")
-    raise AssertionError("a member list failing the set check has a bad entry")
+    raise AssertionError("a member list failing the bit lookup has a bad entry")
 
 
-def _scales(v, pts: PointSet, bit: dict, path) -> tuple[tuple[Family, ...], list]:
-    """The scales as families over pts and as member masks by ``bit``, which
-    maps exactly the points of pts to their bits: the lookup that builds a
-    mask is also the membership check."""
+def _family(v, pts: PointSet, path) -> Family:
+    return Family.from_masks(pts, _masks(v, pts, path))
+
+
+def _scales(v, pts: PointSet, path, bit: Optional[dict] = None) -> tuple[tuple[Family, ...], list]:
+    """The scales as families over pts, and each level's member masks by
+    ``bit``, the ambient bits of pts's points (pts's own bits by default).
+    The ambient read checks every member; the read over pts is then sure to
+    succeed."""
     if not isinstance(v, list) or not v:
         _fail("expected a non-empty list of scales", path)
     levels, masks = [], []
     for i, raw in enumerate(v):
-        if not isinstance(raw, list):
-            _fail("expected a list of members", f"{path}[{i}]")
-        try:
-            # an unhashable entry raises TypeError, and so does a member
-            # that is not a list (None); an unknown point raises KeyError
-            members = [frozenset(m) if isinstance(m, list) else None for m in raw]
-            masks.append([sum(map(bit.__getitem__, s)) for s in members])
-        except (TypeError, KeyError):
-            _member_fault(raw, pts, f"{path}[{i}]")
-        levels.append(Family(pts, tuple(members)))
+        masks.append(_masks(raw, pts, f"{path}[{i}]", bit))
+        own = masks[-1] if bit is None else tuple(map(pts.mask, raw))
+        levels.append(Family.from_masks(pts, own))
     return tuple(levels), masks
 
 
 def _family_list(v, pts: PointSet, path, what) -> tuple[Family, ...]:
     if not isinstance(v, list) or not v:
         _fail(f"expected a non-empty list of {what}", path)
-    return tuple(Family(pts, _members(m, pts, f"{path}[{i}]")) for i, m in enumerate(v))
+    return tuple(_family(m, pts, f"{path}[{i}]") for i, m in enumerate(v))
 
 
 def _encode(value):
     """The body value of a witness attribute or a list of families, by its type."""
     if isinstance(value, Family):
-        return [list(value.space.sort(m)) for m in value.members]
+        return [list(value.space.points_of(m)) for m in value.masks]
     if isinstance(value, Fraction):
         return _encode_fraction(value)
     if isinstance(value, ColimitBoundedness):
@@ -215,8 +216,7 @@ def doc_to_space(body, path="body") -> ScaledSpace:
     read, and spaces.check_chain checks covering and monotonicity on them."""
     _check_keys(body, ("points", "scales"), (), path)
     pts = _points(body["points"], f"{path}.points")
-    bit = {p: 1 << i for p, i in pts._index.items()}
-    levels, masks = _scales(body["scales"], pts, bit, f"{path}.scales")
+    levels, masks = _scales(body["scales"], pts, f"{path}.scales")
     check_chain(masks, (1 << len(pts)) - 1, pts.ids)
     return ScaledSpace(pts, levels)
 
@@ -241,7 +241,6 @@ def doc_to_system(body, path="body") -> FilteredSystem:
     raw_pieces = body["pieces"]
     if not isinstance(raw_pieces, list) or not raw_pieces:
         _fail("expected a non-empty list of pieces", f"{path}.pieces")
-    ambient_bit = {p: 1 << i for p, i in ambient._index.items()}
     pieces, carriers, chains = [], [], []
     for i, rp in enumerate(raw_pieces):
         p_path = f"{path}.pieces[{i}]"
@@ -255,10 +254,13 @@ def doc_to_system(body, path="body") -> FilteredSystem:
         if len(set(carrier_ids)) != len(carrier_ids):
             _fail("duplicate point in carrier", f"{p_path}.carrier")
         carrier = frozenset(carrier_ids)
-        sub = PointSet(tuple(p for p in ambient.ids if p in carrier))
-        bit = {p: ambient_bit[p] for p in sub.ids}
-        levels, masks = _scales(rp["scales"], sub, bit, f"{p_path}.scales")
-        carriers.append(sum(bit.values()))
+        if len(carrier) == len(ambient):
+            sub, bit = ambient, None
+        else:
+            sub = PointSet(tuple(p for p in ambient.ids if p in carrier))
+            bit = {p: ambient._bit[p] for p in sub.ids}
+        levels, masks = _scales(rp["scales"], sub, f"{p_path}.scales", bit)
+        carriers.append(ambient.mask(carrier))
         check_chain(masks, carriers[-1], ambient.ids)
         chains.append(masks)
         pieces.append(Piece(rp["name"], carrier, ScaledSpace(sub, levels)))
@@ -307,7 +309,7 @@ def system_to_doc(system: FilteredSystem) -> Document:
 def doc_to_family(body, path="body") -> Family:
     _check_keys(body, ("points", "members"), (), path)
     pts = _points(body["points"], f"{path}.points")
-    return Family(pts, _members(body["members"], pts, f"{path}.members"))
+    return _family(body["members"], pts, f"{path}.members")
 
 
 def family_to_doc(fam: Family) -> Document:
@@ -404,7 +406,7 @@ def resolve_scale(value, target: Target, path="scale") -> Family:
         return target.level(i)
     if isinstance(value, list):
         pts = target_points(target)
-        return Family(pts, _members(value, pts, path))
+        return _family(value, pts, path)
     _fail("expected a level reference or a member list", path)
 
 
@@ -518,7 +520,7 @@ def _write_by_point(rows, w) -> dict:
 
 
 SCALE = FieldType(lambda raw, path, got: resolve_scale(raw, got["target"], path))
-FAMILY = FieldType(lambda raw, path, got: Family(got["space"], _members(raw, got["space"], path)))
+FAMILY = FieldType(lambda raw, path, got: _family(raw, got["space"], path))
 POSITIVE = FieldType(lambda raw, path, got: _positive_fraction(raw, path))
 INTEGER = FieldType(lambda raw, path, got: _int(raw, path))
 BOUND = FieldType(lambda raw, path, got: resolve_bound(raw, path))  # the one optional type

@@ -2,15 +2,26 @@
 
 Families are the basic currency: a Family is an ordered tuple of subsets of a
 fixed PointSet, with duplicates allowed and counted (multiset semantics).
-Star here always includes the base set itself, so star_set(v, u) >= v even
-when no member of u meets v.
+A Family stores each member as an int bitmask over its point set (``masks``:
+bit i is set when the member holds point i of the point set). ``members``,
+the same members as frozensets in member order, is built on first read.
+``Family(space, members)`` checks every member against the point set;
+``Family.from_masks`` takes masks as they are, for callers that built them
+from checked points: the decoders, the kernels below, reroot and restrict.
+
+Each family operation has one kernel, on masks: incidence with star_mask for
+stars, first_misfit for refinement and essential refinement, and one body each
+for multiplicity, components, horizons and cover. Star here always includes
+the base set itself, so star_set(v, u) >= v even when no member of u meets v.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, reduce
+from itertools import cycle
+from operator import or_
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import DomainError
 
@@ -23,22 +34,22 @@ class PointSet:
     """Non-empty ordered set of distinct point ids. Order fixes determinism."""
 
     ids: tuple[Point, ...]
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    _bit: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if not self.ids:
             raise DomainError("point set must be non-empty")
-        index: dict[Point, int] = {}
+        bit: dict[Point, int] = {}
         for i, p in enumerate(self.ids):
             if not isinstance(p, str):
                 raise DomainError(f"point ids must be strings, got {p!r}")
-            if p in index:
+            if p in bit:
                 raise DomainError(f"duplicate point id {p!r}")
-            index[p] = i
-        object.__setattr__(self, "_index", index)
+            bit[p] = 1 << i
+        object.__setattr__(self, "_bit", bit)
 
     def __contains__(self, p: object) -> bool:
-        return p in self._index
+        return p in self._bit
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -48,47 +59,97 @@ class PointSet:
 
     def index(self, p: Point) -> int:
         try:
-            return self._index[p]
+            return self._bit[p].bit_length() - 1
         except KeyError:
             raise DomainError(f"point {p!r} not in this point set") from None
 
     def subset(self, ids: Iterable[Point]) -> Subset:
         s = frozenset(ids)
-        if not self._index.keys() >= s:
-            p = next(p for p in s if p not in self._index)
-            raise DomainError(f"point {p!r} not in this point set")
+        self.mask(s)
         return s
 
     def sort(self, s: Iterable[Point]) -> tuple[Point, ...]:
-        """Order points by their position in this point set."""
+        """Order points by their position in this point set; a repeated point
+        is kept once."""
+        return self.points_of(self.mask(s))
+
+    def mask(self, ids: Iterable[Point]) -> int:
+        """The points as a bitmask over this point set; a repeated point
+        counts once."""
         try:
-            return tuple(sorted(s, key=self._index.__getitem__))
+            return reduce(or_, map(self._bit.__getitem__, ids), 0)
         except KeyError as exc:
             raise DomainError(f"point {exc.args[0]!r} not in this point set") from None
+
+    def points_of(self, mask: int) -> tuple[Point, ...]:
+        """The points of a mask over this point set, in point order."""
+        ids = self.ids
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(ids[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
 
 def points(ids: Iterable[Point]) -> PointSet:
     return PointSet(tuple(ids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Family:
-    """Multiset of subsets of a shared point set, as an ordered tuple."""
+    """Multiset of subsets of a shared point set, as an ordered tuple of
+    member bitmasks over it."""
 
     space: PointSet
-    members: tuple[Subset, ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        keys = self.space._index.keys()
-        for m in self.members:
+    def __init__(self, space: PointSet, members: Iterable[Subset]):
+        members = tuple(members)
+        bit = space._bit
+        masks = []
+        for m in members:
             if not isinstance(m, frozenset):
                 raise DomainError("family members must be frozensets")
-            if not keys >= m:
-                p = next(p for p in m if p not in keys)
-                raise DomainError(f"member point {p!r} outside the point set")
+            try:
+                masks.append(sum(map(bit.__getitem__, m)))
+            except KeyError as exc:
+                raise DomainError(f"member point {exc.args[0]!r} outside the point set") from None
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "masks", tuple(masks))
+        self.__dict__["members"] = members  # the given tuple is the members view
+
+    @classmethod
+    def from_masks(cls, space: PointSet, masks: tuple[int, ...]) -> Family:
+        """The family of these masks over space, taken unchecked: every
+        mask must already lie within the point set."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "space", space)
+        object.__setattr__(u, "masks", masks)
+        return u
+
+    @cached_property
+    def members(self) -> tuple[Subset, ...]:
+        """The members as frozensets, in member order."""
+        points_of = self.space.points_of
+        return tuple(frozenset(points_of(m)) for m in self.masks)
+
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Per point index, the union of the members holding that point, as a
+        bitmask; a point in no member has 0. Two points share a member
+        exactly when each one's bit is set in the other's entry."""
+        inc = [0] * len(self.space)
+        for mask in self.masks:
+            m = mask
+            while m:
+                low = m & -m
+                inc[low.bit_length() - 1] |= mask
+                m ^= low
+        return tuple(inc)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.members)
@@ -100,12 +161,19 @@ def family(space: PointSet, members: Iterable[Iterable[Point]]) -> Family:
 
 def reroot(u: Family, space: PointSet) -> Family:
     """Same members viewed over a different point set. Members must fit."""
-    return Family(space, u.members)
+    if u.space == space:
+        return u
+    points_of, bit = u.space.points_of, space._bit
+    try:
+        masks = tuple(sum(map(bit.__getitem__, points_of(m))) for m in u.masks)
+    except KeyError as exc:
+        raise DomainError(f"member point {exc.args[0]!r} outside the point set") from None
+    return Family.from_masks(space, masks)
 
 
 def family_key(u: Family):
     """Canonical multiset key: sorted tuple of sorted member tuples."""
-    return tuple(sorted(u.space.sort(m) for m in u.members))
+    return tuple(sorted(map(u.space.points_of, u.masks)))
 
 
 def _check_same_space(u: Family, v: Family) -> None:
@@ -113,43 +181,8 @@ def _check_same_space(u: Family, v: Family) -> None:
         raise DomainError("families live over different point sets")
 
 
-def star_set(v: Subset, u: Family) -> Subset:
-    """Union of v with every member of u that meets v."""
-    v = u.space.subset(v)
-    out = set(v)
-    for m in u.members:
-        if v & m:
-            out |= m
-    return frozenset(out)
-
-
-def star_family(v: Family, u: Family) -> Family:
-    """Member-wise star of v against u, preserving index correspondence."""
-    _check_same_space(v, u)
-    return Family(v.space, tuple(star_set(m, u) for m in v.members))
-
-
-def member_masks(u: Family, over: Optional[PointSet] = None) -> tuple[int, ...]:
-    """Each member as a bitmask: bit i is set when the member holds point i
-    of u's point set, or of ``over``, a point set holding every member."""
-    bit = {p: 1 << i for p, i in (u.space if over is None else over)._index.items()}
-    return tuple(sum(map(bit.__getitem__, m)) for m in u.members)
-
-
-def incidence(u: Family) -> tuple[int, ...]:
-    """Per point index, the union of the members of u holding that point, as a
-    bitmask; a point in no member has 0. Two points share a member exactly
-    when each one's bit is set in the other's entry."""
-    index = u.space._index
-    inc = [0] * len(u.space)
-    for m, mask in zip(u.members, member_masks(u)):
-        for p in m:
-            inc[index[p]] |= mask
-    return tuple(inc)
-
-
 def star_mask(v: int, inc: Sequence[int]) -> int:
-    """star_set on bitmasks: v joined with the incidence entry of each of its
+    """The star of mask v: v joined with the incidence entry of each of its
     points, for the incidence table of the family starred against."""
     out = v
     while v:
@@ -159,10 +192,34 @@ def star_mask(v: int, inc: Sequence[int]) -> int:
     return out
 
 
+def star_set(v: Subset, u: Family) -> Subset:
+    """Union of v with every member of u that meets v."""
+    return frozenset(u.space.points_of(star_mask(u.space.mask(v), u.incidence)))
+
+
+def star_family(v: Family, u: Family) -> Family:
+    """Member-wise star of v against u, preserving index correspondence."""
+    _check_same_space(v, u)
+    inc = u.incidence
+    return Family.from_masks(v.space, tuple(star_mask(m, inc) for m in v.masks))
+
+
+def first_misfit(xs: Iterable[int], ys: Collection[int]) -> Optional[int]:
+    """The first mask of xs that sits inside no mask of ys, or None when all
+    fit. Chains of balls keep one member per point in point order, so the
+    mask of ys at the same position is tried first."""
+    if not ys:
+        return next(iter(xs), None)
+    for m, w in zip(xs, cycle(ys)):
+        if m & ~w and not any(m & ~v == 0 for v in ys):
+            return m
+    return None
+
+
 def refines(u: Family, v: Family) -> bool:
     """Every member of u (singletons and empties included) sits inside some member of v."""
     _check_same_space(u, v)
-    return all(any(m <= w for w in v.members) for m in u.members)
+    return first_misfit(u.masks, v.masks) is None
 
 
 def essentially_refines(u: Family, v: Family, carrier: Optional[Subset] = None) -> bool:
@@ -171,14 +228,12 @@ def essentially_refines(u: Family, v: Family, carrier: Optional[Subset] = None) 
     When carrier is given, members that do count must also sit inside it.
     """
     _check_same_space(u, v)
-    for m in u.members:
-        if len(m) <= 1:
-            continue
-        if carrier is not None and not m <= carrier:
+    counted = [m for m in u.masks if m & (m - 1)]
+    if carrier is not None:
+        inside = u.space.mask(p for p in carrier if p in u.space)
+        if any(m & ~inside for m in counted):
             return False
-        if not any(m <= w for w in v.members):
-            return False
-    return True
+    return first_misfit(counted, v.masks) is None
 
 
 def covers(u: Family) -> bool:
@@ -186,13 +241,9 @@ def covers(u: Family) -> bool:
 
 
 def uncovered_point(u: Family) -> Optional[Point]:
-    covered = set()
-    for m in u.members:
-        covered |= m
-    for p in u.space.ids:
-        if p not in covered:
-            return p
-    return None
+    """The first point, in point order, that no member holds."""
+    gap = ~reduce(or_, u.masks, 0) & ((1 << len(u.space)) - 1)
+    return u.space.ids[(gap & -gap).bit_length() - 1] if gap else None
 
 
 def trivial_extension(u: Family, x: Optional[PointSet] = None) -> Family:
@@ -201,16 +252,30 @@ def trivial_extension(u: Family, x: Optional[PointSet] = None) -> Family:
         x = u.space
     elif x != u.space:
         raise DomainError("family is not over the given point set")
-    return Family(x, u.members + tuple(frozenset((p,)) for p in x.ids))
+    return Family.from_masks(x, u.masks + tuple(1 << i for i in range(len(x))))
 
 
 def multiplicity(v: Family) -> int:
     """Largest number of members (counted with duplicity) sharing one point."""
-    counts: Counter = Counter()
-    for m in v.members:
-        for p in m:
-            counts[p] += 1
-    return max(counts.values()) if counts else 0
+    counts = [0] * len(v.space)
+    for m in v.masks:
+        while m:
+            low = m & -m
+            counts[low.bit_length() - 1] += 1
+            m ^= low
+    return max(counts)
+
+
+def component_masks(masks: Iterable[int]) -> list[int]:
+    """Blocks of the overlap relation on the masks, as unions of masks,
+    ordered by least bit. Bits in no mask appear in no block."""
+    blocks: list[int] = []
+    for m in masks:
+        if m:
+            kept = [b for b in blocks if not b & m]
+            kept.append(reduce(or_, (b for b in blocks if b & m), m))
+            blocks = kept
+    return sorted(blocks, key=lambda b: b & -b)
 
 
 def chain_components(u: Family, x: Optional[PointSet] = None) -> tuple[Subset, ...]:
@@ -219,43 +284,16 @@ def chain_components(u: Family, x: Optional[PointSet] = None) -> tuple[Subset, .
     Returns a partition of the covered points, ordered by least point index.
     Points not covered by u do not appear.
     """
-    if x is None:
-        x = u.space
-    elif x != u.space:
+    if x is not None and x != u.space:
         raise DomainError("family is not over the given point set")
-    parent: dict[Point, Point] = {}
-
-    def find(a: Point) -> Point:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for m in u.members:
-        it = iter(m)
-        first = next(it, None)
-        if first is None:
-            continue
-        parent.setdefault(first, first)
-        ra = find(first)
-        for p in it:
-            parent.setdefault(p, p)
-            rb = find(p)
-            if ra != rb:
-                parent[rb] = ra
-    blocks: dict[Point, set] = {}
-    for p in parent:
-        blocks.setdefault(find(p), set()).add(p)
-    ordered = sorted(blocks.values(), key=lambda b: min(x.index(p) for p in b))
-    return tuple(frozenset(b) for b in ordered)
+    return tuple(frozenset(u.space.points_of(b)) for b in component_masks(u.masks))
 
 
 def horizon(a: Subset, u: Family) -> Family:
     """Sub-family of members meeting a, duplicates and order preserved."""
-    a = u.space.subset(a)
-    return Family(u.space, tuple(m for m in u.members if a & m))
+    return Family.from_masks(u.space, tuple(u.masks[i] for i in horizon_indices(a, u)))
 
 
 def horizon_indices(a: Subset, u: Family) -> tuple[int, ...]:
-    a = u.space.subset(a)
-    return tuple(i for i, m in enumerate(u.members) if a & m)
+    am = u.space.mask(a)
+    return tuple(i for i, m in enumerate(u.masks) if m & am)

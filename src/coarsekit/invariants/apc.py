@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, refines, star_set
+from ..families import Family, refines, star_family, uncovered_point
 from ..reports import Clause, Report, from_clauses
 from ..spaces import ScaledSpace
 from .common import Bound, Target, bound_clause, find_bound, target_points
@@ -67,10 +67,8 @@ def apc_verify(
     )
     for j, (sel, b) in enumerate(zip(w.selections, w.bounds), start=1):
         clauses.append(bound_clause(f"selection {j} bounded", target, sel, b))
-    covered = frozenset().union(
-        *(m for sel in w.selections for m in sel.members), frozenset()
-    )
-    missing = next((p for p in pts.ids if p not in covered), None)
+    joint = tuple(m for sel in w.selections for m in sel.masks)
+    missing = uncovered_point(Family.from_masks(pts, joint))
     clauses.append(
         Clause(
             "selections jointly cover",
@@ -79,18 +77,9 @@ def apc_verify(
         )
     )
     for j, sel in enumerate(w.selections, start=1):
-        u = chain[j - 1]
-        offense = None
-        ms = sel.members
-        for a in range(len(ms)):
-            for b in range(len(ms)):
-                if a == b or ms[a] == ms[b]:
-                    continue
-                if star_set(ms[a], u) & ms[b]:
-                    offense = (ms[a], ms[b])
-                    break
-            if offense:
-                break
+        ms, stars = sel.masks, star_family(sel, chain[j - 1]).masks
+        meets = ((m, w) for a, m in enumerate(ms) for w in ms if stars[a] & w)
+        offense = next((pair for pair in meets if pair[0] != pair[1]), None)
         clauses.append(
             Clause(
                 f"selection {j} star-disjoint at its scale",
@@ -98,9 +87,9 @@ def apc_verify(
                 ""
                 if offense is None
                 else "members {"
-                + ", ".join(pts.sort(offense[0]))
+                + ", ".join(pts.points_of(offense[0]))
                 + "} and {"
-                + ", ".join(pts.sort(offense[1]))
+                + ", ".join(pts.points_of(offense[1]))
                 + "} meet through a star",
             )
         )
@@ -118,36 +107,31 @@ def apc_search(
     by design: None decides nothing.
     """
     pts = target_points(target)
-    covered: set = set()
+    covered = 0
     selections: list[Family] = []
     bounds: list[Bound] = []
     for u in chain:
         if u.space != pts:
             raise DomainError("chain entry is not over the target's point set")
-        pool = list(u.members)
-        present = set(u.members)
-        pool.extend(
-            frozenset({p}) for p in pts.ids if frozenset({p}) not in present
-        )
-        kept: list[frozenset] = []
-        for m in pool:
-            if not (set(m) - covered):
+        present = set(u.masks)
+        singletons = (1 << i for i in range(len(pts)))
+        pool = Family.from_masks(pts, u.masks + tuple(b for b in singletons if b not in present))
+        stars = star_family(pool, u).masks
+        kept: list[int] = []  # positions in the pool
+        for i, m in enumerate(pool.masks):
+            if not m & ~covered:
                 continue
-            if any(
-                star_set(m, u) & other or star_set(other, u) & m
-                for other in kept
-                if other != m
-            ):
+            if any(stars[i] & pool.masks[k] or stars[k] & m for k in kept if pool.masks[k] != m):
                 continue
-            kept.append(m)
+            kept.append(i)
             covered |= m
-        sel = Family(pts, tuple(kept))
+        sel = Family.from_masks(pts, tuple(pool.masks[k] for k in kept))
         b = find_bound(target, sel)
         if b is None:
             return None
         selections.append(sel)
         bounds.append(b)
-        if len(covered) == len(pts):
+        if covered == (1 << len(pts)) - 1:
             return ApcWitness(tuple(selections), tuple(bounds))
     return None
 

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, essentially_refines, multiplicity
+from ..families import Family, essentially_refines, first_misfit, multiplicity, reroot
 from ..reports import Clause, Report, from_clauses
 from ..spaces import ScaledSpace, is_bounded
 from .common import (
@@ -49,16 +49,13 @@ def asdim_verify(target: Target, n: int, w: AsdimWitness) -> Report:
     if essentially_refines(w.scale, w.coarsening):
         clauses.append(Clause("input scale essentially refines the coarsening", True))
     else:
-        bad = next(
-            m
-            for m in w.scale.members
-            if len(m) > 1 and not any(m <= v for v in w.coarsening.members)
-        )
+        counted = (m for m in w.scale.masks if m & (m - 1))
+        bad = w.scale.space.points_of(first_misfit(counted, w.coarsening.masks))
         clauses.append(
             Clause(
                 "input scale essentially refines the coarsening",
                 False,
-                "member {" + ", ".join(w.scale.space.sort(bad)) + "} fits no coarsening member",
+                "member {" + ", ".join(bad) + "} fits no coarsening member",
             )
         )
     mult = multiplicity(w.coarsening)
@@ -207,12 +204,11 @@ def asdim_restrict(system: FilteredSystem, piece: int, n: int, w: AsdimWitness) 
     if not asdim_verify(system, n, w):
         raise DomainError("colimit witness does not verify at the stated dimension")
     pc = system.pieces[piece]
+    inside = system.ambient.mask(pc.carrier)
 
     def cut(fam: Family) -> Family:
-        members = tuple(
-            m & pc.carrier for m in fam.members if m & pc.carrier
-        )
-        return Family(pc.space.points, members)
+        masks = tuple(m & inside for m in fam.masks if m & inside)
+        return reroot(Family.from_masks(fam.space, masks), pc.space.points)
 
     coarsening = cut(w.coarsening)
     return AsdimWitness(cut(w.scale), coarsening, is_bounded(pc.space, coarsening))

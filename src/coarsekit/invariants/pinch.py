@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError, number_text
-from ..families import Family, Point, PointSet, incidence
+from ..families import Family, Point, PointSet
 from ..reports import Clause, Report, from_clauses
 from .common import (
     Bound,
@@ -132,7 +132,7 @@ def pinch_verify(
     nearest_pair = None
     nearest = None
     ids = w.space.ids
-    shared = incidence(w.sep)
+    shared = w.sep.incidence
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
             if shared[a] >> b & 1:

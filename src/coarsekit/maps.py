@@ -11,11 +11,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Mapping, Optional, Union
 
 from .colimit import FilteredSystem, extend_to_ambient, system_weakly_bounded
 from .errors import DomainError
-from .families import Family, Point, PointSet, Subset, incidence, star_set
+from .families import Family, Point, PointSet, Subset, star_set
 from .reports import Clause, Report, Verdict, from_clauses
 from .spaces import ScaledSpace, is_bounded, weakly_bounded
 
@@ -76,7 +77,9 @@ def restrict_map(f: GroundedMap, carrier: Subset) -> GroundedMap:
 def image_family(f: GroundedMap, u: Family) -> Family:
     if u.space != f.domain:
         raise DomainError("family is not over the map's domain")
-    return Family(f.codomain, tuple(frozenset(f(p) for p in m) for m in u.members))
+    bit = dict(zip(f.domain.ids, map(f.codomain._bit.__getitem__, f.images)))
+    image = (map(bit.__getitem__, f.domain.points_of(m)) for m in u.masks)
+    return Family.from_masks(f.codomain, tuple(reduce(operator.or_, i, 0) for i in image))
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,7 @@ def close_violation(
     singleton witnesses always exist.
     """
     pts = scale.space
-    shared = incidence(scale)
+    shared = scale.incidence
     for x, a in zip(f.domain.ids, f.images):
         b = g(x)
         if a == b:

@@ -11,21 +11,21 @@ space. Only the colimit star reads it, so loading, validating and restricting
 a space never pay for it.
 
 Covering and monotonicity are checked once, on member bitmasks, by
-check_chain: validate_space builds the masks from its families, and the space
-and system decoders hand it the masks they built while reading each member.
-The levels that do not refine their successor, with the top level, are the
-chain's cofinal levels (cofinal_levels); a monotone chain has only its top.
+check_chain: validate_space hands it its families' masks, and the space and
+system decoders the masks they built while reading each member. The levels
+that do not refine their successor, with the top level, are the chain's
+cofinal levels (cofinal_levels); a monotone chain has only its top.
 
-Coincidence of two chains on a shared carrier is decided by one kernel,
-coincidence_masks, on member bitmasks; it cuts members to the carrier as
-bits and builds no restricted space.
+Every fit test here (monotonicity, star depth, boundedness, coincidence) is
+families.first_misfit. Coincidence of two chains on a shared carrier is
+decided by one kernel, coincidence_masks, which cuts members to the carrier
+as bits and builds no restricted space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import cycle
 from operator import or_
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -36,9 +36,10 @@ from .families import (
     PointSet,
     Subset,
     chain_components,
+    component_masks,
     essentially_refines,
-    incidence,
-    member_masks,
+    first_misfit,
+    reroot,
     star_mask,
 )
 
@@ -72,17 +73,13 @@ def _compute_star_depth(levels: tuple[Family, ...]) -> int:
     exactly when it essentially refines the top one. Duplicate members star
     alike and are checked once.
     """
-    masks = [set(member_masks(lv)) for lv in levels]
-    incs = [incidence(lv) for lv in levels]
-    top = masks[-1]
+    masks = [set(lv.masks) for lv in levels]
+    top = tuple(masks[-1])
 
     def stars_fit(i: int, j: int) -> bool:
-        inc = incs[j]
-        for m in masks[i]:
-            s = star_mask(m, inc)
-            if s & (s - 1) and not any(s & ~v == 0 for v in top):
-                return False
-        return True
+        inc = levels[j].incidence
+        stars = (s for m in masks[i] if (s := star_mask(m, inc)) & (s - 1))
+        return first_misfit(stars, top) is None
 
     depth = 0
     for cand in range(1, len(levels) + 1):
@@ -109,13 +106,13 @@ def validate_space(pts: PointSet, levels: Iterable[Family]) -> ScaledSpace:
 
 
 def _level_masks(pts: PointSet, levels: Sequence[Family]) -> Iterator[tuple[int, ...]]:
-    """Each level's member masks, made as check_chain reaches the level, so a
+    """Each level's member masks, read as check_chain reaches the level, so a
     level over another point set is reported after the earlier levels'
     covers and before any monotonicity."""
     for i, lv in enumerate(levels, 1):
         if lv.space != pts:
             raise DomainError(f"level {i} is not over the space's point set")
-        yield member_masks(lv)
+        yield lv.masks
 
 
 def check_chain(levels: Iterable[Collection[int]], carrier: int, ids: Sequence[Point]) -> None:
@@ -143,20 +140,11 @@ def cofinal_levels(levels: Sequence[Collection[int]]) -> list[int]:
     """0-based indices of the levels that do not refine their successor, in
     order, then the top level's. Every index but the last is a monotonicity
     fault, and a monotone chain's only cofinal level is its top."""
-    out = [i for i in range(len(levels) - 1) if not _refines(levels[i], levels[i + 1])]
+    out = [
+        i for i in range(len(levels) - 1) if first_misfit(levels[i], levels[i + 1]) is not None
+    ]
     out.append(len(levels) - 1)
     return out
-
-
-def _refines(lx: Collection[int], ly: Collection[int]) -> bool:
-    """Each member of lx, singletons and empties included, sits inside some
-    member of ly. Chains of balls keep one member per point in point order,
-    so the member of ly at the same position is tried first."""
-    if not ly:
-        return not lx
-    return all(
-        m & ~w == 0 or any(m & ~v == 0 for v in ly) for m, w in zip(lx, cycle(ly))
-    )
 
 
 def is_bounded(space: ScaledSpace, f: Family) -> Optional[int]:
@@ -185,15 +173,12 @@ def restrict(space: ScaledSpace, carrier: Subset) -> ScaledSpace:
     Loading a system does not restrict: validate_system compares overlaps
     on bitmasks with coincidence_masks.
     """
-    carrier = space.points.subset(carrier)
-    if not carrier:
+    cut = space.points.mask(carrier)
+    if not cut:
         raise DomainError("restriction carrier must be non-empty")
-    pts = PointSet(tuple(p for p in space.points.ids if p in carrier))
-    new_levels = []
-    for lv in space.levels:
-        members = tuple(m & carrier for m in lv.members if m & carrier)
-        new_levels.append(Family(pts, members))
-    return ScaledSpace(pts, tuple(new_levels))
+    pts = PointSet(space.points.points_of(cut))
+    cuts = (tuple(m & cut for m in lv.masks if m & cut) for lv in space.levels)
+    return ScaledSpace(pts, tuple(reroot(Family.from_masks(space.points, c), pts) for c in cuts))
 
 
 def chains_coincide(a: ScaledSpace, b: ScaledSpace) -> bool:
@@ -206,9 +191,7 @@ def coincidence_failure(a: ScaledSpace, b: ScaledSpace) -> Optional[tuple[str, i
     if a.points != b.points:
         raise DomainError("spaces live over different point sets")
     full = (1 << len(a.points)) - 1
-    return coincidence_masks(
-        [member_masks(lv) for lv in a.levels], [member_masks(lv) for lv in b.levels], full
-    )
+    return coincidence_masks([lv.masks for lv in a.levels], [lv.masks for lv in b.levels], full)
 
 
 def coincidence_masks(
@@ -227,9 +210,7 @@ def coincidence_masks(
     for side, xs, ys in (("first", a, b), ("second", b, a)):
         for i, lx in enumerate(xs, 1):
             cut = {r for m in lx if (r := m & inter) & (r - 1)}
-            if not any(
-                all(any(r & ~w == 0 for w in ly) for r in cut) for ly in reversed(ys)
-            ):
+            if all(first_misfit(cut, ly) is not None for ly in reversed(ys)):
                 return (side, i)
     return None
 
@@ -240,8 +221,8 @@ def coarse_components(space: ScaledSpace) -> tuple[Subset, ...]:
     The chain is monotone, so this equals the top level's block partition and
     also the union over levels of per-level blocks.
     """
-    members = tuple(m for lv in space.levels for m in lv.members)
-    return chain_components(Family(space.points, members))
+    masks = tuple(m for lv in space.levels for m in lv.masks)
+    return chain_components(Family.from_masks(space.points, masks))
 
 
 def coarse_chain_component(space: ScaledSpace, p: Point) -> Subset:
@@ -255,9 +236,6 @@ def coarse_chain_component(space: ScaledSpace, p: Point) -> Subset:
 
 def weakly_bounded(space: ScaledSpace, b: Subset) -> bool:
     """b meets every coarse component inside a single member of some level."""
-    b = space.points.subset(b)
-    for block in coarse_components(space):
-        inter = b & block
-        if not any(inter <= m for lv in space.levels for m in lv.members):
-            return False
-    return True
+    bm = space.points.mask(b)
+    pool = [m for lv in space.levels for m in lv.masks]
+    return first_misfit([bm & block for block in component_masks(pool)], pool) is None

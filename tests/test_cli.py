@@ -37,7 +37,7 @@ from coarsekit.families import Family, points
 from coarsekit.invariants import AmenabilityWitness, asdim_search, generator_set
 from coarsekit.invariants.pinch import TOL_ENV_VAR
 from coarsekit.maps import grounded_map, identity_map, path_metric
-from coarsekit.spaces import validate_space
+from coarsekit.spaces import restrict, validate_space
 
 
 def ball_space(n, radii):
@@ -728,3 +728,112 @@ def test_family_outside_the_ambient_set_exits_65(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "coarsekit: input error: member point 'zz' outside the point set\n"
     )
+
+
+def test_c0_with_more_coordinates_than_a_box_1_grid_holds_exits_65(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["corpus", "c0", "--s-max", "300", "--box", "0", "--out-dir", str(out)]
+    assert main(argv) == 65
+    message = "cap exceeded: 300 coordinates, at most 5 allowed"
+    assert capsys.readouterr().err == f"coarsekit: input error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+    assert main([*argv[:3], "5", *argv[4:]]) == 0
+
+
+def _repeat_first_point(member):
+    return member[:1] + member
+
+
+def test_members_with_a_repeated_point_decode_as_their_set(tmp_path, capsys):
+    """Every kind that carries member lists reads a repeated point once: the
+    commands print the same reports and write the same artifacts as for the
+    documents without the repeat."""
+    sp = ball_space(4, (1, 3))
+    ids = list(sp.points.ids)
+    left = frozenset({"0", "1", "2"})
+    pieces = [Piece("left", left, restrict(sp, left)), Piece("all", frozenset(ids), sp)]
+    clean = {
+        "space": space_to_doc(sp),
+        "system": system_to_doc(validate_system(sp.points, pieces)),
+        "family": Document("family", "1", {"points": ids, "members": [["0", "1"], ["2", "3"]]}),
+        "witness": Document(
+            "witness:asdim", "1", {"scale": {"level": 2}, "coarsening": [["0", "1", "2", "3"]]}
+        ),
+    }
+    dup = {kind: json.loads(emit_document(doc)) for kind, doc in clean.items()}
+    scales = dup["space"]["body"]["scales"]
+    scales[1][0] = _repeat_first_point(scales[1][0])
+    for piece in dup["system"]["body"]["pieces"]:
+        piece["scales"][1][0] = _repeat_first_point(piece["scales"][1][0])
+    dup["family"]["body"]["members"][0] = _repeat_first_point(["0", "1"])
+    dup["witness"]["body"]["coarsening"][0] = _repeat_first_point(ids)
+
+    path = {kind: str(tmp_path / f"{kind}.json") for kind in clean}
+    g = save(tmp_path, "g.json", Document("family", "1", {"points": ids, "members": [["1", "2"]]}))
+    body = {"scale": {"level": 2}, "coarsening": [["0", "1", "2"]]}
+    wl = save(tmp_path, "wl.json", Document("witness:asdim", "1", body))
+    out = str(tmp_path / "out.json")
+    space, system, fam, wa = path["space"], path["system"], path["family"], path["witness"]
+    commands = {
+        "space": [
+            ["validate", space],
+            ["check", "asdim", space, "--search", "--n", "1", "--level", "2", "-o", out],
+        ],
+        "system": [
+            ["validate", system],
+            ["lift", "asdim", system, "--piece", "left", "--witness", wl, "--n", "1", "-o", out],
+        ],
+        "family": [
+            ["bounded", system, fam],
+            ["star", system, fam, g, "-o", out],
+        ],
+        "witness": [
+            ["check", "asdim", space, "--witness", wa, "--n", "0"],
+            ["lift", "asdim", system, "--piece", "all", "--witness", wa, "--n", "0", "-o", out],
+        ],
+    }
+
+    def run(kind, text):
+        for k, doc in clean.items():
+            save(tmp_path, f"{k}.json", doc)
+        Path(path[kind]).write_text(text, encoding="utf-8")
+        seen = []
+        for argv in commands[kind]:
+            Path(out).unlink(missing_ok=True)
+            rc = main(argv)
+            written = Path(out).read_text(encoding="utf-8") if Path(out).exists() else None
+            seen.append((rc, capsys.readouterr().out, written))
+        return seen
+
+    for kind, doc in clean.items():
+        want = run(kind, emit_document(doc))
+        assert [rc for rc, _, _ in want] == [0, 0], kind
+        assert want[-1][2] is not None, kind
+        assert run(kind, json.dumps(dup[kind])) == want, kind
+
+
+def test_tracer_counts_star_refinement_and_space_validation(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("coarsekit_bench_tracing_kernels", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        out = tmp_path / "c0"
+        assert main(["corpus", "c0", "--s-max", "2", "--box", "1", "--out-dir", str(out)]) == 0
+        system = str(out / "system.json")
+        ids = json.loads((out / "system.json").read_text(encoding="utf-8"))["body"]["ambient"]
+        body = {"points": ids, "members": [ids[:2], ids[1:3]]}
+        fam = save(tmp_path, "f.json", Document("family", "1", body))
+        assert main(["validate", system]) == 0
+        assert main(["bounded", system, fam]) == 0
+        assert main(["star", system, fam, fam]) == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    got = tracer.snapshot()
+    assert got["families.star_calls"] > 0
+    assert got["families.refine_calls"] > 0
+    assert got["spaces.validate_calls"] > 0
