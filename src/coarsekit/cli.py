@@ -439,10 +439,10 @@ def _parse_radii(text: Optional[str]):
 
 def cmd_corpus(args) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
 
     def save(name: str, doc: docs.Document):
+        out.mkdir(parents=True, exist_ok=True)  # a refused command leaves no directory
         path = out / name
         path.write_text(docs.emit_document(doc), encoding="utf-8")
         written.append(path)

@@ -4,20 +4,21 @@ A FilteredSystem is a list of pieces (carrier + scaled space over it) covering
 an ambient point set, with an upper-bound map on piece pairs and pairwise
 coincidence of the chains restricted to each overlap. validate_system checks
 carriers, directedness and coincidence on bitmasks over the ambient index,
-without building restricted spaces; validate_masks is its core, which the
-system decoder feeds with the masks it built while reading the document.
-Coincidence is decided on the pieces' cofinal levels only; a pair is scanned
-in full only when it fails, to name the failing level.
+without building restricted spaces. Its core, validate_pieces, which the
+system decoder shares, is the only code that puts chain members on the
+ambient index: each piece's cofinal levels, on which coincidence is
+decided, and the full chains of a failing pair, to name the failing level.
 
 A family over the ambient set is colimit-bounded when, for some piece, every
 member with more than one point sits inside the carrier and the family
-stripped of outside singletons is bounded in that piece's chain.
+stripped of outside singletons is bounded in that piece's chain. stripped
+gives that family over the piece's points, or None when it does not exist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, TruncationError, ValidationError
 from .families import (
@@ -102,8 +103,8 @@ def validate_system(
 ) -> FilteredSystem:
     """Check coverage, directedness, and pairwise coincidence of restrictions.
 
-    Carriers and chain levels become ambient-indexed bitmasks once, and
-    validate_masks checks the system on them.
+    Carriers become ambient-indexed bitmasks, each chain's cofinal levels are
+    found on its own masks, and validate_pieces checks the system.
 
     When upper is None or partial, missing pairs are filled by scanning for
     the least piece whose carrier contains the union; an unfillable pair is a
@@ -119,30 +120,29 @@ def validate_system(
         carriers.append(ambient.mask(p.carrier))
         if p.space.points.ids != ambient.points_of(carriers[-1]):
             raise DomainError(f"piece {p.name!r} space is not over its carrier")
-    chains = [[reroot(lv, ambient).masks for lv in p.space.levels] for p in pieces]
-    cofinal = [cofinal_levels(chain) for chain in chains]
-    return validate_masks(ambient, pieces, carriers, chains, cofinal, upper, meta)
+    cofinal = [cofinal_levels([lv.masks for lv in p.space.levels]) for p in pieces]
+    return validate_pieces(ambient, pieces, carriers, cofinal, upper, meta)
 
 
-def validate_masks(
+def validate_pieces(
     ambient: PointSet,
     pieces: Sequence[Piece],
     carriers: Sequence[int],
-    chains: Sequence[Sequence[Collection[int]]],
     cofinal: Sequence[Sequence[int]],
-    upper: Optional[Mapping[tuple[int, int], int]] = None,
-    meta: Iterable[str] = (),
+    upper: Optional[Mapping[tuple[int, int], int]],
+    meta: Iterable[str],
 ) -> FilteredSystem:
-    """validate_system on masks already built: distinct names, coverage,
-    directedness and coincidence.
+    """The checks of validate_system on pieces already read: distinct names,
+    coverage, directedness and coincidence.
 
-    Per piece, ``carriers`` holds the carrier and ``chains`` the member masks
-    of each level, all over the ambient index, and ``cofinal`` the 0-based
-    cofinal levels of its chain (spaces.cofinal_levels). Each overlapping
-    pair is compared on its cofinal levels only, which is exact: a level that
-    refines its successor fits wherever the successor fits, and whatever
-    fits it fits the successor too. Only a pair that fails is scanned in
-    full, to name the first failing level as coincidence_masks does.
+    Per piece, ``carriers`` holds the carrier as an ambient mask and
+    ``cofinal`` the 0-based cofinal levels of its chain
+    (spaces.cofinal_levels). Only this code puts chain members on the
+    ambient index: every piece's cofinal levels, on which each overlapping
+    pair is compared, and the full chains of a pair that fails, to name its
+    first failing level as coincidence_masks does. Comparing cofinal levels
+    is exact: a level that refines its successor fits wherever the successor
+    fits, and whatever fits it fits the successor too.
     """
     names = [p.name for p in pieces]
     if len(set(names)) != len(names):
@@ -172,13 +172,17 @@ def validate_masks(
                     )
             table[(r, s)] = t
 
-    tops = [[set(chain[i]) for i in idx] for chain, idx in zip(chains, cofinal)]
+    tops = [
+        [set(reroot(p.space.levels[i], ambient).masks) for i in idx]
+        for p, idx in zip(pieces, cofinal)
+    ]
     for r in range(n):
         for s in range(r + 1, n):
             inter = carriers[r] & carriers[s]
             if not inter or coincidence_masks(tops[r], tops[s], inter) is None:
                 continue
-            side, lvl = coincidence_masks(chains[r], chains[s], inter)
+            full = [[reroot(lv, ambient).masks for lv in pieces[x].space.levels] for x in (r, s)]
+            side, lvl = coincidence_masks(full[0], full[1], inter)
             owner = names[r] if side == "first" else names[s]
             raise ValidationError(
                 f"restrictions of pieces {names[r]} and {names[s]} do not "
@@ -196,6 +200,15 @@ def strip(f: Family, carrier: Subset) -> Family:
     return Family.from_masks(f.space, tuple(m for m in f.masks if m & (m - 1) or not m & ~inside))
 
 
+def stripped(f: Family, carrier: Subset, pts: PointSet) -> Optional[Family]:
+    """f stripped to the carrier and viewed over pts, which holds it; None
+    when a member with two or more points leaves the carrier."""
+    try:
+        return reroot(strip(f, carrier), pts)
+    except DomainError:
+        return None
+
+
 def _check_ambient(system: FilteredSystem, f: Family) -> None:
     if f.space != system.ambient:
         raise DomainError("family is not over the system's ambient point set")
@@ -209,11 +222,8 @@ def colimit_bounded(system: FilteredSystem, f: Family) -> Optional[ColimitBounde
     """
     _check_ambient(system, f)
     for s, piece in enumerate(system.pieces):
-        try:
-            inner = reroot(strip(f, piece.carrier), piece.space.points)
-        except DomainError:  # a member with two or more points leaves the carrier
-            continue
-        lvl = is_bounded(piece.space, inner)
+        inner = stripped(f, piece.carrier, piece.space.points)
+        lvl = None if inner is None else is_bounded(piece.space, inner)
         if lvl is not None:
             return ColimitBoundedness(s, lvl)
     return None
@@ -227,11 +237,8 @@ def check_boundedness(system: FilteredSystem, f: Family, cert: ColimitBoundednes
     piece = system.pieces[cert.piece]
     if not 1 <= cert.level <= piece.space.depth:
         return False
-    try:
-        inner = reroot(strip(f, piece.carrier), piece.space.points)
-    except DomainError:  # a member with two or more points leaves the carrier
-        return False
-    return essentially_refines(inner, piece.space.level(cert.level))
+    inner = stripped(f, piece.carrier, piece.space.points)
+    return inner is not None and essentially_refines(inner, piece.space.level(cert.level))
 
 
 def colimit_star(
@@ -256,8 +263,8 @@ def colimit_star(
         )
     t = system.upper_piece(cf.piece, cg.piece)
     pt = system.pieces[t]
-    fs = reroot(strip(f, system.pieces[cf.piece].carrier), pt.space.points)
-    gs = reroot(strip(g, system.pieces[cg.piece].carrier), pt.space.points)
+    fs = stripped(f, system.pieces[cf.piece].carrier, pt.space.points)
+    gs = stripped(g, system.pieces[cg.piece].carrier, pt.space.points)
     i = is_bounded(pt.space, fs)
     j = is_bounded(pt.space, gs)
     if i is None or j is None:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .colimit import FilteredSystem, Piece, validate_system
 from .errors import DomainError, ValidationError, number_text
-from .families import Family, PointSet
+from .families import Family, PointSet, cut
 from .maps import GroundedMap, INF, MetricTarget, metric_target
 from .spaces import ScaledSpace, restrict, validate_space
 
@@ -69,12 +69,9 @@ def _ball_levels(pts: PointSet, dist, radii) -> tuple[Family, ...]:
 def _cut_levels(levels: tuple[Family, ...], pts: PointSet) -> tuple[Family, ...]:
     """The ball levels of a piece whose metric is the levels' metric
     restricted to ``pts``: each ball is the ambient ball cut to the piece."""
-    if pts == levels[0].space:
-        return levels
-    carrier = frozenset(pts.ids)
     at = [levels[0].space.index(p) for p in pts.ids]
     return tuple(
-        Family(pts, tuple(lv.members[i] & carrier for i in at)) for lv in levels
+        cut(Family.from_masks(lv.space, tuple(lv.masks[i] for i in at)), pts) for lv in levels
     )
 
 

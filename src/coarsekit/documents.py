@@ -9,9 +9,10 @@ bytes.
 Every decoder builds each member's bitmask once, while reading it, by a bit
 lookup that is also the check that its points are known, and hands the masks
 to Family.from_masks, which checks nothing again. A repeated point in a
-member counts once. Covering, monotonicity and the system checks run on the
-same masks (spaces.check_chain, colimit.validate_masks); a system piece's
-members are also read over the ambient index, which those checks share.
+member counts once. Covering and monotonicity are checked on the same masks
+by spaces.check_chain. A system piece's members are read over the piece's
+own points, never over the ambient index: colimit.validate_pieces puts the
+masks it needs there.
 
 Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
 the witness class and its body fields in decode order, each as (body key,
@@ -45,7 +46,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, or_
 from typing import Any, Callable, NamedTuple, Optional, Union
 
-from .colimit import ColimitBoundedness, FilteredSystem, Piece, extended_level, validate_masks
+from .colimit import ColimitBoundedness, FilteredSystem, Piece, extended_level, validate_pieces
 from .errors import CoarseError, ParseError
 from .families import Family, PointSet
 from .invariants import (
@@ -133,13 +134,12 @@ def _points(v, path) -> PointSet:
         _fail(str(exc), path)
 
 
-def _masks(v, pts: PointSet, path, bit: Optional[dict] = None) -> tuple[int, ...]:
-    """A member list as masks by ``bit``, which maps exactly the points of pts
-    to their bits (pts's own bits by default): the lookup that builds a mask
-    is also the membership check."""
+def _masks(v, pts: PointSet, path) -> tuple[int, ...]:
+    """A member list as masks over pts: the bit lookup that builds a mask is
+    also the membership check."""
     if not isinstance(v, list):
         _fail("expected a list of members", path)
-    get = (pts._bit if bit is None else bit).__getitem__
+    get = pts._bit.__getitem__
     out = []
     for m in v:
         if not isinstance(m, list):
@@ -165,19 +165,14 @@ def _family(v, pts: PointSet, path) -> Family:
     return Family.from_masks(pts, _masks(v, pts, path))
 
 
-def _scales(v, pts: PointSet, path, bit: Optional[dict] = None) -> tuple[tuple[Family, ...], list]:
-    """The scales as families over pts, and each level's member masks by
-    ``bit``, the ambient bits of pts's points (pts's own bits by default).
-    The ambient read checks every member; the read over pts is then sure to
-    succeed."""
+def _scales(v, pts: PointSet, path) -> tuple[Family, ...]:
+    """The scales as families over pts, each member read once; covering and
+    monotonicity are checked on their masks by spaces.check_chain."""
     if not isinstance(v, list) or not v:
         _fail("expected a non-empty list of scales", path)
-    levels, masks = [], []
-    for i, raw in enumerate(v):
-        masks.append(_masks(raw, pts, f"{path}[{i}]", bit))
-        own = masks[-1] if bit is None else tuple(map(pts.mask, raw))
-        levels.append(Family.from_masks(pts, own))
-    return tuple(levels), masks
+    levels = tuple(_family(raw, pts, f"{path}[{i}]") for i, raw in enumerate(v))
+    check_chain([lv.masks for lv in levels], (1 << len(pts)) - 1, pts.ids)
+    return levels
 
 
 def _family_list(v, pts: PointSet, path, what) -> tuple[Family, ...]:
@@ -216,9 +211,7 @@ def doc_to_space(body, path="body") -> ScaledSpace:
     read, and spaces.check_chain checks covering and monotonicity on them."""
     _check_keys(body, ("points", "scales"), (), path)
     pts = _points(body["points"], f"{path}.points")
-    levels, masks = _scales(body["scales"], pts, f"{path}.scales")
-    check_chain(masks, (1 << len(pts)) - 1, pts.ids)
-    return ScaledSpace(pts, levels)
+    return ScaledSpace(pts, _scales(body["scales"], pts, f"{path}.scales"))
 
 
 def space_to_doc(sp: ScaledSpace) -> Document:
@@ -230,18 +223,18 @@ def space_to_doc(sp: ScaledSpace) -> Document:
 
 
 def doc_to_system(body, path="body") -> FilteredSystem:
-    """A system from its body. Each piece's members become masks over the
-    ambient index once, while they are read, by the ambient bits restricted
-    to the piece's carrier; spaces.check_chain checks each chain on them,
-    and colimit.validate_masks checks the system on them. Every piece is
-    read and checked in full before the next, and every piece before the
-    upper triples, the meta lines and the checks across pieces."""
+    """A system from its body. Each piece's members are read once, over the
+    piece's own points, and spaces.check_chain checks each chain on their
+    masks; colimit.validate_pieces then puts the cofinal levels on the
+    ambient index and checks the system. Every piece is read and checked in
+    full before the next, and every piece before the upper triples, the meta
+    lines and the checks across pieces."""
     _check_keys(body, ("ambient", "pieces"), ("upper", "meta"), path)
     ambient = _points(body["ambient"], f"{path}.ambient")
     raw_pieces = body["pieces"]
     if not isinstance(raw_pieces, list) or not raw_pieces:
         _fail("expected a non-empty list of pieces", f"{path}.pieces")
-    pieces, carriers, chains = [], [], []
+    pieces, carriers = [], []
     for i, rp in enumerate(raw_pieces):
         p_path = f"{path}.pieces[{i}]"
         _check_keys(rp, ("name", "carrier", "scales"), (), p_path)
@@ -255,14 +248,11 @@ def doc_to_system(body, path="body") -> FilteredSystem:
             _fail("duplicate point in carrier", f"{p_path}.carrier")
         carrier = frozenset(carrier_ids)
         if len(carrier) == len(ambient):
-            sub, bit = ambient, None
+            sub = ambient
         else:
             sub = PointSet(tuple(p for p in ambient.ids if p in carrier))
-            bit = {p: ambient._bit[p] for p in sub.ids}
-        levels, masks = _scales(rp["scales"], sub, f"{p_path}.scales", bit)
+        levels = _scales(rp["scales"], sub, f"{p_path}.scales")
         carriers.append(ambient.mask(carrier))
-        check_chain(masks, carriers[-1], ambient.ids)
-        chains.append(masks)
         pieces.append(Piece(rp["name"], carrier, ScaledSpace(sub, levels)))
     upper = None
     if "upper" in body:
@@ -281,8 +271,8 @@ def doc_to_system(body, path="body") -> FilteredSystem:
             upper[(r, s)] = t
     meta = _str_list(body.get("meta", []), f"{path}.meta")
     # every chain passed check_chain, so its top level is its only cofinal one
-    cofinal = [[len(chain) - 1] for chain in chains]
-    return validate_masks(ambient, pieces, carriers, chains, cofinal, upper, meta)
+    cofinal = [[p.space.depth - 1] for p in pieces]
+    return validate_pieces(ambient, pieces, carriers, cofinal, upper, meta)
 
 
 def system_to_doc(system: FilteredSystem) -> Document:

@@ -7,7 +7,10 @@ bit i is set when the member holds point i of the point set). ``members``,
 the same members as frozensets in member order, is built on first read.
 ``Family(space, members)`` checks every member against the point set;
 ``Family.from_masks`` takes masks as they are, for callers that built them
-from checked points: the decoders, the kernels below, reroot and restrict.
+from checked points: the decoders and the kernels below. Masks move between
+point sets in two places only: reroot views the same members over another
+point set, and cut intersects them with a smaller one and reindexes them
+over it (restrict, asdim_restrict and the corpus's nested pieces all cut).
 
 Each family operation has one kernel, on masks: incidence with star_mask for
 stars, first_misfit for refinement and essential refinement, and one body each
@@ -169,6 +172,13 @@ def reroot(u: Family, space: PointSet) -> Family:
     except KeyError as exc:
         raise DomainError(f"member point {exc.args[0]!r} outside the point set") from None
     return Family.from_masks(space, masks)
+
+
+def cut(u: Family, pts: PointSet) -> Family:
+    """Each member intersected with pts, the members left empty dropped, and
+    the rest over pts, which must lie within u's point set."""
+    inside = u.space.mask(pts.ids)
+    return reroot(Family.from_masks(u.space, tuple(r for m in u.masks if (r := m & inside))), pts)
 
 
 def family_key(u: Family):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ..colimit import FilteredSystem, strip
+from ..colimit import FilteredSystem, stripped
 from ..errors import CoarseError, DomainError
 from ..families import Family, Point, family_key, horizon, reroot, star_set
 from ..reports import Clause, Report, from_clauses
@@ -75,13 +75,10 @@ def amenability_lift(
     pc = system.pieces[piece]
     if u.space != system.ambient:
         raise DomainError("input family is not over the system's ambient point set")
-    try:
-        stripped = reroot(strip(u, pc.carrier), pc.space.points)
-    except DomainError:
-        raise DomainError(
-            "input family has a member outside the piece's carrier"
-        ) from None
-    if family_key(stripped) != family_key(w.scale):
+    inner = stripped(u, pc.carrier, pc.space.points)
+    if inner is None:
+        raise DomainError("input family has a member outside the piece's carrier")
+    if family_key(inner) != family_key(w.scale):
         raise DomainError("piece witness input does not match the stripped input")
     if not amenability_verify(pc.space, w):
         raise DomainError("piece witness does not verify")

@@ -5,16 +5,22 @@ coarsening of multiplicity at most n + 1. Search explores coarsenings built
 as unions of the input's members; that loses no generality, since any valid
 coarsening member can be shrunk to the union of the input members assigned
 to it without raising multiplicity or losing boundedness.
+
+Both searches run on member masks, with a per-point count of the groups
+holding each point; the coarsening found is built with Family.from_masks
+and checked again by asdim_verify. asdim_restrict cuts both families to the
+piece with families.cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Union
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, essentially_refines, first_misfit, multiplicity, reroot
+from ..families import Family, cut, essentially_refines, first_misfit, multiplicity
 from ..reports import Clause, Report, from_clauses
 from ..spaces import ScaledSpace, is_bounded
 from .common import (
@@ -78,40 +84,44 @@ def _as_scale(space: ScaledSpace, scale: Union[Family, int]) -> Family:
     return scale
 
 
-def _top_fits(union: frozenset, tops: tuple[frozenset, ...]) -> bool:
-    return any(union <= t for t in tops)
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, in increasing order."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def _search_exhaustive(
-    space: ScaledSpace, n: int, items: list[frozenset], tops
-) -> Optional[tuple[frozenset, ...]]:
-    counts = {p: 0 for p in space.points.ids}
-    groups: list[set] = []
+    n: int, items: list[int], tops: tuple[int, ...], size: int
+) -> Optional[tuple[int, ...]]:
+    """Assign the item masks to groups in order, each group's union fitting
+    a top member, keeping per-point counts of the groups holding a point."""
+    counts = [0] * size
+    groups: list[int] = []
 
-    def assign(i: int) -> Optional[tuple[frozenset, ...]]:
+    def assign(i: int) -> Optional[tuple[int, ...]]:
         if i == len(items):
-            return tuple(frozenset(g) for g in groups)
+            return tuple(groups)
         m = items[i]
         for gi in range(len(groups) + 1):
-            fresh = m - groups[gi] if gi < len(groups) else set(m)
-            if gi < len(groups) and not _top_fits(frozenset(groups[gi] | m), tops):
+            g = groups[gi] if gi < len(groups) else 0
+            union = g | m
+            if first_misfit((union,), tops) is not None:
                 continue
-            if gi == len(groups) and not _top_fits(m, tops):
-                continue
-            if any(counts[p] + 1 > n + 1 for p in fresh):
+            fresh = _bits(m & ~g)
+            if any(counts[k] > n for k in fresh):
                 continue
             if gi == len(groups):
-                groups.append(set())
-            groups[gi] |= m
-            for p in fresh:
-                counts[p] += 1
+                groups.append(0)
+            groups[gi] = union
+            for k in fresh:
+                counts[k] += 1
             found = assign(i + 1)
             if found is not None:
                 return found
-            for p in fresh:
-                counts[p] -= 1
-            groups[gi] -= fresh
-            if not groups[gi]:
+            for k in fresh:
+                counts[k] -= 1
+            if g:
+                groups[gi] = g
+            else:
                 groups.pop()
         return None
 
@@ -119,35 +129,31 @@ def _search_exhaustive(
 
 
 def _search_greedy(
-    space: ScaledSpace, n: int, items: list[frozenset], tops
-) -> Optional[tuple[frozenset, ...]]:
-    groups = [set(m) for m in items if _top_fits(m, tops)]
-    if len(groups) != len(items):
+    n: int, items: list[int], tops: tuple[int, ...], size: int
+) -> Optional[tuple[int, ...]]:
+    """Start from the item masks and, while some point lies in more than
+    n + 1 groups, merge the first pair of its groups whose union fits a top
+    member. Counts are kept across merges: each point of the merged pair's
+    overlap loses one."""
+    if first_misfit(items, tops) is not None:
         return None
-    while True:
-        counts: dict = {}
-        for g in groups:
-            for p in g:
-                counts[p] = counts.get(p, 0) + 1
-        crowded = [p for p in space.points.ids if counts.get(p, 0) > n + 1]
-        if not crowded:
-            return tuple(frozenset(g) for g in groups)
-        p = crowded[0]
-        holders = [gi for gi, g in enumerate(groups) if p in g]
-        merged = None
-        for a in range(len(holders)):
-            for b in range(a + 1, len(holders)):
-                union = groups[holders[a]] | groups[holders[b]]
-                if _top_fits(frozenset(union), tops):
-                    merged = (holders[a], holders[b], union)
-                    break
-            if merged:
+    groups = list(items)
+    counts = [sum(g >> k & 1 for g in groups) for k in range(size)]
+    crowded = sum(1 << k for k, c in enumerate(counts) if c > n + 1)
+    while crowded:
+        low = crowded & -crowded
+        holders = [gi for gi, g in enumerate(groups) if g & low]
+        for a, b in combinations(holders, 2):
+            if first_misfit((groups[a] | groups[b],), tops) is None:
                 break
-        if merged is None:
+        else:
             return None
-        a, b, union = merged
-        groups[a] = union
-        groups.pop(b)
+        for k in _bits(groups[a] & groups[b]):
+            counts[k] -= 1
+            if counts[k] == n + 1:
+                crowded ^= 1 << k
+        groups[a] |= groups.pop(b)
+    return tuple(groups)
 
 
 def asdim_search(
@@ -171,17 +177,13 @@ def asdim_search(
         raise DomainError(f"exhaustive mode supports at most {cap} points")
     exhaustive = mode == "exhaustive" or (mode == "auto" and len(space.points) <= cap)
     u = _as_scale(space, scale)
-    items = [m for m in u.members if len(m) > 1]
-    tops = space.level(space.depth).members
-    if not items:
-        groups: Optional[tuple[frozenset, ...]] = ()
-    elif exhaustive:
-        groups = _search_exhaustive(space, n, items, tops)
-    else:
-        groups = _search_greedy(space, n, items, tops)
+    items = [m for m in u.masks if m & (m - 1)]
+    tops = space.level(space.depth).masks
+    search = _search_exhaustive if exhaustive else _search_greedy
+    groups = search(n, items, tops, len(space.points))
     if groups is None:
         return AsdimSearchResult(None, exhaustive)
-    coarsening = Family(space.points, groups)
+    coarsening = Family.from_masks(space.points, groups)
     w = AsdimWitness(u, coarsening, is_bounded(space, coarsening))
     if not asdim_verify(space, n, w):
         return AsdimSearchResult(None, exhaustive)
@@ -204,11 +206,5 @@ def asdim_restrict(system: FilteredSystem, piece: int, n: int, w: AsdimWitness) 
     if not asdim_verify(system, n, w):
         raise DomainError("colimit witness does not verify at the stated dimension")
     pc = system.pieces[piece]
-    inside = system.ambient.mask(pc.carrier)
-
-    def cut(fam: Family) -> Family:
-        masks = tuple(m & inside for m in fam.masks if m & inside)
-        return reroot(Family.from_masks(fam.space, masks), pc.space.points)
-
-    coarsening = cut(w.coarsening)
-    return AsdimWitness(cut(w.scale), coarsening, is_bounded(pc.space, coarsening))
+    coarsening = cut(w.coarsening, pc.space.points)
+    return AsdimWitness(cut(w.scale, pc.space.points), coarsening, is_bounded(pc.space, coarsening))

@@ -19,7 +19,7 @@ cofinal levels (cofinal_levels); a monotone chain has only its top.
 Every fit test here (monotonicity, star depth, boundedness, coincidence) is
 families.first_misfit. Coincidence of two chains on a shared carrier is
 decided by one kernel, coincidence_masks, which cuts members to the carrier
-as bits and builds no restricted space.
+as bits and builds no restricted space; restrict builds one, by families.cut.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .families import (
     Subset,
     chain_components,
     component_masks,
+    cut,
     essentially_refines,
     first_misfit,
-    reroot,
     star_mask,
 )
 
@@ -173,12 +173,11 @@ def restrict(space: ScaledSpace, carrier: Subset) -> ScaledSpace:
     Loading a system does not restrict: validate_system compares overlaps
     on bitmasks with coincidence_masks.
     """
-    cut = space.points.mask(carrier)
-    if not cut:
+    inside = space.points.mask(carrier)
+    if not inside:
         raise DomainError("restriction carrier must be non-empty")
-    pts = PointSet(space.points.points_of(cut))
-    cuts = (tuple(m & cut for m in lv.masks if m & cut) for lv in space.levels)
-    return ScaledSpace(pts, tuple(reroot(Family.from_masks(space.points, c), pts) for c in cuts))
+    pts = PointSet(space.points.points_of(inside))
+    return ScaledSpace(pts, tuple(cut(lv, pts) for lv in space.levels))
 
 
 def chains_coincide(a: ScaledSpace, b: ScaledSpace) -> bool:

@@ -740,6 +740,22 @@ def test_c0_with_more_coordinates_than_a_box_1_grid_holds_exits_65(tmp_path, cap
     assert main([*argv[:3], "5", *argv[4:]]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["c0", "--s-max", "300", "--box", "0"],
+        ["c0", "--s-max", "6", "--box", "1"],
+        ["disjoint-union", "--islands", "65"],
+    ],
+    ids=["coordinates", "grid-points", "island-points"],
+)
+def test_refused_corpus_command_creates_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "nested" / "out"
+    assert main(["corpus", *argv, "--out-dir", str(out)]) == 65
+    assert "cap exceeded" in capsys.readouterr().err
+    assert not (tmp_path / "nested").exists()
+
+
 def _repeat_first_point(member):
     return member[:1] + member
 

@@ -16,6 +16,7 @@ from coarsekit import DomainError
 from coarsekit.families import (
     Family,
     covers,
+    cut,
     essentially_refines,
     horizon_indices,
     points,
@@ -168,3 +169,25 @@ def test_reroot_moves_members_to_another_point_order(data, order):
         with pytest.raises(DomainError) as exc:
             reroot(outside, space)
         assert str(exc.value) == f"member point {IDS[-1]!r} outside the point set"
+
+
+@given(families(), st.permutations(IDS), st.data())
+def test_cut_keeps_the_non_empty_intersections_over_the_given_points(data, order, draw):
+    """``pts`` is a non-empty subset of the point set in another order, or,
+    when a point outside the point set is drawn too, no subset at all."""
+    space, u = data
+    kept = set(draw.draw(st.lists(st.sampled_from(space.ids), min_size=1)))
+    if len(space) < len(IDS) and draw.draw(st.booleans()):
+        with pytest.raises(DomainError):
+            cut(u, points(p for p in order if p in kept or p == IDS[-1]))
+    pts = points(p for p in order if p in kept)
+    inside = oracles.to_mask(space.ids, pts.ids)
+    want = tuple(
+        oracles.to_mask(pts.ids, oracles.from_mask(space.ids, m & inside))
+        for m in u.masks
+        if m & inside
+    )
+    got = cut(u, pts)
+    assert got.space == pts
+    assert got.masks == want
+    assert cut(checked(u), pts) == got

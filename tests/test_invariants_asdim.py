@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coarsekit import DomainError, Verdict
 from coarsekit.colimit import ColimitBoundedness, Piece, validate_system
-from coarsekit.families import family, points
+from coarsekit.families import Family, family, points
 from coarsekit.invariants import (
     AsdimWitness,
     asdim_lift,
@@ -16,6 +16,8 @@ from coarsekit.invariants import (
     asdim_verify,
 )
 from coarsekit.spaces import restrict, validate_space
+
+import asdim_oracle
 
 
 def fam(space, *members):
@@ -155,6 +157,68 @@ def test_search_modes_and_caps():
 
     auto_flips = asdim_search(sp, 1, scale, cap=3, mode="auto")
     assert not auto_flips.exhaustive
+
+
+@st.composite
+def searches(draw):
+    """A valid chain over 1 to 7 points, a scale with empty, singleton and
+    repeated members, and a dimension bound. The first level is drawn masks
+    completed to a cover; each further level grows every member of the one
+    below, so the chain is monotone. Scale members are drawn freely or
+    inside a top member, so that most of them fit the top level."""
+    pts = points("abcdefg"[: draw(st.integers(1, 7))])
+    member = st.sets(st.integers(0, len(pts) - 1)).map(lambda bits: sum(1 << i for i in bits))
+    base = draw(st.lists(member, max_size=5))
+    covered = 0
+    for m in base:
+        covered |= m
+    levels = [tuple(base) + tuple(1 << i for i in range(len(pts)) if not covered >> i & 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        levels.append(tuple(m | draw(member) for m in levels[-1]))
+    space = validate_space(pts, [Family.from_masks(pts, lv) for lv in levels])
+    inside_top = st.tuples(st.sampled_from(levels[-1]), member).map(lambda t: t[0] & t[1])
+    scale = draw(st.lists(st.one_of(member, inside_top), min_size=1, max_size=6))
+    scale += draw(st.lists(st.sampled_from(scale), max_size=1))
+    return space, Family.from_masks(pts, tuple(scale)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches())
+def test_exhaustive_search_finds_a_witness_exactly_when_the_oracle_does(data):
+    """Exhaustive search returns the oracle's first coarsening in canonical
+    order, or nothing when the oracle finds none."""
+    space, scale, n = data
+    want = asdim_oracle.first_coarsening(
+        list(scale.masks), list(space.level(space.depth).masks), n, len(space.points)
+    )
+    exhaustive = asdim_search(space, n, scale, mode="exhaustive")
+    assert exhaustive.exhaustive
+    if want is None:
+        assert exhaustive.witness is None
+    else:
+        assert exhaustive.witness.coarsening.masks == tuple(want)
+    greedy = asdim_search(space, n, scale, mode="greedy")
+    assert not greedy.exhaustive
+    for w in (exhaustive.witness, greedy.witness):
+        if w is not None:
+            assert w.scale == scale
+            assert asdim_verify(space, n, w).verdict is Verdict.VERIFIED
+    assert greedy.witness is None or want is not None
+
+
+def test_exhaustive_search_backtracks_out_of_a_dead_end():
+    """{a, d} first joins {b, e}, which leaves {c, e} no group; the search
+    must undo that choice, counts included, to find the witness."""
+    pts = points("abcde")
+    sp = validate_space(pts, [fam(pts, "ce", "abce", "abde")])
+    found = asdim_search(sp, 0, fam(pts, "be", "ad", "ce"), mode="exhaustive")
+    assert found.witness.coarsening == fam(pts, "bce", "ad")
+
+
+def test_greedy_search_merges_crowded_groups_until_none_is_crowded():
+    sp = line_space(Y5.ids)
+    found = asdim_search(sp, 0, adjacent_pairs(Y5), mode="greedy")
+    assert found.witness.coarsening == fam(Y5, set(Y5.ids))
 
 
 def test_scale_given_as_a_level_index():
