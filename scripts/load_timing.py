@@ -9,6 +9,9 @@ colimit chain of a unit interval, each piece's chain otherwise). For each
 case and document kind the script prints the document count, their total
 size, and the best of N wall times of ``parse_document`` (envelope only) and
 of ``doc_to_system`` or ``doc_to_space`` over all of them, in milliseconds.
+Each system line also gives the star depth summed over every piece of every
+system, in levels, and the best of N wall times of certifying all of those
+star depths, each round on freshly decoded systems, decoding left out.
 
 Every decoded object is emitted again. The last line gives one sha256 over
 the re-emitted documents, in case order, and how many differ from the bytes
@@ -62,6 +65,19 @@ def _best(fn, items, repeat: int) -> float:
     return best
 
 
+def _star_timing(decode, bodies, repeat: int) -> tuple[int, float]:
+    """The star depth summed over every piece of the decoded systems, and the
+    best of ``repeat`` wall times of certifying them all, in seconds. Each
+    round decodes the systems afresh, untimed, since a space keeps its depth."""
+    best = float("inf")
+    for _ in range(repeat):
+        spaces = [piece.space for body in bodies for piece in decode(body).pieces]
+        start = time.perf_counter()
+        depth = sum(sp.star_depth for sp in spaces)
+        best = min(best, time.perf_counter() - start)
+    return depth, best
+
+
 def load_timing(names, repeat: int) -> tuple[list[str], str, int, int]:
     """One line per case and kind, the digest over the re-emitted documents,
     their count and how many differ from their source bytes."""
@@ -89,10 +105,14 @@ def load_timing(names, repeat: int) -> tuple[list[str], str, int, int]:
                 count += 1
                 differ += again != text
             size = sum(map(len, texts))
-            lines.append(
+            line = (
                 f"{name} {kind}: {len(texts)} documents, {size} bytes, "
                 f"parse {parse_s * 1e3:.3f} ms, decode {decode_s * 1e3:.3f} ms"
             )
+            if kind == "system":
+                depth, star_s = _star_timing(decode, bodies, repeat)
+                line += f", star depth {depth} levels, {star_s * 1e3:.3f} ms"
+            lines.append(line)
     return lines, digest.hexdigest(), count, differ
 
 

@@ -4,8 +4,8 @@ uniform separation off a bounded family.
 The separation and diameter comparisons run on exact squared distances; the
 stated tolerance is subtracted from the thresholds before squaring, so no
 floating point enters any verdict. The verifier scales every coordinate row
-by the lcm of all denominators once, so each squared distance is an integer
-sum over that common denominator squared.
+by the lcm of all denominators once, so each squared distance is an integer,
+two squared row norms less twice a dot product, over that denominator squared.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from ..colimit import FilteredSystem, extend_to_ambient
@@ -97,23 +98,24 @@ def pinch_verify(
 
     den = lcm(*(x.denominator for row in w.coords for x in row))
     rows = [tuple(x.numerator * (den // x.denominator) for x in row) for row in w.coords]
+    norms = [sum(map(mul, row, row)) for row in rows]
 
     def sq(a: int, b: int) -> int:
-        """Squared distance between the points at indices a and b, times den**2."""
-        return sum((x - y) ** 2 for x, y in zip(rows[a], rows[b]))
+        """Squared distance between the points at indices a and b, times den**2,
+        as |a|^2 + |b|^2 - 2 a.b: exact, since every entry is an integer."""
+        return norms[a] + norms[b] - 2 * sum(map(mul, rows[a], rows[b]))
 
+    ids = w.space.ids
     diam_threshold = w.eps - tol
     worst_pair = None
     worst = -1
-    for m in w.scale.members:
-        inside = w.space.sort(m)
-        at = [w.space.index(p) for p in inside]
-        for a in range(len(inside)):
-            for b in range(a + 1, len(inside)):
-                d = sq(at[a], at[b])
+    for m in w.scale.masks:
+        at = [i for i in range(m.bit_length()) if m >> i & 1]
+        for k, a in enumerate(at):
+            for b in at[k + 1 :]:
+                d = sq(a, b)
                 if d > worst:
-                    worst = d
-                    worst_pair = (inside[a], inside[b])
+                    worst, worst_pair = d, (ids[a], ids[b])
     worst = Fraction(worst, den**2)
     diam_ok = worst_pair is None or (
         diam_threshold > 0 and worst < diam_threshold**2
@@ -131,7 +133,6 @@ def pinch_verify(
     sep_threshold = max(w.c - tol, Fraction(0))
     nearest_pair = None
     nearest = None
-    ids = w.space.ids
     shared = w.sep.incidence
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
@@ -139,8 +140,7 @@ def pinch_verify(
                 continue
             d = sq(a, b)
             if nearest is None or d < nearest:
-                nearest = d
-                nearest_pair = (ids[a], ids[b])
+                nearest, nearest_pair = d, (ids[a], ids[b])
     if nearest is not None:
         nearest = Fraction(nearest, den**2)
     sep_ok = nearest is None or nearest >= sep_threshold**2

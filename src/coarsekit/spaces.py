@@ -3,12 +3,12 @@ infinite large scale structure.
 
 A ScaledSpace carries its certified star depth: the largest d such that for
 all levels i, j <= d the member-wise star of level i against level j
-essentially refines some level of the chain. Operations that would need stars
-past that depth raise TruncationError instead of silently extending the chain.
-
-Star depth is certified lazily, on its first read, and then kept with the
-space. Only the colimit star reads it, so loading, validating and restricting
-a space never pay for it.
+essentially refines some level of the chain. On a monotone chain, which
+validate_space, both decoders and restrict guarantee, every such star lies
+inside a star of level d against itself, so that diagonal star decides it.
+Operations that would need stars past that depth raise TruncationError
+instead of silently extending the chain. Star depth is certified lazily, on
+its first read, and kept with the space; only the colimit star reads it.
 
 Covering and monotonicity are checked once, on member bitmasks, by
 check_chain: validate_space hands it its families' masks, and the space and
@@ -51,7 +51,8 @@ class ScaledSpace:
 
     @cached_property
     def star_depth(self) -> int:
-        """Certified on first read, once per space."""
+        """Certified on first read, once per space, from the diagonal star of
+        each level (_compute_star_depth); exact on a monotone chain."""
         return _compute_star_depth(self.levels)
 
     @property
@@ -66,30 +67,25 @@ class ScaledSpace:
 
 
 def _compute_star_depth(levels: tuple[Family, ...]) -> int:
-    """Grow the certified depth one level at a time, checking the star pairs
-    each new level adds, on bitmasks.
+    """The largest d whose level-d stars against level d essentially refine
+    the top level, or 0; levels are tried from the top down, on bitmasks.
 
-    The chain is monotone, so a star family essentially refines some level
-    exactly when it essentially refines the top one. Duplicate members star
-    alike and are checked once.
+    Lemma: on a monotone chain, take i, j <= d. A level-i member lies in some
+    level-d member. At each point, the union of the level-j members holding
+    it lies inside the union of the level-d members holding it. So each star
+    of level i against level j lies inside a star of level d against level d.
+    Hence the (d, d) check decides "star depth >= d" (on a monotone chain,
+    fitting some level is fitting the top), and a fit at d implies a fit at
+    every level below d. Stars stream in member order, so first_misfit tries
+    the top member at the same position first, and a failing level stops at
+    its first misfit.
     """
-    masks = [set(lv.masks) for lv in levels]
-    top = tuple(masks[-1])
-
-    def stars_fit(i: int, j: int) -> bool:
-        inc = levels[j].incidence
-        stars = (s for m in masks[i] if (s := star_mask(m, inc)) & (s - 1))
-        return first_misfit(stars, top) is None
-
-    depth = 0
-    for cand in range(1, len(levels) + 1):
-        new_pairs = [(cand - 1, j) for j in range(cand)] + [
-            (i, cand - 1) for i in range(cand - 1)
-        ]
-        if not all(stars_fit(i, j) for i, j in new_pairs):
-            break
-        depth = cand
-    return depth
+    for d in range(len(levels), 0, -1):
+        inc = levels[d - 1].incidence
+        stars = (s for m in levels[d - 1].masks if (s := star_mask(m, inc)) & (s - 1))
+        if first_misfit(stars, levels[-1].masks) is None:
+            return d
+    return 0
 
 
 def validate_space(pts: PointSet, levels: Iterable[Family]) -> ScaledSpace:

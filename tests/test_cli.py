@@ -222,6 +222,20 @@ def test_star_truncation_exits_2(tmp_path, shallow_system, capsys):
     assert "[??] star stays bounded" in capsys.readouterr().out
 
 
+def test_star_past_the_star_depth_names_the_budget(tmp_path, shallow_system, capsys):
+    # radius-1 balls starred against themselves reach radius 3, so the
+    # chain's star depth is 1, and the first input is bounded only at level 2
+    pts = points([str(i) for i in range(5)])
+    first = save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"1", "2"}),))))
+    second = save(tmp_path, "g.json", family_to_doc(Family(pts, (frozenset({"0"}),))))
+    assert main(["star", shallow_system, first, second]) == 2
+    assert capsys.readouterr().out == (
+        "verdict: undecided-at-truncation\n"
+        "  [??] star stays bounded: star budget exhausted in piece 'all': "
+        "inputs bounded at levels 2 and 1 but star depth is 1\n"
+    )
+
+
 def pair_space_doc(tmp_path):
     pts = points(["a", "b", "c"])
     sp = validate_space(

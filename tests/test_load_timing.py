@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
+
+from coarsekit.corpus import gen_unit_interval
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,5 +22,10 @@ def test_unit_interval_8_loads_and_re_emits_byte_for_byte():
         "unit-interval-8 space",
     ]
     assert lines[1].startswith("unit-interval-8 space: 9 documents, ")
+    field = re.search(r", star depth (\d+) levels, \d+\.\d{3} ms$", lines[0])
+    assert field, lines[0]
+    pieces = gen_unit_interval(8).system.pieces
+    assert int(field.group(1)) == sum(piece.space.star_depth for piece in pieces)
+    assert "star depth" not in lines[1]
     assert (count, differ) == (10, 0)
     assert len(digest) == 64

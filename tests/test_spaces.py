@@ -81,6 +81,38 @@ def cover_chains(draw):
     )
 
 
+@st.composite
+def graded_chains(draw):
+    """Chains of balls on a path or cycle of 6 to 11 points, radii growing
+    level by level but short of the whole space, and a few extra members
+    inside the next level's. Radius-r balls starred against themselves reach
+    radius 3r, so the top level's stars escape it and a singleton first level
+    always fits: most draws have a star depth strictly between 0 and full."""
+    n = draw(st.integers(min_value=6, max_value=11))
+    ids = tuple(str(i) for i in range(n))
+    space = points(ids)
+    cycle = draw(st.booleans())
+
+    def gap(p, q):
+        return min(abs(p - q), n - abs(p - q)) if cycle else abs(p - q)
+
+    def ball(p, r):
+        return sum(1 << q for q in range(n) if gap(p, q) <= r)
+
+    radii = [draw(st.integers(min_value=0, max_value=1))]
+    for step in draw(st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=4)):
+        radii.append(min(radii[-1] + step, (n - 3) // 2))
+    levels = [[ball(p, r) for p in range(n)] for r in radii]
+    for k in range(len(levels) - 1):
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            host = draw(st.sampled_from(levels[k + 1]))
+            levels[k].append(host & draw(st.integers(min_value=1, max_value=(1 << n) - 1)))
+    return validate_space(
+        space,
+        [family(space, [oracles.from_mask(ids, m) for m in lv if m]) for lv in levels],
+    )
+
+
 def oracle_star_depth(sp):
     ids = list(sp.points.ids)
     return oracles.star_depth_masks(
@@ -278,6 +310,27 @@ def test_partition_chains_have_full_star_depth(sp):
 @given(cover_chains())
 def test_star_depth_agrees_with_the_oracle(sp):
     assert sp.star_depth == oracle_star_depth(sp)
+
+
+@given(graded_chains())
+def test_star_depth_agrees_with_the_oracle_on_graded_chains(sp):
+    assert sp.star_depth == oracle_star_depth(sp)
+
+
+@given(cover_chains())
+def test_every_star_lies_inside_a_diagonal_star(sp):
+    """The lemma behind star depth: for i, j <= k, the star of a level-i
+    member against level j lies inside the star of some level-k member
+    against level k."""
+    ids = list(sp.points.ids)
+    levels = [[oracles.to_mask(ids, m) for m in lv.members] for lv in sp.levels]
+    for k, lk in enumerate(levels):
+        diagonal = [oracles.star_mask(m, lk) for m in lk]
+        for li in levels[: k + 1]:
+            for lj in levels[: k + 1]:
+                for m in li:
+                    s = oracles.star_mask(m, lj)
+                    assert any(s & ~d == 0 for d in diagonal)
 
 
 @given(partition_chains())
