@@ -14,7 +14,8 @@ import hashlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -111,6 +112,11 @@ def _read(args, path: str, kinds: Sequence[str], *target):
 
 def _load_family(args, path: str, pts: PointSet) -> Family:
     return reroot(_read(args, path, ("family",)), pts)
+
+
+def _load_witness_set(args, path: str, pts: PointSet) -> frozenset:
+    """The union of the members of a family document, over pts."""
+    return frozenset(pts.points_of(reduce(or_, _load_family(args, path, pts).masks, 0)))
 
 
 def _render(args, report: Report, artifact=None) -> int:
@@ -389,19 +395,18 @@ def cmd_map_check(args) -> int:
                 )
                 return _render(args, from_clauses([clause]))
             report = slowly_oscillating_verify(f, target, src, args.level, args.eps, b)
-            artifact = ("witness-set", docs.family_to_doc(Family(src.points, (b,))))
+            bfam = Family.from_masks(src.points, (src.points.mask(b),))
+            artifact = ("witness-set", docs.family_to_doc(bfam))
             return _render(args, report, artifact=artifact)
         _require(args, parser, ["witness_set"])
-        bfam = _load_family(args, args.witness_set, src.points)
-        b = frozenset().union(*bfam.members) if bfam.members else frozenset()
+        b = _load_witness_set(args, args.witness_set, src.points)
         report = slowly_oscillating_verify(f, target, src, args.level, args.eps, b)
         return _render(args, report)
     if args.search:
         raise DomainError("witness search needs a single-space source")
     _require(args, parser, ["scale", "witness_set"])
     scale = _load_family(args, args.scale, src.ambient)
-    bfam = _load_family(args, args.witness_set, src.ambient)
-    b = frozenset().union(*bfam.members) if bfam.members else frozenset()
+    b = _load_witness_set(args, args.witness_set, src.ambient)
     report = system_slowly_oscillating_verify(f, target, src, scale, args.eps, b)
     return _render(args, report)
 

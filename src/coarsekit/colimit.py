@@ -36,7 +36,6 @@ from .families import (
 )
 from .spaces import (
     ScaledSpace,
-    coarse_components,
     cofinal_levels,
     coincidence_masks,
     is_bounded,
@@ -294,14 +293,19 @@ def extended_level(system: FilteredSystem, piece: int, level: int) -> Family:
     return extend_to_ambient(system, system.pieces[piece].space.level(level))
 
 
+def _ambient_members(system: FilteredSystem) -> tuple[int, ...]:
+    """Every member of every piece level, as a mask over the ambient set."""
+    levels = (lv for pc in system.pieces for lv in pc.space.levels)
+    return tuple(m for lv in levels for m in reroot(lv, system.ambient).masks)
+
+
 def system_coarse_components(system: FilteredSystem) -> tuple[Subset, ...]:
-    """Transitive closure of per-piece coarse components over the ambient set."""
-    blocks = tuple(b for piece in system.pieces for b in coarse_components(piece.space))
-    return chain_components(Family(system.ambient, blocks))
+    """Transitive closure of per-piece coarse components over the ambient set:
+    the overlap blocks of every piece level's members at once."""
+    return chain_components(Family.from_masks(system.ambient, _ambient_members(system)))
 
 
 def system_weakly_bounded(system: FilteredSystem, b: Subset) -> bool:
     bm = system.ambient.mask(b)
-    levels = [reroot(lv, system.ambient) for pc in system.pieces for lv in pc.space.levels]
-    pool = [m for lv in levels for m in lv.masks]
+    pool = _ambient_members(system)
     return first_misfit([bm & block for block in component_masks(pool)], pool) is None

@@ -3,7 +3,9 @@
 Each generator returns a fully validated system (or a bundle around one) and
 records its truncation parameters in the system's meta strings. Sizes are
 capped so every instance stays enumerable; exceeding a cap is a hard error,
-not a silent clamp.
+not a silent clamp. Levels are built as member masks: balls as prefixes of
+each point's distance order, island balls shifted to the island's bits in a
+piece, and random covers and coarsenings as unions of point bits.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 from .colimit import FilteredSystem, Piece, validate_system
@@ -60,10 +63,10 @@ def _ball_levels(pts: PointSet, dist, radii) -> tuple[Family, ...]:
         for r in radii:
             k = bisect_right(row, r)
             if k not in prefix:
-                prefix[k] = frozenset(ids[i] for i in order[:k])
+                prefix[k] = sum(map((1).__lshift__, order[:k]))
             balls.append(prefix[k])
     depth = len(radii)
-    return tuple(Family(pts, tuple(balls[l::depth])) for l in range(depth))
+    return tuple(Family.from_masks(pts, tuple(balls[l::depth])) for l in range(depth))
 
 
 def _cut_levels(levels: tuple[Family, ...], pts: PointSet) -> tuple[Family, ...]:
@@ -186,18 +189,17 @@ def gen_disjoint_union(
     if full not in groups:
         groups.append(full)
 
-    tagged_levels = [
-        [
-            tuple(frozenset(f"{k}:{q}" for q in m) for m in lv.members)
-            for lv in _ball_levels(isl.points, isl.dist, rs)
-        ]
-        for k, isl in enumerate(islands)
-    ]
+    island_levels = [_ball_levels(isl.points, isl.dist, rs) for isl in islands]
     pieces = []
     for group in groups:
         pts = PointSet(tuple(full_id for k, _, full_id in tagged if k in group))
+        # an island's bits follow those of the group's earlier islands
+        sizes = (len(islands[k].points) for k in group)
+        shift = dict(zip(group, itertools.accumulate(sizes, initial=0)))
         levels = tuple(
-            Family(pts, tuple(m for k in group for m in tagged_levels[k][l]))
+            Family.from_masks(
+                pts, tuple(m << shift[k] for k in group for m in island_levels[k][l].masks)
+            )
             for l in range(len(rs))
         )
         space = validate_space(pts, levels)
@@ -325,33 +327,34 @@ class RandomCaps:
 
 
 def _coarsen(rng: random.Random, members: tuple, width: int) -> tuple:
-    """Group the members randomly and take unions, one group per new member."""
+    """Group the member masks randomly and take unions, one group per new member."""
     order = list(range(len(members)))
     rng.shuffle(order)
     out = []
     while order:
         take = min(len(order), rng.randint(1, width))
         chunk, order = order[:take], order[take:]
-        out.append(frozenset().union(*(members[i] for i in chunk)))
+        out.append(reduce(operator.or_, (members[i] for i in chunk)))
     return tuple(out)
 
 
-def _random_base_cover(rng: random.Random, ids: list) -> tuple:
+def _random_base_cover(rng: random.Random, n: int) -> tuple:
+    """Per point, a mask of it and up to two random others."""
     members = []
-    for p in ids:
-        others = [q for q in ids if q != p]
+    for p in range(n):
+        others = [q for q in range(n) if q != p]
         extra = rng.sample(others, k=rng.randint(0, min(2, len(others))))
-        members.append(frozenset([p, *extra]))
+        members.append(sum(map((1).__lshift__, {p, *extra})))
     return tuple(members)
 
 
-def _random_partition(rng: random.Random, ids: list) -> tuple:
-    order = ids[:]
+def _random_partition(rng: random.Random, n: int) -> tuple:
+    order = list(range(n))
     rng.shuffle(order)
     members = []
     while order:
         take = min(len(order), rng.randint(1, 3))
-        members.append(frozenset(order[:take]))
+        members.append(sum(map((1).__lshift__, order[:take])))
         order = order[take:]
     return tuple(members)
 
@@ -416,14 +419,14 @@ def gen_random_system(seed: int, caps: RandomCaps = RandomCaps()) -> FilteredSys
             levels, blocks, _ = _island_levels(rng, ambient, depth)
         else:
             base = (
-                _random_partition(rng, ids)
+                _random_partition(rng, n)
                 if variant == "blocks"
-                else _random_base_cover(rng, ids)
+                else _random_base_cover(rng, n)
             )
             grown = [base]
             while len(grown) < depth:
                 grown.append(_coarsen(rng, grown[-1], 3))
-            levels = tuple(Family(ambient, lv) for lv in grown)
+            levels = tuple(Family.from_masks(ambient, lv) for lv in grown)
         try:
             full_space = validate_space(ambient, levels)
             sub_count = rng.randint(0, caps.pieces - 1)

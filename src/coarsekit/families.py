@@ -3,14 +3,16 @@
 Families are the basic currency: a Family is an ordered tuple of subsets of a
 fixed PointSet, with duplicates allowed and counted (multiset semantics).
 A Family stores each member as an int bitmask over its point set (``masks``:
-bit i is set when the member holds point i of the point set). ``members``,
-the same members as frozensets in member order, is built on first read.
-``Family(space, members)`` checks every member against the point set;
-``Family.from_masks`` takes masks as they are, for callers that built them
-from checked points: the decoders and the kernels below. Masks move between
-point sets in two places only: reroot views the same members over another
-point set, and cut intersects them with a smaller one and reindexes them
-over it (restrict, asdim_restrict and the corpus's nested pieces all cut).
+bit i is set when the member holds point i of the point set). Library code
+builds and reads families as masks: ``Family.from_masks`` takes masks built
+from checked points, and ``bits`` walks a mask's point indices in order. The
+frozenset forms are the API edge: ``Family(space, members)`` and ``family``
+check every member against the point set, ``members`` (frozensets in member
+order) is built on first read, and ``star_set``, ``horizon`` and
+``chain_components`` take or give frozensets. Masks move between point sets
+in two places only: reroot views the same members over another point set,
+and cut intersects them with a smaller one and reindexes them over it
+(restrict, asdim_restrict and the corpus's nested pieces all cut).
 
 Each family operation has one kernel, on masks: incidence with star_mask for
 stars, first_misfit for refinement and essential refinement, and one body each
@@ -156,6 +158,16 @@ class Family:
 
     def __iter__(self):
         return iter(self.members)
+
+
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def family(space: PointSet, members: Iterable[Iterable[Point]]) -> Family:

@@ -3,20 +3,25 @@
 The horizon of a set against a family counts member occurrences, duplicates
 included; ratios compare the members meeting a point against the members
 meeting its star. An empty denominator at a covered point is a hard failure,
-never a division error.
+never a division error. Ratios count member masks: those meeting a point's
+bit, and those meeting its star mask against the scale's incidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from ..colimit import FilteredSystem, stripped
-from ..errors import CoarseError, DomainError
-from ..families import Family, Point, family_key, horizon, reroot, star_set
+from ..errors import DomainError
+from ..families import Family, Point, family_key, reroot, star_mask
 from ..reports import Clause, Report, from_clauses
-from .common import Bound, Target, bound_clause, ensure_over_target, piece_certificate
+from .common import (
+    Bound, Target, bound_clause, ensure_over_target, piece_certificate, require_verified
+)
 
 
 @dataclass(frozen=True)
@@ -28,18 +33,20 @@ class AmenabilityWitness:
 
 
 def covered_points(scale: Family) -> tuple[Point, ...]:
-    hit = frozenset().union(*scale.members, frozenset())
-    return tuple(p for p in scale.space.ids if p in hit)
+    return scale.space.points_of(reduce(or_, scale.masks, 0))
 
 
 def horizon_ratio(scale: Family, v: Family, x: Point) -> Optional[Fraction]:
     """Members of v at x over members of v at x's star; None when the star's
     horizon is empty."""
-    here = frozenset({x})
-    denom = len(horizon(star_set(here, scale), v))
+    here = 1 << scale.space.index(x)
+    star = star_mask(here, scale.incidence)
+    if v.space != scale.space:
+        here, star = (v.space.mask(scale.space.points_of(m)) for m in (here, star))
+    denom = sum(1 for m in v.masks if m & star)
     if denom == 0:
         return None
-    return Fraction(len(horizon(here, v)), denom)
+    return Fraction(sum(1 for m in v.masks if m & here), denom)
 
 
 def amenability_verify(target: Target, w: AmenabilityWitness) -> Report:
@@ -68,8 +75,12 @@ def amenability_lift(
 ) -> AmenabilityWitness:
     """Colimit witness: the piece companion plus the input's outside singletons.
 
-    The input's stripped core must equal the piece witness's input scale as a
-    multiset. Every point outside the piece keeps ratio exactly 1, because its
+    The input must strip to the piece, so its members off the carrier are
+    singletons, and its stripped core must equal the piece witness's input
+    scale as a multiset. A horizon count over the lifted companion is the sum
+    of the counts over its two parts, which share no member: the piece
+    members lie in the carrier and the singletons do not. So a carrier point
+    keeps its piece ratio, and a point outside keeps ratio exactly 1, as its
     star meets only its own singleton occurrences.
     """
     pc = system.pieces[piece]
@@ -80,21 +91,8 @@ def amenability_lift(
         raise DomainError("input family has a member outside the piece's carrier")
     if family_key(inner) != family_key(w.scale):
         raise DomainError("piece witness input does not match the stripped input")
-    if not amenability_verify(pc.space, w):
-        raise DomainError("piece witness does not verify")
-    outside_members = tuple(
-        m for m in u.members if len(m) == 1 and not m <= pc.carrier
-    )
-    v = Family(
-        system.ambient, reroot(w.v, system.ambient).members + outside_members
-    )
-    if set(w.v.members) & set(outside_members):
-        raise CoarseError("horizon decomposition is not disjoint")
-    for x in covered_points(u):
-        star = star_set(frozenset({x}), u)
-        total = len(horizon(star, v))
-        piece_part = len(horizon(star, reroot(w.v, system.ambient)))
-        outside_part = len(horizon(star, Family(system.ambient, outside_members)))
-        if piece_part + outside_part != total:
-            raise CoarseError("horizon decomposition is not disjoint")
+    require_verified(amenability_verify(pc.space, w), "piece witness does not verify")
+    inside = u.space.mask(pc.carrier)
+    outside = tuple(m for m in u.masks if m & ~inside)
+    v = Family.from_masks(u.space, reroot(w.v, u.space).masks + outside)
     return AmenabilityWitness(u, v, w.eps, piece_certificate(system, piece, w.v, w.v_bound))

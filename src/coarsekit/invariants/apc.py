@@ -162,60 +162,22 @@ def colimit_probe_chain(
 def apc_probe(
     system: FilteredSystem, prefix_len: Optional[int] = None, budget: int = 16
 ) -> ApcProbeOutcome:
-    """Per-piece and colimit witness searches, reported without negatives."""
-    clauses = []
-    piece_witnesses: list[Optional[ApcWitness]] = []
-    for piece in system.pieces:
-        name = f"piece {piece.name}"
-        if budget <= 0:
-            piece_witnesses.append(None)
-            clauses.append(
-                Clause(name, False, "search budget exhausted", truncation=True)
-            )
-            continue
-        budget -= 1
-        depth = piece.space.depth
-        n = depth if prefix_len is None else min(prefix_len, depth)
-        w = apc_search(piece.space, piece.space.levels[:n])
-        piece_witnesses.append(w)
-        if w is None:
-            clauses.append(
-                Clause(
-                    name,
-                    False,
-                    "no witness within the greedy search space",
-                    truncation=True,
-                )
-            )
-        else:
-            clauses.append(
-                Clause(name, True, f"witness with {len(w.selections)} selections")
-            )
+    """Per-piece and colimit witness searches, reported without negatives.
+
+    Each search, the pieces' in order and then the colimit's, spends one unit
+    of the budget; a search left without one is reported as undecided."""
     chain = colimit_probe_chain(system, prefix_len)
-    if budget <= 0:
-        colimit_witness = None
-        clauses.append(
-            Clause("colimit", False, "search budget exhausted", truncation=True)
-        )
-    else:
-        colimit_witness = apc_search(system, chain)
-        if colimit_witness is None:
-            clauses.append(
-                Clause(
-                    "colimit",
-                    False,
-                    "no witness within the greedy search space",
-                    truncation=True,
-                )
-            )
+    searches = [(f"piece {p.name}", p.space, p.space.levels[:prefix_len]) for p in system.pieces]
+    searches.append(("colimit", system, chain))
+    clauses, found = [], []
+    for k, (name, target, levels) in enumerate(searches):
+        w = apc_search(target, levels) if k < budget else None
+        found.append(w)
+        if k >= budget:
+            clauses.append(Clause(name, False, "search budget exhausted", truncation=True))
+        elif w is None:
+            detail = "no witness within the greedy search space"
+            clauses.append(Clause(name, False, detail, truncation=True))
         else:
-            clauses.append(
-                Clause(
-                    "colimit",
-                    True,
-                    f"witness with {len(colimit_witness.selections)} selections",
-                )
-            )
-    return ApcProbeOutcome(
-        from_clauses(clauses), tuple(piece_witnesses), colimit_witness, chain
-    )
+            clauses.append(Clause(name, True, f"witness with {len(w.selections)} selections"))
+    return ApcProbeOutcome(from_clauses(clauses), tuple(found[:-1]), found[-1], chain)

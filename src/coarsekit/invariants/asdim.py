@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, cut, essentially_refines, first_misfit, multiplicity
+from ..families import Family, bits, cut, essentially_refines, first_misfit, multiplicity
 from ..reports import Clause, Report, from_clauses
 from ..spaces import ScaledSpace, is_bounded
 from .common import (
@@ -29,6 +29,7 @@ from .common import (
     bound_clause,
     ensure_over_target,
     piece_certificate,
+    require_verified,
     with_outside_singletons,
 )
 
@@ -84,11 +85,6 @@ def _as_scale(space: ScaledSpace, scale: Union[Family, int]) -> Family:
     return scale
 
 
-def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of mask, in increasing order."""
-    return [k for k in range(mask.bit_length()) if mask >> k & 1]
-
-
 def _search_exhaustive(
     n: int, items: list[int], tops: tuple[int, ...], size: int
 ) -> Optional[tuple[int, ...]]:
@@ -106,7 +102,7 @@ def _search_exhaustive(
             union = g | m
             if first_misfit((union,), tops) is not None:
                 continue
-            fresh = _bits(m & ~g)
+            fresh = bits(m & ~g)
             if any(counts[k] > n for k in fresh):
                 continue
             if gi == len(groups):
@@ -148,7 +144,7 @@ def _search_greedy(
                 break
         else:
             return None
-        for k in _bits(groups[a] & groups[b]):
+        for k in bits(groups[a] & groups[b]):
             counts[k] -= 1
             if counts[k] == n + 1:
                 crowded ^= 1 << k
@@ -192,8 +188,10 @@ def asdim_search(
 
 def asdim_lift(system: FilteredSystem, piece: int, n: int, w: AsdimWitness) -> AsdimWitness:
     """Colimit witness from a piece witness: adjoin outside singletons."""
-    if not asdim_verify(system.pieces[piece].space, n, w):
-        raise DomainError("piece witness does not verify at the stated dimension")
+    require_verified(
+        asdim_verify(system.pieces[piece].space, n, w),
+        "piece witness does not verify at the stated dimension",
+    )
     return AsdimWitness(
         extend_to_ambient(system, w.scale),
         with_outside_singletons(system, piece, w.coarsening),
@@ -203,8 +201,9 @@ def asdim_lift(system: FilteredSystem, piece: int, n: int, w: AsdimWitness) -> A
 
 def asdim_restrict(system: FilteredSystem, piece: int, n: int, w: AsdimWitness) -> AsdimWitness:
     """Piece witness from a colimit witness: intersect members with the carrier."""
-    if not asdim_verify(system, n, w):
-        raise DomainError("colimit witness does not verify at the stated dimension")
+    require_verified(
+        asdim_verify(system, n, w), "colimit witness does not verify at the stated dimension"
+    )
     pc = system.pieces[piece]
     coarsening = cut(w.coarsening, pc.space.points)
     return AsdimWitness(cut(w.scale, pc.space.points), coarsening, is_bounded(pc.space, coarsening))

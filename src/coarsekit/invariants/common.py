@@ -9,12 +9,13 @@ claim that fails to check is a hard failure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Sequence, Union
 
 from ..colimit import ColimitBoundedness, FilteredSystem, check_boundedness, colimit_bounded
 from ..errors import DomainError
 from ..families import Family, Point, PointSet, essentially_refines, reroot
-from ..reports import Clause
+from ..reports import Clause, Report
 from ..spaces import ScaledSpace, is_bounded
 
 Target = Union[ScaledSpace, FilteredSystem]
@@ -79,6 +80,13 @@ def resolve_bound(target: Target, fam: Family, bound: Bound) -> Bound:
     return find_bound(target, fam)
 
 
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, rows)``: den is the lcm of the entries' distinct denominators,
+    and rows are the rows times den, as integers."""
+    den = lcm(*{v.denominator for row in rows for v in row})
+    return den, tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+
+
 # steps shared by the lifters, which push a verified piece witness to the colimit
 
 
@@ -88,10 +96,17 @@ def outside_points(system: FilteredSystem, piece: int) -> tuple[Point, ...]:
     return tuple(p for p in system.ambient.ids if p not in carrier)
 
 
+def require_verified(report: Report, text: str) -> None:
+    """The guard of every lifter and asdim_restrict on the witness it is given."""
+    if not report:
+        raise DomainError(text)
+
+
 def with_outside_singletons(system: FilteredSystem, piece: int, fam: Family) -> Family:
     """A piece family over the ambient set, plus one singleton per outside point."""
-    singletons = tuple(frozenset({p}) for p in outside_points(system, piece))
-    return Family(system.ambient, reroot(fam, system.ambient).members + singletons)
+    pts = system.ambient
+    singletons = tuple(pts.mask((p,)) for p in outside_points(system, piece))
+    return Family.from_masks(pts, reroot(fam, pts).masks + singletons)
 
 
 def piece_certificate(

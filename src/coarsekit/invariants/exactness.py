@@ -11,21 +11,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import combinations
 from operator import sub
 from typing import Optional
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError, number_text
-from ..families import Family, Point, PointSet
+from ..families import Family, Point, PointSet, bits
 from ..reports import Clause, Report, from_clauses
 from .common import (
     Bound,
     Target,
     bound_clause,
     ensure_over_target,
+    integer_rows,
     outside_points,
     piece_certificate,
+    require_verified,
     unit_padded_rows,
 )
 
@@ -49,11 +51,7 @@ class PartitionOfUnity:
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """``(den, rows)``: den is the lcm of every weight's denominator and
         rows are the weight rows times den, as integers."""
-        den = lcm(*(v.denominator for row in self.rows for v in row))
-        return den, tuple(
-            tuple(v.numerator * (den // v.denominator) for v in row)
-            for row in self.rows
-        )
+        return integer_rows(self.rows)
 
     def weight(self, p: Point, i: int) -> Fraction:
         return self.rows[self.space.index(p)][i]
@@ -87,9 +85,9 @@ def _unit_offense(pou: PartitionOfUnity) -> Optional[str]:
 
 
 def support_family(pou: PartitionOfUnity) -> Family:
-    return Family(
-        pou.space, tuple(pou.support(i) for i in range(len(pou.indices)))
-    )
+    """One member per index: the points where its weight is nonzero."""
+    cols = (sum(1 << p for p, v in enumerate(col) if v) for col in zip(*pou.rows))
+    return Family.from_masks(pou.space, tuple(cols))
 
 
 def _scaled_l1(rows, a: int, b: int) -> int:
@@ -115,17 +113,12 @@ def _variation_offense(w: ExactnessWitness) -> Optional[str]:
     den, rows = w.pou.scaled
     limit = w.eps.numerator * den
     per = w.eps.denominator
-    space = w.scale.space
-    for m in w.scale.members:
-        at = sorted(map(space.index, m))
-        for i, a in enumerate(at):
-            for b in at[i + 1 :]:
-                v = _scaled_l1(rows, a, b)
-                if not v * per < limit:
-                    return (
-                        f"pair ({space.ids[a]!r}, {space.ids[b]!r}) varies by "
-                        f"{number_text(Fraction(v, den))}"
-                    )
+    ids = w.scale.space.ids
+    for m in w.scale.masks:
+        for a, b in combinations(bits(m), 2):
+            v = _scaled_l1(rows, a, b)
+            if not v * per < limit:
+                return f"pair ({ids[a]!r}, {ids[b]!r}) varies by {number_text(Fraction(v, den))}"
     return None
 
 
@@ -159,8 +152,9 @@ def exactness_lift(
     system: FilteredSystem, piece: int, w: ExactnessWitness
 ) -> ExactnessWitness:
     """Zero-extend the partition off the piece and adjoin outside deltas."""
-    if not exactness_verify(system.pieces[piece].space, w):
-        raise DomainError("piece witness does not verify")
+    require_verified(
+        exactness_verify(system.pieces[piece].space, w), "piece witness does not verify"
+    )
     deltas = tuple(f"delta:{p}" for p in outside_points(system, piece))
     if set(deltas) & set(w.pou.indices):
         raise DomainError("delta index names collide with existing indices")

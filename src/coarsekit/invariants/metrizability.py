@@ -35,7 +35,7 @@ def generator_set(space: PointSet, families: Sequence[Family]) -> GeneratorSet:
 
 
 def combined_pair(a: Family, b: Family) -> Family:
-    return Family(a.space, a.members + b.members + star_family(a, b).members)
+    return Family.from_masks(a.space, a.masks + b.masks + star_family(a, b).masks)
 
 
 def metrizability_generator_check(g: GeneratorSet) -> Report:

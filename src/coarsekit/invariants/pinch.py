@@ -13,21 +13,23 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError, number_text
-from ..families import Family, Point, PointSet
+from ..families import Family, Point, PointSet, bits
 from ..reports import Clause, Report, from_clauses
 from .common import (
     Bound,
     Target,
     bound_clause,
     ensure_over_target,
+    integer_rows,
     outside_points,
     piece_certificate,
+    require_verified,
     unit_padded_rows,
 )
 
@@ -96,8 +98,7 @@ def pinch_verify(
         raise DomainError("embedding is not over the target's point set")
     clauses = [bound_clause("separation family bounded", target, w.sep, w.sep_bound)]
 
-    den = lcm(*(x.denominator for row in w.coords for x in row))
-    rows = [tuple(x.numerator * (den // x.denominator) for x in row) for row in w.coords]
+    den, rows = integer_rows(w.coords)
     norms = [sum(map(mul, row, row)) for row in rows]
 
     def sq(a: int, b: int) -> int:
@@ -110,12 +111,10 @@ def pinch_verify(
     worst_pair = None
     worst = -1
     for m in w.scale.masks:
-        at = [i for i in range(m.bit_length()) if m >> i & 1]
-        for k, a in enumerate(at):
-            for b in at[k + 1 :]:
-                d = sq(a, b)
-                if d > worst:
-                    worst, worst_pair = d, (ids[a], ids[b])
+        for a, b in combinations(bits(m), 2):
+            d = sq(a, b)
+            if d > worst:
+                worst, worst_pair = d, (ids[a], ids[b])
     worst = Fraction(worst, den**2)
     diam_ok = worst_pair is None or (
         diam_threshold > 0 and worst < diam_threshold**2
@@ -170,8 +169,9 @@ def pinch_lift(
     """
     if w.c != 1:
         raise DomainError("lift is calibrated for unit separation")
-    if not pinch_verify(system.pieces[piece].space, w, tol):
-        raise DomainError("piece witness does not verify")
+    require_verified(
+        pinch_verify(system.pieces[piece].space, w, tol), "piece witness does not verify"
+    )
     return PinchWitness(
         system.ambient,
         w.dim + len(outside_points(system, piece)),

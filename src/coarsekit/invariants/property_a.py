@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, Point, PointSet, star_set
+from ..families import Family, Point, PointSet, bits, star_mask
 from ..reports import Clause, Report, from_clauses
 from ..spaces import ScaledSpace
 from .common import (
@@ -23,6 +23,7 @@ from .common import (
     bound_clause,
     ensure_over_target,
     piece_certificate,
+    require_verified,
     with_outside_singletons,
 )
 
@@ -65,13 +66,8 @@ class PropertyAFamily:
 
 def geometry_cap(target: Target) -> int:
     """Largest member size over every level in sight."""
-    if isinstance(target, ScaledSpace):
-        levels = target.levels
-    else:
-        levels = tuple(
-            lv for piece in target.pieces for lv in piece.space.levels
-        )
-    return max(len(m) for lv in levels for m in lv.members)
+    spaces = [target] if isinstance(target, ScaledSpace) else [pc.space for pc in target.pieces]
+    return max(m.bit_count() for sp in spaces for lv in sp.levels for m in lv.masks)
 
 
 def pair_ratio(w: PropertyAFamily, x: Point, y: Point) -> Optional[Fraction]:
@@ -103,11 +99,13 @@ def property_a_verify(target: Target, w: PropertyAFamily) -> Report:
             "" if base is None else f"point {base!r} lacks its base tag",
         )
     )
+    ids, index = w.space.ids, w.space.index
+    inc = w.support.incidence
     confined = None
-    for p in w.space.ids:
-        star = star_set(frozenset({p}), w.support)
-        for q, k in sorted(w.tags(p)):
-            if k > w.n_cap or q not in star:
+    for i, p in enumerate(ids):
+        star = star_mask(1 << i, inc)
+        for q, k in sorted(w.sets[i]):
+            if k > w.n_cap or not star >> index(q) & 1:
                 confined = f"tag ({q!r}, {k}) at point {p!r} escapes the support star"
                 break
         if confined:
@@ -115,9 +113,11 @@ def property_a_verify(target: Target, w: PropertyAFamily) -> Report:
     clauses.append(
         Clause("tags confined to support stars", confined is None, confined or "")
     )
+    inc = w.scale.incidence
     offense = None
-    for x in w.space.ids:
-        for y in w.space.sort(star_set(frozenset({x}), w.scale)):
+    for i, x in enumerate(ids):
+        for j in bits(star_mask(1 << i, inc)):
+            y = ids[j]
             r = pair_ratio(w, x, y)
             if r is None:
                 offense = f"empty tag intersection for pair ({x!r}, {y!r})"
@@ -142,8 +142,7 @@ def property_a_lift(
 ) -> PropertyAFamily:
     """Keep piece tag sets; every outside point tags only itself."""
     pc = system.pieces[piece]
-    if not property_a_verify(pc.space, w):
-        raise DomainError("piece witness does not verify")
+    require_verified(property_a_verify(pc.space, w), "piece witness does not verify")
     sets = tuple(
         w.tags(p) if p in pc.carrier else frozenset({(p, 1)})
         for p in system.ambient.ids

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Union
 
 from .colimit import FilteredSystem, extend_to_ambient, system_weakly_bounded
 from .errors import DomainError
-from .families import Family, Point, PointSet, Subset, star_set
+from .families import Family, Point, PointSet, Subset, bits, star_mask
 from .reports import Clause, Report, Verdict, from_clauses
 from .spaces import ScaledSpace, is_bounded, weakly_bounded
 
@@ -158,7 +158,12 @@ def path_metric(pts: PointSet) -> MetricTarget:
 
 
 def image_diameter(f: GroundedMap, target: MetricTarget, member: Subset) -> Distance:
-    pts = [f(p) for p in f.domain.sort(member)]
+    return _image_diameter(f, target, f.domain.mask(member))
+
+
+def _image_diameter(f: GroundedMap, target: MetricTarget, member: int) -> Distance:
+    """image_diameter of a member given as a mask over f's domain."""
+    pts = [f.images[i] for i in bits(member)]
     best: Distance = Fraction(0)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -317,13 +322,10 @@ def _oscillation_clauses(
             "" if weak_ok else "some coarse component meets it beyond every member",
         )
     ]
-    offender = None
-    for m in scale.members:
-        if m <= b:
-            continue
-        if not image_diameter(f, target, m) < eps:
-            offender = m
-            break
+    bm = scale.space.mask(b)
+    offender = next(
+        (m for m in scale.masks if m & ~bm and not _image_diameter(f, target, m) < eps), None
+    )
     clauses.append(
         Clause(
             "image diameters below threshold off the witness set",
@@ -331,7 +333,7 @@ def _oscillation_clauses(
             ""
             if offender is None
             else "member {"
-            + ", ".join(f.domain.sort(offender))
+            + ", ".join(f.domain.points_of(offender))
             + "} has image diameter >= threshold",
         )
     )
@@ -392,16 +394,16 @@ def slowly_oscillating_search(
     star-thickened union second. Absence here never refutes.
     """
     scale = src.level(level)
-    bad = [m for m in scale.members if not image_diameter(f, target, m) < eps]
+    if f.domain != src.points:  # the members index f's images
+        raise DomainError("map domain does not match the space")
+    bad = [m for m in scale.masks if not _image_diameter(f, target, m) < eps]
     if not bad:
         return frozenset()
-    candidates = [frozenset().union(*bad)]
-    candidates.append(frozenset().union(*(star_set(m, scale) for m in bad)))
-    seen = set()
-    for b in candidates:
-        if b in seen:
-            continue
-        seen.add(b)
+    inc = scale.incidence
+    union = reduce(operator.or_, bad)
+    thick = reduce(operator.or_, (star_mask(m, inc) for m in bad))
+    for bm in dict.fromkeys((union, thick)):
+        b = frozenset(src.points.points_of(bm))
         if slowly_oscillating_verify(f, target, src, level, eps, b):
             return b
     return None

@@ -13,8 +13,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coarsekit import DomainError
+from coarsekit.cli import main
+from coarsekit.colimit import Piece, validate_system
+from coarsekit.corpus import gen_disjoint_union
+from coarsekit.documents import (
+    Document,
+    emit_document,
+    map_to_doc,
+    metric_to_doc,
+    space_to_doc,
+    system_to_doc,
+)
 from coarsekit.families import (
     Family,
+    bits,
     covers,
     cut,
     essentially_refines,
@@ -24,6 +36,7 @@ from coarsekit.families import (
     star_family,
     uncovered_point,
 )
+from coarsekit.maps import grounded_map, identity_map, path_metric
 from coarsekit.spaces import is_bounded, validate_space
 
 import oracles
@@ -113,6 +126,11 @@ def test_star_family_stars_each_member_in_order(data):
     assert star_family(checked(v), checked(u)) == got
 
 
+@given(st.integers(0, (1 << 70) - 1))
+def test_bits_walks_the_set_bits_in_increasing_order(mask):
+    assert bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @given(families(), st.data())
 def test_horizon_indices_match_the_oracle(data, draw):
     space, u = data
@@ -191,3 +209,136 @@ def test_cut_keeps_the_non_empty_intersections_over_the_given_points(data, order
     assert got.space == pts
     assert got.masks == want
     assert cut(checked(u), pts) == got
+
+
+# the frozenset forms are the API edge: no command reaches them
+
+
+def _spy_inputs(tmp_path) -> list[tuple[list[str], int]]:
+    """Command lines with their exit codes, covering every command, each of
+    its generators, invariants and map checks, over small paths."""
+
+    def save(name, kind, body):
+        path = tmp_path / name
+        path.write_text(emit_document(Document(kind, "1", body)), encoding="utf-8")
+        return str(path)
+
+    def save_doc(name, doc):
+        return save(name, doc.kind, doc.body)
+
+    fs = gen_disjoint_union([path_metric(points("ab")), path_metric(points("cd"))])
+    ambient = list(fs.ambient.ids)  # 0:a 0:b 1:c 1:d
+    system = save_doc("sys.json", system_to_doc(fs))
+    piece = save_doc("m0.json", space_to_doc(fs.pieces[0].space))
+    pair = save("pair.json", "family", {"points": ambient, "members": [["0:a", "0:b"]]})
+    other = save("other.json", "family", {"points": ambient, "members": [["1:c"], ["0:b"]]})
+    witnesses = {
+        "asdim": {"scale": {"level": 1}, "coarsening": [["0:a", "0:b"]]},
+        "exactness": {
+            "scale": {"level": 1},
+            "eps": 1,
+            "indices": ["u"],
+            "weights": {"0:a": {"u": 1}, "0:b": {"u": 1}},
+        },
+        "pinch": {
+            "scale": {"level": 1},
+            "sep": [["0:a", "0:b"]],
+            "c": 1,
+            "eps": 1,
+            "dim": 1,
+            "coords": {"0:a": [0], "0:b": [0]},
+        },
+        "amenability": {
+            "scale": {"level": 1},
+            "companion": [["0:a", "0:b"], ["0:a", "0:b"]],
+            "eps": "1/2",
+        },
+        "property-a": {
+            "scale": [["0:a"], ["0:b"]],
+            "support": [["0:a"], ["0:b"]],
+            "eps": "1/2",
+            "n_cap": 1,
+            "sets": {"0:a": [["0:a", 1]], "0:b": [["0:b", 1]]},
+        },
+    }
+    u = save(
+        "u.json",
+        "family",
+        {"points": ambient, "members": [["0:a", "0:b"], ["0:a", "0:b"], ["1:c"], ["1:d"]]},
+    )
+    argvs = [
+        ["corpus", "c0", "--s-max", "2", "--box", "1"],
+        ["corpus", "unit-interval", "--n-max", "4"],
+        ["corpus", "disjoint-union", "--islands", "2,3"],
+        ["corpus", "random", "--seed", "3"],
+    ]
+    argvs = [[*a, "--out-dir", str(tmp_path / a[1])] for a in argvs]
+    argvs += [
+        ["validate", system],
+        ["validate", piece],
+        ["bounded", system, pair],
+        ["star", system, pair, other],
+        ["probe", "apc", system],
+        ["check", "asdim", piece, "--n", "0", "--search", "--level", "1"],
+    ]
+    for inv, body in witnesses.items():
+        kind = "witness:" + inv.replace("-", "_")
+        w = save(f"{inv}.json", kind, body)
+        lifted = str(tmp_path / f"{inv}-lifted.json")
+        extra = ["--n", "0"] if inv == "asdim" else []
+        lift = ["lift", inv, system, "--piece", "M0", "--witness", w, "-o", lifted, *extra]
+        if inv == "amenability":
+            lift += ["--input", u]
+        argvs += [lift, ["check", inv, piece, "--witness", w, *extra]]
+        argvs.append(["check", inv, system, "--witness", lifted, *extra])
+
+    pts = points("012")
+    line = validate_space(
+        pts, [Family.from_masks(pts, (0b011, 0b111, 0b110)), Family.from_masks(pts, (0b111,) * 3)]
+    )
+    src = save_doc("line.json", space_to_doc(line))
+    ident = save_doc("id.json", map_to_doc(identity_map(pts)))
+    const = save_doc("const.json", map_to_doc(grounded_map(pts, pts, dict.fromkeys("012", "0"))))
+    target = path_metric(points("xyz"))
+    metric = save_doc("metric.json", metric_to_doc(target))
+    spread = grounded_map(pts, target.points, dict(zip("012", "xyz")))
+    spread = save_doc("spread.json", map_to_doc(spread))
+    lsys = system_to_doc(validate_system(pts, [Piece("all", frozenset(pts.ids), line)]))
+    lsys = save_doc("lsys.json", lsys)
+    scale = save("scale.json", "family", {"points": list("012"), "members": [["0", "1"], ["2"]]})
+    bset = save("b.json", "family", {"points": list("012"), "members": [["0"], ["1", "0"]]})
+    so = ["map-check", "so", src, metric, spread, "--eps", "1", "--level", "1"]
+    refuted = [*so, "--witness-set", bset]  # {0, 1, 2} spreads over x..z
+    argvs += [
+        ["map-check", "bornologous", src, src, ident],
+        ["map-check", "bornologous", lsys, src, const],
+        ["map-check", "close", src, ident, const],
+        [*so, "--search", "-o", str(tmp_path / "b-found.json")],
+        refuted,
+        ["map-check", "so", lsys, metric, spread, "--eps", "1"]
+        + ["--scale", scale, "--witness-set", bset],
+    ]
+    return [(argv, 1 if argv is refuted else 0) for argv in argvs]
+
+
+def test_commands_never_reach_the_frozenset_forms(tmp_path, monkeypatch):
+    """Counts every checked construction and every read of the members view
+    (iteration included) while each command runs; library code builds and
+    reads families as masks only."""
+    cases = _spy_inputs(tmp_path)
+    uses = []
+    real_init, real_members = Family.__init__, Family.__dict__["members"].func
+
+    def init(self, *args):
+        uses.append("Family(...)")
+        real_init(self, *args)
+
+    def members(self):
+        uses.append(".members")
+        return real_members(self)
+
+    monkeypatch.setattr(Family, "__init__", init)
+    monkeypatch.setattr(Family, "members", property(members))
+    for argv, code in cases:
+        assert main(argv) == code, argv
+        assert not uses, (argv, uses)
