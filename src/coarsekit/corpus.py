@@ -19,12 +19,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .colimit import FilteredSystem, Piece, validate_system
 from .errors import DomainError, ValidationError, number_text
 from .families import Family, PointSet, cut
-from .maps import GroundedMap, INF, MetricTarget, metric_target
+from .maps import GroundedMap, INF, MetricTarget, path_metric
 from .spaces import ScaledSpace, restrict, validate_space
 
 MAX_GRID_POINTS = 512
@@ -69,13 +69,21 @@ def _ball_levels(pts: PointSet, dist, radii) -> tuple[Family, ...]:
     return tuple(Family.from_masks(pts, tuple(balls[l::depth])) for l in range(depth))
 
 
-def _cut_levels(levels: tuple[Family, ...], pts: PointSet) -> tuple[Family, ...]:
-    """The ball levels of a piece whose metric is the levels' metric
-    restricted to ``pts``: each ball is the ambient ball cut to the piece."""
-    at = [levels[0].space.index(p) for p in pts.ids]
-    return tuple(
-        cut(Family.from_masks(lv.space, tuple(lv.masks[i] for i in at)), pts) for lv in levels
-    )
+def _nested_system(
+    balls: tuple[Family, ...], named: Iterable[tuple[str, PointSet]], meta: tuple[str, ...]
+) -> FilteredSystem:
+    """The system whose pieces are the named point sets, each carrying the
+    ambient ball levels restricted to it: the ball of each of its points, cut
+    to the piece."""
+    ambient = balls[0].space
+    pieces = []
+    for name, pts in named:
+        at = [ambient.index(p) for p in pts.ids]
+        levels = tuple(
+            cut(Family.from_masks(ambient, tuple(lv.masks[i] for i in at)), pts) for lv in balls
+        )
+        pieces.append(Piece(name, frozenset(pts.ids), validate_space(pts, levels)))
+    return validate_system(ambient, tuple(pieces), None, meta)
 
 
 def _doubling_radii(diameter: Fraction) -> tuple[Fraction, ...]:
@@ -131,16 +139,15 @@ def gen_c0(s_max: int, box: int, radii: Optional[Sequence] = None) -> FilteredSy
     rs = _check_radii(radii) if radii is not None else _doubling_radii(diameter)
     by_id = {ident[c]: c for c in coords}
     balls = _ball_levels(ambient, lambda p, q: l1(by_id[p], by_id[q]), rs)
-    pieces = []
-    for s in range(1, s_max + 1):
-        pts = PointSet(tuple(ident[c] for c in coords if all(v == 0 for v in c[s:])))
-        space = validate_space(pts, _cut_levels(balls, pts))
-        pieces.append(Piece(f"grid{s}", frozenset(pts.ids), space))
+    named = (
+        (f"grid{s}", PointSet(tuple(ident[c] for c in coords if all(v == 0 for v in c[s:]))))
+        for s in range(1, s_max + 1)
+    )
     meta = (
         f"truncation: integer tuples of length {s_max} within [-{box}, {box}]",
         "radii: " + ", ".join(str(r) for r in rs),
     )
-    return validate_system(ambient, tuple(pieces), None, meta)
+    return _nested_system(balls, named, meta)
 
 
 # finite disjoint unions of metric islands
@@ -262,23 +269,15 @@ def gen_unit_interval(n_max: int) -> UnitIntervalInstance:
     balls = _ball_levels(
         ambient, lambda p, q: abs(scaled[p] - scaled[q]), [r * scale for r in ladder]
     )
-    pieces = []
-    for n in range(1, n_max + 1):
-        pts = PointSet(tuple(ident[v] for v in values[: n + 1]))
-        space = validate_space(pts, _cut_levels(balls, pts))
-        pieces.append(Piece(f"X{n}", frozenset(pts.ids), space))
+    named = ((f"X{n}", PointSet(ambient.ids[: n + 1])) for n in range(1, n_max + 1))
     meta = (
         f"truncation: harmonic points 1/m for m up to {n_max + 1}",
         "radii: " + ", ".join(str(r) for r in ladder),
     )
-    system = validate_system(ambient, tuple(pieces), None, meta)
+    system = _nested_system(balls, named, meta)
 
     target_pts = PointSet(tuple(str(i) for i in range(n_max + 2)))
-    rows = tuple(
-        tuple(Fraction(abs(i - j)) for j in range(n_max + 2))
-        for i in range(n_max + 2)
-    )
-    target = metric_target(target_pts, rows)
+    target = path_metric(target_pts)
 
     f = GroundedMap(
         ambient, target_pts, tuple(str(m) for m in range(1, n_max + 2))
@@ -348,17 +347,6 @@ def _random_base_cover(rng: random.Random, n: int) -> tuple:
     return tuple(members)
 
 
-def _random_partition(rng: random.Random, n: int) -> tuple:
-    order = list(range(n))
-    rng.shuffle(order)
-    members = []
-    while order:
-        take = min(len(order), rng.randint(1, 3))
-        members.append(sum(map((1).__lshift__, order[:take])))
-        order = order[take:]
-    return tuple(members)
-
-
 def _line_levels(pts: PointSet, depth: int) -> tuple[Family, ...]:
     n = len(pts)
     radii = [Fraction(n)]
@@ -418,8 +406,9 @@ def gen_random_system(seed: int, caps: RandomCaps = RandomCaps()) -> FilteredSys
         elif variant == "islands":
             levels, blocks, _ = _island_levels(rng, ambient, depth)
         else:
+            # a random partition is the point singletons coarsened once
             base = (
-                _random_partition(rng, n)
+                _coarsen(rng, tuple(1 << i for i in range(n)), 3)
                 if variant == "blocks"
                 else _random_base_cover(rng, n)
             )

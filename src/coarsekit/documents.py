@@ -168,9 +168,7 @@ def _family(v, pts: PointSet, path) -> Family:
 def _scales(v, pts: PointSet, path) -> tuple[Family, ...]:
     """The scales as families over pts, each member read once; covering and
     monotonicity are checked on their masks by spaces.check_chain."""
-    if not isinstance(v, list) or not v:
-        _fail("expected a non-empty list of scales", path)
-    levels = tuple(_family(raw, pts, f"{path}[{i}]") for i, raw in enumerate(v))
+    levels = _family_list(v, pts, path, "scales")
     check_chain([lv.masks for lv in levels], (1 << len(pts)) - 1, pts.ids)
     return levels
 

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, bits, cut, essentially_refines, first_misfit, multiplicity
+from ..families import Family, bits, cut, first_misfit, multiplicity
 from ..reports import Clause, Report, from_clauses
 from ..spaces import ScaledSpace, is_bounded
 from .common import (
@@ -52,19 +52,16 @@ def asdim_verify(target: Target, n: int, w: AsdimWitness) -> Report:
         raise DomainError("dimension bound must be nonnegative")
     ensure_over_target(target, w.scale, "input scale")
     ensure_over_target(target, w.coarsening, "coarsening")
-    clauses = []
-    if essentially_refines(w.scale, w.coarsening):
-        clauses.append(Clause("input scale essentially refines the coarsening", True))
-    else:
-        counted = (m for m in w.scale.masks if m & (m - 1))
-        bad = w.scale.space.points_of(first_misfit(counted, w.coarsening.masks))
-        clauses.append(
-            Clause(
-                "input scale essentially refines the coarsening",
-                False,
-                "member {" + ", ".join(bad) + "} fits no coarsening member",
-            )
+    # essential refinement: every member of two or more points fits
+    bad = first_misfit((m for m in w.scale.masks if m & (m - 1)), w.coarsening.masks)
+    points = "" if bad is None else ", ".join(w.scale.space.points_of(bad))
+    clauses = [
+        Clause(
+            "input scale essentially refines the coarsening",
+            bad is None,
+            "" if bad is None else "member {" + points + "} fits no coarsening member",
         )
+    ]
     mult = multiplicity(w.coarsening)
     clauses.append(
         Clause(

@@ -10,11 +10,11 @@ error when that piece's list has no coarse enough family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..colimit import FilteredSystem
 from ..errors import DomainError, TruncationError
-from ..families import Family, PointSet, refines, reroot, star_family
+from ..families import Family, PointSet, first_misfit, reroot, star_family
 from ..reports import Clause, Report, from_clauses
 
 
@@ -38,19 +38,20 @@ def combined_pair(a: Family, b: Family) -> Family:
     return Family.from_masks(a.space, a.masks + b.masks + star_family(a, b).masks)
 
 
+def _first_coarsening(
+    a: Family, b: Family, candidates: Iterable[tuple[int, Family]]
+) -> Optional[int]:
+    """Index of the first listed (index, family) candidate that coarsens
+    combined_pair(a, b), or None."""
+    masks = combined_pair(a, b).masks
+    return next((k for k, c in candidates if first_misfit(masks, c.masks) is None), None)
+
+
 def metrizability_generator_check(g: GeneratorSet) -> Report:
     clauses = []
     for i, a in enumerate(g.families):
         for j, b in enumerate(g.families):
-            combined = combined_pair(a, b)
-            k = next(
-                (
-                    idx
-                    for idx, cand in enumerate(g.families)
-                    if refines(combined, cand)
-                ),
-                None,
-            )
+            k = _first_coarsening(a, b, enumerate(g.families))
             clauses.append(
                 Clause(
                     f"pair ({i}, {j})",
@@ -81,25 +82,14 @@ def metrizability_merge(
             raise TruncationError(
                 f"generator set for piece {pc.name!r} fails its own pair check"
             )
-    merged: list[Family] = []
-    piece_of: list[int] = []
-    for s, gs in enumerate(piece_sets):
-        for fam in gs.families:
-            merged.append(reroot(fam, system.ambient))
-            piece_of.append(s)
+    merged = [reroot(fam, system.ambient) for gs in piece_sets for fam in gs.families]
+    piece_of = [s for s, gs in enumerate(piece_sets) for _ in gs.families]
     clauses = []
     for i, a in enumerate(merged):
         for j, b in enumerate(merged):
             t = system.upper_piece(piece_of[i], piece_of[j])
-            combined = combined_pair(a, b)
-            k = next(
-                (
-                    idx
-                    for idx in range(len(merged))
-                    if piece_of[idx] == t and refines(combined, merged[idx])
-                ),
-                None,
-            )
+            owned = ((idx, c) for idx, c in enumerate(merged) if piece_of[idx] == t)
+            k = _first_coarsening(a, b, owned)
             if k is None:
                 raise TruncationError(
                     f"no coarsening for the pair (family {i}, family {j}) "

@@ -3,6 +3,9 @@
 Covers image boundedness level by level, closeness of map pairs, coarse
 equivalence round trips, and slowly oscillating behaviour against a metric
 target. All distance arithmetic is exact: rationals plus an infinity marker.
+Closeness is one per-level scan that checks the endpoints once and yields
+each target level's first violating point; close_check stops at the first
+clean level, and close_report words every level from the same scan.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .colimit import FilteredSystem, extend_to_ambient, system_weakly_bounded
 from .errors import DomainError
-from .families import Family, Point, PointSet, Subset, bits, star_mask
+from .families import Family, Point, PointSet, Subset, bits
 from .reports import Clause, Report, Verdict, from_clauses
 from .spaces import ScaledSpace, is_bounded, weakly_bounded
 
@@ -238,16 +241,20 @@ def close_violation(
     return None
 
 
-def close_check(f: GroundedMap, g: GroundedMap, dst: ScaledSpace) -> Optional[int]:
-    """Least dst level whose trivially extended scale witnesses closeness."""
+def _close_scan(f: GroundedMap, g: GroundedMap, dst: ScaledSpace) -> Iterator[Optional[Point]]:
+    """Per dst level, in order, the first violating point, or None when the
+    level's trivially extended scale witnesses closeness. The endpoints are
+    checked here, before the first level is read."""
     if f.domain != g.domain or f.codomain != g.codomain:
         raise DomainError("close maps need a shared domain and codomain")
     if f.codomain != dst.points:
         raise DomainError("codomain does not match the target space")
-    for j in range(1, dst.depth + 1):
-        if close_violation(f, g, dst.level(j)) is None:
-            return j
-    return None
+    return (close_violation(f, g, dst.level(j)) for j in range(1, dst.depth + 1))
+
+
+def close_check(f: GroundedMap, g: GroundedMap, dst: ScaledSpace) -> Optional[int]:
+    """Least dst level whose trivially extended scale witnesses closeness."""
+    return next((j for j, x in enumerate(_close_scan(f, g, dst), start=1) if x is None), None)
 
 
 def close_report(f: GroundedMap, g: GroundedMap, dst: ScaledSpace) -> Report:
@@ -256,21 +263,14 @@ def close_report(f: GroundedMap, g: GroundedMap, dst: ScaledSpace) -> Report:
     Every available level is refuted by an explicit violating point, so the
     verdict speaks for this truncation's scales.
     """
-    clauses = []
-    found = None
-    for j in range(1, dst.depth + 1):
-        x = close_violation(f, g, dst.level(j))
-        if x is None:
-            if found is None:
-                found = j
-            clauses.append(Clause(f"level {j}", True, "all image pairs co-contained"))
-        else:
-            clauses.append(
-                Clause(f"level {j}", False, f"violated at point {x!r}")
-            )
-    if found is not None:
-        return Report(Verdict.VERIFIED, tuple(clauses))
-    return Report(Verdict.REFUTED, tuple(clauses))
+    clauses = tuple(
+        Clause(f"level {j}", True, "all image pairs co-contained")
+        if x is None
+        else Clause(f"level {j}", False, f"violated at point {x!r}")
+        for j, x in enumerate(_close_scan(f, g, dst), start=1)
+    )
+    verdict = Verdict.VERIFIED if any(c.ok for c in clauses) else Verdict.REFUTED
+    return Report(verdict, clauses)
 
 
 def coarse_equivalence_check(
@@ -390,8 +390,10 @@ def slowly_oscillating_search(
     """A weakly bounded witness set, or None within the bounded search space.
 
     Any valid witness must contain every member whose image diameter reaches
-    the threshold, so the union of those members is tried first and their
-    star-thickened union second. Absence here never refutes.
+    the threshold, so the union of those members is the one candidate. It
+    passes the diameter clause, and a weakly bounded set stays weakly bounded
+    on every subset, so no larger candidate (a star-thickened union, say) can
+    verify when the union does not. Absence here never refutes.
     """
     scale = src.level(level)
     if f.domain != src.points:  # the members index f's images
@@ -399,11 +401,5 @@ def slowly_oscillating_search(
     bad = [m for m in scale.masks if not _image_diameter(f, target, m) < eps]
     if not bad:
         return frozenset()
-    inc = scale.incidence
-    union = reduce(operator.or_, bad)
-    thick = reduce(operator.or_, (star_mask(m, inc) for m in bad))
-    for bm in dict.fromkeys((union, thick)):
-        b = frozenset(src.points.points_of(bm))
-        if slowly_oscillating_verify(f, target, src, level, eps, b):
-            return b
-    return None
+    b = frozenset(src.points.points_of(reduce(operator.or_, bad)))
+    return b if slowly_oscillating_verify(f, target, src, level, eps, b) else None

@@ -474,6 +474,19 @@ def test_map_check_bornologous_and_close(tmp_path, capsys):
     assert "verdict: refuted" in capsys.readouterr().out
 
 
+def test_map_check_close_refuses_maps_off_the_target_points(tmp_path, capsys):
+    ab, abc = points("ab"), points("abc")
+    singletons = Family(ab, (frozenset("a"), frozenset("b")))
+    dst = save(tmp_path, "dst.json", space_to_doc(validate_space(ab, [singletons])))
+    f = save(tmp_path, "f.json", map_to_doc(identity_map(abc)))
+    c_to_a = grounded_map(abc, abc, {"a": "a", "b": "b", "c": "a"})
+    g = save(tmp_path, "g.json", map_to_doc(c_to_a))
+    assert main(["map-check", "close", dst, f, g]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "coarsekit: input error: codomain does not match the target space\n"
+
+
 def test_map_check_so_search_and_system(tmp_path, capsys):
     sp = ball_space(3, (1, 2))
     space_path = save(tmp_path, "line3.json", space_to_doc(sp))

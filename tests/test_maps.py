@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from coarsekit import DomainError, Verdict
 from coarsekit.colimit import Piece, extended_level, validate_system
-from coarsekit.families import family, points
+from coarsekit import maps
+from coarsekit.families import Family, family, points
 from coarsekit.maps import (
     INF,
     bornologous_check,
@@ -344,6 +345,52 @@ def test_close_check_requires_shared_endpoints():
         close_check(identity_map(X3), identity_map(Y5), line_space(Y5.ids))
 
 
+@pytest.mark.parametrize("check", [close_check, close_report])
+@pytest.mark.parametrize(
+    "f, g, message",
+    [
+        (identity_map(X3), identity_map(Y5), "close maps need a shared domain and codomain"),
+        (identity_map(X3), identity_map(X3), "codomain does not match the target space"),
+    ],
+    ids=["unshared", "off-target"],
+)
+def test_close_report_checks_the_endpoints_as_close_check_does(check, f, g, message):
+    with pytest.raises(DomainError, match=message):
+        check(f, g, line_space(Y5.ids))
+
+
+@st.composite
+def close_chains(draw):
+    """Two maps from up to six points into a chain over up to five points.
+    The first level holds every singleton and up to three random members;
+    each further level grows every member of the one before by one point,
+    so the chain covers and is monotone."""
+    n = draw(st.integers(1, 5))
+    dst = points(str(i) for i in range(n))
+    members = [1 << k for k in range(n)] + draw(
+        st.lists(st.integers(1, (1 << n) - 1), max_size=3)
+    )
+    levels = [Family.from_masks(dst, tuple(members))]
+    for _ in range(draw(st.integers(0, 3))):
+        grown = (m | 1 << draw(st.integers(0, n - 1)) for m in levels[-1].masks)
+        levels.append(Family.from_masks(dst, tuple(grown)))
+    image = st.sampled_from(dst.ids)
+    pairs = draw(st.lists(st.tuples(image, image), min_size=1, max_size=6))
+    src = points(f"x{i}" for i in range(len(pairs)))
+    f = grounded_map(src, dst, {x: a for x, (a, _) in zip(src.ids, pairs)})
+    g = grounded_map(src, dst, {x: b for x, (_, b) in zip(src.ids, pairs)})
+    return f, g, validate_space(dst, levels)
+
+
+@given(close_chains())
+def test_close_check_is_the_first_clean_level_of_close_report(case):
+    f, g, dst = case
+    report = close_report(f, g, dst)
+    first = next((j for j, c in enumerate(report.clauses, start=1) if c.ok), None)
+    assert (first is None) == (report.verdict is Verdict.REFUTED)
+    assert close_check(f, g, dst) == first
+
+
 def test_doubling_and_halving_are_a_coarse_equivalence():
     a = line_space(X3.ids)
     b = line_space(Y5.ids)
@@ -423,6 +470,32 @@ def test_oscillation_search_fails_without_weak_boundedness():
     )
     assert not report
     assert report.clauses[0].ok is False
+
+
+def test_oscillation_search_verifies_one_candidate(monkeypatch):
+    """The union of the offending members is the only candidate: a
+    star-thickened union is a superset of it, and a superset of a set that
+    is not weakly bounded is not weakly bounded either."""
+    shallow = validate_space(
+        Y5,
+        [
+            fam(Y5, {"0"}, {"1"}, {"2"}, {"3"}, {"4"}),
+            line_space(Y5.ids).level(1),
+        ],
+    )
+    # {0, 1} keeps a zero image diameter and meets the offending {1, 2, 3},
+    # so the thickened union would differ from the union {1, 2, 3, 4}
+    f = grounded_map(Y5, Y5, {"0": "0", "1": "0", "2": "0", "3": "3", "4": "4"})
+    calls = []
+    verify = maps.slowly_oscillating_verify
+
+    def counted(*args):
+        calls.append(args[-1])
+        return verify(*args)
+
+    monkeypatch.setattr(maps, "slowly_oscillating_verify", counted)
+    assert slowly_oscillating_search(f, path_metric(Y5), shallow, 2, Fraction(1)) is None
+    assert calls == [frozenset({"1", "2", "3", "4"})]
 
 
 def test_oscillation_rejects_bad_inputs():
