@@ -1,4 +1,5 @@
-"""Time loading corpus documents: parse, then decode as a space or a system.
+"""Time loading corpus documents: parse, then decode as a space or a system;
+and time emitting them again.
 
     python3 scripts/load_timing.py [--repeat N] [--case NAME ...]
 
@@ -7,8 +8,9 @@ in-process and emits their documents: the system document, and a space
 document for every space the instance carries (the piece chains and the
 colimit chain of a unit interval, each piece's chain otherwise). For each
 case and document kind the script prints the document count, their total
-size, and the best of N wall times of ``parse_document`` (envelope only) and
-of ``doc_to_system`` or ``doc_to_space`` over all of them, in milliseconds.
+size, and the best of N wall times of ``parse_document`` (envelope only), of
+``doc_to_system`` or ``doc_to_space``, and of ``emit_document`` on
+``system_to_doc`` or ``space_to_doc``, each over all of them, in milliseconds.
 Each system line also gives the star depth summed over every piece of every
 system, in levels, and the best of N wall times of certifying all of those
 star depths, each round on freshly decoded systems, decoding left out.
@@ -99,6 +101,7 @@ def load_timing(names, repeat: int) -> tuple[list[str], str, int, int]:
             bodies = [docs.parse_document(t, validate_body=False).body for t in texts]
             parse_s = _best(lambda t: docs.parse_document(t, validate_body=False), texts, repeat)
             decode_s = _best(decode, bodies, repeat)
+            emit_s = _best(lambda obj: docs.emit_document(to_doc(obj)), objs, repeat)
             for text, body in zip(texts, bodies):
                 again = docs.emit_document(to_doc(decode(body)))
                 digest.update(again.encode())
@@ -107,7 +110,8 @@ def load_timing(names, repeat: int) -> tuple[list[str], str, int, int]:
             size = sum(map(len, texts))
             line = (
                 f"{name} {kind}: {len(texts)} documents, {size} bytes, "
-                f"parse {parse_s * 1e3:.3f} ms, decode {decode_s * 1e3:.3f} ms"
+                f"parse {parse_s * 1e3:.3f} ms, decode {decode_s * 1e3:.3f} ms, "
+                f"emit {emit_s * 1e3:.3f} ms"
             )
             if kind == "system":
                 depth, star_s = _star_timing(decode, bodies, repeat)

@@ -295,11 +295,14 @@ def _check_asdim_search(args, target) -> int:
     _require(args, args.parser, ["level"])
     result = asdim_search(target, args.n, args.level, mode=args.mode)
     if result.witness is None:
-        if result.exhaustive:
+        if result.rejected:
+            detail = "the coarsening found failed re-verification; this decides nothing"
+        elif result.exhaustive:
             detail = "no coarsening of the scale verifies at this dimension"
         else:
             detail = "greedy search found nothing; absence decides nothing"
-        clause = Clause("witness search", False, detail, truncation=not result.exhaustive)
+        decisive = result.exhaustive and not result.rejected
+        clause = Clause("witness search", False, detail, truncation=not decisive)
         return _render(args, from_clauses([clause]))
     report = asdim_verify(target, args.n, result.witness)
     artifact = ("witness", docs.asdim_witness_to_doc(result.witness))

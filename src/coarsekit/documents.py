@@ -2,17 +2,20 @@
 
 Every document is {"kind": ..., "version": "1", "body": ...}. Unknown fields
 are rejected, rationals travel as "p/q" strings (plain integers allowed),
-metric infinities as "inf". Emission is canonical: sorted keys, two-space
-indent, members listed in point order, so equal objects serialize to equal
-bytes.
+metric infinities as "inf". An integral rational is written as its
+numerator; a ``Fraction`` passes straight through the encoder, neither
+wrapped again nor compared with infinity. Emission is canonical: sorted
+keys, two-space indent, members listed in point order, so equal objects
+serialize to equal bytes.
 
 Every decoder builds each member's bitmask once, while reading it, by a bit
 lookup that is also the check that its points are known, and hands the masks
-to Family.from_masks, which checks nothing again. A repeated point in a
-member counts once. Covering and monotonicity are checked on the same masks
-by spaces.check_chain. A system piece's members are read over the piece's
-own points, never over the ambient index: colimit.validate_pieces puts the
-masks it needs there.
+to Family.from_masks, which checks nothing again. Each distinct member list
+of a list of members is decoded once; ball chains repeat members often. A
+repeated point in a member counts once. Covering and monotonicity are
+checked on the same masks by spaces.check_chain. A system piece's members
+are read over the piece's own points, never over the ambient index:
+colimit.validate_pieces puts the masks it needs there.
 
 Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
 the witness class and its body fields in decode order, each as (body key,
@@ -120,9 +123,12 @@ def _fraction(v, path, allow_inf=False):
 
 
 def _encode_fraction(v) -> Union[int, str]:
-    if v == INF:
-        return "inf"
-    v = Fraction(v)
+    """A rational as its integer or its "p/q" text, INF as "inf". A Fraction
+    is never INF and needs no wrapping."""
+    if not isinstance(v, Fraction):
+        if v == INF:
+            return "inf"
+        v = Fraction(v)
     return v.numerator if v.denominator == 1 else str(v)
 
 
@@ -136,18 +142,32 @@ def _points(v, path) -> PointSet:
 
 def _masks(v, pts: PointSet, path) -> tuple[int, ...]:
     """A member list as masks over pts: the bit lookup that builds a mask is
-    also the membership check."""
+    also the membership check.
+
+    Each distinct member is looked up once: its mask is kept, for this call
+    only, under the tuple of its entries. Only strings are keys of the bit
+    table, and only a string equals a string, so a later member equal to a
+    kept key names the same points. A mask is the sum of its bits unless a
+    point repeats, which the bit count shows; then the bits are or-ed."""
     if not isinstance(v, list):
         _fail("expected a list of members", path)
     get = pts._bit.__getitem__
+    seen: dict = {}
     out = []
     for m in v:
         if not isinstance(m, list):
             _member_fault(v, pts, path)
         try:
-            out.append(reduce(or_, map(get, m), 0))
+            key = tuple(m)
+            mask = seen.get(key)
+            if mask is None:
+                mask = sum(map(get, m))
+                if mask.bit_count() != len(m):
+                    mask = reduce(or_, map(get, m))
+                seen[key] = mask
         except (TypeError, KeyError):  # an unhashable entry, or an unknown point
             _member_fault(v, pts, path)
+        out.append(mask)
     return tuple(out)
 
 
@@ -480,7 +500,8 @@ def _read_coords(raw, path, got) -> tuple:
         row = raw[p]
         if not isinstance(row, list) or len(row) != dim:
             _fail(f"coordinates of {p!r} must be a list of length {dim}", path)
-        rows.append(tuple(_fraction(v, f"{path}.{p}") for v in row))
+        row_path = f"{path}.{p}"
+        rows.append(tuple(_fraction(v, row_path) for v in row))
     return tuple(rows)
 
 

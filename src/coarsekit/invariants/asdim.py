@@ -43,8 +43,13 @@ class AsdimWitness:
 
 @dataclass(frozen=True)
 class AsdimSearchResult:
+    """The witness found, if any. ``rejected`` marks a coarsening the search
+    built that asdim_verify then rejected: a failed consistency check, which
+    decides nothing in either mode."""
+
     witness: Optional[AsdimWitness]
     exhaustive: bool
+    rejected: bool = False
 
 
 def asdim_verify(target: Target, n: int, w: AsdimWitness) -> Report:
@@ -179,7 +184,7 @@ def asdim_search(
     coarsening = Family.from_masks(space.points, groups)
     w = AsdimWitness(u, coarsening, is_bounded(space, coarsening))
     if not asdim_verify(space, n, w):
-        return AsdimSearchResult(None, exhaustive)
+        return AsdimSearchResult(None, exhaustive, rejected=True)
     return AsdimSearchResult(w, exhaustive)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Sequence, Union
 
 from ..colimit import ColimitBoundedness, FilteredSystem, check_boundedness, colimit_bounded
@@ -82,8 +83,12 @@ def resolve_bound(target: Target, fam: Family, bound: Bound) -> Bound:
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``(den, rows)``: den is the lcm of the entries' distinct denominators,
-    and rows are the rows times den, as integers."""
+    and rows are the rows times den, as integers. Integer rows, as in every
+    corpus pinch witness, are their numerators, left unscaled."""
     den = lcm(*{v.denominator for row in rows for v in row})
+    if den == 1:
+        numerator = attrgetter("numerator")
+        return den, tuple(tuple(map(numerator, row)) for row in rows)
     return den, tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
 
 

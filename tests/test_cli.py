@@ -35,8 +35,10 @@ from coarsekit.documents import (
 )
 from coarsekit.families import Family, points
 from coarsekit.invariants import AmenabilityWitness, asdim_search, generator_set
+from coarsekit.invariants import asdim as asdim_module
 from coarsekit.invariants.pinch import TOL_ENV_VAR
 from coarsekit.maps import grounded_map, identity_map, path_metric
+from coarsekit.reports import Clause, from_clauses
 from coarsekit.spaces import restrict, validate_space
 
 
@@ -271,6 +273,18 @@ def test_check_asdim_search_modes(tmp_path, capsys):
     )
     assert code == 1
     assert "no coarsening of the scale verifies" in capsys.readouterr().out
+
+
+def test_check_asdim_search_rejected_by_the_verifier_is_undecided(tmp_path, capsys, monkeypatch):
+    _, space_path = pair_space_doc(tmp_path)
+    rejected = from_clauses([Clause("coarsening", False, "rejected")])
+    monkeypatch.setattr(asdim_module, "asdim_verify", lambda *args: rejected)
+    argv = ["check", "asdim", space_path, "--n", "1", "--search", "--level", "2"]
+    code = main([*argv, "--mode", "exhaustive"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "refuted" not in out
+    assert "failed re-verification" in out
 
 
 def test_check_amenability_witness(tmp_path, capsys):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +16,7 @@ from coarsekit.colimit import ColimitBoundedness, extended_level
 from coarsekit.corpus import gen_disjoint_union, gen_random_system
 from coarsekit.documents import (
     Document,
+    _encode_fraction,
     amenability_witness_to_doc,
     apc_witness_to_doc,
     asdim_witness_to_doc,
@@ -369,3 +373,74 @@ def test_report_body_is_schema_checked():
     bad = dict(good, body=dict(good["body"], verdict="maybe"))
     with pytest.raises(ParseError, match="unknown verdict 'maybe'"):
         parse_document(json.dumps(bad))
+
+
+# member decoding against a reference: one reduce(or_) per member over a bit table
+
+MEMBER_IDS = ("a", "b", "c", "d")
+# known points, an unknown one, entries equal to each other but not strings
+# (1, 1.0 and True), null, and unhashable entries
+ANY_ENTRY = st.sampled_from([*MEMBER_IDS, "z", 0, 1, 1.0, True, None, ["a"], {"a": 1}])
+KNOWN_MEMBER = st.lists(st.sampled_from(MEMBER_IDS), max_size=6)
+ANY_MEMBER = st.one_of(
+    KNOWN_MEMBER,
+    st.lists(ANY_ENTRY, max_size=4),
+    st.sampled_from(["a", 3, None, {"a": "b"}]),  # not a list
+)
+
+
+@st.composite
+def member_lists(draw, member):
+    """Members drawn from a small pool, so that equal members repeat; each
+    repeat is a fresh copy, equal but not identical."""
+    pool = draw(st.lists(member, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=8))
+    return [list(m) if isinstance(m, list) else m for m in picks]
+
+
+def reference_masks(members, path):
+    """The masks of a member list, or the (message, path) of its ParseError."""
+    bit = {p: 1 << i for i, p in enumerate(MEMBER_IDS)}
+    out = []
+    for i, m in enumerate(members):
+        if not isinstance(m, list) or not all(isinstance(p, str) for p in m):
+            return "expected a list of strings", f"{path}[{i}]"
+        unknown = [p for p in m if p not in bit]
+        if unknown:
+            return f"unknown point {unknown[0]!r}", f"{path}[{i}]"
+        out.append(reduce(or_, (bit[p] for p in m), 0))
+    return tuple(out)
+
+
+def decoded_or_fault(decode, body):
+    try:
+        return decode(body)
+    except ParseError as exc:
+        message = str(exc).removeprefix(f"{exc.path}: ")
+        return message, exc.path
+
+
+@given(member_lists(st.one_of(KNOWN_MEMBER, ANY_MEMBER)))
+def test_member_masks_match_the_reference(members):
+    want = reference_masks(members, "body.members")
+    got = decoded_or_fault(doc_to_family, {"points": list(MEMBER_IDS), "members": members})
+    assert (got.masks if isinstance(got, Family) else got) == want
+
+    # the same list as the first scale of a space: singletons cover, one top member
+    singletons = [[p] for p in MEMBER_IDS]
+    body = {"points": list(MEMBER_IDS), "scales": [members + singletons, [list(MEMBER_IDS)]]}
+    want = reference_masks(members, "body.scales[0]")
+    got = decoded_or_fault(doc_to_space, body)
+    if isinstance(got, tuple):
+        assert got == want
+    else:
+        assert got.level(1).masks[: len(members)] == want
+
+
+def test_encode_fraction_forms():
+    assert _encode_fraction(Fraction(4, 2)) == 2
+    assert type(_encode_fraction(Fraction(4, 2))) is int
+    assert _encode_fraction(Fraction(-6, 4)) == "-3/2"
+    assert _encode_fraction(Fraction(0)) == 0
+    assert _encode_fraction(7) == 7
+    assert _encode_fraction(math.inf) == "inf"

@@ -445,7 +445,7 @@ def test_oscillation_thresholds_are_strict():
     assert report.verdict is Verdict.VERIFIED
 
 
-def test_oscillation_search_thickens_to_a_valid_witness():
+def test_oscillation_search_finds_a_valid_witness():
     src = line_space(Y5.ids)
     target = path_metric(Y5)
     f = identity_map(Y5)
