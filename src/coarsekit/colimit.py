@@ -5,9 +5,18 @@ an ambient point set, with an upper-bound map on piece pairs and pairwise
 coincidence of the chains restricted to each overlap. validate_system checks
 carriers, directedness and coincidence on bitmasks over the ambient index,
 without building restricted spaces. Its core, validate_pieces, which the
-system decoder shares, is the only code that puts chain members on the
-ambient index: each piece's cofinal levels, on which coincidence is
-decided, and the full chains of a failing pair, to name the failing level.
+system decoder shares, takes each piece's cofinal levels already on the
+ambient index: validate_system reroots them, and the decoder reads each
+piece's top level over the ambient index. validate_pieces itself puts only
+the full chains of a failing pair there, to name the failing level.
+
+Coincidence is checked against one top piece T, whose carrier is the whole
+ambient set: one comparison per other piece, on that piece's carrier, in
+place of one per overlapping pair. That decides every pair (the lemma in
+validate_pieces): when pieces r and s each coincide with T, a member of r
+cut to their overlap lies in a member of T, and that member cut to s lies
+in a member of s. Only a failing system runs the pairwise scan, which names
+the first failing pair and its first failing level.
 
 A family over the ambient set is colimit-bounded when, for some piece, every
 member with more than one point sits inside the carrier and the family
@@ -18,7 +27,8 @@ gives that family over the piece's points, or None when it does not exist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import reduce
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, TruncationError, ValidationError
 from .families import (
@@ -103,7 +113,8 @@ def validate_system(
     """Check coverage, directedness, and pairwise coincidence of restrictions.
 
     Carriers become ambient-indexed bitmasks, each chain's cofinal levels are
-    found on its own masks, and validate_pieces checks the system.
+    found on its own masks and rerooted to the ambient set, and
+    validate_pieces checks the system.
 
     When upper is None or partial, missing pairs are filled by scanning for
     the least piece whose carrier contains the union; an unfillable pair is a
@@ -119,15 +130,21 @@ def validate_system(
         carriers.append(ambient.mask(p.carrier))
         if p.space.points.ids != ambient.points_of(carriers[-1]):
             raise DomainError(f"piece {p.name!r} space is not over its carrier")
-    cofinal = [cofinal_levels([lv.masks for lv in p.space.levels]) for p in pieces]
-    return validate_pieces(ambient, pieces, carriers, cofinal, upper, meta)
+    tops = [
+        [
+            set(reroot(p.space.levels[i], ambient).masks)
+            for i in cofinal_levels([lv.masks for lv in p.space.levels])
+        ]
+        for p in pieces
+    ]
+    return validate_pieces(ambient, pieces, carriers, tops, upper, meta)
 
 
 def validate_pieces(
     ambient: PointSet,
     pieces: Sequence[Piece],
     carriers: Sequence[int],
-    cofinal: Sequence[Sequence[int]],
+    tops: Sequence[Sequence[Collection[int]]],
     upper: Optional[Mapping[tuple[int, int], int]],
     meta: Iterable[str],
 ) -> FilteredSystem:
@@ -135,13 +152,29 @@ def validate_pieces(
     coverage, directedness and coincidence.
 
     Per piece, ``carriers`` holds the carrier as an ambient mask and
-    ``cofinal`` the 0-based cofinal levels of its chain
-    (spaces.cofinal_levels). Only this code puts chain members on the
-    ambient index: every piece's cofinal levels, on which each overlapping
-    pair is compared, and the full chains of a pair that fails, to name its
-    first failing level as coincidence_masks does. Comparing cofinal levels
-    is exact: a level that refines its successor fits wherever the successor
-    fits, and whatever fits it fits the successor too.
+    ``tops`` the cofinal levels of its chain (spaces.cofinal_levels), each
+    as member masks over the ambient set. Coincidence is decided on cofinal
+    levels, which is exact: a level that refines its successor fits wherever
+    the successor fits, and whatever fits it fits the successor too.
+
+    Folding the directedness table over every piece gives a top piece T
+    whose carrier holds every carrier, so the whole ambient set. Each other
+    piece is compared with T on its own carrier, and if all of them
+    coincide with T, every pair coincides. Lemma: let pieces r and s each
+    coincide with T on their own carriers, and take a level of r. It fits,
+    cut to r's carrier, some level L of T, and L, cut to s's carrier, fits
+    some level of s. A member m of the level of r, cut to the overlap of r
+    and s, with two or more points, lies in m cut to r's carrier, so in some
+    member w of L. Then w cut to s's carrier holds those two or more points,
+    so it lies in some member of that level of s, and so does m cut to the
+    overlap. The same holds with r and s swapped. The argument goes level by
+    level, so it holds for cofinal lists that are not monotone.
+
+    Otherwise the pairwise scan runs: it compares the cofinal levels of
+    every overlapping pair in order, and puts the full chains of the first
+    failing pair on the ambient index to name its first failing level, as
+    coincidence_masks does. It finds a failing pair, since a piece that
+    fails against T makes one with T.
     """
     names = [p.name for p in pieces]
     if len(set(names)) != len(names):
@@ -171,23 +204,28 @@ def validate_pieces(
                     )
             table[(r, s)] = t
 
-    tops = [
-        [set(reroot(p.space.levels[i], ambient).masks) for i in idx]
-        for p, idx in zip(pieces, cofinal)
-    ]
-    for r in range(n):
-        for s in range(r + 1, n):
-            inter = carriers[r] & carriers[s]
-            if not inter or coincidence_masks(tops[r], tops[s], inter) is None:
-                continue
-            full = [[reroot(lv, ambient).masks for lv in pieces[x].space.levels] for x in (r, s)]
-            side, lvl = coincidence_masks(full[0], full[1], inter)
-            owner = names[r] if side == "first" else names[s]
-            raise ValidationError(
-                f"restrictions of pieces {names[r]} and {names[s]} do not "
-                f"coincide: level {lvl} of {owner} restricted to the "
-                f"intersection essentially refines no level of the other"
-            )
+    top = reduce(lambda t, r: table[min(t, r), max(t, r)], range(n))
+    if any(
+        coincidence_masks(tops[r], tops[top], carriers[r]) is not None
+        for r in range(n)
+        if r != top
+    ):
+        for r in range(n):
+            for s in range(r + 1, n):
+                inter = carriers[r] & carriers[s]
+                if not inter or coincidence_masks(tops[r], tops[s], inter) is None:
+                    continue
+                full = [
+                    [reroot(lv, ambient).masks for lv in pieces[x].space.levels] for x in (r, s)
+                ]
+                side, lvl = coincidence_masks(full[0], full[1], inter)
+                owner = names[r] if side == "first" else names[s]
+                raise ValidationError(
+                    f"restrictions of pieces {names[r]} and {names[s]} do not "
+                    f"coincide: level {lvl} of {owner} restricted to the "
+                    f"intersection essentially refines no level of the other"
+                )
+        raise AssertionError("a piece that fails against the top piece fails with it")
 
     triples = tuple(sorted((r, s, t) for (r, s), t in table.items()))
     return FilteredSystem(ambient, tuple(pieces), triples, tuple(meta))

@@ -3,6 +3,11 @@
 Covers image boundedness level by level, closeness of map pairs, coarse
 equivalence round trips, and slowly oscillating behaviour against a metric
 target. All distance arithmetic is exact: rationals plus an infinity marker.
+Image boundedness words its clauses in one loop, for a space's levels and
+for a system's piece levels alike. A system's piece level is imaged by the
+map restricted to the piece's points, once per piece: extending the level
+to the ambient set would only add singletons, whose images are singletons,
+which no bound counts.
 Closeness is one per-level scan that checks the endpoints once and yields
 each target level's first violating point; close_check stops at the first
 clean level, and close_report words every level from the same scan.
@@ -15,9 +20,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
-from .colimit import FilteredSystem, extend_to_ambient, system_weakly_bounded
+from .colimit import FilteredSystem, system_weakly_bounded
 from .errors import DomainError
 from .families import Family, Point, PointSet, Subset, bits
 from .reports import Clause, Report, Verdict, from_clauses
@@ -184,42 +189,52 @@ def bornologous_levels(
     """Least dst level bounding each src level's image family, None when absent."""
     if f.domain != src.points or f.codomain != dst.points:
         raise DomainError("map endpoints do not match the given spaces")
-    return tuple(
-        is_bounded(dst, image_family(f, src.level(i))) for i in range(1, src.depth + 1)
-    )
+    return tuple(_bounding_levels(f, src.levels, dst))
 
 
-def _image_clause(name: str, j: Optional[int]) -> Clause:
-    if j is None:
-        return Clause(
-            name,
-            False,
-            "no level of the target chain bounds the image family",
-            truncation=True,
-        )
-    return Clause(name, True, f"bounded at level {j}")
+def _bounding_levels(
+    f: GroundedMap, levels: Iterable[Family], dst: ScaledSpace
+) -> Iterator[Optional[int]]:
+    """Per level over f's domain, the least dst level bounding its image."""
+    return (is_bounded(dst, image_family(f, lv)) for lv in levels)
+
+
+def _image_report(parts: Iterable[tuple[str, Iterable[Optional[int]]]]) -> Report:
+    """One clause per level, from (label, bounding levels) parts: "image of
+    {label}level {i}", bounded at the level given, or a truncation failure
+    when no level bounds it."""
+    clauses = []
+    for label, levels in parts:
+        for i, j in enumerate(levels, start=1):
+            name = f"image of {label}level {i}"
+            if j is None:
+                detail = "no level of the target chain bounds the image family"
+                clauses.append(Clause(name, False, detail, truncation=True))
+            else:
+                clauses.append(Clause(name, True, f"bounded at level {j}"))
+    return from_clauses(clauses)
 
 
 def bornologous_check(f: GroundedMap, src: ScaledSpace, dst: ScaledSpace) -> Report:
-    levels = bornologous_levels(f, src, dst)
-    return from_clauses(
-        _image_clause(f"image of level {i}", j) for i, j in enumerate(levels, start=1)
-    )
+    return _image_report([("", bornologous_levels(f, src, dst))])
 
 
 def system_bornologous_check(
     f: GroundedMap, src: FilteredSystem, dst: ScaledSpace
 ) -> Report:
-    """Image boundedness of every extended piece level of the system."""
+    """Image boundedness of every piece level of the system.
+
+    Each piece level is imaged by f restricted to the piece's points. The
+    level extended to the ambient set with every singleton would give the
+    same clause, since a singleton's image is a singleton, which no bound
+    counts.
+    """
     if f.domain != src.ambient:
         raise DomainError("map domain is not the system's ambient point set")
-    clauses = []
-    for s, piece in enumerate(src.pieces):
-        for i in range(1, piece.space.depth + 1):
-            u = extend_to_ambient(src, piece.space.level(i))
-            j = is_bounded(dst, image_family(f, u))
-            clauses.append(_image_clause(f"image of piece {piece.name} level {i}", j))
-    return from_clauses(clauses)
+    return _image_report(
+        (f"piece {pc.name} ", _bounding_levels(restrict_map(f, pc.carrier), pc.space.levels, dst))
+        for pc in src.pieces
+    )
 
 
 def close_violation(
@@ -340,6 +355,14 @@ def _oscillation_clauses(
     return from_clauses(clauses)
 
 
+def _check_threshold_target(f: GroundedMap, target: MetricTarget, eps: Fraction) -> None:
+    """The checks both oscillation verifiers make after their domain check."""
+    if f.codomain != target.points:
+        raise DomainError("map codomain does not match the metric target")
+    if eps <= 0:
+        raise DomainError("threshold must be positive")
+
+
 def slowly_oscillating_verify(
     f: GroundedMap,
     target: MetricTarget,
@@ -350,10 +373,7 @@ def slowly_oscillating_verify(
 ) -> Report:
     if f.domain != src.points:
         raise DomainError("map domain does not match the space")
-    if f.codomain != target.points:
-        raise DomainError("map codomain does not match the metric target")
-    if eps <= 0:
-        raise DomainError("threshold must be positive")
+    _check_threshold_target(f, target, eps)
     b = src.points.subset(b)
     return _oscillation_clauses(
         f, target, src.level(level), eps, b, weakly_bounded(src, b)
@@ -370,10 +390,7 @@ def system_slowly_oscillating_verify(
 ) -> Report:
     if f.domain != system.ambient or scale.space != system.ambient:
         raise DomainError("map and scale must live over the system's ambient set")
-    if f.codomain != target.points:
-        raise DomainError("map codomain does not match the metric target")
-    if eps <= 0:
-        raise DomainError("threshold must be positive")
+    _check_threshold_target(f, target, eps)
     b = system.ambient.subset(b)
     return _oscillation_clauses(
         f, target, scale, eps, b, system_weakly_bounded(system, b)

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coarsekit import (
     DomainError,
     TruncationError,
     ValidationError,
 )
-from coarsekit import spaces
+from coarsekit import colimit, spaces
 from coarsekit.colimit import (
     ColimitBoundedness,
     Piece,
@@ -24,11 +24,12 @@ from coarsekit.colimit import (
     system_weakly_bounded,
     validate_system,
 )
-from coarsekit.corpus import gen_c0, gen_random_system
+from coarsekit.corpus import gen_c0, gen_random_system, gen_unit_interval
 from coarsekit.documents import doc_to_system, system_to_doc
 from coarsekit.families import Family, family, points, refines, reroot, star_family
 from coarsekit.spaces import (
     ScaledSpace,
+    check_chain,
     coincidence_failure,
     restrict,
     validate_space,
@@ -486,3 +487,92 @@ def test_coincidence_matches_the_oracle(data):
         with pytest.raises(ValidationError) as exc:
             validate_system(ambient, pieces)
         assert str(exc.value) == expected
+
+
+def test_loading_a_system_compares_each_piece_with_the_top_piece_once(monkeypatch):
+    system = gen_unit_interval(16).system
+    body = system_to_doc(system).body
+    calls = []
+    real = colimit.coincidence_masks
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(colimit, "coincidence_masks", spy)
+    assert doc_to_system(body) == system
+    # one per piece but the top one, where every overlapping pair would be 120
+    assert len(calls) == len(system.pieces) - 1 == 15
+
+
+def chain_ok(piece):
+    """Does the piece's chain cover its points and refine level by level?"""
+    pts = piece.space.points
+    try:
+        check_chain([lv.masks for lv in piece.space.levels], (1 << len(pts)) - 1, pts.ids)
+    except ValidationError:
+        return False
+    return True
+
+
+def system_body(ambient, pieces):
+    return {
+        "ambient": list(ambient.ids),
+        "pieces": [
+            {
+                "name": p.name,
+                "carrier": list(ambient.sort(p.carrier)),
+                "scales": [
+                    [list(p.space.points.points_of(m)) for m in lv.masks] for lv in p.space.levels
+                ],
+            }
+            for p in pieces
+        ],
+    }
+
+
+def _first_pair_misses_the_top():
+    """P0 and P1 fail on their overlap {b, c}, and so do P1 and the top P2;
+    P0 and P2 coincide. The pairwise scan names P0 and P1."""
+    ambient = points("abcd")
+    parts = [
+        ("P0", "abc", [["a", "b", "c"], ["ab", "c"]]),
+        ("P1", "bcd", [["bcd"]]),
+        ("P2", "abcd", [["ab", "cd"]]),
+    ]
+    pieces = []
+    for name, carrier, levels in parts:
+        pts = points(carrier)
+        space = ScaledSpace(pts, tuple(fam(pts, *lv) for lv in levels))
+        pieces.append(Piece(name, frozenset(carrier), space))
+    return ambient, pieces
+
+
+@given(piece_systems())
+@example(_first_pair_misses_the_top())
+@settings(max_examples=150)
+def test_decoder_checks_coincidence_as_validate_system_does(data):
+    """The decoder compares with the top piece as validate_system does, and
+    gives the same system or the same first failing pair and level."""
+    ambient, pieces = data
+    assume(all(map(chain_ok, pieces)))
+    body = system_body(ambient, pieces)
+    try:
+        want = validate_system(ambient, pieces)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            doc_to_system(body)
+        assert str(got.value) == str(exc)
+    else:
+        assert doc_to_system(body) == want
+
+
+def test_the_first_failing_pair_may_miss_the_top_piece():
+    ambient, pieces = _first_pair_misses_the_top()
+    assert all(map(chain_ok, pieces))
+    with pytest.raises(ValidationError) as exc:
+        doc_to_system(system_body(ambient, pieces))
+    assert str(exc.value) == (
+        "restrictions of pieces P0 and P1 do not coincide: level 1 of P1 restricted "
+        "to the intersection essentially refines no level of the other"
+    )

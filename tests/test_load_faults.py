@@ -129,6 +129,14 @@ SINGLE = [
     ("system", {"upper.0": [0, 1]}, ParseError("expected a [r, s, t] triple", "body.upper[0]")),
     ("system", {"upper.0": [0, "1", 2]}, ParseError("expected an integer", "body.upper[0]")),
     ("system", {"upper.0": [0, 1, 3]}, ParseError("piece index 3 out of range", "body.upper[0]")),
+    ("system", {"upper.0": [0, True, 1]}, ParseError("expected an integer", "body.upper[0]")),
+    ("system", {"upper.0": [0, 1.0, 1]}, ParseError("expected an integer", "body.upper[0]")),
+    ("system", {"upper.0": [[0], 1, 2]}, ParseError("expected an integer", "body.upper[0]")),
+    (
+        "system",
+        {"upper.0": [0, 1, 2, 2]},
+        ParseError("expected a [r, s, t] triple", "body.upper[0]"),
+    ),
     ("system", {"meta": [1]}, ParseError("expected a list of strings", "body.meta")),
     ("system", {"pieces.1.name": "P0"}, ValidationError("piece names must be distinct")),
     (
@@ -192,6 +200,8 @@ MULTI = [
         ParseError("unknown point 'e'", "body.pieces[2].carrier"),
     ),
     ("system", {"pieces.1.scales.0": [["b"]], "upper.0": [0, 1, 9]}, uncovered(1, "c")),
+    # every entry of a triple is an integer before any is in range
+    ("system", {"upper.0": [0, 5, "x"]}, ParseError("expected an integer", "body.upper[0]")),
     # upper triples and meta lines before the system-wide checks
     (
         "system",

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coarsekit import DomainError, Verdict
-from coarsekit.colimit import Piece, extended_level, validate_system
+from coarsekit.colimit import Piece, extend_to_ambient, extended_level, validate_system
+from coarsekit.corpus import gen_c0, gen_random_system, gen_unit_interval
 from coarsekit import maps
 from coarsekit.families import Family, family, points
 from coarsekit.maps import (
     INF,
+    GroundedMap,
     bornologous_check,
     bornologous_levels,
     close_check,
@@ -33,7 +36,8 @@ from coarsekit.maps import (
     system_bornologous_check,
     system_slowly_oscillating_verify,
 )
-from coarsekit.spaces import restrict, validate_space
+from coarsekit.reports import Clause, from_clauses
+from coarsekit.spaces import is_bounded, restrict, validate_space
 
 
 def fam(space, *members):
@@ -545,3 +549,46 @@ def test_every_map_is_close_to_itself_at_level_one(images):
 
 def GroundedMapFactory(images):
     return grounded_map(Y5, Y5, lambda p: str(images[int(p)]))
+
+
+def extended_bornologous_check(f, src, dst):
+    """Reference: every piece level extended to the ambient set with all
+    singletons, then imaged by f itself."""
+    clauses = []
+    for piece in src.pieces:
+        for i, lv in enumerate(piece.space.levels, start=1):
+            j = is_bounded(dst, image_family(f, extend_to_ambient(src, lv)))
+            name = f"image of piece {piece.name} level {i}"
+            if j is None:
+                detail = "no level of the target chain bounds the image family"
+                clauses.append(Clause(name, False, detail, truncation=True))
+            else:
+                clauses.append(Clause(name, True, f"bounded at level {j}"))
+    return from_clauses(clauses)
+
+
+def bornologous_cases():
+    """(label, map, system, target): the reciprocal map of the unit interval
+    into a deep and a shallow chain, and random maps of grids and of random
+    systems into one of their own piece chains."""
+    for n in (8, 16):
+        inst = gen_unit_interval(n)
+        for k, dst in enumerate((inst.piece_chains[-1], inst.colimit_chain)):
+            yield f"unit-interval-{n}/{k}", inst.f, inst.system, dst
+    systems = [("c0-2x3", gen_c0(2, 3))]
+    systems += [(f"random-{seed}", gen_random_system(seed)) for seed in range(50)]
+    for label, system in systems:
+        rng = random.Random(label)
+        for k in range(2):
+            dst = rng.choice(system.pieces).space
+            images = tuple(rng.choice(dst.points.ids) for _ in system.ambient.ids)
+            yield f"{label}/{k}", GroundedMap(system.ambient, dst.points, images), system, dst
+
+
+def test_system_bornologous_check_matches_the_extended_reference():
+    outcomes = set()
+    for label, f, system, dst in bornologous_cases():
+        got = system_bornologous_check(f, system, dst)
+        assert got == extended_bornologous_check(f, system, dst), label
+        outcomes.add(got.verdict)
+    assert outcomes == {Verdict.VERIFIED, Verdict.UNDECIDED}
