@@ -125,20 +125,20 @@ def _render(args, report: Report, artifact=None) -> int:
     Provenance lists the digest of every document the command read.
     """
     out = getattr(args, "output", None)
-    structured = getattr(args, "format", "text") == "structured"
-    if artifact is not None and (out or structured):
-        text = docs.emit_document(artifact[1])
-        if out:
-            Path(out).write_text(text, encoding="utf-8")
+    if artifact is not None and out:
+        Path(out).write_text(docs.emit_document(artifact[1]), encoding="utf-8")
     provenance = {
         "inputs": args.digests,
         "tool": f"coarsekit {__version__}",
         "seed": None,
     }
-    if structured:
+    if getattr(args, "format", "text") == "structured":
         body = dict(docs.report_to_doc(report, provenance).body)
         if artifact is not None:
-            body["artifacts"] = {artifact[0]: docs.Emitted(text)}
+            name, adoc = artifact
+            body["artifacts"] = {
+                name: {"kind": adoc.kind, "version": adoc.version, "body": adoc.body}
+            }
         sys.stdout.write(docs.emit_document(docs.Document("report", docs.VERSION, body)))
     else:
         print(f"verdict: {report.verdict.value}")

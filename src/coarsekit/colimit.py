@@ -5,10 +5,9 @@ an ambient point set, with an upper-bound map on piece pairs and pairwise
 coincidence of the chains restricted to each overlap. validate_system checks
 carriers, directedness and coincidence on bitmasks over the ambient index,
 without building restricted spaces. Its core, validate_pieces, which the
-system decoder shares, takes each piece's cofinal levels already on the
-ambient index: validate_system reroots them, and the decoder reads each
-piece's top level over the ambient index. validate_pieces itself puts only
-the full chains of a failing pair there, to name the failing level.
+system decoder shares, is the only code that puts chain members on the
+ambient index: each piece's cofinal levels, on which coincidence is
+decided, and the full chains of a failing pair, to name the failing level.
 
 Coincidence is checked against one top piece T, whose carrier is the whole
 ambient set: one comparison per other piece, on that piece's carrier, in
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, TruncationError, ValidationError
 from .families import (
@@ -113,8 +112,7 @@ def validate_system(
     """Check coverage, directedness, and pairwise coincidence of restrictions.
 
     Carriers become ambient-indexed bitmasks, each chain's cofinal levels are
-    found on its own masks and rerooted to the ambient set, and
-    validate_pieces checks the system.
+    found on its own masks, and validate_pieces checks the system.
 
     When upper is None or partial, missing pairs are filled by scanning for
     the least piece whose carrier contains the union; an unfillable pair is a
@@ -130,21 +128,15 @@ def validate_system(
         carriers.append(ambient.mask(p.carrier))
         if p.space.points.ids != ambient.points_of(carriers[-1]):
             raise DomainError(f"piece {p.name!r} space is not over its carrier")
-    tops = [
-        [
-            set(reroot(p.space.levels[i], ambient).masks)
-            for i in cofinal_levels([lv.masks for lv in p.space.levels])
-        ]
-        for p in pieces
-    ]
-    return validate_pieces(ambient, pieces, carriers, tops, upper, meta)
+    cofinal = [cofinal_levels([lv.masks for lv in p.space.levels]) for p in pieces]
+    return validate_pieces(ambient, pieces, carriers, cofinal, upper, meta)
 
 
 def validate_pieces(
     ambient: PointSet,
     pieces: Sequence[Piece],
     carriers: Sequence[int],
-    tops: Sequence[Sequence[Collection[int]]],
+    cofinal: Sequence[Sequence[int]],
     upper: Optional[Mapping[tuple[int, int], int]],
     meta: Iterable[str],
 ) -> FilteredSystem:
@@ -152,10 +144,13 @@ def validate_pieces(
     coverage, directedness and coincidence.
 
     Per piece, ``carriers`` holds the carrier as an ambient mask and
-    ``tops`` the cofinal levels of its chain (spaces.cofinal_levels), each
-    as member masks over the ambient set. Coincidence is decided on cofinal
-    levels, which is exact: a level that refines its successor fits wherever
-    the successor fits, and whatever fits it fits the successor too.
+    ``cofinal`` the 0-based cofinal levels of its chain
+    (spaces.cofinal_levels). Only this code puts chain members on the
+    ambient index: every piece's cofinal levels, on which coincidence is
+    decided, and the full chains of a pair that fails, to name its first
+    failing level as coincidence_masks does. Comparing cofinal levels is
+    exact: a level that refines its successor fits wherever the successor
+    fits, and whatever fits it fits the successor too.
 
     Folding the directedness table over every piece gives a top piece T
     whose carrier holds every carrier, so the whole ambient set. Each other
@@ -171,10 +166,9 @@ def validate_pieces(
     level, so it holds for cofinal lists that are not monotone.
 
     Otherwise the pairwise scan runs: it compares the cofinal levels of
-    every overlapping pair in order, and puts the full chains of the first
-    failing pair on the ambient index to name its first failing level, as
-    coincidence_masks does. It finds a failing pair, since a piece that
-    fails against T makes one with T.
+    every overlapping pair in order and names the first failing pair and
+    level. It finds a failing pair, since a piece that fails against T
+    makes one with T.
     """
     names = [p.name for p in pieces]
     if len(set(names)) != len(names):
@@ -204,6 +198,10 @@ def validate_pieces(
                     )
             table[(r, s)] = t
 
+    tops = [
+        [set(reroot(p.space.levels[i], ambient).masks) for i in idx]
+        for p, idx in zip(pieces, cofinal)
+    ]
     top = reduce(lambda t, r: table[min(t, r), max(t, r)], range(n))
     if any(
         coincidence_masks(tops[r], tops[top], carriers[r]) is not None

@@ -14,9 +14,8 @@ to Family.from_masks, which checks nothing again. Each distinct member list
 of a list of members is decoded once; ball chains repeat members often. A
 repeated point in a member counts once. Covering and monotonicity are
 checked on the same masks by spaces.check_chain. A system piece's members
-are read over the piece's own points; its top level, its only cofinal level
-once check_chain passes, is read a second time over the ambient index for
-colimit.validate_pieces.
+are read over the piece's own points, never over the ambient index:
+colimit.validate_pieces puts the masks it needs there.
 
 Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
 the witness class and its body fields in decode order, each as (body key,
@@ -35,12 +34,8 @@ pure-Python encoder whenever an indent is asked for. The rule: ``": "`` after
 each key, a comma, a newline and the indent between items, ``{}`` and ``[]``
 for empty containers, strings escaped to ASCII. Its values are str, None,
 bool, int, float (``NaN``, ``Infinity`` and ``-Infinity`` as ``json`` writes
-them), list or tuple, dict with str keys, and ``Emitted``; any other value
-or key raises ``TypeError``. An ``Emitted`` value is a document's canonical
-text, written out once and nested as it stands, re-indented to its depth:
-the CLI writes an artifact to its file and nests the same text in the
-structured report. JSON strings hold no raw newline, so every newline of the
-text starts a line that takes the nesting indent.
+them), list or tuple, and dict with str keys; any other value or key raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -248,19 +243,18 @@ def space_to_doc(sp: ScaledSpace) -> Document:
 def doc_to_system(body, path="body") -> FilteredSystem:
     """A system from its body. Each piece's members are read once, over the
     piece's own points, and spaces.check_chain checks each chain on their
-    masks. Each piece's top level is then read again over the ambient index,
-    a lookup that cannot fail once the piece's own read succeeded, and
-    colimit.validate_pieces checks the system on those masks. Every piece is
-    read and checked in full before the next, and every piece before the
-    upper triples, the meta lines and the checks across pieces. An upper
-    triple of three in-range integers is taken as it stands; any other is
-    read entry by entry, so that its first fault is the one reported."""
+    masks; colimit.validate_pieces then puts the cofinal levels on the
+    ambient index and checks the system. Every piece is read and checked in
+    full before the next, and every piece before the upper triples, the meta
+    lines and the checks across pieces. An upper triple's faults are reported
+    in order: not a triple, then its first non-integer entry, then its first
+    entry out of range; its path is built only for the report."""
     _check_keys(body, ("ambient", "pieces"), ("upper", "meta"), path)
     ambient = _points(body["ambient"], f"{path}.ambient")
     raw_pieces = body["pieces"]
     if not isinstance(raw_pieces, list) or not raw_pieces:
         _fail("expected a non-empty list of pieces", f"{path}.pieces")
-    pieces, carriers, tops = [], [], []
+    pieces, carriers = [], []
     for i, rp in enumerate(raw_pieces):
         p_path = f"{path}.pieces[{i}]"
         _check_keys(rp, ("name", "carrier", "scales"), (), p_path)
@@ -278,10 +272,7 @@ def doc_to_system(body, path="body") -> FilteredSystem:
         else:
             sub = PointSet(tuple(p for p in ambient.ids if p in carrier))
         levels = _scales(rp["scales"], sub, f"{p_path}.scales")
-        # a piece over the whole ambient set has its top's masks there already
-        top = levels[-1].masks if sub is ambient else _masks(rp["scales"][-1], ambient, p_path)
         carriers.append(ambient.mask(carrier))
-        tops.append([set(top)])
         pieces.append(Piece(rp["name"], carrier, ScaledSpace(sub, levels)))
     upper = None
     if "upper" in body:
@@ -291,21 +282,20 @@ def doc_to_system(body, path="body") -> FilteredSystem:
         upper = {}
         n = len(pieces)
         for i, triple in enumerate(raw_upper):
-            if type(triple) is list and len(triple) == 3 and all(
-                type(x) is int and 0 <= x < n for x in triple
-            ):
-                r, s, t = triple
-            else:
-                t_path = f"{path}.upper[{i}]"
-                if not isinstance(triple, list) or len(triple) != 3:
-                    _fail("expected a [r, s, t] triple", t_path)
-                r, s, t = (_int(x, t_path) for x in triple)
-                for x in (r, s, t):
-                    if not 0 <= x < n:
-                        _fail(f"piece index {x} out of range", t_path)
+            if not isinstance(triple, list) or len(triple) != 3:
+                _fail("expected a [r, s, t] triple", f"{path}.upper[{i}]")
+            for x in triple:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    _fail("expected an integer", f"{path}.upper[{i}]")
+            for x in triple:
+                if not 0 <= x < n:
+                    _fail(f"piece index {x} out of range", f"{path}.upper[{i}]")
+            r, s, t = triple
             upper[(r, s)] = t
     meta = _str_list(body.get("meta", []), f"{path}.meta")
-    return validate_pieces(ambient, pieces, carriers, tops, upper, meta)
+    # every chain passed check_chain, so its top level is its only cofinal one
+    cofinal = [[p.space.depth - 1] for p in pieces]
+    return validate_pieces(ambient, pieces, carriers, cofinal, upper, meta)
 
 
 def system_to_doc(system: FilteredSystem) -> Document:
@@ -757,13 +747,6 @@ def parse_document(text: str, validate_body: bool = True) -> Document:
     return doc
 
 
-@dataclass(frozen=True)
-class Emitted:
-    """The canonical text of a document, as emit_document gives it."""
-
-    text: str
-
-
 def _float_text(x: float) -> str:
     if x != x:
         return "NaN"
@@ -818,8 +801,6 @@ def _write(value, indent: str, out: list) -> None:
             head = sep
             _write(value[k], inner, out)
         out.append("\n" + indent + "}")
-    elif isinstance(value, Emitted):
-        out.append(value.text.rstrip("\n").replace("\n", "\n" + indent))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -175,15 +175,17 @@ def family(space: PointSet, members: Iterable[Iterable[Point]]) -> Family:
 
 
 def reroot(u: Family, space: PointSet) -> Family:
-    """Same members viewed over a different point set. Members must fit."""
+    """Same members viewed over a different point set. Members must fit.
+    Each distinct member is moved once, in member order; ball levels repeat
+    members often."""
     if u.space == space:
         return u
     points_of, bit = u.space.points_of, space._bit
     try:
-        masks = tuple(sum(map(bit.__getitem__, points_of(m))) for m in u.masks)
+        moved = {m: sum(map(bit.__getitem__, points_of(m))) for m in dict.fromkeys(u.masks)}
     except KeyError as exc:
         raise DomainError(f"member point {exc.args[0]!r} outside the point set") from None
-    return Family.from_masks(space, masks)
+    return Family.from_masks(space, tuple(map(moved.__getitem__, u.masks)))
 
 
 def cut(u: Family, pts: PointSet) -> Family:

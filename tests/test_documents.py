@@ -16,7 +16,6 @@ from coarsekit.colimit import ColimitBoundedness, extended_level
 from coarsekit.corpus import gen_disjoint_union, gen_random_system
 from coarsekit.documents import (
     Document,
-    Emitted,
     _encode_fraction,
     amenability_witness_to_doc,
     apc_witness_to_doc,
@@ -242,23 +241,6 @@ def test_emission_matches_json_dumps(kind, version, body):
     assert emit_document(Document(kind, version, body)) == (
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-
-
-@given(
-    JSON_TEXT,
-    JSON_TEXT,
-    st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=5),
-    st.lists(JSON_KEYS, min_size=1, max_size=3),
-)
-def test_emitted_text_nests_as_its_document(kind, version, body, keys):
-    """A document's canonical text nested at any depth gives the bytes of
-    the document's envelope nested there."""
-    nested = {"kind": kind, "version": version, "body": body}
-    emitted = Emitted(emit_document(Document(kind, version, body)))
-    for k in reversed(keys):
-        nested, emitted = {k: nested}, {k: emitted}
-    want = emit_document(Document("report", "1", nested))
-    assert emit_document(Document("report", "1", emitted)) == want
 
 
 @pytest.mark.parametrize(

@@ -189,6 +189,18 @@ def test_reroot_moves_members_to_another_point_order(data, order):
         assert str(exc.value) == f"member point {IDS[-1]!r} outside the point set"
 
 
+def test_reroot_moves_repeated_members_and_names_the_first_stray_point():
+    """Each distinct member is moved once, in member order, so the point
+    reported is that of the first member that does not fit."""
+    space, wider = points("abcd"), points("dcba")
+    u = Family.from_masks(space, (0b0011, 0b1100, 0b0011, 0b0011))
+    assert reroot(u, wider).masks == (0b1100, 0b0011, 0b1100, 0b1100)
+    stray = Family.from_masks(space, (0b0100, 0b1000, 0b0100))
+    with pytest.raises(DomainError) as exc:
+        reroot(stray, points("ab"))
+    assert str(exc.value) == "member point 'c' outside the point set"
+
+
 @given(families(), st.permutations(IDS), st.data())
 def test_cut_keeps_the_non_empty_intersections_over_the_given_points(data, order, draw):
     """``pts`` is a non-empty subset of the point set in another order, or,
