@@ -36,7 +36,7 @@ from .families import (
     trivial_extension,
     uncovered_point,
 )
-from .reports import Clause, Report, Verdict, from_clauses
+from .reports import Clause, Report, SearchOutcome, Verdict, from_clauses
 from .spaces import (
     ScaledSpace,
     chains_coincide,
@@ -89,7 +89,6 @@ from .invariants import (
     AmenabilityWitness,
     ApcProbeOutcome,
     ApcWitness,
-    AsdimSearchResult,
     AsdimWitness,
     ExactnessWitness,
     GeneratorSet,

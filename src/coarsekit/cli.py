@@ -59,7 +59,7 @@ from .maps import (
     system_bornologous_check,
     system_slowly_oscillating_verify,
 )
-from .reports import Clause, Report, Verdict, from_clauses
+from .reports import Clause, Report, SearchOutcome, Verdict, from_clauses
 from .spaces import ScaledSpace
 
 EX_VERIFIED = 0
@@ -186,17 +186,11 @@ def cmd_bounded(args) -> int:
     fam = _load_family(args, args.family, system.ambient)
     cert = colimit_bounded(system, fam)
     if cert is None:
-        clause = Clause(
-            "bounded in some piece",
-            False,
-            "no piece bounds the family within this truncation",
-            truncation=True,
-        )
+        absent = SearchOutcome(detail="no piece bounds the family within this truncation")
+        clause = absent.clause("bounded in some piece")
     else:
         name = system.pieces[cert.piece].name
-        clause = Clause(
-            "bounded in some piece", True, f"piece {name!r} at level {cert.level}"
-        )
+        clause = Clause("bounded in some piece", True, f"piece {name!r} at level {cert.level}")
     return _render(args, from_clauses([clause]))
 
 
@@ -226,7 +220,7 @@ def _require(args, parser, names) -> None:
 
 @dataclass(frozen=True)
 class WitnessInvariant:
-    """How check and lift handle one invariant's witness documents.
+    """How check, check --search and lift handle one invariant's witnesses.
 
     Each slot is a lambda that looks the library function up by name when it
     is called, so code that rebinds module attributes (tracers, test doubles)
@@ -239,6 +233,7 @@ class WitnessInvariant:
     lift: Optional[Callable]  # (system, piece index, witness, args) -> witness
     needs: tuple[str, ...]  # flags that check and lift require
     lift_inputs: tuple[str, ...]  # flags naming further documents lift reads
+    search: Optional[Callable] = None  # (space, args) -> reports.SearchOutcome
 
 
 INVARIANTS = {
@@ -248,6 +243,7 @@ INVARIANTS = {
         lift=lambda s, i, w, a: asdim_lift(s, i, a.n, w),
         needs=("n",),
         lift_inputs=(),
+        search=lambda t, a: asdim_search(t, a.n, a.level, mode=a.mode),
     ),
     "apc": WitnessInvariant(
         kind="witness:apc",
@@ -289,35 +285,24 @@ INVARIANTS = {
 }
 
 
-def _check_asdim_search(args, target) -> int:
-    if not isinstance(target, ScaledSpace):
-        raise DomainError("witness search needs a single-space target")
-    _require(args, args.parser, ["level"])
-    result = asdim_search(target, args.n, args.level, mode=args.mode)
-    if result.witness is None:
-        if result.rejected:
-            detail = "the coarsening found failed re-verification; this decides nothing"
-        elif result.exhaustive:
-            detail = "no coarsening of the scale verifies at this dimension"
-        else:
-            detail = "greedy search found nothing; absence decides nothing"
-        decisive = result.exhaustive and not result.rejected
-        clause = Clause("witness search", False, detail, truncation=not decisive)
-        return _render(args, from_clauses([clause]))
-    report = asdim_verify(target, args.n, result.witness)
-    artifact = ("witness", docs.asdim_witness_to_doc(result.witness))
-    return _render(args, report, artifact=artifact)
-
-
 def cmd_check(args) -> int:
+    inv = INVARIANTS.get(args.invariant)
+    if args.search and (inv is None or inv.search is None):
+        args.parser.error(f"--search is not available for {args.invariant}")
     if args.invariant == "generators":
         gens = _read(args, args.target, ("witness:generators",))
         return _render(args, metrizability_generator_check(gens))
     target = _read(args, args.target, ("space", "system"))
-    inv = INVARIANTS[args.invariant]
     _require(args, args.parser, inv.needs)
-    if args.invariant == "asdim" and args.search:
-        return _check_asdim_search(args, target)
+    if args.search:
+        if not isinstance(target, ScaledSpace):
+            raise DomainError("witness search needs a single-space target")
+        _require(args, args.parser, ["level"])
+        outcome = inv.search(target, args)
+        if outcome.witness is None:
+            return _render(args, from_clauses([outcome.clause("witness search")]))
+        artifact = ("witness", docs.witness_to_doc(inv.kind, outcome.witness))
+        return _render(args, outcome.report, artifact=artifact)
     _require(args, args.parser, ["witness"])
     w = _read(args, args.witness, (inv.kind,), target)
     return _render(args, inv.verify(target, w, args))
@@ -388,19 +373,11 @@ def cmd_map_check(args) -> int:
     if isinstance(src, ScaledSpace):
         _require(args, parser, ["level"])
         if args.search:
-            b = slowly_oscillating_search(f, target, src, args.level, args.eps)
-            if b is None:
-                clause = Clause(
-                    "witness set search",
-                    False,
-                    "no weakly bounded witness set in the search space",
-                    truncation=True,
-                )
-                return _render(args, from_clauses([clause]))
-            report = slowly_oscillating_verify(f, target, src, args.level, args.eps, b)
-            bfam = Family.from_masks(src.points, (src.points.mask(b),))
-            artifact = ("witness-set", docs.family_to_doc(bfam))
-            return _render(args, report, artifact=artifact)
+            outcome = slowly_oscillating_search(f, target, src, args.level, args.eps)
+            if outcome.witness is None:
+                return _render(args, from_clauses([outcome.clause("witness set search")]))
+            bfam = Family.from_masks(src.points, (src.points.mask(outcome.witness),))
+            return _render(args, outcome.report, artifact=("witness-set", docs.family_to_doc(bfam)))
         _require(args, parser, ["witness_set"])
         b = _load_witness_set(args, args.witness_set, src.points)
         report = slowly_oscillating_verify(f, target, src, args.level, args.eps, b)
@@ -500,12 +477,8 @@ def cmd_corpus(args) -> int:
 def cmd_probe(args) -> int:
     system = _read(args, args.system, ("system",))
     outcome = apc_probe(system, prefix_len=args.prefix, budget=args.budget)
-    artifact = None
-    if outcome.colimit_witness is not None:
-        artifact = (
-            "witness",
-            docs.apc_witness_to_doc(outcome.colimit_witness, outcome.colimit_chain),
-        )
+    w = outcome.colimit_witness
+    artifact = None if w is None else ("witness", docs.apc_witness_to_doc(w, outcome.colimit_chain))
     return _render(args, outcome.report, artifact=artifact)
 
 

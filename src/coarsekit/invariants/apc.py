@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
 from ..families import Family, refines, star_family, uncovered_point
-from ..reports import Clause, Report, from_clauses
+from ..reports import Clause, Report, SearchOutcome, from_clauses
 from ..spaces import ScaledSpace
 from .common import Bound, Target, bound_clause, find_bound, target_points
 
@@ -96,16 +96,16 @@ def apc_verify(
     return from_clauses(clauses)
 
 
-def apc_search(
-    target: Target, chain: Sequence[Family]
-) -> Optional[ApcWitness]:
-    """Greedy witness against the chain, or None within the search space.
+def apc_search(target: Target, chain: Sequence[Family]) -> SearchOutcome:
+    """Greedy witness against the chain, found or stopped.
 
     Candidates for selection j are the j-th chain entry's members followed by
     the point singletons not already among them; a candidate is kept when it
     covers a new point and stays star-disjoint from the kept ones. Incomplete
-    by design: None decides nothing.
+    by design, so finding none decides nothing. The witness found is not
+    verified here; apc_verify judges it.
     """
+    stopped = SearchOutcome(detail="no witness within the greedy search space")
     pts = target_points(target)
     covered = 0
     selections: list[Family] = []
@@ -128,12 +128,12 @@ def apc_search(
         sel = Family.from_masks(pts, tuple(pool.masks[k] for k in kept))
         b = find_bound(target, sel)
         if b is None:
-            return None
+            return stopped
         selections.append(sel)
         bounds.append(b)
         if covered == (1 << len(pts)) - 1:
-            return ApcWitness(tuple(selections), tuple(bounds))
-    return None
+            return SearchOutcome(ApcWitness(tuple(selections), tuple(bounds)))
+    return stopped
 
 
 @dataclass(frozen=True)
@@ -165,19 +165,18 @@ def apc_probe(
     """Per-piece and colimit witness searches, reported without negatives.
 
     Each search, the pieces' in order and then the colimit's, spends one unit
-    of the budget; a search left without one is reported as undecided."""
+    of the budget; a search left without one is stopped, undecided."""
     chain = colimit_probe_chain(system, prefix_len)
     searches = [(f"piece {p.name}", p.space, p.space.levels[:prefix_len]) for p in system.pieces]
     searches.append(("colimit", system, chain))
+    spent = SearchOutcome(detail="search budget exhausted")
     clauses, found = [], []
     for k, (name, target, levels) in enumerate(searches):
-        w = apc_search(target, levels) if k < budget else None
+        outcome = apc_search(target, levels) if k < budget else spent
+        w = outcome.witness
         found.append(w)
-        if k >= budget:
-            clauses.append(Clause(name, False, "search budget exhausted", truncation=True))
-        elif w is None:
-            detail = "no witness within the greedy search space"
-            clauses.append(Clause(name, False, detail, truncation=True))
+        if w is None:
+            clauses.append(outcome.clause(name))
         else:
             clauses.append(Clause(name, True, f"witness with {len(w.selections)} selections"))
     return ApcProbeOutcome(from_clauses(clauses), tuple(found[:-1]), found[-1], chain)

@@ -8,8 +8,8 @@ to it without raising multiplicity or losing boundedness.
 
 Both searches run on member masks, with a per-point count of the groups
 holding each point; the coarsening found is built with Family.from_masks
-and checked again by asdim_verify. asdim_restrict cuts both families to the
-piece with families.cut.
+and checked once, by asdim_verify, before the search returns it.
+asdim_restrict cuts both families to the piece with families.cut.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Union
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
 from ..families import Family, bits, cut, first_misfit, multiplicity
-from ..reports import Clause, Report, from_clauses
+from ..reports import Clause, Report, SearchOutcome, checked, from_clauses
 from ..spaces import ScaledSpace, is_bounded
 from .common import (
     Bound,
@@ -39,17 +39,6 @@ class AsdimWitness:
     scale: Family
     coarsening: Family
     bound: Bound = None
-
-
-@dataclass(frozen=True)
-class AsdimSearchResult:
-    """The witness found, if any. ``rejected`` marks a coarsening the search
-    built that asdim_verify then rejected: a failed consistency check, which
-    decides nothing in either mode."""
-
-    witness: Optional[AsdimWitness]
-    exhaustive: bool
-    rejected: bool = False
 
 
 def asdim_verify(target: Target, n: int, w: AsdimWitness) -> Report:
@@ -160,12 +149,14 @@ def asdim_search(
     scale: Union[Family, int],
     cap: int = 12,
     mode: str = "auto",
-) -> AsdimSearchResult:
-    """First verified witness in canonical enumeration order, if any.
+) -> SearchOutcome:
+    """First witness in canonical enumeration order, checked by asdim_verify.
 
-    Exhaustive mode walks set partitions of the input's non-singleton members
-    (complete for the union-built search space); greedy mode merges crowded
-    members and is flagged non-exhaustive. Greedy absence decides nothing.
+    Exhaustive mode walks set partitions of the input's non-singleton members;
+    the union-built search space is complete, so finding none is exhausted.
+    Greedy mode merges crowded members, and finding none there stops the
+    search without deciding anything. So does a coarsening that asdim_verify
+    rejects: a failed consistency check, in either mode.
     """
     if n < 0:
         raise DomainError("dimension bound must be nonnegative")
@@ -180,12 +171,14 @@ def asdim_search(
     search = _search_exhaustive if exhaustive else _search_greedy
     groups = search(n, items, tops, len(space.points))
     if groups is None:
-        return AsdimSearchResult(None, exhaustive)
+        if exhaustive:
+            detail = "no coarsening of the scale verifies at this dimension"
+            return SearchOutcome(detail=detail, exhausted=True)
+        return SearchOutcome(detail="greedy search found nothing; absence decides nothing")
     coarsening = Family.from_masks(space.points, groups)
     w = AsdimWitness(u, coarsening, is_bounded(space, coarsening))
-    if not asdim_verify(space, n, w):
-        return AsdimSearchResult(None, exhaustive, rejected=True)
-    return AsdimSearchResult(w, exhaustive)
+    rejected = "the coarsening found failed re-verification; this decides nothing"
+    return checked(w, asdim_verify(space, n, w), rejected)
 
 
 def asdim_lift(system: FilteredSystem, piece: int, n: int, w: AsdimWitness) -> AsdimWitness:

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 from ..colimit import ColimitBoundedness, FilteredSystem, check_boundedness, colimit_bounded
 from ..errors import DomainError
 from ..families import Family, Point, PointSet, essentially_refines, reroot
-from ..reports import Clause, Report
+from ..reports import Clause, Report, SearchOutcome
 from ..spaces import ScaledSpace, is_bounded
 
 Target = Union[ScaledSpace, FilteredSystem]
@@ -62,12 +62,7 @@ def bound_clause(name: str, target: Target, fam: Family, bound: Bound) -> Clause
     if bound is None:
         found = find_bound(target, fam)
         if found is None:
-            return Clause(
-                name,
-                False,
-                "no bounding level within this truncation",
-                truncation=True,
-            )
+            return SearchOutcome(detail="no bounding level within this truncation").clause(name)
         return Clause(name, True, describe_bound(found))
     if bound_holds(target, fam, bound):
         return Clause(name, True, describe_bound(bound))

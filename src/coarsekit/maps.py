@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 from .colimit import FilteredSystem, system_weakly_bounded
 from .errors import DomainError
 from .families import Family, Point, PointSet, Subset, bits
-from .reports import Clause, Report, Verdict, from_clauses
+from .reports import Clause, Report, SearchOutcome, Verdict, checked, from_clauses
 from .spaces import ScaledSpace, is_bounded, weakly_bounded
 
 INF = math.inf
@@ -83,11 +83,13 @@ def restrict_map(f: GroundedMap, carrier: Subset) -> GroundedMap:
 
 
 def image_family(f: GroundedMap, u: Family) -> Family:
+    """The members' images. Each distinct member is imaged once, through one
+    table from domain index to image bit; ball levels repeat members."""
     if u.space != f.domain:
         raise DomainError("family is not over the map's domain")
-    bit = dict(zip(f.domain.ids, map(f.codomain._bit.__getitem__, f.images)))
-    image = (map(bit.__getitem__, f.domain.points_of(m)) for m in u.masks)
-    return Family.from_masks(f.codomain, tuple(reduce(operator.or_, i, 0) for i in image))
+    table = tuple(map(f.codomain._bit.__getitem__, f.images))
+    image = {m: reduce(operator.or_, map(table.__getitem__, bits(m)), 0) for m in set(u.masks)}
+    return Family.from_masks(f.codomain, tuple(map(image.__getitem__, u.masks)))
 
 
 @dataclass(frozen=True)
@@ -204,12 +206,12 @@ def _image_report(parts: Iterable[tuple[str, Iterable[Optional[int]]]]) -> Repor
     {label}level {i}", bounded at the level given, or a truncation failure
     when no level bounds it."""
     clauses = []
+    absent = SearchOutcome(detail="no level of the target chain bounds the image family")
     for label, levels in parts:
         for i, j in enumerate(levels, start=1):
             name = f"image of {label}level {i}"
             if j is None:
-                detail = "no level of the target chain bounds the image family"
-                clauses.append(Clause(name, False, detail, truncation=True))
+                clauses.append(absent.clause(name))
             else:
                 clauses.append(Clause(name, True, f"bounded at level {j}"))
     return from_clauses(clauses)
@@ -403,20 +405,20 @@ def slowly_oscillating_search(
     src: ScaledSpace,
     level: int,
     eps: Fraction,
-) -> Optional[Subset]:
-    """A weakly bounded witness set, or None within the bounded search space.
+) -> SearchOutcome:
+    """A weakly bounded witness set, checked by slowly_oscillating_verify.
 
     Any valid witness must contain every member whose image diameter reaches
     the threshold, so the union of those members is the one candidate. It
     passes the diameter clause, and a weakly bounded set stays weakly bounded
     on every subset, so no larger candidate (a star-thickened union, say) can
-    verify when the union does not. Absence here never refutes.
+    verify when the union does not. A rejected candidate stops the search:
+    weak boundedness is judged at this truncation, so absence never refutes.
     """
     scale = src.level(level)
     if f.domain != src.points:  # the members index f's images
         raise DomainError("map domain does not match the space")
     bad = [m for m in scale.masks if not _image_diameter(f, target, m) < eps]
-    if not bad:
-        return frozenset()
-    b = frozenset(src.points.points_of(reduce(operator.or_, bad)))
-    return b if slowly_oscillating_verify(f, target, src, level, eps, b) else None
+    b = frozenset(src.points.points_of(reduce(operator.or_, bad, 0)))
+    report = slowly_oscillating_verify(f, target, src, level, eps, b)
+    return checked(b, report, "no weakly bounded witness set in the search space")

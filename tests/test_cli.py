@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from coarsekit import DomainError, ParseError, __version__, cli
+from coarsekit import DomainError, ParseError, __version__, cli, maps
 from coarsekit.cli import build_parser, main
 from coarsekit.colimit import Piece, validate_system
 from coarsekit.corpus import gen_disjoint_union
@@ -287,6 +287,97 @@ def test_check_asdim_search_rejected_by_the_verifier_is_undecided(tmp_path, caps
     assert "failed re-verification" in out
 
 
+def so_search_argv(tmp_path, images):
+    """map-check so --search for the map with these images from a
+    three-point line to two points at distance 1."""
+    sp = ball_space(3, (1, 2))
+    target = path_metric(points(["x", "y"]))
+    f = grounded_map(sp.points, target.points, dict(zip(sp.points.ids, images)))
+    return [
+        "map-check", "so",
+        save(tmp_path, "line3.json", space_to_doc(sp)),
+        save(tmp_path, "target.json", metric_to_doc(target)),
+        save(tmp_path, f"map-{images}.json", map_to_doc(f)),
+        "--eps", "1/2", "--level", "1", "--search",
+    ]
+
+
+def found_search_argvs(tmp_path):
+    """Searches that find a witness: check asdim --search in both modes, and
+    map-check so --search with an empty and with a non-empty witness set."""
+    _, space_path = pair_space_doc(tmp_path)
+    asdim = ["check", "asdim", space_path, "--n", "1", "--search", "--level", "2"]
+    return {
+        "asdim exhaustive": [*asdim, "--mode", "exhaustive"],
+        "asdim greedy": [*asdim, "--mode", "greedy"],
+        "so empty set": so_search_argv(tmp_path, "xxx"),
+        "so union": so_search_argv(tmp_path, "xyx"),
+    }
+
+
+def test_no_search_reads_a_rejected_witness_as_refuted(tmp_path, capsys, monkeypatch):
+    """The verifier a search checks its witness with decides the outcome:
+    when it rejects every witness, every search stops undecided."""
+    rejected = from_clauses([Clause("injected verifier", False, "rejects every witness")])
+    monkeypatch.setattr(asdim_module, "asdim_verify", lambda *args: rejected)
+    monkeypatch.setattr(maps, "slowly_oscillating_verify", lambda *args: rejected)
+    for name, argv in found_search_argvs(tmp_path).items():
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 2, name
+        assert "refuted" not in out and "[FAIL]" not in out, name
+
+
+def test_a_searched_witness_is_verified_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def verify(*args):
+            calls.append(name)
+            return real(*args)
+
+        for owner in (module, cli):
+            monkeypatch.setattr(owner, name, verify)
+
+    counted(asdim_module, "asdim_verify")
+    counted(maps, "slowly_oscillating_verify")
+    for name, argv in found_search_argvs(tmp_path).items():
+        calls.clear()
+        assert main(argv) == 0, name
+        assert len(calls) == 1, name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "inv", ["exactness", "pinch", "amenability", "property-a", "apc", "generators"]
+)
+def test_search_without_a_search_slot_is_a_usage_error(tmp_path, deep_system, capsys, inv):
+    """--search is refused where the invariant has no search, even next to a
+    witness that verifies, instead of being ignored."""
+    if inv == "apc":
+        witness = str(tmp_path / "apc.json")
+        assert main(["probe", "apc", deep_system, "-o", witness]) == 0
+        check = ["check", "apc", deep_system, "--witness", witness]
+    elif inv == "generators":
+        pts = points(["a", "b", "c"])
+        members = (frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"a", "b", "c"}))
+        gens = generator_set(pts, (Family(pts, members),))
+        check = ["check", "generators", save(tmp_path, "gens.json", generators_to_doc(gens))]
+    else:
+        lift, check = lift_then_check_argv(tmp_path, inv, "M0")
+        assert main(lift) == 0
+    assert main(check) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*check, "--search"])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: --search is not available for {inv}\n")
+
+
 def test_check_amenability_witness(tmp_path, capsys):
     sp = ball_space(3, (1, 2))
     space_path = save(tmp_path, "line3.json", space_to_doc(sp))
@@ -434,6 +525,27 @@ def test_tracer_sees_every_verify_and_lift(tmp_path):
     for inv in tracing.INVARIANTS:
         assert got[f"invariants.{inv}.verify_s"] > 0, inv
         assert got[f"invariants.{inv}.lift_s"] > 0, inv
+
+
+def test_tracer_sees_every_search(tmp_path, deep_system):
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("coarsekit_bench_tracing_searches", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        argvs = found_search_argvs(tmp_path)
+        assert main(argvs["asdim exhaustive"]) == 0
+        assert main(argvs["so union"]) == 0
+        assert main(["probe", "apc", deep_system]) == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    got = tracer.snapshot()
+    for metric in ("invariants.asdim.search_s", "invariants.apc.probe_s", "maps.check_s"):
+        assert got[metric] > 0, metric
 
 
 @pytest.mark.parametrize("raw", ["abc", "1/0"])

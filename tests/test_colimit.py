@@ -576,3 +576,83 @@ def test_the_first_failing_pair_may_miss_the_top_piece():
         "restrictions of pieces P0 and P1 do not coincide: level 1 of P1 restricted "
         "to the intersection essentially refines no level of the other"
     )
+
+
+@st.composite
+def planted_failures(draw):
+    """Three or four pieces over 3 to 8 points with a failing pair planted
+    between P0 and P1, neither of them the top piece.
+
+    The top piece carries all points and sits at index 2 or later, so
+    (P0, P1) is the first pair a pairwise scan reaches. Both carriers hold
+    two points x and y; one level of P0 gains the member {x, y}, and no
+    member of P1 holds both, so that level fits no level of P1 on the
+    overlap. Levels are otherwise drawn as in piece_systems.
+    """
+    ids = tuple(str(i) for i in range(draw(st.integers(3, 8))))
+    x, y = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+    base = draw(
+        st.lists(
+            st.lists(st.frozensets(st.sampled_from(ids), min_size=2, max_size=3), max_size=3),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    n = draw(st.integers(3, 4))
+    top = draw(st.integers(2, n - 1))
+    pieces = []
+    for k in range(n):
+        if k == top:
+            carrier = frozenset(ids)
+        else:
+            carrier = draw(st.frozensets(st.sampled_from(ids), min_size=2))
+            carrier |= {x, y} if k < 2 else set()
+        pts = points(p for p in ids if p in carrier)
+        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=3))
+        levels = [[m & carrier for m in base[j] if m & carrier] for j in picks]
+        if k == 0:
+            levels[draw(st.integers(0, len(levels) - 1))].append(frozenset({x, y}))
+        elif k == 1:
+            levels = [[m - {y} if x in m else m for m in lv] for lv in levels]
+        singletons = [frozenset({p}) for p in pts.ids] if draw(st.booleans()) else []
+        space = ScaledSpace(pts, tuple(Family(pts, tuple(lv + singletons)) for lv in levels))
+        pieces.append(Piece(f"P{k}", carrier, space))
+    return points(ids), pieces
+
+
+def pairwise_first_failure(ambient, pieces):
+    """The error text for the first overlapping pair, in index order, whose
+    chains fail the coincidence oracle on their overlap, or None."""
+    ids = ambient.ids
+    for r in range(len(pieces)):
+        for s in range(r + 1, len(pieces)):
+            a, b = pieces[r], pieces[s]
+            inter = a.carrier & b.carrier
+            want = inter and coincidence_oracle(ids, a.space, b.space, oracles.to_mask(ids, inter))
+            if want:
+                side, lvl = want
+                owner = a.name if side == "first" else b.name
+                return (
+                    f"restrictions of pieces {a.name} and {b.name} do not coincide: "
+                    f"level {lvl} of {owner} restricted to the intersection "
+                    f"essentially refines no level of the other"
+                )
+    return None
+
+
+@given(planted_failures())
+@settings(max_examples=150)
+def test_a_failing_pair_off_the_top_piece_is_named_as_a_pairwise_scan_names_it(data):
+    """validate_pieces finds the failure against the top piece, and then
+    names the same first failing pair and level as a plain pairwise scan:
+    the planted pair, which misses the top piece."""
+    ambient, pieces = data
+    want = pairwise_first_failure(ambient, pieces)
+    assert want.startswith("restrictions of pieces P0 and P1 ")
+    with pytest.raises(ValidationError) as exc:
+        validate_system(ambient, pieces)
+    assert str(exc.value) == want
+    if all(map(chain_ok, pieces)):
+        with pytest.raises(ValidationError) as exc:
+            doc_to_system(system_body(ambient, pieces))
+        assert str(exc.value) == want

@@ -308,7 +308,7 @@ def so_cases(draw):
 @given(so_cases())
 def test_slowly_oscillating_search_and_verify_match_the_reference(case):
     f, target, sp, level, eps, b = case
-    found = slowly_oscillating_search(f, target, sp, level, eps)
+    found = slowly_oscillating_search(f, target, sp, level, eps).witness
     assert found == so_search_reference(f, target, sp, level, eps)
     event(f"so search: {'none' if found is None else 'found'}")
     report = slowly_oscillating_verify(f, target, sp, level, eps, b)

@@ -113,8 +113,8 @@ def test_non_monotone_explicit_chains_are_refuted():
 def test_greedy_search_needs_the_whole_chain_on_a_line():
     sp = line_space([str(i) for i in range(5)])
     # stars at a shared scale keep neighbours apart until the top level
-    assert apc_search(sp, sp.levels[:2]) is None
-    w = apc_search(sp, sp.levels)
+    assert apc_search(sp, sp.levels[:2]).witness is None
+    w = apc_search(sp, sp.levels).witness
     assert w is not None
     assert len(w.selections) == 3
     assert apc_verify(sp, w).verdict is Verdict.VERIFIED
@@ -122,7 +122,7 @@ def test_greedy_search_needs_the_whole_chain_on_a_line():
 
 def test_singleton_levels_are_their_own_witness():
     sp = path_abc()
-    w = apc_search(sp, [sp.level(1)])
+    w = apc_search(sp, [sp.level(1)]).witness
     assert w is not None
     assert w.selections[0].members == sp.level(1).members
     assert apc_verify(sp, w).verdict is Verdict.VERIFIED
@@ -131,7 +131,7 @@ def test_singleton_levels_are_their_own_witness():
 def test_search_returns_none_when_the_chain_runs_out():
     sp = path_abc()
     # the pair level alone cannot cover: stars block every second member
-    assert apc_search(sp, [sp.level(2)]) is None
+    assert apc_search(sp, [sp.level(2)]).witness is None
 
 
 def single_piece_system():
@@ -160,7 +160,7 @@ def test_probe_on_one_piece_matches_the_piece_search():
     fs = single_piece_system()
     piece = fs.pieces[0]
     outcome = apc_probe(fs)
-    direct = apc_search(piece.space, piece.space.levels)
+    direct = apc_search(piece.space, piece.space.levels).witness
     assert (outcome.piece_witnesses[0] is not None) == (direct is not None)
     piece_clause = outcome.report.clauses[0]
     assert piece_clause.ok == (direct is not None)

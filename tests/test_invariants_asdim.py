@@ -61,7 +61,7 @@ def test_adjacent_pairs_witness_dimension_one_on_a_line():
     assert asdim_verify(sp, 1, w).verdict is Verdict.VERIFIED
 
     found = asdim_search(sp, 1, scale)
-    assert found.exhaustive
+    assert found == asdim_search(sp, 1, scale, mode="exhaustive")
     assert found.witness is not None
     assert asdim_verify(sp, 1, found.witness)
 
@@ -93,7 +93,7 @@ def test_exhaustive_search_refutes_dimension_zero_on_a_path():
     )
     found = asdim_search(sp, 0, sp.level(2))
     assert found.witness is None
-    assert found.exhaustive
+    assert found.exhausted
 
     # with a whole-set top member the overlap merges away
     wider = validate_space(
@@ -151,12 +151,12 @@ def test_search_modes_and_caps():
         asdim_search(sp, 1, scale, cap=3, mode="exhaustive")
 
     greedy = asdim_search(sp, 1, scale, mode="greedy")
-    assert not greedy.exhaustive
+    assert greedy != asdim_search(sp, 1, scale, mode="exhaustive")
     assert greedy.witness is not None
     assert asdim_verify(sp, 1, greedy.witness)
 
     auto_flips = asdim_search(sp, 1, scale, cap=3, mode="auto")
-    assert not auto_flips.exhaustive
+    assert auto_flips == greedy
 
 
 @st.composite
@@ -192,13 +192,13 @@ def test_exhaustive_search_finds_a_witness_exactly_when_the_oracle_does(data):
         list(scale.masks), list(space.level(space.depth).masks), n, len(space.points)
     )
     exhaustive = asdim_search(space, n, scale, mode="exhaustive")
-    assert exhaustive.exhaustive
+    assert exhaustive.exhausted == (want is None)
     if want is None:
         assert exhaustive.witness is None
     else:
         assert exhaustive.witness.coarsening.masks == tuple(want)
     greedy = asdim_search(space, n, scale, mode="greedy")
-    assert not greedy.exhaustive
+    assert not greedy.exhausted
     for w in (exhaustive.witness, greedy.witness):
         if w is not None:
             assert w.scale == scale

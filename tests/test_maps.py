@@ -100,6 +100,25 @@ def test_image_family_acts_member_by_member():
         image_family(double, fam(Y5, {"0"}))
 
 
+@st.composite
+def imaged_families(draw):
+    """A map between point sets of up to six points, often not injective,
+    and a family over its domain with empty and repeated members."""
+    dom = points(f"x{i}" for i in range(draw(st.integers(1, 6))))
+    cod = points(str(i) for i in range(draw(st.integers(1, 6))))
+    images = draw(st.lists(st.sampled_from(cod.ids), min_size=len(dom), max_size=len(dom)))
+    f = GroundedMap(dom, cod, tuple(images))
+    members = draw(st.lists(st.sets(st.sampled_from(dom.ids)), max_size=5))
+    members += draw(st.lists(st.sampled_from(members), max_size=3)) if members else []
+    return f, family(dom, [frozenset(), *members])
+
+
+@given(imaged_families())
+def test_image_family_images_each_member_name_by_name(case):
+    f, u = case
+    assert image_family(f, u).members == tuple(frozenset(f(p) for p in m) for m in u.members)
+
+
 def test_metric_target_validates_the_axioms():
     pts = points(["a", "b"])
     with pytest.raises(DomainError, match="shape"):
@@ -432,7 +451,7 @@ def test_constant_maps_oscillate_slowly_with_empty_witness():
             const, target, src, level, Fraction(1, 2), frozenset()
         )
         assert report.verdict is Verdict.VERIFIED
-    assert slowly_oscillating_search(const, target, src, 1, Fraction(1, 2)) == frozenset()
+    assert slowly_oscillating_search(const, target, src, 1, Fraction(1, 2)).witness == frozenset()
 
 
 def test_oscillation_thresholds_are_strict():
@@ -453,7 +472,7 @@ def test_oscillation_search_finds_a_valid_witness():
     src = line_space(Y5.ids)
     target = path_metric(Y5)
     f = identity_map(Y5)
-    b = slowly_oscillating_search(f, target, src, 1, Fraction(2))
+    b = slowly_oscillating_search(f, target, src, 1, Fraction(2)).witness
     assert b is not None
     assert slowly_oscillating_verify(f, target, src, 1, Fraction(2), b)
 
@@ -468,7 +487,7 @@ def test_oscillation_search_fails_without_weak_boundedness():
     )
     f = identity_map(Y5)
     target = path_metric(Y5)
-    assert slowly_oscillating_search(f, target, shallow, 2, Fraction(1)) is None
+    assert slowly_oscillating_search(f, target, shallow, 2, Fraction(1)).witness is None
     report = slowly_oscillating_verify(
         f, target, shallow, 2, Fraction(1), frozenset(Y5.ids)
     )
@@ -498,7 +517,7 @@ def test_oscillation_search_verifies_one_candidate(monkeypatch):
         return verify(*args)
 
     monkeypatch.setattr(maps, "slowly_oscillating_verify", counted)
-    assert slowly_oscillating_search(f, path_metric(Y5), shallow, 2, Fraction(1)) is None
+    assert slowly_oscillating_search(f, path_metric(Y5), shallow, 2, Fraction(1)).witness is None
     assert calls == [frozenset({"1", "2", "3", "4"})]
 
 
