@@ -52,12 +52,12 @@ def main() -> int:
         piece_found = sum(1 for w in outcome.piece_witnesses if w is not None)
         for pc, w in zip(fs.pieces, outcome.piece_witnesses):
             if w is not None:
-                report = apc_verify(pc.space, w, pc.space.levels)
+                report = apc_verify(pc.space, w)
                 if report.verdict is not Verdict.VERIFIED:
                     reverify_failures += 1
         colimit_found = outcome.colimit_witness is not None
         if colimit_found:
-            report = apc_verify(fs, outcome.colimit_witness, outcome.colimit_chain)
+            report = apc_verify(fs, outcome.colimit_witness)
             if report.verdict is not Verdict.VERIFIED:
                 reverify_failures += 1
 

@@ -247,7 +247,7 @@ INVARIANTS = {
     ),
     "apc": WitnessInvariant(
         kind="witness:apc",
-        verify=lambda t, w, a: apc_verify(t, *w),
+        verify=lambda t, w, a: apc_verify(t, w),
         lift=None,
         needs=(),
         lift_inputs=(),
@@ -289,6 +289,8 @@ def cmd_check(args) -> int:
     inv = INVARIANTS.get(args.invariant)
     if args.search and (inv is None or inv.search is None):
         args.parser.error(f"--search is not available for {args.invariant}")
+    if args.search and args.witness is not None:
+        args.parser.error("--search and --witness cannot be given together")
     if args.invariant == "generators":
         gens = _read(args, args.target, ("witness:generators",))
         return _render(args, metrizability_generator_check(gens))
@@ -365,11 +367,12 @@ def cmd_map_check(args) -> int:
         return _render(args, close_report(f, g, dst))
     if len(paths) != 3:
         parser.error("so needs SRC METRIC MAP")
+    if args.search and args.witness_set is not None:
+        parser.error("--search and --witness-set cannot be given together")
     src = _read(args, paths[0], ("space", "system"))
     target = _read(args, paths[1], ("metric",))
     f = _read(args, paths[2], ("map",))
-    if args.eps is None:
-        parser.error("--eps is required here")
+    _require(args, parser, ["eps"])
     if isinstance(src, ScaledSpace):
         _require(args, parser, ["level"])
         if args.search:
@@ -478,7 +481,7 @@ def cmd_probe(args) -> int:
     system = _read(args, args.system, ("system",))
     outcome = apc_probe(system, prefix_len=args.prefix, budget=args.budget)
     w = outcome.colimit_witness
-    artifact = None if w is None else ("witness", docs.apc_witness_to_doc(w, outcome.colimit_chain))
+    artifact = None if w is None else ("witness", docs.apc_witness_to_doc(w))
     return _render(args, outcome.report, artifact=artifact)
 
 

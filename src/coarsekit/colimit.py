@@ -102,6 +102,11 @@ class FilteredSystem:
         except KeyError:
             raise DomainError(f"no upper bound recorded for pieces {r}, {s}") from None
 
+    def top_piece(self) -> int:
+        """A piece whose carrier holds every carrier, so the whole ambient
+        set: upper_piece folded over the pieces in index order."""
+        return reduce(self.upper_piece, range(len(self.pieces)))
+
 
 def validate_system(
     ambient: PointSet,
@@ -152,9 +157,9 @@ def validate_pieces(
     exact: a level that refines its successor fits wherever the successor
     fits, and whatever fits it fits the successor too.
 
-    Folding the directedness table over every piece gives a top piece T
-    whose carrier holds every carrier, so the whole ambient set. Each other
-    piece is compared with T on its own carrier, and if all of them
+    Folding the directedness table over every piece (top_piece) gives a top
+    piece T whose carrier holds every carrier, so the whole ambient set. Each
+    other piece is compared with T on its own carrier, and if all of them
     coincide with T, every pair coincides. Lemma: let pieces r and s each
     coincide with T on their own carriers, and take a level of r. It fits,
     cut to r's carrier, some level L of T, and L, cut to s's carrier, fits
@@ -198,11 +203,13 @@ def validate_pieces(
                     )
             table[(r, s)] = t
 
+    triples = tuple(sorted((r, s, t) for (r, s), t in table.items()))
+    system = FilteredSystem(ambient, tuple(pieces), triples, tuple(meta))
     tops = [
         [set(reroot(p.space.levels[i], ambient).masks) for i in idx]
         for p, idx in zip(pieces, cofinal)
     ]
-    top = reduce(lambda t, r: table[min(t, r), max(t, r)], range(n))
+    top = system.top_piece()
     if any(
         coincidence_masks(tops[r], tops[top], carriers[r]) is not None
         for r in range(n)
@@ -224,9 +231,7 @@ def validate_pieces(
                     f"intersection essentially refines no level of the other"
                 )
         raise AssertionError("a piece that fails against the top piece fails with it")
-
-    triples = tuple(sorted((r, s, t) for (r, s), t in table.items()))
-    return FilteredSystem(ambient, tuple(pieces), triples, tuple(meta))
+    return system
 
 
 def strip(f: Family, carrier: Subset) -> Family:

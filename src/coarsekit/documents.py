@@ -20,11 +20,11 @@ colimit.validate_pieces puts the masks it needs there.
 Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
 the witness class and its body fields in decode order, each as (body key,
 witness attribute, field type). ``decode_witness`` checks the required and
-optional keys and reads every field through its type; ``witness_to_doc``
-writes every body back by type: families as member lists, rationals as text,
-bounds as an integer, null or certificate. Only the point-keyed weights,
-coordinates and tag sets have readers of their own. apc pairs its witness
-with a chain the witness does not hold, so its codec is written out.
+optional keys and reads every field through its type; a field of an optional
+type may be left out, which reads as null. ``witness_to_doc`` writes every
+body back by type: families as member lists, rationals as text, bounds as an
+integer, null or certificate. Only the point-keyed weights, coordinates and
+tag sets and the apc bounds and chain have readers of their own.
 ``DECODERS`` maps every kind to the decoder of its body.
 
 ``emit_document`` is a small writer of its own. It gives the bytes the
@@ -452,10 +452,13 @@ class FieldType(NamedTuple):
     ``read(raw, path, got)`` decodes the raw value; ``got`` holds the target,
     the points the witness lives over (``"space"``) and every attribute read
     before this field. ``write(value, witness)`` gives the raw value back.
+    An ``optional`` field may be left out of a body; ``read`` then gets None,
+    as it does for a null.
     """
 
     read: Callable
     write: Callable = lambda value, w: _encode(value)
+    optional: bool = False
 
 
 def _by_point(raw, pts: PointSet, path, what) -> dict:
@@ -533,14 +536,31 @@ def _write_by_point(rows, w) -> dict:
     return dict(zip(w.space.ids, _encode(rows)))
 
 
+def _read_bounds(raw, path, got) -> tuple:
+    if not isinstance(raw, list) or len(raw) != len(got["selections"]):
+        _fail("expected one bound per selection", path)
+    return tuple(resolve_bound(b, f"{path}[{i}]") for i, b in enumerate(raw))
+
+
+def _read_chain(raw, path, got) -> Optional[tuple]:
+    if raw is None:
+        return None
+    if not isinstance(raw, list) or not raw:
+        _fail("expected a non-empty list of scales", path)
+    return tuple(resolve_scale(v, got["target"], f"{path}[{i}]") for i, v in enumerate(raw))
+
+
 SCALE = FieldType(lambda raw, path, got: resolve_scale(raw, got["target"], path))
 FAMILY = FieldType(lambda raw, path, got: _family(raw, got["space"], path))
 POSITIVE = FieldType(lambda raw, path, got: _positive_fraction(raw, path))
 INTEGER = FieldType(lambda raw, path, got: _int(raw, path))
-BOUND = FieldType(lambda raw, path, got: resolve_bound(raw, path))  # the one optional type
+BOUND = FieldType(lambda raw, path, got: resolve_bound(raw, path), optional=True)
+BOUNDS = FieldType(_read_bounds)
+CHAIN = FieldType(_read_chain, optional=True)
 NAMES = FieldType(lambda raw, path, got: _str_list(raw, path))
 POINTS = FieldType(lambda raw, path, got: _points(raw, path))
 FAMILIES = FieldType(lambda raw, path, got: _family_list(raw, got["space"], path, "families"))
+SELECTIONS = FieldType(lambda raw, path, got: _family_list(raw, got["space"], path, "selections"))
 WEIGHTS = FieldType(_read_weights, _write_weights)
 COORDS = FieldType(_read_coords, _write_by_point)
 SETS = FieldType(_read_sets, _write_by_point)
@@ -553,6 +573,11 @@ class WitnessCodec:
 
 
 WITNESSES = {
+    "witness:apc": WitnessCodec(ApcWitness, (
+        ("selections", "selections", SELECTIONS),
+        ("bounds", "bounds", BOUNDS),
+        ("chain", "chain", CHAIN),
+    )),
     "witness:asdim": WitnessCodec(AsdimWitness, (
         ("scale", "scale", SCALE),
         ("coarsening", "coarsening", FAMILY),
@@ -598,8 +623,8 @@ WITNESSES = {
 def decode_witness(kind: str, body, target: Optional[Target] = None, path="body"):
     """The witness a body of a WITNESSES kind describes over target."""
     row = WITNESSES[kind].fields
-    required = [key for key, _, ftype in row if ftype is not BOUND]
-    _check_keys(body, required, [key for key, _, ftype in row if ftype is BOUND], path)
+    required = [key for key, _, ftype in row if not ftype.optional]
+    _check_keys(body, required, [key for key, _, ftype in row if ftype.optional], path)
     got = {"target": target, "space": None if target is None else target_points(target)}
     for key, attr, ftype in row:
         got[attr] = ftype.read(body.get(key), f"{path}.{key}", got)
@@ -613,39 +638,6 @@ def witness_to_doc(kind: str, w) -> Document:
         key: ftype.write(attrgetter(attr)(w), w) for key, attr, ftype in WITNESSES[kind].fields
     }
     return Document(kind, VERSION, body)
-
-
-# apc pairs its witness with the chain it was found on, which the witness
-# does not hold, so its codec is written out
-
-
-def doc_to_apc_witness(body, target: Target, path="body"):
-    _check_keys(body, ("selections", "bounds"), ("chain",), path)
-    pts = target_points(target)
-    selections = _family_list(body["selections"], pts, f"{path}.selections", "selections")
-    raw_bounds = body["bounds"]
-    if not isinstance(raw_bounds, list) or len(raw_bounds) != len(selections):
-        _fail("expected one bound per selection", f"{path}.bounds")
-    bounds = tuple(
-        resolve_bound(b, f"{path}.bounds[{i}]") for i, b in enumerate(raw_bounds)
-    )
-    chain = None
-    if "chain" in body:
-        raw_chain = body["chain"]
-        if not isinstance(raw_chain, list) or not raw_chain:
-            _fail("expected a non-empty list of scales", f"{path}.chain")
-        chain = tuple(
-            resolve_scale(v, target, f"{path}.chain[{i}]")
-            for i, v in enumerate(raw_chain)
-        )
-    return ApcWitness(selections, bounds), chain
-
-
-def apc_witness_to_doc(w: ApcWitness, chain=None) -> Document:
-    body = {"selections": _encode(w.selections), "bounds": _encode(w.bounds)}
-    if chain is not None:
-        body["chain"] = _encode(chain)
-    return Document("witness:apc", VERSION, body)
 
 
 # report
@@ -690,22 +682,23 @@ DECODERS = {
     "map": doc_to_map,
     "metric": doc_to_metric,
     "report": _validate_report_body,
-    "witness:apc": doc_to_apc_witness,
     **{kind: partial(decode_witness, kind) for kind in WITNESSES},
 }
 KINDS = tuple(DECODERS)
 WITNESS_KINDS = tuple(kind for kind in KINDS if kind.startswith("witness:"))
 # witness kinds whose bodies do not list their own points
-_NEEDS_TARGET = {"witness:apc"} | {
+_NEEDS_TARGET = {
     kind for kind, codec in WITNESSES.items() if all(t is not POINTS for _, _, t in codec.fields)
 }
 
+doc_to_apc_witness = DECODERS["witness:apc"]
 doc_to_asdim_witness = DECODERS["witness:asdim"]
 doc_to_exactness_witness = DECODERS["witness:exactness"]
 doc_to_pinch_witness = DECODERS["witness:pinch"]
 doc_to_amenability_witness = DECODERS["witness:amenability"]
 doc_to_property_a_witness = DECODERS["witness:property_a"]
 doc_to_generators = DECODERS["witness:generators"]
+apc_witness_to_doc = partial(witness_to_doc, "witness:apc")
 asdim_witness_to_doc = partial(witness_to_doc, "witness:asdim")
 exactness_witness_to_doc = partial(witness_to_doc, "witness:exactness")
 pinch_witness_to_doc = partial(witness_to_doc, "witness:pinch")

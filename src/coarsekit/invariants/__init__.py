@@ -22,7 +22,7 @@ from .asdim import (
     asdim_search,
     asdim_verify,
 )
-from .common import Bound, Target, bound_clause, find_bound, resolve_bound
+from .common import Bound, Target, bound_clause, find_bound
 from .exactness import (
     ExactnessWitness,
     PartitionOfUnity,
@@ -55,51 +55,3 @@ from .property_a import (
     property_a_lift,
     property_a_verify,
 )
-
-__all__ = [
-    "AmenabilityWitness",
-    "ApcProbeOutcome",
-    "ApcWitness",
-    "AsdimWitness",
-    "Bound",
-    "DEFAULT_TOL",
-    "ExactnessWitness",
-    "GeneratorSet",
-    "PartitionOfUnity",
-    "PinchWitness",
-    "PropertyAFamily",
-    "Target",
-    "amenability_lift",
-    "amenability_verify",
-    "apc_probe",
-    "apc_search",
-    "apc_verify",
-    "asdim_lift",
-    "asdim_restrict",
-    "asdim_search",
-    "asdim_verify",
-    "bound_clause",
-    "colimit_probe_chain",
-    "combined_pair",
-    "comparison_tolerance",
-    "covered_points",
-    "exactness_lift",
-    "exactness_verify",
-    "find_bound",
-    "generator_set",
-    "geometry_cap",
-    "horizon_ratio",
-    "l1_variation",
-    "metrizability_generator_check",
-    "metrizability_merge",
-    "pair_ratio",
-    "partition_of_unity",
-    "pinch_lift",
-    "pinch_verify",
-    "pinch_witness",
-    "property_a_lift",
-    "property_a_verify",
-    "resolve_bound",
-    "sq_dist",
-    "support_family",
-]

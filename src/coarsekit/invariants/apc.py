@@ -2,9 +2,10 @@
 
 A witness against a monotone chain prefix picks one bounded selection family
 per chain entry so that the selections jointly cover and each selection is
-star-disjoint at its own scale. The probe searches pieces and colimit alike
-and reports found/undecided only; absence of a witness in the greedy search
-space never claims a refutation.
+star-disjoint at its own scale. The witness holds the chain it answers to;
+without one it answers to the target's own levels. The probe searches
+pieces and colimit alike and reports found/undecided only; absence of a
+witness in the greedy search space never claims a refutation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .common import Bound, Target, bound_clause, find_bound, target_points
 class ApcWitness:
     selections: tuple[Family, ...]
     bounds: tuple[Bound, ...]
+    chain: Optional[tuple[Family, ...]] = None  # None: the target's own levels
 
 
 def _default_chain(target: Target, n: int) -> tuple[Family, ...]:
@@ -34,15 +36,13 @@ def _default_chain(target: Target, n: int) -> tuple[Family, ...]:
     raise DomainError("a system target needs an explicit chain")
 
 
-def apc_verify(
-    target: Target, w: ApcWitness, chain: Optional[Sequence[Family]] = None
-) -> Report:
+def apc_verify(target: Target, w: ApcWitness) -> Report:
     n = len(w.selections)
     if n == 0:
         raise DomainError("a witness needs at least one selection")
     if len(w.bounds) != n:
         raise DomainError("one boundedness claim per selection is required")
-    chain = tuple(chain) if chain is not None else _default_chain(target, n)
+    chain = w.chain if w.chain is not None else _default_chain(target, n)
     if len(chain) < n:
         raise DomainError("chain is shorter than the witness prefix")
     chain = chain[:n]
@@ -102,10 +102,11 @@ def apc_search(target: Target, chain: Sequence[Family]) -> SearchOutcome:
     Candidates for selection j are the j-th chain entry's members followed by
     the point singletons not already among them; a candidate is kept when it
     covers a new point and stays star-disjoint from the kept ones. Incomplete
-    by design, so finding none decides nothing. The witness found is not
-    verified here; apc_verify judges it.
+    by design, so finding none decides nothing. The witness found holds the
+    chain; it is not verified here, apc_verify judges it.
     """
     stopped = SearchOutcome(detail="no witness within the greedy search space")
+    chain = tuple(chain)
     pts = target_points(target)
     covered = 0
     selections: list[Family] = []
@@ -132,7 +133,7 @@ def apc_search(target: Target, chain: Sequence[Family]) -> SearchOutcome:
         selections.append(sel)
         bounds.append(b)
         if covered == (1 << len(pts)) - 1:
-            return SearchOutcome(ApcWitness(tuple(selections), tuple(bounds)))
+            return SearchOutcome(ApcWitness(tuple(selections), tuple(bounds), chain))
     return stopped
 
 
@@ -148,9 +149,7 @@ def colimit_probe_chain(
     system: FilteredSystem, prefix_len: Optional[int] = None
 ) -> tuple[Family, ...]:
     """Extended levels of a piece sitting above every other piece."""
-    top = 0
-    for s in range(1, len(system.pieces)):
-        top = system.upper_piece(top, s)
+    top = system.top_piece()
     depth = system.pieces[top].space.depth
     n = depth if prefix_len is None else min(prefix_len, depth)
     return tuple(

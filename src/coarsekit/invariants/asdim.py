@@ -158,6 +158,8 @@ def asdim_search(
     search without deciding anything. So does a coarsening that asdim_verify
     rejects: a failed consistency check, in either mode.
     """
+    if not isinstance(space, ScaledSpace):
+        raise DomainError("witness search needs a single-space target")
     if n < 0:
         raise DomainError("dimension bound must be nonnegative")
     if mode not in ("auto", "exhaustive", "greedy"):

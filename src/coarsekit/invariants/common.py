@@ -69,13 +69,6 @@ def bound_clause(name: str, target: Target, fam: Family, bound: Bound) -> Clause
     return Clause(name, False, "claimed boundedness certificate does not check")
 
 
-def resolve_bound(target: Target, fam: Family, bound: Bound) -> Bound:
-    """An explicit bound passed through, or the first found by search."""
-    if bound is not None:
-        return bound
-    return find_bound(target, fam)
-
-
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``(den, rows)``: den is the lcm of the entries' distinct denominators,
     and rows are the rows times den, as integers. Integer rows, as in every
@@ -112,8 +105,11 @@ def with_outside_singletons(system: FilteredSystem, piece: int, fam: Family) -> 
 def piece_certificate(
     system: FilteredSystem, piece: int, fam: Family, bound: Bound
 ) -> ColimitBoundedness:
-    """The piece witness's bound on fam, as a certificate in that piece."""
-    return ColimitBoundedness(piece, resolve_bound(system.pieces[piece].space, fam, bound))
+    """The piece witness's bound on fam, as a certificate in that piece: the
+    bound it claims, or the first found by search."""
+    if bound is None:
+        bound = find_bound(system.pieces[piece].space, fam)
+    return ColimitBoundedness(piece, bound)
 
 
 def unit_padded_rows(

@@ -415,6 +415,8 @@ def slowly_oscillating_search(
     verify when the union does not. A rejected candidate stops the search:
     weak boundedness is judged at this truncation, so absence never refutes.
     """
+    if not isinstance(src, ScaledSpace):
+        raise DomainError("witness search needs a single-space source")
     scale = src.level(level)
     if f.domain != src.points:  # the members index f's images
         raise DomainError("map domain does not match the space")

@@ -597,13 +597,11 @@ def test_criterion_12_apc_probe_consistency():
             if w is None:
                 continue
             found += 1
-            if apc_verify(pc.space, w, pc.space.levels).verdict is not Verdict.VERIFIED:
+            if apc_verify(pc.space, w).verdict is not Verdict.VERIFIED:
                 inconsistencies += 1
         if outcome.colimit_witness is not None:
             found += 1
-            verdict = apc_verify(
-                fs, outcome.colimit_witness, outcome.colimit_chain
-            ).verdict
+            verdict = apc_verify(fs, outcome.colimit_witness).verdict
             if verdict is not Verdict.VERIFIED:
                 inconsistencies += 1
     ok = inconsistencies == 0 and systems >= 50

@@ -378,6 +378,18 @@ def test_search_without_a_search_slot_is_a_usage_error(tmp_path, deep_system, ca
     assert captured.err.endswith(f"error: --search is not available for {inv}\n")
 
 
+def test_a_search_with_a_witness_file_is_a_usage_error(tmp_path, capsys):
+    """A search reads no witness file, so naming one is refused, not ignored."""
+    argvs = found_search_argvs(tmp_path)
+    for argv, flag in ((argvs["asdim exhaustive"], "--witness"), (argvs["so union"], "--witness-set")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, str(tmp_path / "nonexistent.json")])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: --search and {flag} cannot be given together\n")
+
+
 def test_check_amenability_witness(tmp_path, capsys):
     sp = ball_space(3, (1, 2))
     space_path = save(tmp_path, "line3.json", space_to_doc(sp))
@@ -637,6 +649,7 @@ def test_map_check_so_search_and_system(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["map-check", "so", space_path, metric_path, const, "--level", "1"])
     assert exc.value.code == 64
+    assert capsys.readouterr().err.endswith("error: --eps is required here\n")
 
     fs = single_piece(sp)
     system_path = save(tmp_path, "sys.json", system_to_doc(fs))

@@ -15,6 +15,7 @@ from coarsekit import ParseError, ValidationError
 from coarsekit.colimit import ColimitBoundedness, extended_level
 from coarsekit.corpus import gen_disjoint_union, gen_random_system
 from coarsekit.documents import (
+    DECODERS,
     Document,
     _encode_fraction,
     amenability_witness_to_doc,
@@ -126,12 +127,8 @@ def test_witness_round_trips_on_a_space_target():
     asdim = AsdimWitness(scale, whole, 3)
     assert doc_to_asdim_witness(reparse(asdim_witness_to_doc(asdim)).body, sp) == asdim
 
-    apc = ApcWitness((whole,), (3,))
-    chain = (sp.level(1), sp.level(2))
-    doc = reparse(apc_witness_to_doc(apc, chain))
-    back, back_chain = doc_to_apc_witness(doc.body, sp)
-    assert back == apc
-    assert back_chain == chain
+    apc = ApcWitness((whole,), (3,), (sp.level(1), sp.level(2)))
+    assert doc_to_apc_witness(reparse(apc_witness_to_doc(apc)).body, sp) == apc
 
     pou = partition_of_unity(
         pts,
@@ -175,6 +172,22 @@ def test_witness_round_trips_on_a_space_target():
         doc_to_property_a_witness(reparse(property_a_witness_to_doc(prop_a)).body, sp)
         == prop_a
     )
+
+
+def test_apc_witness_without_a_chain_is_written_and_read_with_a_null_chain():
+    sp = pair_space()
+    whole = Family(sp.points, (frozenset(sp.points.ids),))
+    chained = ApcWitness((whole,), (3,), (sp.level(1), sp.level(2)))
+    unchained = ApcWitness((whole,), (None,))
+    for w in (chained, unchained):
+        body = reparse(apc_witness_to_doc(w)).body
+        back = DECODERS["witness:apc"](body, sp)
+        assert isinstance(back, ApcWitness)
+        assert back == w
+    body = reparse(apc_witness_to_doc(unchained)).body
+    assert body == {"selections": [[["a", "b", "c"]]], "bounds": [None], "chain": None}
+    del body["chain"]
+    assert doc_to_apc_witness(body, sp) == unchained
 
 
 def test_generator_set_round_trip():

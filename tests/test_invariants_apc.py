@@ -74,8 +74,8 @@ def test_island_selection_is_star_disjoint():
 
 def test_star_contact_refutes_a_selection():
     sp = path_abc()
-    w = ApcWitness((fam(P3, {"a"}, {"b"}, {"c"}),), (1,))
-    report = apc_verify(sp, w, chain=[sp.level(2)])
+    w = ApcWitness((fam(P3, {"a"}, {"b"}, {"c"}),), (1,), chain=(sp.level(2),))
+    report = apc_verify(sp, w)
     assert report.verdict is Verdict.REFUTED
     assert any("meet through a star" in c.detail for c in report.failures())
 
@@ -98,14 +98,14 @@ def test_verify_rejects_malformed_witnesses():
     with pytest.raises(DomainError, match="prefix exceeds"):
         apc_verify(sp, ApcWitness((sel,) * 4, (3,) * 4))
     with pytest.raises(DomainError, match="chain is shorter"):
-        apc_verify(sp, ApcWitness((sel, sel), (3, 3)), chain=[sp.level(1)])
+        apc_verify(sp, ApcWitness((sel, sel), (3, 3), chain=(sp.level(1),)))
 
 
 def test_non_monotone_explicit_chains_are_refuted():
     sp = path_abc()
     sel = fam(P3, {"a", "b", "c"})
-    w = ApcWitness((sel, sel), (3, 3))
-    report = apc_verify(sp, w, chain=[sp.level(3), sp.level(1)])
+    w = ApcWitness((sel, sel), (3, 3), chain=(sp.level(3), sp.level(1)))
+    report = apc_verify(sp, w)
     assert report.verdict is Verdict.REFUTED
     assert any(c.name == "chain monotone" for c in report.failures())
 
@@ -185,7 +185,8 @@ def test_probe_verdicts_never_refute():
         )
         assert bool(outcome.report) == found_all
         if outcome.colimit_witness is not None:
-            check = apc_verify(fs, outcome.colimit_witness, chain=outcome.colimit_chain)
+            assert outcome.colimit_witness.chain == outcome.colimit_chain
+            check = apc_verify(fs, outcome.colimit_witness)
             assert check.verdict is Verdict.VERIFIED
 
 

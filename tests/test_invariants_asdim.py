@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coarsekit import DomainError, Verdict
 from coarsekit.colimit import ColimitBoundedness, Piece, validate_system
+from coarsekit.corpus import gen_c0
 from coarsekit.families import Family, family, points
 from coarsekit.invariants import (
     AsdimWitness,
@@ -131,6 +132,11 @@ def test_verify_rejects_malformed_inputs():
     other = points(["x"])
     with pytest.raises(DomainError):
         asdim_verify(sp, 1, AsdimWitness(fam(other, {"x"}), scale, 1))
+
+
+def test_search_rejects_a_system_target():
+    with pytest.raises(DomainError, match="^witness search needs a single-space target$"):
+        asdim_search(gen_c0(2, 1), 1, 1)
 
 
 def test_all_singleton_scales_need_no_coarsening():

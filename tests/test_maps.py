@@ -531,6 +531,13 @@ def test_oscillation_rejects_bad_inputs():
         slowly_oscillating_verify(identity_map(X3), target, src, 1, Fraction(1), frozenset())
 
 
+def test_oscillation_search_rejects_a_system_source():
+    fs = overlap_system()
+    const = grounded_map(fs.ambient, Y5, lambda p: "0")
+    with pytest.raises(DomainError, match="^witness search needs a single-space source$"):
+        slowly_oscillating_search(const, path_metric(Y5), fs, 1, Fraction(1))
+
+
 def test_system_oscillation_uses_the_ambient_scale():
     fs = overlap_system()
     target = path_metric(Y5)

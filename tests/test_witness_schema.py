@@ -109,7 +109,7 @@ CASES = [
     ("asdim", ["coarsening", 0, 0], "zz", "unknown point 'zz'", "body.coarsening[0]"),
     ("asdim", ["bound"], True, BOUND_MSG, "body.bound"),
     ("asdim", ["bound"], {"piece": 0}, "missing field 'level'", "body.bound"),
-    # apc: hand-written selections, bounds and chain
+    # apc: selections, bounds and an optional chain
     ("apc", ["selections"], DROP, "missing field 'selections'", "body"),
     ("apc", ["bounds"], DROP, "missing field 'bounds'", "body"),
     ("apc", ["extra"], 0, "unknown field 'extra'", "body"),
