@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -59,7 +60,7 @@ from .maps import (
     system_bornologous_check,
     system_slowly_oscillating_verify,
 )
-from .reports import Clause, Report, SearchOutcome, Verdict, from_clauses
+from .reports import Clause, Report, SearchOutcome, Verdict, from_clauses, offense_clause
 from .spaces import ScaledSpace
 
 EX_VERIFIED = 0
@@ -119,6 +120,19 @@ def _load_witness_set(args, path: str, pts: PointSet) -> frozenset:
     return frozenset(pts.points_of(reduce(or_, _load_family(args, path, pts).masks, 0)))
 
 
+class _WriteFailure(Exception):
+    """An output file or directory that could not be written."""
+
+
+@contextmanager
+def _writing():
+    """Word an OSError raised inside as a failed write, not a failed read."""
+    try:
+        yield
+    except OSError as exc:
+        raise _WriteFailure(exc) from None
+
+
 def _render(args, report: Report, artifact=None) -> int:
     """Print the report, persist the artifact if -o was given, return the exit code.
 
@@ -126,7 +140,8 @@ def _render(args, report: Report, artifact=None) -> int:
     """
     out = getattr(args, "output", None)
     if artifact is not None and out:
-        Path(out).write_text(docs.emit_document(artifact[1]), encoding="utf-8")
+        with _writing():
+            Path(out).write_text(docs.emit_document(artifact[1]), encoding="utf-8")
     provenance = {
         "inputs": args.digests,
         "tool": f"coarsekit {__version__}",
@@ -154,7 +169,15 @@ def _render(args, report: Report, artifact=None) -> int:
 
 
 def _truncation_report(name: str, exc: TruncationError) -> Report:
-    return from_clauses([Clause(name, False, str(exc), truncation=True)])
+    return from_clauses([SearchOutcome(detail=str(exc)).clause(name)])
+
+
+def _render_search(args, outcome: SearchOutcome, name: str, artifact: str, encode: Callable) -> int:
+    """A search's clause under name when it found no witness, else its report
+    on the witness, with the document encode(witness) as the artifact."""
+    if outcome.witness is None:
+        return _render(args, from_clauses([outcome.clause(name)]))
+    return _render(args, outcome.report, artifact=(artifact, encode(outcome.witness)))
 
 
 # commands
@@ -165,7 +188,7 @@ def cmd_validate(args) -> int:
     try:
         decoded = docs.DECODERS[doc.kind](doc.body)
     except (ValidationError, DomainError) as exc:
-        return _render(args, from_clauses([Clause("document validates", False, str(exc))]))
+        return _render(args, from_clauses([offense_clause("document validates", str(exc))]))
     if doc.kind == "space":
         clauses = [Clause("space validates", True, "chain is monotone and covering")]
     else:
@@ -300,11 +323,8 @@ def cmd_check(args) -> int:
         if not isinstance(target, ScaledSpace):
             raise DomainError("witness search needs a single-space target")
         _require(args, args.parser, ["level"])
-        outcome = inv.search(target, args)
-        if outcome.witness is None:
-            return _render(args, from_clauses([outcome.clause("witness search")]))
-        artifact = ("witness", docs.witness_to_doc(inv.kind, outcome.witness))
-        return _render(args, outcome.report, artifact=artifact)
+        encode = lambda w: docs.witness_to_doc(inv.kind, w)
+        return _render_search(args, inv.search(target, args), "witness search", "witness", encode)
     _require(args, args.parser, ["witness"])
     w = _read(args, args.witness, (inv.kind,), target)
     return _render(args, inv.verify(target, w, args))
@@ -377,10 +397,9 @@ def cmd_map_check(args) -> int:
         _require(args, parser, ["level"])
         if args.search:
             outcome = slowly_oscillating_search(f, target, src, args.level, args.eps)
-            if outcome.witness is None:
-                return _render(args, from_clauses([outcome.clause("witness set search")]))
-            bfam = Family.from_masks(src.points, (src.points.mask(outcome.witness),))
-            return _render(args, outcome.report, artifact=("witness-set", docs.family_to_doc(bfam)))
+            pts = src.points
+            encode = lambda b: docs.family_to_doc(Family.from_masks(pts, (pts.mask(b),)))
+            return _render_search(args, outcome, "witness set search", "witness-set", encode)
         _require(args, parser, ["witness_set"])
         b = _load_witness_set(args, args.witness_set, src.points)
         report = slowly_oscillating_verify(f, target, src, args.level, args.eps, b)
@@ -430,9 +449,10 @@ def cmd_corpus(args) -> int:
     written = []
 
     def save(name: str, doc: docs.Document):
-        out.mkdir(parents=True, exist_ok=True)  # a refused command leaves no directory
         path = out / name
-        path.write_text(docs.emit_document(doc), encoding="utf-8")
+        with _writing():
+            out.mkdir(parents=True, exist_ok=True)  # a refused command leaves no directory
+            path.write_text(docs.emit_document(doc), encoding="utf-8")
         written.append(path)
 
     kind = args.generator
@@ -607,6 +627,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EX_UNDECIDED
     except CoarseError as exc:
         print(f"coarsekit: input error: {exc}", file=sys.stderr)
+        return EX_DATA
+    except _WriteFailure as exc:
+        print(f"coarsekit: cannot write output: {exc}", file=sys.stderr)
         return EX_DATA
     except OSError as exc:
         print(f"coarsekit: cannot read input: {exc}", file=sys.stderr)

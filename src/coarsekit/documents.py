@@ -685,7 +685,6 @@ DECODERS = {
     **{kind: partial(decode_witness, kind) for kind in WITNESSES},
 }
 KINDS = tuple(DECODERS)
-WITNESS_KINDS = tuple(kind for kind in KINDS if kind.startswith("witness:"))
 # witness kinds whose bodies do not list their own points
 _NEEDS_TARGET = {
     kind for kind, codec in WITNESSES.items() if all(t is not POINTS for _, _, t in codec.fields)

@@ -18,7 +18,7 @@ from typing import Optional
 from ..colimit import FilteredSystem, stripped
 from ..errors import DomainError
 from ..families import Family, Point, family_key, reroot, star_mask
-from ..reports import Clause, Report, from_clauses
+from ..reports import Report, from_clauses, offense_clause
 from .common import (
     Bound, Target, bound_clause, ensure_over_target, piece_certificate, require_verified
 )
@@ -49,24 +49,26 @@ def horizon_ratio(scale: Family, v: Family, x: Point) -> Optional[Fraction]:
     return Fraction(sum(1 for m in v.masks if m & here), denom)
 
 
+def _horizon_offense(w: AmenabilityWitness) -> Optional[str]:
+    """The first covered point whose horizon ratio is undefined or too small."""
+    for x in covered_points(w.scale):
+        r = horizon_ratio(w.scale, w.v, x)
+        if r is None:
+            return f"empty horizon denominator at point {x!r}"
+        if not r > 1 - w.eps:
+            return f"ratio {r} at point {x!r} does not exceed {1 - w.eps}"
+    return None
+
+
 def amenability_verify(target: Target, w: AmenabilityWitness) -> Report:
     if w.eps <= 0:
         raise DomainError("ratio threshold must be positive")
     ensure_over_target(target, w.scale, "input scale")
     ensure_over_target(target, w.v, "companion family")
-    clauses = [bound_clause("companion family bounded", target, w.v, w.v_bound)]
-    offense = None
-    for x in covered_points(w.scale):
-        r = horizon_ratio(w.scale, w.v, x)
-        if r is None:
-            offense = f"empty horizon denominator at point {x!r}"
-            break
-        if not r > 1 - w.eps:
-            offense = f"ratio {r} at point {x!r} does not exceed {1 - w.eps}"
-            break
-    clauses.append(
-        Clause("horizon ratios exceed the threshold", offense is None, offense or "")
-    )
+    clauses = [
+        bound_clause("companion family bounded", target, w.v, w.v_bound),
+        offense_clause("horizon ratios exceed the threshold", _horizon_offense(w)),
+    ]
     return from_clauses(clauses)
 
 

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, refines, star_family, uncovered_point
-from ..reports import Clause, Report, SearchOutcome, from_clauses
+from ..families import Family, PointSet, refines, star_family, uncovered_point
+from ..reports import Clause, Report, SearchOutcome, from_clauses, offense_clause
 from ..spaces import ScaledSpace
 from .common import Bound, Target, bound_clause, find_bound, target_points
 
@@ -34,6 +34,32 @@ def _default_chain(target: Target, n: int) -> tuple[Family, ...]:
             raise DomainError("witness prefix exceeds the chain depth")
         return target.levels[:n]
     raise DomainError("a system target needs an explicit chain")
+
+
+def _monotone_offense(chain: tuple[Family, ...]) -> Optional[str]:
+    """The first chain entry that does not refine the next."""
+    for i in range(len(chain) - 1):
+        if not refines(chain[i], chain[i + 1]):
+            return f"entry {i + 1} does not refine entry {i + 2}"
+    return None
+
+
+def _cover_offense(pts: PointSet, selections: tuple[Family, ...]) -> Optional[str]:
+    """The first point of pts that no member of any selection covers."""
+    joint = tuple(m for sel in selections for m in sel.masks)
+    missing = uncovered_point(Family.from_masks(pts, joint))
+    return None if missing is None else f"point {missing!r} is uncovered"
+
+
+def _star_offense(sel: Family, scale: Family) -> Optional[str]:
+    """The first two distinct members of sel that meet through a star at scale."""
+    ms, stars = sel.masks, star_family(sel, scale).masks
+    for a, m in enumerate(ms):
+        for other in ms:
+            if stars[a] & other and m != other:
+                first, second = (", ".join(sel.space.points_of(x)) for x in (m, other))
+                return "members {" + first + "} and {" + second + "} meet through a star"
+    return None
 
 
 def apc_verify(target: Target, w: ApcWitness) -> Report:
@@ -54,45 +80,13 @@ def apc_verify(target: Target, w: ApcWitness) -> Report:
         if fam.space != pts:
             raise DomainError("selection is not over the target's point set")
 
-    clauses = []
-    mono = next(
-        (i for i in range(n - 1) if not refines(chain[i], chain[i + 1])), None
-    )
-    clauses.append(
-        Clause(
-            "chain monotone",
-            mono is None,
-            "" if mono is None else f"entry {mono + 1} does not refine entry {mono + 2}",
-        )
-    )
+    clauses = [offense_clause("chain monotone", _monotone_offense(chain))]
     for j, (sel, b) in enumerate(zip(w.selections, w.bounds), start=1):
         clauses.append(bound_clause(f"selection {j} bounded", target, sel, b))
-    joint = tuple(m for sel in w.selections for m in sel.masks)
-    missing = uncovered_point(Family.from_masks(pts, joint))
-    clauses.append(
-        Clause(
-            "selections jointly cover",
-            missing is None,
-            "" if missing is None else f"point {missing!r} is uncovered",
-        )
-    )
+    clauses.append(offense_clause("selections jointly cover", _cover_offense(pts, w.selections)))
     for j, sel in enumerate(w.selections, start=1):
-        ms, stars = sel.masks, star_family(sel, chain[j - 1]).masks
-        meets = ((m, w) for a, m in enumerate(ms) for w in ms if stars[a] & w)
-        offense = next((pair for pair in meets if pair[0] != pair[1]), None)
-        clauses.append(
-            Clause(
-                f"selection {j} star-disjoint at its scale",
-                offense is None,
-                ""
-                if offense is None
-                else "members {"
-                + ", ".join(pts.points_of(offense[0]))
-                + "} and {"
-                + ", ".join(pts.points_of(offense[1]))
-                + "} meet through a star",
-            )
-        )
+        name = f"selection {j} star-disjoint at its scale"
+        clauses.append(offense_clause(name, _star_offense(sel, chain[j - 1])))
     return from_clauses(clauses)
 
 

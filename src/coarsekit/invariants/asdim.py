@@ -21,7 +21,7 @@ from typing import Optional, Union
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
 from ..families import Family, bits, cut, first_misfit, multiplicity
-from ..reports import Clause, Report, SearchOutcome, checked, from_clauses
+from ..reports import Clause, Report, SearchOutcome, checked, from_clauses, offense_clause
 from ..spaces import ScaledSpace, is_bounded
 from .common import (
     Bound,
@@ -41,30 +41,29 @@ class AsdimWitness:
     bound: Bound = None
 
 
+def _misfit_offense(w: AsdimWitness) -> Optional[str]:
+    """The first input member, singletons aside, that fits no coarsening member."""
+    bad = first_misfit((m for m in w.scale.masks if m & (m - 1)), w.coarsening.masks)
+    if bad is None:
+        return None
+    return "member {" + ", ".join(w.scale.space.points_of(bad)) + "} fits no coarsening member"
+
+
 def asdim_verify(target: Target, n: int, w: AsdimWitness) -> Report:
     if n < 0:
         raise DomainError("dimension bound must be nonnegative")
     ensure_over_target(target, w.scale, "input scale")
     ensure_over_target(target, w.coarsening, "coarsening")
-    # essential refinement: every member of two or more points fits
-    bad = first_misfit((m for m in w.scale.masks if m & (m - 1)), w.coarsening.masks)
-    points = "" if bad is None else ", ".join(w.scale.space.points_of(bad))
-    clauses = [
-        Clause(
-            "input scale essentially refines the coarsening",
-            bad is None,
-            "" if bad is None else "member {" + points + "} fits no coarsening member",
-        )
-    ]
     mult = multiplicity(w.coarsening)
-    clauses.append(
+    clauses = [
+        offense_clause("input scale essentially refines the coarsening", _misfit_offense(w)),
         Clause(
             "coarsening multiplicity within the dimension bound",
             mult <= n + 1,
             f"multiplicity {mult}, allowed {n + 1}",
-        )
-    )
-    clauses.append(bound_clause("coarsening bounded", target, w.coarsening, w.bound))
+        ),
+        bound_clause("coarsening bounded", target, w.coarsening, w.bound),
+    ]
     return from_clauses(clauses)
 
 

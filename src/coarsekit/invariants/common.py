@@ -16,7 +16,7 @@ from typing import Sequence, Union
 from ..colimit import ColimitBoundedness, FilteredSystem, check_boundedness, colimit_bounded
 from ..errors import DomainError
 from ..families import Family, Point, PointSet, essentially_refines, reroot
-from ..reports import Clause, Report, SearchOutcome
+from ..reports import Clause, Report, SearchOutcome, offense_clause
 from ..spaces import ScaledSpace, is_bounded
 
 Target = Union[ScaledSpace, FilteredSystem]
@@ -66,7 +66,7 @@ def bound_clause(name: str, target: Target, fam: Family, bound: Bound) -> Clause
         return Clause(name, True, describe_bound(found))
     if bound_holds(target, fam, bound):
         return Clause(name, True, describe_bound(bound))
-    return Clause(name, False, "claimed boundedness certificate does not check")
+    return offense_clause(name, "claimed boundedness certificate does not check")
 
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:

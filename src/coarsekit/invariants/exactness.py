@@ -18,7 +18,7 @@ from typing import Optional
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError, number_text
 from ..families import Family, Point, PointSet, bits
-from ..reports import Clause, Report, from_clauses
+from ..reports import Report, from_clauses, offense_clause
 from .common import (
     Bound,
     Target,
@@ -129,22 +129,10 @@ def exactness_verify(target: Target, w: ExactnessWitness) -> Report:
     if w.pou.space != w.scale.space:
         raise DomainError("partition of unity is not over the target's point set")
     clauses = [
-        bound_clause(
-            "support family bounded", target, support_family(w.pou), w.support_bound
-        )
+        bound_clause("support family bounded", target, support_family(w.pou), w.support_bound),
+        offense_clause("weights form a unit partition at every point", _unit_offense(w.pou)),
+        offense_clause("variation below threshold inside every member", _variation_offense(w)),
     ]
-    offense = _unit_offense(w.pou)
-    clauses.append(
-        Clause("weights form a unit partition at every point", offense is None, offense or "")
-    )
-    var_offense = _variation_offense(w)
-    clauses.append(
-        Clause(
-            "variation below threshold inside every member",
-            var_offense is None,
-            var_offense or "",
-        )
-    )
     return from_clauses(clauses)
 
 

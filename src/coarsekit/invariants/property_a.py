@@ -15,7 +15,7 @@ from typing import Optional
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
 from ..families import Family, Point, PointSet, bits, star_mask
-from ..reports import Clause, Report, from_clauses
+from ..reports import Clause, Report, from_clauses, offense_clause
 from ..spaces import ScaledSpace
 from .common import (
     Bound,
@@ -78,62 +78,54 @@ def pair_ratio(w: PropertyAFamily, x: Point, y: Point) -> Optional[Fraction]:
     return Fraction(len(ax ^ ay), denom)
 
 
-def property_a_verify(target: Target, w: PropertyAFamily) -> Report:
-    ensure_over_target(target, w.scale, "input scale")
-    ensure_over_target(target, w.support, "support family")
-    if w.space != w.scale.space:
-        raise DomainError("tag sets are not over the target's point set")
-    clauses = [
-        Clause(
-            "bounded geometry cap",
-            True,
-            f"largest member size {geometry_cap(target)}, index cap {w.n_cap}",
-        ),
-        bound_clause("support family bounded", target, w.support, w.support_bound),
-    ]
-    base = next((p for p in w.space.ids if (p, 1) not in w.tags(p)), None)
-    clauses.append(
-        Clause(
-            "base tag present at every point",
-            base is None,
-            "" if base is None else f"point {base!r} lacks its base tag",
-        )
-    )
+def _base_offense(w: PropertyAFamily) -> Optional[str]:
+    """The first point whose tag set lacks its own index-1 tag."""
+    for p in w.space.ids:
+        if (p, 1) not in w.tags(p):
+            return f"point {p!r} lacks its base tag"
+    return None
+
+
+def _confined_offense(w: PropertyAFamily) -> Optional[str]:
+    """The first tag, in sorted order per point, past the index cap or off the support star."""
     ids, index = w.space.ids, w.space.index
     inc = w.support.incidence
-    confined = None
     for i, p in enumerate(ids):
         star = star_mask(1 << i, inc)
         for q, k in sorted(w.sets[i]):
             if k > w.n_cap or not star >> index(q) & 1:
-                confined = f"tag ({q!r}, {k}) at point {p!r} escapes the support star"
-                break
-        if confined:
-            break
-    clauses.append(
-        Clause("tags confined to support stars", confined is None, confined or "")
-    )
+                return f"tag ({q!r}, {k}) at point {p!r} escapes the support star"
+    return None
+
+
+def _ratio_offense(w: PropertyAFamily) -> Optional[str]:
+    """The first pair within a scale star whose ratio is undefined or reaches eps."""
+    ids = w.space.ids
     inc = w.scale.incidence
-    offense = None
     for i, x in enumerate(ids):
         for j in bits(star_mask(1 << i, inc)):
             y = ids[j]
             r = pair_ratio(w, x, y)
             if r is None:
-                offense = f"empty tag intersection for pair ({x!r}, {y!r})"
-                break
+                return f"empty tag intersection for pair ({x!r}, {y!r})"
             if not r < w.eps:
-                offense = f"ratio {r} for pair ({x!r}, {y!r}) reaches the threshold"
-                break
-        if offense:
-            break
-    clauses.append(
-        Clause(
-            "symmetric difference ratios below threshold",
-            offense is None,
-            offense or "",
-        )
-    )
+                return f"ratio {r} for pair ({x!r}, {y!r}) reaches the threshold"
+    return None
+
+
+def property_a_verify(target: Target, w: PropertyAFamily) -> Report:
+    ensure_over_target(target, w.scale, "input scale")
+    ensure_over_target(target, w.support, "support family")
+    if w.space != w.scale.space:
+        raise DomainError("tag sets are not over the target's point set")
+    cap = f"largest member size {geometry_cap(target)}, index cap {w.n_cap}"
+    clauses = [
+        Clause("bounded geometry cap", True, cap),
+        bound_clause("support family bounded", target, w.support, w.support_bound),
+        offense_clause("base tag present at every point", _base_offense(w)),
+        offense_clause("tags confined to support stars", _confined_offense(w)),
+        offense_clause("symmetric difference ratios below threshold", _ratio_offense(w)),
+    ]
     return from_clauses(clauses)
 
 

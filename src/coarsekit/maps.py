@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 from .colimit import FilteredSystem, system_weakly_bounded
 from .errors import DomainError
 from .families import Family, Point, PointSet, Subset, bits
-from .reports import Clause, Report, SearchOutcome, Verdict, checked, from_clauses
+from .reports import Clause, Report, SearchOutcome, Verdict, checked, from_clauses, offense_clause
 from .spaces import ScaledSpace, is_bounded, weakly_bounded
 
 INF = math.inf
@@ -324,36 +324,29 @@ def coarse_equivalence_check(
     return from_clauses(clauses)
 
 
-def _oscillation_clauses(
-    f: GroundedMap,
-    target: MetricTarget,
-    scale: Family,
-    eps: Fraction,
-    b: Subset,
-    weak_ok: bool,
-) -> Report:
-    clauses = [
-        Clause(
-            "witness set weakly bounded",
-            weak_ok,
-            "" if weak_ok else "some coarse component meets it beyond every member",
-        )
-    ]
+def _diameter_offense(
+    f: GroundedMap, target: MetricTarget, scale: Family, eps: Fraction, b: Subset
+) -> Optional[str]:
+    """The first scale member off b whose image diameter reaches eps."""
     bm = scale.space.mask(b)
-    offender = next(
-        (m for m in scale.masks if m & ~bm and not _image_diameter(f, target, m) < eps), None
-    )
-    clauses.append(
-        Clause(
+    for m in scale.masks:
+        if m & ~bm and not _image_diameter(f, target, m) < eps:
+            points = ", ".join(f.domain.points_of(m))
+            return "member {" + points + "} has image diameter >= threshold"
+    return None
+
+
+def _oscillation_clauses(
+    f: GroundedMap, target: MetricTarget, scale: Family, eps: Fraction, b: Subset, weak_ok: bool
+) -> Report:
+    weak = None if weak_ok else "some coarse component meets it beyond every member"
+    clauses = [
+        offense_clause("witness set weakly bounded", weak),
+        offense_clause(
             "image diameters below threshold off the witness set",
-            offender is None,
-            ""
-            if offender is None
-            else "member {"
-            + ", ".join(f.domain.points_of(offender))
-            + "} has image diameter >= threshold",
-        )
-    )
+            _diameter_offense(f, target, scale, eps, b),
+        ),
+    ]
     return from_clauses(clauses)
 
 
@@ -377,9 +370,7 @@ def slowly_oscillating_verify(
         raise DomainError("map domain does not match the space")
     _check_threshold_target(f, target, eps)
     b = src.points.subset(b)
-    return _oscillation_clauses(
-        f, target, src.level(level), eps, b, weakly_bounded(src, b)
-    )
+    return _oscillation_clauses(f, target, src.level(level), eps, b, weakly_bounded(src, b))
 
 
 def system_slowly_oscillating_verify(
@@ -394,9 +385,7 @@ def system_slowly_oscillating_verify(
         raise DomainError("map and scale must live over the system's ambient set")
     _check_threshold_target(f, target, eps)
     b = system.ambient.subset(b)
-    return _oscillation_clauses(
-        f, target, scale, eps, b, system_weakly_bounded(system, b)
-    )
+    return _oscillation_clauses(f, target, scale, eps, b, system_weakly_bounded(system, b))
 
 
 def slowly_oscillating_search(

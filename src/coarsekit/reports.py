@@ -3,6 +3,10 @@
 Every verifier returns a Report. The verdict is verified exactly when all
 clauses pass. A failing clause marked as a truncation limit makes the verdict
 undecided-at-truncation; any other failing clause makes it refuted.
+
+A check with nothing to say when it passes returns its first offense or
+None, and offense_clause words it. SearchOutcome.clause words every
+truncation limit.
 """
 
 from __future__ import annotations
@@ -42,6 +46,12 @@ class Report:
 
     def failures(self) -> tuple[Clause, ...]:
         return tuple(c for c in self.clauses if not c.ok)
+
+
+def offense_clause(name: str, offense: Optional[str]) -> Clause:
+    """A check's clause from its first offense: None passes with an empty
+    detail, and any text, even an empty one, fails with it as the detail."""
+    return Clause(name, offense is None, offense or "")
 
 
 def from_clauses(clauses) -> Report:

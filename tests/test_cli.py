@@ -186,6 +186,26 @@ def test_star_writes_artifact(tmp_path, deep_system, capsys):
     assert star_doc.kind == "family"
 
 
+def test_a_failed_write_is_worded_as_a_write(tmp_path, deep_system, capsys):
+    pts = points([str(i) for i in range(5)])
+    first = save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"1"}),))))
+    plain = tmp_path / "plain"
+    plain.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    argvs = (
+        ["star", deep_system, first, first, "-o", str(plain / "star.json")],
+        ["corpus", "random", "--seed", "1", "--out-dir", str(plain / "d")],
+    )
+    for argv in argvs:
+        assert main(argv) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("coarsekit: cannot write output: [Errno ")
+        assert len(err.splitlines()) == 1
+    assert main(["validate", str(plain / "in.json")]) == 65
+    assert capsys.readouterr().err.startswith("coarsekit: cannot read input: [Errno ")
+
+
 def test_provenance_digests_the_bytes_read_before_the_output_is_written(tmp_path, capsys):
     out = tmp_path / "c0"
     assert main(["corpus", "c0", "--s-max", "2", "--box", "1", "--out-dir", str(out)]) == 0

@@ -108,6 +108,7 @@ def test_non_monotone_explicit_chains_are_refuted():
     report = apc_verify(sp, w)
     assert report.verdict is Verdict.REFUTED
     assert any(c.name == "chain monotone" for c in report.failures())
+    assert report.clause("chain monotone").detail == "entry 1 does not refine entry 2"
 
 
 def test_greedy_search_needs_the_whole_chain_on_a_line():

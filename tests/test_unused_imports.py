@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package imports a name it never reads, or defines a
+constant that nothing reads.
 
 The toolchain has no linter, so this reads each module's syntax tree: every
-name an import statement binds must be read somewhere in the module. The
-``__init__`` modules are left out, since their imports are the re-exported
-API.
+name an import statement binds must be read somewhere in the module, and
+every upper-case name a module assigns at its top level must be read, bare
+or as an attribute, somewhere under ``src``, ``tests``, ``scripts`` or
+``bench``. The ``__init__`` modules are left out, since their imports are
+the re-exported API.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coarsekit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "coarsekit"
+READERS = ("src", "tests", "scripts", "bench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,5 +46,51 @@ def test_no_module_imports_a_name_it_never_reads():
         str(p.relative_to(PACKAGE)): names
         for p in modules
         if (names := unused_imports(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def names_read(source: str) -> set[str]:
+    """Every name the source reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    loads = [n for n in ast.walk(tree) if isinstance(getattr(n, "ctx", None), ast.Load)]
+    names = {n.id for n in loads if isinstance(n, ast.Name)}
+    return names | {n.attr for n in loads if isinstance(n, ast.Attribute)}
+
+
+def unread_constants(source: str, read: set[str]) -> list[str]:
+    """The upper-case names assigned at the source's top level and not in
+    read, with their lines."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+            if name.id.isupper() and name.id not in read:
+                found.setdefault(name.id, node.lineno)
+    return [f"{name} (line {line})" for name, line in found.items()]
+
+
+def test_the_check_reports_each_unread_constant():
+    source = "A = 1\nB: int = 2\n_C, d = 3, 4\nE = A\nif A:\n    F = 5\n"
+    assert unread_constants(source, names_read(source)) == [
+        "B (line 2)",
+        "_C (line 3)",
+        "E (line 4)",
+    ]
+
+
+def test_every_module_constant_is_read_somewhere():
+    sources = [p.read_text(encoding="utf-8") for d in READERS for p in (ROOT / d).rglob("*.py")]
+    read = set().union(*map(names_read, sources))
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    found = {
+        str(p.relative_to(PACKAGE)): names
+        for p in modules
+        if (names := unread_constants(p.read_text(encoding="utf-8"), read))
     }
     assert found == {}
