@@ -266,7 +266,7 @@ INVARIANTS = {
         lift=lambda s, i, w, a: asdim_lift(s, i, a.n, w),
         needs=("n",),
         lift_inputs=(),
-        search=lambda t, a: asdim_search(t, a.n, a.level, mode=a.mode),
+        search=lambda t, a: asdim_search(t, a.n, a.level),
     ),
     "apc": WitnessInvariant(
         kind="witness:apc",
@@ -343,7 +343,8 @@ def cmd_lift(args) -> int:
             merged, report = metrizability_merge(system, piece_sets)
         except TruncationError as exc:
             return _render(args, _truncation_report("pairs coarsened after routing", exc))
-        return _render(args, report, artifact=("generators", docs.generators_to_doc(merged)))
+        artifact = ("generators", docs.witness_to_doc("witness:generators", merged))
+        return _render(args, report, artifact=artifact)
     _require(args, args.parser, ["piece", "witness"])
     idx = system.piece_index(args.piece)
     inv = INVARIANTS[args.invariant]
@@ -360,7 +361,7 @@ def cmd_restrict(args) -> int:
     w = _read(args, args.witness, ("witness:asdim",), system)
     cut = asdim_restrict(system, idx, args.n, w)
     report = asdim_verify(system.pieces[idx].space, args.n, cut)
-    return _render(args, report, artifact=("witness", docs.asdim_witness_to_doc(cut)))
+    return _render(args, report, artifact=("witness", docs.witness_to_doc("witness:asdim", cut)))
 
 
 def cmd_map_check(args) -> int:
@@ -501,7 +502,7 @@ def cmd_probe(args) -> int:
     system = _read(args, args.system, ("system",))
     outcome = apc_probe(system, prefix_len=args.prefix, budget=args.budget)
     w = outcome.colimit_witness
-    artifact = None if w is None else ("witness", docs.apc_witness_to_doc(w))
+    artifact = None if w is None else ("witness", docs.witness_to_doc("witness:apc", w))
     return _render(args, outcome.report, artifact=artifact)
 
 
@@ -557,7 +558,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int, help="dimension bound (asdim)")
     sp.add_argument("--search", action="store_true", help="search instead of verifying (asdim)")
     sp.add_argument("--level", type=int, help="input scale level for the search")
-    sp.add_argument("--mode", choices=("auto", "exhaustive", "greedy"), default="auto")
     sp.set_defaults(func=cmd_check, parser=sp)
 
     liftable = (*(name for name, inv in INVARIANTS.items() if inv.lift), "generators")

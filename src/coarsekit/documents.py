@@ -690,21 +690,6 @@ _NEEDS_TARGET = {
     kind for kind, codec in WITNESSES.items() if all(t is not POINTS for _, _, t in codec.fields)
 }
 
-doc_to_apc_witness = DECODERS["witness:apc"]
-doc_to_asdim_witness = DECODERS["witness:asdim"]
-doc_to_exactness_witness = DECODERS["witness:exactness"]
-doc_to_pinch_witness = DECODERS["witness:pinch"]
-doc_to_amenability_witness = DECODERS["witness:amenability"]
-doc_to_property_a_witness = DECODERS["witness:property_a"]
-doc_to_generators = DECODERS["witness:generators"]
-apc_witness_to_doc = partial(witness_to_doc, "witness:apc")
-asdim_witness_to_doc = partial(witness_to_doc, "witness:asdim")
-exactness_witness_to_doc = partial(witness_to_doc, "witness:exactness")
-pinch_witness_to_doc = partial(witness_to_doc, "witness:pinch")
-amenability_witness_to_doc = partial(witness_to_doc, "witness:amenability")
-property_a_witness_to_doc = partial(witness_to_doc, "witness:property_a")
-generators_to_doc = partial(witness_to_doc, "witness:generators")
-
 
 def parse_document(text: str, validate_body: bool = True) -> Document:
     """Strict parse; body semantics are checked for self-contained kinds.

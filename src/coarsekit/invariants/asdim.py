@@ -6,16 +6,17 @@ as unions of the input's members; that loses no generality, since any valid
 coarsening member can be shrunk to the union of the input members assigned
 to it without raising multiplicity or losing boundedness.
 
-Both searches run on member masks, with a per-point count of the groups
-holding each point; the coarsening found is built with Family.from_masks
-and checked once, by asdim_verify, before the search returns it.
+The one search is exact on every size of space and spends at most
+NODE_BUDGET nodes unless told otherwise. It runs on member masks, with a
+per-point count of the groups holding each point; the coarsening found is
+built with Family.from_masks and checked once, by asdim_verify, before the
+search returns it.
 asdim_restrict cuts both families to the piece with families.cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 from ..colimit import FilteredSystem, extend_to_ambient
@@ -32,6 +33,9 @@ from .common import (
     require_verified,
     with_outside_singletons,
 )
+
+# assign calls one search may make before it stops undecided
+NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -75,29 +79,46 @@ def _as_scale(space: ScaledSpace, scale: Union[Family, int]) -> Family:
     return scale
 
 
-def _search_exhaustive(
-    n: int, items: list[int], tops: tuple[int, ...], size: int
+class _BudgetSpent(Exception):
+    """The search passed its node budget before deciding."""
+
+
+def _search(
+    n: int, items: list[int], tops: tuple[int, ...], size: int, budget: int
 ) -> Optional[tuple[int, ...]]:
     """Assign the item masks to groups in order, each group's union fitting
-    a top member, keeping per-point counts of the groups holding a point."""
+    a top member, keeping per-point counts of the groups holding a point.
+
+    holds[i] is the bitset of top members containing item i, and fits[g]
+    the AND of its items' holds, so a union fits iff fits[g] & holds[i] is
+    nonzero. Each assign call is one node; passing budget nodes raises
+    _BudgetSpent."""
+    holds = [sum(1 << t for t, v in enumerate(tops) if m & ~v == 0) for m in items]
     counts = [0] * size
     groups: list[int] = []
+    fits: list[int] = []
+    nodes = 0
 
     def assign(i: int) -> Optional[tuple[int, ...]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _BudgetSpent
         if i == len(items):
             return tuple(groups)
-        m = items[i]
+        m, h = items[i], holds[i]
         for gi in range(len(groups) + 1):
-            g = groups[gi] if gi < len(groups) else 0
-            union = g | m
-            if first_misfit((union,), tops) is not None:
+            new = gi == len(groups)
+            g, f = (0, -1) if new else (groups[gi], fits[gi])
+            if not f & h:
                 continue
             fresh = bits(m & ~g)
             if any(counts[k] > n for k in fresh):
                 continue
-            if gi == len(groups):
+            if new:
                 groups.append(0)
-            groups[gi] = union
+                fits.append(-1)
+            groups[gi], fits[gi] = g | m, f & h
             for k in fresh:
                 counts[k] += 1
             found = assign(i + 1)
@@ -105,77 +126,42 @@ def _search_exhaustive(
                 return found
             for k in fresh:
                 counts[k] -= 1
-            if g:
-                groups[gi] = g
-            else:
+            groups[gi], fits[gi] = g, f
+            if new:
                 groups.pop()
+                fits.pop()
         return None
 
     return assign(0)
 
 
-def _search_greedy(
-    n: int, items: list[int], tops: tuple[int, ...], size: int
-) -> Optional[tuple[int, ...]]:
-    """Start from the item masks and, while some point lies in more than
-    n + 1 groups, merge the first pair of its groups whose union fits a top
-    member. Counts are kept across merges: each point of the merged pair's
-    overlap loses one."""
-    if first_misfit(items, tops) is not None:
-        return None
-    groups = list(items)
-    counts = [sum(g >> k & 1 for g in groups) for k in range(size)]
-    crowded = sum(1 << k for k, c in enumerate(counts) if c > n + 1)
-    while crowded:
-        low = crowded & -crowded
-        holders = [gi for gi, g in enumerate(groups) if g & low]
-        for a, b in combinations(holders, 2):
-            if first_misfit((groups[a] | groups[b],), tops) is None:
-                break
-        else:
-            return None
-        for k in bits(groups[a] & groups[b]):
-            counts[k] -= 1
-            if counts[k] == n + 1:
-                crowded ^= 1 << k
-        groups[a] |= groups.pop(b)
-    return tuple(groups)
-
-
 def asdim_search(
-    space: ScaledSpace,
-    n: int,
-    scale: Union[Family, int],
-    cap: int = 12,
-    mode: str = "auto",
+    space: ScaledSpace, n: int, scale: Union[Family, int], budget: int = NODE_BUDGET
 ) -> SearchOutcome:
     """First witness in canonical enumeration order, checked by asdim_verify.
 
-    Exhaustive mode walks set partitions of the input's non-singleton members;
-    the union-built search space is complete, so finding none is exhausted.
-    Greedy mode merges crowded members, and finding none there stops the
-    search without deciding anything. So does a coarsening that asdim_verify
-    rejects: a failed consistency check, in either mode.
+    The search walks set partitions of the input's non-singleton members,
+    each part's union inside a top-level member. The union-built search
+    space is complete, so finding none is exhausted: it refutes that any
+    coarsening of multiplicity at most n + 1 is bounded at the top level.
+    Passing budget nodes stops the search, and so does a coarsening that
+    asdim_verify rejects; neither decides anything.
     """
     if not isinstance(space, ScaledSpace):
         raise DomainError("witness search needs a single-space target")
     if n < 0:
         raise DomainError("dimension bound must be nonnegative")
-    if mode not in ("auto", "exhaustive", "greedy"):
-        raise DomainError(f"unknown search mode {mode!r}")
-    if mode == "exhaustive" and len(space.points) > cap:
-        raise DomainError(f"exhaustive mode supports at most {cap} points")
-    exhaustive = mode == "exhaustive" or (mode == "auto" and len(space.points) <= cap)
     u = _as_scale(space, scale)
     items = [m for m in u.masks if m & (m - 1)]
     tops = space.level(space.depth).masks
-    search = _search_exhaustive if exhaustive else _search_greedy
-    groups = search(n, items, tops, len(space.points))
+    try:
+        groups = _search(n, items, tops, len(space.points), budget)
+    except _BudgetSpent:
+        detail = f"search stopped after its budget of {budget} nodes; this decides nothing"
+        return SearchOutcome(detail=detail)
     if groups is None:
-        if exhaustive:
-            detail = "no coarsening of the scale verifies at this dimension"
-            return SearchOutcome(detail=detail, exhausted=True)
-        return SearchOutcome(detail="greedy search found nothing; absence decides nothing")
+        detail = f"no coarsening of multiplicity at most {n + 1} is bounded at level {space.depth}"
+        return SearchOutcome(detail=detail, exhausted=True)
     coarsening = Family.from_masks(space.points, groups)
     w = AsdimWitness(u, coarsening, is_bounded(space, coarsening))
     rejected = "the coarsening found failed re-verification; this decides nothing"

@@ -18,20 +18,18 @@ import pytest
 from coarsekit import DomainError, ParseError, __version__, cli, maps
 from coarsekit.cli import build_parser, main
 from coarsekit.colimit import Piece, validate_system
-from coarsekit.corpus import gen_disjoint_union
+from coarsekit.corpus import gen_c0, gen_disjoint_union
 from coarsekit.documents import (
     Document,
-    amenability_witness_to_doc,
-    asdim_witness_to_doc,
     doc_to_system,
     emit_document,
     family_to_doc,
-    generators_to_doc,
     map_to_doc,
     metric_to_doc,
     parse_document,
     space_to_doc,
     system_to_doc,
+    witness_to_doc,
 )
 from coarsekit.families import Family, points
 from coarsekit.invariants import AmenabilityWitness, asdim_search, generator_set
@@ -270,14 +268,13 @@ def pair_space_doc(tmp_path):
     return sp, save(tmp_path, "pairs.json", space_to_doc(sp))
 
 
-def test_check_asdim_search_modes(tmp_path, capsys):
+def test_check_asdim_search_finds_or_refutes(tmp_path, capsys):
     sp, space_path = pair_space_doc(tmp_path)
     out_path = tmp_path / "witness.json"
     code = main(
         [
             "check", "asdim", space_path,
-            "--n", "1", "--search", "--level", "2",
-            "--mode", "exhaustive", "-o", str(out_path),
+            "--n", "1", "--search", "--level", "2", "-o", str(out_path),
         ]
     )
     assert code == 0
@@ -288,11 +285,22 @@ def test_check_asdim_search_modes(tmp_path, capsys):
     code = main(
         [
             "check", "asdim", space_path,
-            "--n", "0", "--search", "--level", "2", "--mode", "exhaustive",
+            "--n", "0", "--search", "--level", "2",
         ]
     )
     assert code == 1
-    assert "no coarsening of the scale verifies" in capsys.readouterr().out
+    refuted = "no coarsening of multiplicity at most 1 is bounded at level 2"
+    assert refuted in capsys.readouterr().out
+
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "check", "asdim", space_path,
+                "--n", "1", "--search", "--level", "2", "--mode", "greedy",
+            ]
+        )
+    assert exc.value.code == 64
+    capsys.readouterr()
 
 
 def test_check_asdim_search_rejected_by_the_verifier_is_undecided(tmp_path, capsys, monkeypatch):
@@ -300,11 +308,24 @@ def test_check_asdim_search_rejected_by_the_verifier_is_undecided(tmp_path, caps
     rejected = from_clauses([Clause("coarsening", False, "rejected")])
     monkeypatch.setattr(asdim_module, "asdim_verify", lambda *args: rejected)
     argv = ["check", "asdim", space_path, "--n", "1", "--search", "--level", "2"]
-    code = main([*argv, "--mode", "exhaustive"])
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == 2
     assert "refuted" not in out
     assert "failed re-verification" in out
+
+
+def test_check_asdim_search_past_its_node_budget_is_undecided(tmp_path, capsys):
+    """The 49-point grid piece with its chain cut to three levels: at n = 1
+    the search runs past its node budget and stops, never refuting."""
+    space = gen_c0(2, 3).pieces[-1].space
+    cut = validate_space(space.points, [space.level(i) for i in range(1, 4)])
+    argv = ["check", "asdim", save(tmp_path, "grid.json", space_to_doc(cut))]
+    code = main([*argv, "--n", "1", "--search", "--level", "1"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "budget of 100000 nodes" in out
+    assert "refuted" not in out
 
 
 def so_search_argv(tmp_path, images):
@@ -323,13 +344,12 @@ def so_search_argv(tmp_path, images):
 
 
 def found_search_argvs(tmp_path):
-    """Searches that find a witness: check asdim --search in both modes, and
-    map-check so --search with an empty and with a non-empty witness set."""
+    """Searches that find a witness: check asdim --search, and map-check so
+    --search with an empty and with a non-empty witness set."""
     _, space_path = pair_space_doc(tmp_path)
     asdim = ["check", "asdim", space_path, "--n", "1", "--search", "--level", "2"]
     return {
-        "asdim exhaustive": [*asdim, "--mode", "exhaustive"],
-        "asdim greedy": [*asdim, "--mode", "greedy"],
+        "asdim": asdim,
         "so empty set": so_search_argv(tmp_path, "xxx"),
         "so union": so_search_argv(tmp_path, "xyx"),
     }
@@ -384,7 +404,8 @@ def test_search_without_a_search_slot_is_a_usage_error(tmp_path, deep_system, ca
         pts = points(["a", "b", "c"])
         members = (frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"a", "b", "c"}))
         gens = generator_set(pts, (Family(pts, members),))
-        check = ["check", "generators", save(tmp_path, "gens.json", generators_to_doc(gens))]
+        gens_path = save(tmp_path, "gens.json", witness_to_doc("witness:generators", gens))
+        check = ["check", "generators", gens_path]
     else:
         lift, check = lift_then_check_argv(tmp_path, inv, "M0")
         assert main(lift) == 0
@@ -401,7 +422,7 @@ def test_search_without_a_search_slot_is_a_usage_error(tmp_path, deep_system, ca
 def test_a_search_with_a_witness_file_is_a_usage_error(tmp_path, capsys):
     """A search reads no witness file, so naming one is refused, not ignored."""
     argvs = found_search_argvs(tmp_path)
-    for argv, flag in ((argvs["asdim exhaustive"], "--witness"), (argvs["so union"], "--witness-set")):
+    for argv, flag in ((argvs["asdim"], "--witness"), (argvs["so union"], "--witness-set")):
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, str(tmp_path / "nonexistent.json")])
         assert exc.value.code == 64
@@ -414,7 +435,7 @@ def test_check_amenability_witness(tmp_path, capsys):
     sp = ball_space(3, (1, 2))
     space_path = save(tmp_path, "line3.json", space_to_doc(sp))
     w = AmenabilityWitness(sp.level(1), sp.level(1), Fraction(2), None)
-    witness_path = save(tmp_path, "amen.json", amenability_witness_to_doc(w))
+    witness_path = save(tmp_path, "amen.json", witness_to_doc("witness:amenability", w))
     assert main(["check", "amenability", space_path, "--witness", witness_path]) == 0
     assert "verdict: verified" in capsys.readouterr().out
 
@@ -424,13 +445,13 @@ def test_check_generators(tmp_path, capsys):
     closed = generator_set(
         pts, (Family(pts, (frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"a", "b", "c"}))),)
     )
-    path = save(tmp_path, "gens.json", generators_to_doc(closed))
+    path = save(tmp_path, "gens.json", witness_to_doc("witness:generators", closed))
     assert main(["check", "generators", path]) == 0
 
     opened = generator_set(
         pts, (Family(pts, (frozenset({"a", "b"}), frozenset({"b", "c"}))),)
     )
-    path = save(tmp_path, "open.json", generators_to_doc(opened))
+    path = save(tmp_path, "open.json", witness_to_doc("witness:generators", opened))
     assert main(["check", "generators", path]) == 1
     assert "verdict: refuted" in capsys.readouterr().out.splitlines()[-2]
 
@@ -441,10 +462,10 @@ def test_lift_and_restrict_asdim_round_trip(tmp_path, capsys):
     )
     system = save(tmp_path, "sys.json", system_to_doc(fs))
     piece = fs.pieces[0]
-    found = asdim_search(piece.space, 0, piece.space.depth, mode="exhaustive")
+    found = asdim_search(piece.space, 0, piece.space.depth)
     assert found.witness is not None
     witness_path = save(
-        tmp_path, "piece-witness.json", asdim_witness_to_doc(found.witness)
+        tmp_path, "piece-witness.json", witness_to_doc("witness:asdim", found.witness)
     )
     lifted_path = tmp_path / "lifted.json"
     code = main(
@@ -569,7 +590,7 @@ def test_tracer_sees_every_search(tmp_path, deep_system):
     tracer.active = True
     try:
         argvs = found_search_argvs(tmp_path)
-        assert main(argvs["asdim exhaustive"]) == 0
+        assert main(argvs["asdim"]) == 0
         assert main(argvs["so union"]) == 0
         assert main(["probe", "apc", deep_system]) == 0
     finally:
@@ -599,7 +620,7 @@ def test_lift_generators(tmp_path, capsys):
     set_paths = []
     for i, pc in enumerate(fs.pieces):
         gs = generator_set(pc.space.points, (pc.space.level(pc.space.depth),))
-        set_paths.append(save(tmp_path, f"gens{i}.json", generators_to_doc(gs)))
+        set_paths.append(save(tmp_path, f"gens{i}.json", witness_to_doc("witness:generators", gs)))
     merged_path = tmp_path / "merged.json"
     code = main(
         ["lift", "generators", system, "--sets", *set_paths, "-o", str(merged_path)]
@@ -858,7 +879,7 @@ def test_reused_parser_answers_like_a_fresh_process(tmp_path, monkeypatch):
     argvs = [
         ["probe", "apc", system, "--budget", "-1"],
         ["validate", space],
-        [*asdim, "--search", "--level", "2", "--mode", "exhaustive", "-o", witness],
+        [*asdim, "--search", "--level", "2", "-o", witness],
         [*asdim, "--witness", witness],
         ["check", "asdim", space, "--search"],
         ["probe", "apc", system, "--budget", "3", "--format", "structured"],

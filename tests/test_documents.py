@@ -18,35 +18,22 @@ from coarsekit.documents import (
     DECODERS,
     Document,
     _encode_fraction,
-    amenability_witness_to_doc,
-    apc_witness_to_doc,
-    asdim_witness_to_doc,
-    doc_to_amenability_witness,
-    doc_to_apc_witness,
-    doc_to_asdim_witness,
-    doc_to_exactness_witness,
     doc_to_family,
-    doc_to_generators,
     doc_to_map,
     doc_to_metric,
-    doc_to_pinch_witness,
-    doc_to_property_a_witness,
     doc_to_space,
     doc_to_system,
     emit_document,
-    exactness_witness_to_doc,
     family_to_doc,
-    generators_to_doc,
     map_to_doc,
     metric_to_doc,
     parse_document,
-    pinch_witness_to_doc,
-    property_a_witness_to_doc,
     report_to_doc,
     resolve_bound,
     resolve_scale,
     space_to_doc,
     system_to_doc,
+    witness_to_doc,
 )
 from coarsekit.families import Family, points
 from coarsekit.invariants import (
@@ -79,6 +66,10 @@ def pair_space(ids=("a", "b", "c")):
 
 def reparse(doc: Document) -> Document:
     return parse_document(emit_document(doc))
+
+
+def witness_round_trip(kind: str, w, target):
+    return DECODERS[kind](reparse(witness_to_doc(kind, w)).body, target)
 
 
 def test_space_round_trip():
@@ -125,10 +116,10 @@ def test_witness_round_trips_on_a_space_target():
     whole = Family(pts, (frozenset(pts.ids),))
 
     asdim = AsdimWitness(scale, whole, 3)
-    assert doc_to_asdim_witness(reparse(asdim_witness_to_doc(asdim)).body, sp) == asdim
+    assert witness_round_trip("witness:asdim", asdim, sp) == asdim
 
     apc = ApcWitness((whole,), (3,), (sp.level(1), sp.level(2)))
-    assert doc_to_apc_witness(reparse(apc_witness_to_doc(apc)).body, sp) == apc
+    assert witness_round_trip("witness:apc", apc, sp) == apc
 
     pou = partition_of_unity(
         pts,
@@ -136,10 +127,7 @@ def test_witness_round_trips_on_a_space_target():
         [(Fraction(1),), (Fraction(1),), (Fraction(1),)],
     )
     exact = ExactnessWitness(scale, Fraction(1, 2), pou, 3)
-    assert (
-        doc_to_exactness_witness(reparse(exactness_witness_to_doc(exact)).body, sp)
-        == exact
-    )
+    assert witness_round_trip("witness:exactness", exact, sp) == exact
 
     pinch = PinchWitness(
         pts,
@@ -151,13 +139,10 @@ def test_witness_round_trips_on_a_space_target():
         Fraction(1, 3),
         3,
     )
-    assert doc_to_pinch_witness(reparse(pinch_witness_to_doc(pinch)).body, sp) == pinch
+    assert witness_round_trip("witness:pinch", pinch, sp) == pinch
 
     amen = AmenabilityWitness(scale, whole, Fraction(2), 3)
-    assert (
-        doc_to_amenability_witness(reparse(amenability_witness_to_doc(amen)).body, sp)
-        == amen
-    )
+    assert witness_round_trip("witness:amenability", amen, sp) == amen
 
     prop_a = PropertyAFamily(
         pts,
@@ -168,10 +153,7 @@ def test_witness_round_trips_on_a_space_target():
         Fraction(1, 2),
         1,
     )
-    assert (
-        doc_to_property_a_witness(reparse(property_a_witness_to_doc(prop_a)).body, sp)
-        == prop_a
-    )
+    assert witness_round_trip("witness:property_a", prop_a, sp) == prop_a
 
 
 def test_apc_witness_without_a_chain_is_written_and_read_with_a_null_chain():
@@ -180,22 +162,22 @@ def test_apc_witness_without_a_chain_is_written_and_read_with_a_null_chain():
     chained = ApcWitness((whole,), (3,), (sp.level(1), sp.level(2)))
     unchained = ApcWitness((whole,), (None,))
     for w in (chained, unchained):
-        body = reparse(apc_witness_to_doc(w)).body
+        body = reparse(witness_to_doc("witness:apc", w)).body
         back = DECODERS["witness:apc"](body, sp)
         assert isinstance(back, ApcWitness)
         assert back == w
-    body = reparse(apc_witness_to_doc(unchained)).body
+    body = reparse(witness_to_doc("witness:apc", unchained)).body
     assert body == {"selections": [[["a", "b", "c"]]], "bounds": [None], "chain": None}
     del body["chain"]
-    assert doc_to_apc_witness(body, sp) == unchained
+    assert DECODERS["witness:apc"](body, sp) == unchained
 
 
 def test_generator_set_round_trip():
     sp = pair_space()
     gs = generator_set(sp.points, (sp.level(2), sp.level(3)))
-    doc = reparse(generators_to_doc(gs))
+    doc = reparse(witness_to_doc("witness:generators", gs))
     assert doc.kind == "witness:generators"
-    assert doc_to_generators(doc.body) == gs
+    assert DECODERS["witness:generators"](doc.body) == gs
 
 
 def test_report_round_trip():
@@ -312,15 +294,15 @@ def test_fraction_forms():
         doc_to_metric({"points": pts, "dist": [[0, True], [True, 0]]})
 
     sp = pair_space()
-    w_body = amenability_witness_to_doc(
-        AmenabilityWitness(sp.level(1), sp.level(1), Fraction(2), None)
+    w_body = witness_to_doc(
+        "witness:amenability", AmenabilityWitness(sp.level(1), sp.level(1), Fraction(2), None)
     ).body
     w_body["eps"] = "inf"
     with pytest.raises(ParseError, match="infinity is not allowed here"):
-        doc_to_amenability_witness(w_body, sp)
+        DECODERS["witness:amenability"](w_body, sp)
     w_body["eps"] = "-1/2"
     with pytest.raises(ParseError, match="positive rational"):
-        doc_to_amenability_witness(w_body, sp)
+        DECODERS["witness:amenability"](w_body, sp)
 
 
 def test_scale_value_forms():

@@ -62,7 +62,6 @@ def test_adjacent_pairs_witness_dimension_one_on_a_line():
     assert asdim_verify(sp, 1, w).verdict is Verdict.VERIFIED
 
     found = asdim_search(sp, 1, scale)
-    assert found == asdim_search(sp, 1, scale, mode="exhaustive")
     assert found.witness is not None
     assert asdim_verify(sp, 1, found.witness)
 
@@ -148,21 +147,80 @@ def test_all_singleton_scales_need_no_coarsening():
     assert asdim_verify(sp, 0, found.witness)
 
 
-def test_search_modes_and_caps():
+def test_search_stops_when_its_node_budget_is_spent():
     sp = line_space(Y5.ids)
     scale = adjacent_pairs(Y5)
-    with pytest.raises(DomainError, match="mode"):
-        asdim_search(sp, 1, scale, mode="sideways")
-    with pytest.raises(DomainError, match="at most"):
-        asdim_search(sp, 1, scale, cap=3, mode="exhaustive")
+    assert asdim_search(sp, 1, scale).witness is not None
+    stopped = asdim_search(sp, 1, scale, budget=1)
+    assert stopped.witness is None
+    assert not stopped.exhausted
+    assert "budget of 1 nodes" in stopped.detail
+    assert stopped.clause("witness search").truncation
 
-    greedy = asdim_search(sp, 1, scale, mode="greedy")
-    assert greedy != asdim_search(sp, 1, scale, mode="exhaustive")
-    assert greedy.witness is not None
-    assert asdim_verify(sp, 1, greedy.witness)
 
-    auto_flips = asdim_search(sp, 1, scale, cap=3, mode="auto")
-    assert auto_flips == greedy
+GRIDS = {"5x5": (2, 2), "3x3x3": (3, 1), "7x7": (2, 3), "5x5x5": (3, 2)}
+
+
+def top_piece_cell(grid, bound_level):
+    """The top piece of a c0 grid with its chain cut to levels 1 to B."""
+    space = gen_c0(*GRIDS[grid]).pieces[-1].space
+    return validate_space(space.points, [space.level(i) for i in range(1, bound_level + 1)])
+
+
+@pytest.mark.parametrize(
+    "grid, n, bound_level, nodes, exhausted",
+    [
+        ("5x5", 1, 2, 46, True),
+        ("3x3x3", 2, 2, 4701, True),
+        ("7x7", 1, 2, 82, True),
+        ("5x5x5", 2, 2, 30818, True),
+        ("5x5", 2, 2, 39, False),
+        ("3x3x3", 3, 2, 88, False),
+        ("7x7", 2, 2, 1882, False),
+        ("7x7", 2, 3, 50, False),
+        ("5x5", 0, 3, 26, False),
+        ("3x3x3", 0, 3, 28, False),
+    ],
+)
+def test_search_decides_each_grid_cell_in_its_recorded_nodes(
+    grid, n, bound_level, nodes, exhausted
+):
+    """Searches at scale level 1, each deciding within its node count and
+    stopping undecided one node short of it."""
+    sp = top_piece_cell(grid, bound_level)
+    decided = asdim_search(sp, n, 1, budget=nodes)
+    assert decided.exhausted == exhausted
+    assert (decided.witness is None) == exhausted
+    if exhausted:
+        assert decided.detail == (
+            f"no coarsening of multiplicity at most {n + 1} is bounded at level {bound_level}"
+        )
+    else:
+        assert asdim_verify(sp, n, decided.witness).verdict is Verdict.VERIFIED
+    short = asdim_search(sp, n, 1, budget=nodes - 1)
+    assert short.witness is None and not short.exhausted
+
+
+@pytest.mark.parametrize("grid, n, bound_level", [("7x7", 1, 3), ("5x5x5", 1, 3), ("5x5x5", 3, 2)])
+def test_search_stops_on_a_grid_cell_past_its_budget(grid, n, bound_level):
+    """These cells run past 2M nodes; a small budget shows they stop undecided."""
+    found = asdim_search(top_piece_cell(grid, bound_level), n, 1, budget=2000)
+    assert found.witness is None
+    assert not found.exhausted
+    assert "budget of 2000 nodes" in found.detail
+
+
+def test_search_on_a_large_piece_returns_the_first_witness():
+    """Search is exact past 12 points: on the 49-point grid piece at its own
+    top level, the first coarsening in canonical order is the whole piece."""
+    fs = gen_c0(2, 3)
+    sp = fs.pieces[fs.piece_index("grid2")].space
+    found = asdim_search(sp, 0, 1)
+    want = asdim_oracle.first_coarsening(
+        list(sp.level(1).masks), list(sp.level(sp.depth).masks), 0, len(sp.points)
+    )
+    assert found.witness.coarsening.masks == tuple(want) == ((1 << len(sp.points)) - 1,)
+    assert asdim_verify(sp, 0, found.witness).verdict is Verdict.VERIFIED
 
 
 @st.composite
@@ -197,19 +255,14 @@ def test_exhaustive_search_finds_a_witness_exactly_when_the_oracle_does(data):
     want = asdim_oracle.first_coarsening(
         list(scale.masks), list(space.level(space.depth).masks), n, len(space.points)
     )
-    exhaustive = asdim_search(space, n, scale, mode="exhaustive")
+    exhaustive = asdim_search(space, n, scale)
     assert exhaustive.exhausted == (want is None)
     if want is None:
         assert exhaustive.witness is None
     else:
         assert exhaustive.witness.coarsening.masks == tuple(want)
-    greedy = asdim_search(space, n, scale, mode="greedy")
-    assert not greedy.exhausted
-    for w in (exhaustive.witness, greedy.witness):
-        if w is not None:
-            assert w.scale == scale
-            assert asdim_verify(space, n, w).verdict is Verdict.VERIFIED
-    assert greedy.witness is None or want is not None
+        assert exhaustive.witness.scale == scale
+        assert asdim_verify(space, n, exhaustive.witness).verdict is Verdict.VERIFIED
 
 
 def test_exhaustive_search_backtracks_out_of_a_dead_end():
@@ -217,14 +270,8 @@ def test_exhaustive_search_backtracks_out_of_a_dead_end():
     must undo that choice, counts included, to find the witness."""
     pts = points("abcde")
     sp = validate_space(pts, [fam(pts, "ce", "abce", "abde")])
-    found = asdim_search(sp, 0, fam(pts, "be", "ad", "ce"), mode="exhaustive")
+    found = asdim_search(sp, 0, fam(pts, "be", "ad", "ce"))
     assert found.witness.coarsening == fam(pts, "bce", "ad")
-
-
-def test_greedy_search_merges_crowded_groups_until_none_is_crowded():
-    sp = line_space(Y5.ids)
-    found = asdim_search(sp, 0, adjacent_pairs(Y5), mode="greedy")
-    assert found.witness.coarsening == fam(Y5, set(Y5.ids))
 
 
 def test_scale_given_as_a_level_index():

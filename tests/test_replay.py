@@ -20,7 +20,7 @@ HARMONIC_SEED_7 = "42b63369c7b22f3b57f501dcf76fa26a83af0979bb76d335157127e2b96ec
 # workload: (operations in one pass, digest at seed 7)
 OTHER_SEED_7 = {
     "random-cli": (2288, "831e192bd4982262b7b9858d8feb44a7ddd69b6186258509ee762b1804557f3d"),
-    "grid-cli": (35, "32491fbef6a628517ab48f9206e60fe2ce9df3bc8806fe9678fa02139887aefe"),
+    "grid-cli": (35, "e69b387d3ff3ef52f07513d4f8da1b9bd2944e574ed1e6635b69a4eb5bbaffe7"),
 }
 
 

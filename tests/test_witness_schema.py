@@ -13,15 +13,7 @@ import copy
 import pytest
 
 from coarsekit import ParseError
-from coarsekit.documents import (
-    doc_to_amenability_witness,
-    doc_to_apc_witness,
-    doc_to_asdim_witness,
-    doc_to_exactness_witness,
-    doc_to_generators,
-    doc_to_pinch_witness,
-    doc_to_property_a_witness,
-)
+from coarsekit.documents import DECODERS
 from coarsekit.families import Family, points
 from coarsekit.spaces import validate_space
 
@@ -45,15 +37,15 @@ def target():
 # kind -> (decoder, a valid body over target())
 VALID = {
     "asdim": (
-        doc_to_asdim_witness,
+        DECODERS["witness:asdim"],
         {"scale": {"level": 1}, "coarsening": WHOLE, "bound": 3},
     ),
     "apc": (
-        doc_to_apc_witness,
+        DECODERS["witness:apc"],
         {"selections": [WHOLE], "bounds": [3], "chain": [{"level": 1}, {"level": 2}]},
     ),
     "exactness": (
-        doc_to_exactness_witness,
+        DECODERS["witness:exactness"],
         {
             "scale": {"level": 1},
             "eps": "1/2",
@@ -63,7 +55,7 @@ VALID = {
         },
     ),
     "pinch": (
-        doc_to_pinch_witness,
+        DECODERS["witness:pinch"],
         {
             "scale": {"level": 1},
             "sep": WHOLE,
@@ -75,11 +67,11 @@ VALID = {
         },
     ),
     "amenability": (
-        doc_to_amenability_witness,
+        DECODERS["witness:amenability"],
         {"scale": {"level": 1}, "companion": WHOLE, "eps": 2, "bound": 3},
     ),
     "property_a": (
-        doc_to_property_a_witness,
+        DECODERS["witness:property_a"],
         {
             "scale": SINGLETONS,
             "support": SINGLETONS,
@@ -89,7 +81,10 @@ VALID = {
             "support_bound": 1,
         },
     ),
-    "generators": (doc_to_generators, {"points": list(IDS), "families": [SINGLETONS, WHOLE]}),
+    "generators": (
+        DECODERS["witness:generators"],
+        {"points": list(IDS), "families": [SINGLETONS, WHOLE]},
+    ),
 }
 
 DROP = object()
