@@ -12,7 +12,7 @@ file. Two checkouts that print the same digest for a workload and seed gave
 byte-identical answers on every operation of it.
 
 Like ``bench/run.py``, the script re-executes itself with ``PYTHONHASHSEED=0``
-and without ``COARSEKIT_PINCH_TOL`` and ``PYTHONPATH``.
+and without ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = ".replay_work"
 HASH_SEED = "0"
-TOL_ENV_VAR = "COARSEKIT_PINCH_TOL"
 
 
 def pin_environment() -> None:
-    if os.environ.get("PYTHONHASHSEED") == HASH_SEED and TOL_ENV_VAR not in os.environ:
+    if os.environ.get("PYTHONHASHSEED") == HASH_SEED:
         return
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = HASH_SEED
-    env.pop(TOL_ENV_VAR, None)
     env.pop("PYTHONPATH", None)
     sys.stdout.flush()
     os.execve(sys.executable, [sys.executable, os.path.abspath(__file__), *sys.argv[1:]], env)

@@ -1,12 +1,12 @@
 """Textual document format: one strict, versioned JSON envelope per object.
 
 Every document is {"kind": ..., "version": "1", "body": ...}. Unknown fields
-are rejected, rationals travel as "p/q" strings (plain integers allowed),
-metric infinities as "inf". An integral rational is written as its
-numerator; a ``Fraction`` passes straight through the encoder, neither
-wrapped again nor compared with infinity. Emission is canonical: sorted
-keys, two-space indent, members listed in point order, so equal objects
-serialize to equal bytes.
+are rejected, rationals travel as integers or "p/q" strings with an optional
+leading minus and in no other text form, metric infinities as "inf". An
+integral rational is written as its numerator; a ``Fraction`` passes straight
+through the encoder, neither wrapped again nor compared with infinity.
+Emission is canonical: sorted keys, two-space indent, members listed in point
+order, so equal objects serialize to equal bytes.
 
 Every decoder builds each member's bitmask once, while reading it, by a bit
 lookup that is also the check that its points are known, and hands the masks
@@ -41,6 +41,7 @@ them), list or tuple, and dict with str keys; any other value or key raises
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, fields as class_fields
 from fractions import Fraction
@@ -105,6 +106,9 @@ def _int(v, path) -> int:
     return v
 
 
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(v, path, allow_inf=False):
     if isinstance(v, bool):
         _fail("expected a rational", path)
@@ -115,10 +119,12 @@ def _fraction(v, path, allow_inf=False):
             if allow_inf:
                 return INF
             _fail("infinity is not allowed here", path)
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            _fail(f"malformed rational {v!r}", path)
+        if RATIONAL.fullmatch(v):
+            try:
+                return Fraction(v)
+            except (ValueError, ZeroDivisionError):  # a zero denominator, too many digits
+                pass
+        _fail(f"malformed rational {v!r}", path)
     _fail("expected an integer or a 'p/q' string", path)
 
 

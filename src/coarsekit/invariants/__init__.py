@@ -40,9 +40,7 @@ from .metrizability import (
     metrizability_merge,
 )
 from .pinch import (
-    DEFAULT_TOL,
     PinchWitness,
-    comparison_tolerance,
     pinch_lift,
     pinch_verify,
     pinch_witness,

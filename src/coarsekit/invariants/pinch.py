@@ -1,21 +1,22 @@
 """Pinch witnesses: coordinate embeddings with small member images and
 uniform separation off a bounded family.
 
-The separation and diameter comparisons run on exact squared distances; the
-stated tolerance is subtracted from the thresholds before squaring, so no
-floating point enters any verdict. The verifier scales every coordinate row
-by the lcm of all denominators once, so each squared distance is an integer,
-two squared row norms less twice a dot product, over that denominator squared.
+The verifier is exact, like every other: it compares squared distances with
+the squared thresholds the witness states, strictly below ``eps**2`` for the
+member images and at least ``c**2`` off the separation family, and no
+floating point or tolerance enters any verdict. It scales every coordinate
+row by the lcm of all denominators once, so each squared distance is an
+integer, two squared row norms less twice a dot product, over that
+denominator squared.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError, number_text
@@ -33,22 +34,10 @@ from .common import (
     unit_padded_rows,
 )
 
-DEFAULT_TOL = Fraction(1, 10**9)
-TOL_ENV_VAR = "COARSEKIT_PINCH_TOL"
 
-
-def comparison_tolerance(tol: Optional[Fraction] = None) -> Fraction:
-    if tol is not None:
-        value = Fraction(tol)
-    else:
-        raw = os.environ.get(TOL_ENV_VAR)
-        try:
-            value = Fraction(raw) if raw else DEFAULT_TOL
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"{TOL_ENV_VAR}={raw!r} is not a rational") from None
-    if value < 0:
-        raise DomainError("comparison tolerance must be nonnegative")
-    return value
+def comparison_tolerance() -> Fraction:
+    """Always 0: the comparisons are exact. Read only by ``bench/run.py``."""
+    return Fraction(0)
 
 
 def sq_dist(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -88,10 +77,7 @@ def pinch_witness(space, dim, coords, scale, sep, c, eps, sep_bound=None) -> Pin
     )
 
 
-def pinch_verify(
-    target: Target, w: PinchWitness, tol: Optional[Fraction] = None
-) -> Report:
-    tol = comparison_tolerance(tol)
+def pinch_verify(target: Target, w: PinchWitness) -> Report:
     ensure_over_target(target, w.scale, "input scale")
     ensure_over_target(target, w.sep, "separation family")
     if w.space != w.scale.space:
@@ -107,7 +93,6 @@ def pinch_verify(
         return norms[a] + norms[b] - 2 * sum(map(mul, rows[a], rows[b]))
 
     ids = w.space.ids
-    diam_threshold = w.eps - tol
     worst_pair = None
     worst = -1
     for m in w.scale.masks:
@@ -116,9 +101,7 @@ def pinch_verify(
             if d > worst:
                 worst, worst_pair = d, (ids[a], ids[b])
     worst = Fraction(worst, den**2)
-    diam_ok = worst_pair is None or (
-        diam_threshold > 0 and worst < diam_threshold**2
-    )
+    diam_ok = worst_pair is None or worst < w.eps**2
     clauses.append(
         Clause(
             "image diameters stay below the pinch threshold",
@@ -129,7 +112,6 @@ def pinch_verify(
         )
     )
 
-    sep_threshold = max(w.c - tol, Fraction(0))
     nearest_pair = None
     nearest = None
     shared = w.sep.incidence
@@ -142,7 +124,7 @@ def pinch_verify(
                 nearest, nearest_pair = d, (ids[a], ids[b])
     if nearest is not None:
         nearest = Fraction(nearest, den**2)
-    sep_ok = nearest is None or nearest >= sep_threshold**2
+    sep_ok = nearest is None or nearest >= w.c**2
     clauses.append(
         Clause(
             "separated off the separation family",
@@ -155,12 +137,7 @@ def pinch_verify(
     return from_clauses(clauses)
 
 
-def pinch_lift(
-    system: FilteredSystem,
-    piece: int,
-    w: PinchWitness,
-    tol: Optional[Fraction] = None,
-) -> PinchWitness:
+def pinch_lift(system: FilteredSystem, piece: int, w: PinchWitness) -> PinchWitness:
     """Pad the piece embedding with one fresh coordinate per outside point.
 
     Outside points map to unit vectors on their own axes, so outside pairs
@@ -170,7 +147,7 @@ def pinch_lift(
     if w.c != 1:
         raise DomainError("lift is calibrated for unit separation")
     require_verified(
-        pinch_verify(system.pieces[piece].space, w, tol), "piece witness does not verify"
+        pinch_verify(system.pieces[piece].space, w), "piece witness does not verify"
     )
     return PinchWitness(
         system.ambient,

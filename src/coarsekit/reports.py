@@ -70,8 +70,9 @@ class SearchOutcome:
 
     - found: ``witness`` is set, and ``report`` is the report its verifier
       gave when the search checked it (None for a search that does not);
-    - exhausted: the search space is complete and holds no witness, which
-      refutes exactly the statement ``detail`` words;
+    - exhausted: the search space is complete and holds no witness;
+      ``detail`` states that absence as a fact, and the claim refuted is its
+      negation, that some witness exists;
     - stopped: no witness, and ``detail`` names what ran out or why the
       search space is incomplete; this decides nothing.
     """

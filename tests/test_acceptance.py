@@ -7,7 +7,6 @@ asserting, so a failing criterion still reports its numbers.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction
@@ -256,7 +255,6 @@ def island_pinch_witness(pc):
 
 
 def test_criterion_05_pinch_lift_geometry():
-    root2 = math.sqrt(2)
     failures = outside_pairs = mixed_pairs = 0
     for fs in island_instances():
         for s, pc in enumerate(fs.pieces):
@@ -277,20 +275,18 @@ def test_criterion_05_pinch_lift_geometry():
 
             for a, b in itertools.combinations(outside, 2):
                 outside_pairs += 1
-                sq = sq_dist(row(a), row(b))
-                if sq != 2 or abs(math.sqrt(float(sq)) - root2) >= 1e-9:
+                if sq_dist(row(a), row(b)) != 2:
                     failures += 1
             for a in outside:
                 for b in inside:
                     mixed_pairs += 1
-                    sq = sq_dist(row(a), row(b))
-                    if sq < 1 or math.sqrt(float(sq)) < 1 - 1e-9:
+                    if sq_dist(row(a), row(b)) < 1:
                         failures += 1
     ok = failures == 0 and outside_pairs > 0 and mixed_pairs > 0
     _line(
         5,
         ok,
-        f"{outside_pairs} outside pairs at sqrt(2), {mixed_pairs} mixed pairs, "
+        f"{outside_pairs} outside pairs at squared distance 2, {mixed_pairs} mixed pairs, "
         f"{failures} failures",
     )
 

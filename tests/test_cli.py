@@ -34,7 +34,6 @@ from coarsekit.documents import (
 from coarsekit.families import Family, points
 from coarsekit.invariants import AmenabilityWitness, asdim_search, generator_set
 from coarsekit.invariants import asdim as asdim_module
-from coarsekit.invariants.pinch import TOL_ENV_VAR
 from coarsekit.maps import grounded_map, identity_map, path_metric
 from coarsekit.reports import Clause, from_clauses
 from coarsekit.spaces import restrict, validate_space
@@ -601,17 +600,6 @@ def test_tracer_sees_every_search(tmp_path, deep_system):
         assert got[metric] > 0, metric
 
 
-@pytest.mark.parametrize("raw", ["abc", "1/0"])
-def test_malformed_pinch_tolerance_exits_65(tmp_path, capsys, monkeypatch, raw):
-    space = save(tmp_path, "m0.json", space_to_doc(two_islands().pieces[0].space))
-    witness = save(tmp_path, "w.json", Document("witness:pinch", "1", PIECE_WITNESSES["pinch"]))
-    argv = ["check", "pinch", space, "--witness", witness]
-    assert main(argv) == 0
-    monkeypatch.setenv(TOL_ENV_VAR, raw)
-    assert main(argv) == 65
-    assert TOL_ENV_VAR in capsys.readouterr().err
-
-
 def test_lift_generators(tmp_path, capsys):
     fs = gen_disjoint_union(
         [path_metric(points(["a", "b"])), path_metric(points(["c", "d"]))]
@@ -857,7 +845,7 @@ def _in_process(argv):
 
 def _fresh_process(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != TOL_ENV_VAR}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coarsekit", *argv], capture_output=True, text=True, env=env
@@ -869,7 +857,6 @@ def test_reused_parser_answers_like_a_fresh_process(tmp_path, monkeypatch):
     """One interpreter runs every argv through the one parser; each answer
     must match that of the same argv in its own process."""
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the same width
-    monkeypatch.delenv(TOL_ENV_VAR, raising=False)
     assert build_parser() is build_parser()
     _, space = pair_space_doc(tmp_path)
     islands = [path_metric(points(["a", "b"])), path_metric(points(["c", "d", "e"]))]

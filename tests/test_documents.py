@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -18,6 +19,7 @@ from coarsekit.documents import (
     DECODERS,
     Document,
     _encode_fraction,
+    _fraction,
     doc_to_family,
     doc_to_map,
     doc_to_metric,
@@ -290,6 +292,13 @@ def test_fraction_forms():
 
     with pytest.raises(ParseError, match="malformed rational '1/0'"):
         doc_to_metric({"points": pts, "dist": [[0, "1/0"], ["1/0", 0]]})
+    # only an integer or "p/q" text: no signs but a leading minus, no blanks,
+    # decimals, exponents, underscores or non-ASCII digits
+    for raw, value in [(-4, -4), ("-3/2", Fraction(-3, 2)), ("6/4", Fraction(3, 2)), ("-0/7", 0)]:
+        assert _fraction(raw, "x") == value
+    for raw in ["1.5", "+3", " 3/4 ", "3/4\n", "1e3", "1_0", "3/-4", "/2", "-", "\u0663"]:
+        with pytest.raises(ParseError, match=re.escape(f"malformed rational {raw!r}")):
+            _fraction(raw, "x")
     with pytest.raises(ParseError, match="expected a rational"):
         doc_to_metric({"points": pts, "dist": [[0, True], [True, 0]]})
 
@@ -302,6 +311,10 @@ def test_fraction_forms():
         DECODERS["witness:amenability"](w_body, sp)
     w_body["eps"] = "-1/2"
     with pytest.raises(ParseError, match="positive rational"):
+        DECODERS["witness:amenability"](w_body, sp)
+    # an exponent would make Fraction build a ten-million-digit integer
+    w_body["eps"] = "1e10000000"
+    with pytest.raises(ParseError, match="malformed rational '1e10000000'"):
         DECODERS["witness:amenability"](w_body, sp)
 
 

@@ -11,13 +11,11 @@ from coarsekit import Clause, DomainError, Verdict, from_clauses
 from coarsekit.colimit import ColimitBoundedness, Piece, validate_system
 from coarsekit.families import family, points
 from coarsekit.invariants import (
-    comparison_tolerance,
     pinch_lift,
     pinch_verify,
     pinch_witness,
     sq_dist,
 )
-from coarsekit.invariants.pinch import TOL_ENV_VAR
 from coarsekit.spaces import restrict, validate_space
 
 
@@ -123,7 +121,7 @@ def test_thresholds_compare_squared_and_exactly():
         1,
         sep_bound=3,
     )
-    assert pinch_verify(sp, at_eps, tol=Fraction(0)).verdict is Verdict.REFUTED
+    assert pinch_verify(sp, at_eps).verdict is Verdict.REFUTED
 
     # separation exactly at the threshold passes: the comparison is not strict
     at_c = pinch_witness(
@@ -136,46 +134,18 @@ def test_thresholds_compare_squared_and_exactly():
         1,
         sep_bound=1,
     )
-    assert pinch_verify(sp, at_c, tol=Fraction(0)).verdict is Verdict.VERIFIED
+    assert pinch_verify(sp, at_c).verdict is Verdict.VERIFIED
 
-
-def test_tolerance_loosens_separation():
-    sp = path_abc()
-    w = pinch_witness(
-        P3,
-        1,
-        [[0], ["9/10"], ["9/5"]],
-        fam(P3, {"a"}),
-        fam(P3, {"a"}, {"b"}, {"c"}),
-        1,
-        1,
-        sep_bound=1,
-    )
-    assert pinch_verify(sp, w, tol=Fraction(0)).verdict is Verdict.REFUTED
-    assert pinch_verify(sp, w, tol=Fraction(1, 4)).verdict is Verdict.VERIFIED
-
-
-def test_tolerance_environment_variable(monkeypatch):
-    monkeypatch.delenv(TOL_ENV_VAR, raising=False)
-    assert comparison_tolerance() == Fraction(1, 10**9)
-    monkeypatch.setenv(TOL_ENV_VAR, "1/4")
-    assert comparison_tolerance() == Fraction(1, 4)
-    assert comparison_tolerance(Fraction(0)) == 0
-    with pytest.raises(DomainError, match="nonnegative"):
-        comparison_tolerance(Fraction(-1))
-
-    sp = path_abc()
-    w = pinch_witness(
-        P3,
-        1,
-        [[0], ["9/10"], ["9/5"]],
-        fam(P3, {"a"}),
-        fam(P3, {"a"}, {"b"}, {"c"}),
-        1,
-        1,
-        sep_bound=1,
-    )
-    assert pinch_verify(sp, w).verdict is Verdict.VERIFIED
+    # a pair a hair inside unit distance: no slack either way at c = eps = 1
+    pair = points(["a", "b"])
+    near = validate_space(pair, [fam(pair, {"a"}, {"b"}), fam(pair, {"a", "b"})])
+    rows = [[0], [1 - Fraction(1, 10**10)]]
+    apart = fam(pair, {"a"}, {"b"})
+    together = fam(pair, {"a", "b"})
+    too_close = pinch_witness(pair, 1, rows, apart, apart, 1, 1, sep_bound=1)
+    assert pinch_verify(near, too_close).verdict is Verdict.REFUTED
+    small_image = pinch_witness(pair, 1, rows, together, together, 1, 1, sep_bound=2)
+    assert pinch_verify(near, small_image).verdict is Verdict.VERIFIED
 
 
 def test_claimed_separation_bound_is_checked():
@@ -238,7 +208,6 @@ def test_lift_pads_outside_points_onto_unit_axes():
     assert sq_dist(lifted.vec("0"), lifted.vec("1")) == 0
 
     assert pinch_verify(fs, lifted).verdict is Verdict.VERIFIED
-    assert pinch_verify(fs, lifted, tol=Fraction(0)).verdict is Verdict.VERIFIED
 
 
 def test_lift_requires_unit_calibration():
@@ -278,7 +247,7 @@ def test_lift_rejects_a_failing_piece_witness():
 # the verifier on integer rows against a plain Fraction reference
 
 
-def reference_clauses(w, tol):
+def reference_clauses(w):
     """The pinch clauses computed pair by pair on Fractions, scanning the
     separation members for every pair."""
 
@@ -292,10 +261,9 @@ def reference_clauses(w, tol):
             for q in inside[a + 1 :]:
                 if worst is None or sq(p, q) > worst:
                     worst, worst_pair = sq(p, q), (p, q)
-    eps = w.eps - tol
     diam = Clause(
         "image diameters stay below the pinch threshold",
-        worst is None or (eps > 0 and worst < eps**2),
+        worst is None or worst < w.eps**2,
         "" if worst is None else f"extremal pair {worst_pair!r} at squared distance {worst}",
     )
 
@@ -307,10 +275,9 @@ def reference_clauses(w, tol):
                 continue
             if nearest is None or sq(p, q) < nearest:
                 nearest, nearest_pair = sq(p, q), (p, q)
-    c = max(w.c - tol, Fraction(0))
     sep = Clause(
         "separated off the separation family",
-        nearest is None or nearest >= c**2,
+        nearest is None or nearest >= w.c**2,
         ""
         if nearest is None
         else f"extremal pair {nearest_pair!r} at squared distance {nearest}",
@@ -340,14 +307,13 @@ def witness_cases(draw):
     scale = family(pts, draw(st.lists(subsets, max_size=4)))
     sep = family(pts, draw(st.lists(subsets, max_size=5)))
     w = pinch_witness(pts, dim + len(axes), rows, scale, sep, draw(positive), draw(positive))
-    tol = draw(st.sampled_from([Fraction(0), Fraction(1, 10**9), Fraction(1, 3)]))
-    return validate_space(pts, [family(pts, [ids])]), w, tol
+    return validate_space(pts, [family(pts, [ids])]), w
 
 
 @given(witness_cases())
 def test_verifier_agrees_with_the_fraction_reference(case):
-    sp, w, tol = case
-    report = pinch_verify(sp, w, tol)
-    reference = reference_clauses(w, tol)
+    sp, w = case
+    report = pinch_verify(sp, w)
+    reference = reference_clauses(w)
     assert list(report.clauses) == reference
     assert report.verdict is from_clauses(reference).verdict
