@@ -98,8 +98,8 @@ def load_timing(names, repeat: int) -> tuple[list[str], str, int, int]:
                 sp for _, spaces in built for sp in spaces
             ]
             texts = [docs.emit_document(to_doc(obj)) for obj in objs]
-            bodies = [docs.parse_document(t, validate_body=False).body for t in texts]
-            parse_s = _best(lambda t: docs.parse_document(t, validate_body=False), texts, repeat)
+            bodies = [docs.parse_document(t).body for t in texts]
+            parse_s = _best(docs.parse_document, texts, repeat)
             decode_s = _best(decode, bodies, repeat)
             emit_s = _best(lambda obj: docs.emit_document(to_doc(obj)), objs, repeat)
             for text, body in zip(texts, bodies):

@@ -94,7 +94,7 @@ def _load(args, path: str, kinds: Sequence[str]) -> docs.Document:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    doc = docs.parse_document(text, validate_body=False)
+    doc = docs.parse_document(text)
     if doc.kind not in kinds:
         raise ParseError(
             f"{path}: expected a {' or '.join(kinds)} document, got {doc.kind!r}"
@@ -414,9 +414,17 @@ def cmd_map_check(args) -> int:
     return _render(args, report)
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text) for the text of a document rational only
+    (documents.RATIONAL), so that no exponent form builds a huge integer."""
+    if not docs.RATIONAL.fullmatch(text):
+        raise ValueError(text)
+    return Fraction(text)
+
+
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
@@ -440,7 +448,7 @@ def _parse_radii(text: Optional[str]):
     if text is None:
         return None
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        return tuple(_fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"malformed radii list {text!r}") from None
 
@@ -619,9 +627,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.digests = {}
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"coarsekit: input error: {exc}", file=sys.stderr)
-        return EX_DATA
     except TruncationError as exc:
         print(f"coarsekit: undecided at truncation: {exc}", file=sys.stderr)
         return EX_UNDECIDED

@@ -3,11 +3,14 @@
 A FilteredSystem is a list of pieces (carrier + scaled space over it) covering
 an ambient point set, with an upper-bound map on piece pairs and pairwise
 coincidence of the chains restricted to each overlap. validate_system checks
-carriers, directedness and coincidence on bitmasks over the ambient index,
-without building restricted spaces. Its core, validate_pieces, which the
-system decoder shares, is the only code that puts chain members on the
-ambient index: each piece's cofinal levels, on which coincidence is
-decided, and the full chains of a failing pair, to name the failing level.
+each piece's chain as validate_space does, then carriers, directedness and
+coincidence on bitmasks over the ambient index, without building restricted
+spaces. Every piece chain is checked monotone and covering, so each overlap
+is compared on top levels. The core, validate_pieces, which the system
+decoder shares once it has checked each chain itself, is the only code that
+puts chain members on the ambient index: each piece's top level, on which
+coincidence is decided, and the full chains of a failing pair, to name the
+failing level.
 
 Coincidence is checked against one top piece T, whose carrier is the whole
 ambient set: one comparison per other piece, on that piece's carrier, in
@@ -43,12 +46,7 @@ from .families import (
     trivial_extension,
     uncovered_point,
 )
-from .spaces import (
-    ScaledSpace,
-    cofinal_levels,
-    coincidence_masks,
-    is_bounded,
-)
+from .spaces import ScaledSpace, coincidence_masks, is_bounded, validate_space
 
 
 @dataclass(frozen=True)
@@ -114,10 +112,15 @@ def validate_system(
     upper: Optional[Mapping[tuple[int, int], int]] = None,
     meta: Iterable[str] = (),
 ) -> FilteredSystem:
-    """Check coverage, directedness, and pairwise coincidence of restrictions.
+    """Check each piece's chain, coverage, directedness, and pairwise
+    coincidence of restrictions.
 
-    Carriers become ambient-indexed bitmasks, each chain's cofinal levels are
-    found on its own masks, and validate_pieces checks the system.
+    Per piece, in order: its carrier lies in the ambient set, its space is
+    over the carrier, and its chain passes validate_space (at least one
+    level, each over the piece's points, each covering, the chain
+    monotone); a cover or monotonicity fault reads as the system decoder
+    words it. Carriers become ambient-indexed bitmasks, and validate_pieces
+    checks the system.
 
     When upper is None or partial, missing pairs are filled by scanning for
     the least piece whose carrier contains the union; an unfillable pair is a
@@ -133,29 +136,27 @@ def validate_system(
         carriers.append(ambient.mask(p.carrier))
         if p.space.points.ids != ambient.points_of(carriers[-1]):
             raise DomainError(f"piece {p.name!r} space is not over its carrier")
-    cofinal = [cofinal_levels([lv.masks for lv in p.space.levels]) for p in pieces]
-    return validate_pieces(ambient, pieces, carriers, cofinal, upper, meta)
+        validate_space(p.space.points, p.space.levels)
+    return validate_pieces(ambient, pieces, carriers, upper, meta)
 
 
 def validate_pieces(
     ambient: PointSet,
     pieces: Sequence[Piece],
     carriers: Sequence[int],
-    cofinal: Sequence[Sequence[int]],
     upper: Optional[Mapping[tuple[int, int], int]],
     meta: Iterable[str],
 ) -> FilteredSystem:
-    """The checks of validate_system on pieces already read: distinct names,
-    coverage, directedness and coincidence.
+    """The checks of validate_system on pieces whose chains are already
+    checked: distinct names, coverage, directedness and coincidence.
 
-    Per piece, ``carriers`` holds the carrier as an ambient mask and
-    ``cofinal`` the 0-based cofinal levels of its chain
-    (spaces.cofinal_levels). Only this code puts chain members on the
-    ambient index: every piece's cofinal levels, on which coincidence is
-    decided, and the full chains of a pair that fails, to name its first
-    failing level as coincidence_masks does. Comparing cofinal levels is
-    exact: a level that refines its successor fits wherever the successor
-    fits, and whatever fits it fits the successor too.
+    Per piece, ``carriers`` holds the carrier as an ambient mask. Only this
+    code puts chain members on the ambient index: every piece's top level,
+    on which coincidence is decided, and the full chains of a pair that
+    fails, to name its first failing level as coincidence_masks does. Every
+    chain is monotone, so comparing top levels is exact: every level refines
+    its chain's top, so a level fits wherever its top fits, and a level that
+    fits some level of the other chain fits that chain's top.
 
     Folding the directedness table over every piece (top_piece) gives a top
     piece T whose carrier holds every carrier, so the whole ambient set. Each
@@ -167,11 +168,10 @@ def validate_pieces(
     and s, with two or more points, lies in m cut to r's carrier, so in some
     member w of L. Then w cut to s's carrier holds those two or more points,
     so it lies in some member of that level of s, and so does m cut to the
-    overlap. The same holds with r and s swapped. The argument goes level by
-    level, so it holds for cofinal lists that are not monotone.
+    overlap. The same holds with r and s swapped.
 
-    Otherwise the pairwise scan runs: it compares the cofinal levels of
-    every overlapping pair in order and names the first failing pair and
+    Otherwise the pairwise scan runs: it compares the top levels of every
+    overlapping pair in order and names the first failing pair and
     level. It finds a failing pair, since a piece that fails against T
     makes one with T.
     """
@@ -205,10 +205,7 @@ def validate_pieces(
 
     triples = tuple(sorted((r, s, t) for (r, s), t in table.items()))
     system = FilteredSystem(ambient, tuple(pieces), triples, tuple(meta))
-    tops = [
-        [set(reroot(p.space.levels[i], ambient).masks) for i in idx]
-        for p, idx in zip(pieces, cofinal)
-    ]
+    tops = [[set(reroot(p.space.levels[-1], ambient).masks)] for p in pieces]
     top = system.top_piece()
     if any(
         coincidence_masks(tops[r], tops[top], carriers[r]) is not None

@@ -82,7 +82,7 @@ def _nested_system(
         levels = tuple(
             cut(Family.from_masks(ambient, tuple(lv.masks[i] for i in at)), pts) for lv in balls
         )
-        pieces.append(Piece(name, frozenset(pts.ids), validate_space(pts, levels)))
+        pieces.append(Piece(name, frozenset(pts.ids), ScaledSpace(pts, levels)))
     return validate_system(ambient, tuple(pieces), None, meta)
 
 
@@ -209,9 +209,8 @@ def gen_disjoint_union(
             )
             for l in range(len(rs))
         )
-        space = validate_space(pts, levels)
         name = "+".join(f"M{k}" for k in group)
-        pieces.append(Piece(name, frozenset(pts.ids), space))
+        pieces.append(Piece(name, frozenset(pts.ids), ScaledSpace(pts, levels)))
     meta = (
         f"truncation: {len(islands)} islands, pieces up to pairs plus the union",
         "radii: " + ", ".join(str(r) for r in rs),

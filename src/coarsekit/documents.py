@@ -249,7 +249,8 @@ def space_to_doc(sp: ScaledSpace) -> Document:
 def doc_to_system(body, path="body") -> FilteredSystem:
     """A system from its body. Each piece's members are read once, over the
     piece's own points, and spaces.check_chain checks each chain on their
-    masks; colimit.validate_pieces then puts the cofinal levels on the
+    masks, so every piece chain is monotone and covering and each overlap is
+    compared on top levels: colimit.validate_pieces puts those on the
     ambient index and checks the system. Every piece is read and checked in
     full before the next, and every piece before the upper triples, the meta
     lines and the checks across pieces. An upper triple's faults are reported
@@ -299,9 +300,7 @@ def doc_to_system(body, path="body") -> FilteredSystem:
             r, s, t = triple
             upper[(r, s)] = t
     meta = _str_list(body.get("meta", []), f"{path}.meta")
-    # every chain passed check_chain, so its top level is its only cofinal one
-    cofinal = [[p.space.depth - 1] for p in pieces]
-    return validate_pieces(ambient, pieces, carriers, cofinal, upper, meta)
+    return validate_pieces(ambient, pieces, carriers, upper, meta)
 
 
 def system_to_doc(system: FilteredSystem) -> Document:
@@ -691,20 +690,16 @@ DECODERS = {
     **{kind: partial(decode_witness, kind) for kind in WITNESSES},
 }
 KINDS = tuple(DECODERS)
-# witness kinds whose bodies do not list their own points
-_NEEDS_TARGET = {
-    kind for kind, codec in WITNESSES.items() if all(t is not POINTS for _, _, t in codec.fields)
-}
 
 
-def parse_document(text: str, validate_body: bool = True) -> Document:
-    """Strict parse; body semantics are checked for self-contained kinds.
+def parse_document(text: str) -> Document:
+    """Strict parse of the envelope: JSON text, the three envelope fields, a
+    known kind and the supported version, all as ParseError.
 
-    Witness bodies other than generator sets need a verification target to
-    resolve level references, so only their envelope is checked here; their
-    DECODERS entries finish the job once the target is known. Structural
-    problems raise ParseError; a well-formed body that fails its semantic
-    checks raises ValidationError or DomainError from the relevant builder.
+    The body is left as read; its DECODERS entry checks it, once a witness
+    has its verification target. There, structural problems raise
+    ParseError, and a well-formed body that fails its semantic checks
+    raises ValidationError or DomainError from the relevant builder.
     """
     try:
         raw = json.loads(text)
@@ -724,10 +719,7 @@ def parse_document(text: str, validate_body: bool = True) -> Document:
         _fail(f"unknown kind {kind!r}", "document.kind")
     if raw["version"] != VERSION:
         _fail(f"unsupported version {raw['version']!r}", "document.version")
-    doc = Document(kind, raw["version"], raw["body"])
-    if validate_body and kind not in _NEEDS_TARGET:
-        DECODERS[kind](doc.body)
-    return doc
+    return Document(kind, raw["version"], raw["body"])
 
 
 def _float_text(x: float) -> str:

@@ -246,18 +246,10 @@ def refines(u: Family, v: Family) -> bool:
     return first_misfit(u.masks, v.masks) is None
 
 
-def essentially_refines(u: Family, v: Family, carrier: Optional[Subset] = None) -> bool:
-    """Like refines but members with at most one point are ignored.
-
-    When carrier is given, members that do count must also sit inside it.
-    """
+def essentially_refines(u: Family, v: Family) -> bool:
+    """Like refines but members with at most one point are ignored."""
     _check_same_space(u, v)
-    counted = [m for m in u.masks if m & (m - 1)]
-    if carrier is not None:
-        inside = u.space.mask(p for p in carrier if p in u.space)
-        if any(m & ~inside for m in counted):
-            return False
-    return first_misfit(counted, v.masks) is None
+    return first_misfit([m for m in u.masks if m & (m - 1)], v.masks) is None
 
 
 def covers(u: Family) -> bool:
@@ -270,13 +262,9 @@ def uncovered_point(u: Family) -> Optional[Point]:
     return u.space.ids[(gap & -gap).bit_length() - 1] if gap else None
 
 
-def trivial_extension(u: Family, x: Optional[PointSet] = None) -> Family:
+def trivial_extension(u: Family) -> Family:
     """Adjoin every singleton of the point set; the result always covers."""
-    if x is None:
-        x = u.space
-    elif x != u.space:
-        raise DomainError("family is not over the given point set")
-    return Family.from_masks(x, u.masks + tuple(1 << i for i in range(len(x))))
+    return Family.from_masks(u.space, u.masks + tuple(1 << i for i in range(len(u.space))))
 
 
 def multiplicity(v: Family) -> int:
@@ -302,14 +290,12 @@ def component_masks(masks: Iterable[int]) -> list[int]:
     return sorted(blocks, key=lambda b: b & -b)
 
 
-def chain_components(u: Family, x: Optional[PointSet] = None) -> tuple[Subset, ...]:
+def chain_components(u: Family) -> tuple[Subset, ...]:
     """Blocks of the overlap relation on u's members, as unions of members.
 
     Returns a partition of the covered points, ordered by least point index.
     Points not covered by u do not appear.
     """
-    if x is not None and x != u.space:
-        raise DomainError("family is not over the given point set")
     return tuple(frozenset(u.space.points_of(b)) for b in component_masks(u.masks))
 
 

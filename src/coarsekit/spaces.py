@@ -12,9 +12,9 @@ its first read, and kept with the space; only the colimit star reads it.
 
 Covering and monotonicity are checked once, on member bitmasks, by
 check_chain: validate_space hands it its families' masks, and the space and
-system decoders the masks they built while reading each member. The levels
-that do not refine their successor, with the top level, are the chain's
-cofinal levels (cofinal_levels); a monotone chain has only its top.
+system decoders the masks they built while reading each member.
+validate_system runs validate_space on every piece, so every piece chain is
+checked monotone and covering, and each overlap is compared on top levels.
 
 Every fit test here (monotonicity, star depth, boundedness, coincidence) is
 families.first_misfit. Coincidence of two chains on a shared carrier is
@@ -125,22 +125,9 @@ def check_chain(levels: Iterable[Collection[int]], carrier: int, ids: Sequence[P
             missing = ids[(gap & -gap).bit_length() - 1]
             raise ValidationError(f"level {i} does not cover: point {missing!r} is in no member")
         out.append(lv)
-    first = cofinal_levels(out)[0]
-    if first != len(out) - 1:
-        raise ValidationError(
-            f"chain not monotone: level {first + 1} does not refine level {first + 2}"
-        )
-
-
-def cofinal_levels(levels: Sequence[Collection[int]]) -> list[int]:
-    """0-based indices of the levels that do not refine their successor, in
-    order, then the top level's. Every index but the last is a monotonicity
-    fault, and a monotone chain's only cofinal level is its top."""
-    out = [
-        i for i in range(len(levels) - 1) if first_misfit(levels[i], levels[i + 1]) is not None
-    ]
-    out.append(len(levels) - 1)
-    return out
+    for i in range(1, len(out)):
+        if first_misfit(out[i - 1], out[i]) is not None:
+            raise ValidationError(f"chain not monotone: level {i} does not refine level {i + 1}")
 
 
 def is_bounded(space: ScaledSpace, f: Family) -> Optional[int]:
@@ -165,9 +152,6 @@ def restrict(space: ScaledSpace, carrier: Subset) -> ScaledSpace:
     some member m, so it lies in m & carrier, which is kept. The chain stays
     monotone: if m is inside w then m & carrier is inside w & carrier, and
     that is non-empty, so kept, whenever m & carrier is.
-
-    Loading a system does not restrict: validate_system compares overlaps
-    on bitmasks with coincidence_masks.
     """
     inside = space.points.mask(carrier)
     if not inside:

@@ -20,6 +20,7 @@ from coarsekit.cli import build_parser, main
 from coarsekit.colimit import Piece, validate_system
 from coarsekit.corpus import gen_c0, gen_disjoint_union
 from coarsekit.documents import (
+    DECODERS,
     Document,
     doc_to_system,
     emit_document,
@@ -139,6 +140,7 @@ def test_structured_reports_are_byte_stable(deep_system, capsys):
 
     doc = parse_document(first)
     assert doc.kind == "report"
+    DECODERS[doc.kind](doc.body)
     assert doc.body["verdict"] == "verified"
     prov = doc.body["provenance"]
     assert prov["tool"] == f"coarsekit {__version__}"
@@ -181,6 +183,7 @@ def test_star_writes_artifact(tmp_path, deep_system, capsys):
     assert f"wrote {out_path}" in out
     star_doc = parse_document(out_path.read_text(encoding="utf-8"))
     assert star_doc.kind == "family"
+    DECODERS[star_doc.kind](star_doc.body)
 
 
 def test_a_failed_write_is_worded_as_a_write(tmp_path, deep_system, capsys):
@@ -215,6 +218,7 @@ def test_provenance_digests_the_bytes_read_before_the_output_is_written(tmp_path
     capsys.readouterr()
     assert main(["star", system, f, f, "--format", "structured", "-o", f]) == 0
     report = parse_document(capsys.readouterr().out)
+    DECODERS[report.kind](report.body)
     assert hashlib.sha256(Path(f).read_bytes()).hexdigest() != before  # the star overwrote f
     assert report.body["provenance"]["inputs"][f] == "sha256:" + before
 
@@ -614,7 +618,9 @@ def test_lift_generators(tmp_path, capsys):
         ["lift", "generators", system, "--sets", *set_paths, "-o", str(merged_path)]
     )
     assert code == 0
-    assert parse_document(merged_path.read_text(encoding="utf-8")).kind == "witness:generators"
+    merged = parse_document(merged_path.read_text(encoding="utf-8"))
+    assert merged.kind == "witness:generators"
+    DECODERS[merged.kind](merged.body)
     capsys.readouterr()
 
     code = main(["lift", "generators", system, "--sets", set_paths[0]])
@@ -672,7 +678,9 @@ def test_map_check_so_search_and_system(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert parse_document(out_path.read_text(encoding="utf-8")).kind == "family"
+    fam_doc = parse_document(out_path.read_text(encoding="utf-8"))
+    assert fam_doc.kind == "family"
+    DECODERS[fam_doc.kind](fam_doc.body)
     capsys.readouterr()
 
     with pytest.raises(SystemExit) as exc:
@@ -695,12 +703,22 @@ def test_map_check_so_search_and_system(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("eps", ["abc", "1/0"])
+@pytest.mark.parametrize("eps", ["abc", "1/0", "1.5", "1e10000000", " 1/2"])
 def test_malformed_eps_is_a_usage_error(capsys, eps):
     with pytest.raises(SystemExit) as exc:
         main(["map-check", "so", "src.json", "metric.json", "map.json", "--eps", eps])
     assert exc.value.code == 64
     assert f"invalid Fraction value: {eps!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii", ["1,1e10000000", "1,1.5", "1,1/0"])
+def test_radii_outside_the_document_rule_are_invalid_input(tmp_path, capsys, radii):
+    """Each part of --radii, stripped, is a rational as documents write one,
+    so an exponent form is refused at once instead of building its integer."""
+    argv = ["corpus", "c0", "--s-max", "1", "--box", "1", "--radii", radii]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 65
+    assert capsys.readouterr().err == f"coarsekit: input error: malformed radii list {radii!r}\n"
+    assert main([*argv[:-1], " 1 , 2 ", "--out-dir", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -734,6 +752,7 @@ def test_corpus_unit_interval_files(tmp_path, capsys):
     for name, kind in kinds.items():
         doc = parse_document((out / name).read_text(encoding="utf-8"))
         assert doc.kind == kind
+        DECODERS[kind](doc.body)
     for i in range(1, 5):
         assert (out / f"piece-chain-{i}.json").exists()
 
@@ -753,6 +772,7 @@ def test_corpus_disjoint_union(tmp_path):
     assert main(["corpus", "disjoint-union", "--islands", "2,3", "--out-dir", str(out)]) == 0
     doc = parse_document((out / "system.json").read_text(encoding="utf-8"))
     assert doc.kind == "system"
+    DECODERS[doc.kind](doc.body)
     names = [p["name"] for p in doc.body["pieces"]]
     assert names == ["M0", "M1", "M0+M1"]
 

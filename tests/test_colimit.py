@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coarsekit import (
     DomainError,
@@ -29,7 +31,6 @@ from coarsekit.documents import doc_to_system, system_to_doc
 from coarsekit.families import Family, family, points, refines, reroot, star_family
 from coarsekit.spaces import (
     ScaledSpace,
-    check_chain,
     coincidence_failure,
     restrict,
     validate_space,
@@ -37,6 +38,7 @@ from coarsekit.spaces import (
 )
 
 import oracles
+from test_chain_masks import chain_oracle, deep_piece_systems, outcome
 
 
 def fam(space, *members):
@@ -424,19 +426,14 @@ def coincidence_oracle(ids, a, b, inter):
 def piece_systems(draw):
     """Two or three pieces over at most 8 points, one of them carrying all.
 
-    Each piece cuts a pick of base levels, in any order and with repeats, to
-    its carrier; a piece may gain one extra member. Spaces are built directly,
-    so a chain need not be monotone, nor a level cover.
+    Each piece cuts a pick of base levels, in growing order and with
+    repeats, to its carrier, and adds every singleton of the carrier, so its
+    chain covers and is monotone; a piece may gain one extra member on one
+    level and every level after it.
     """
     ids = tuple(str(i) for i in range(draw(st.integers(2, 8))))
     ambient = points(ids)
-    base = draw(
-        st.lists(
-            st.lists(st.frozensets(st.sampled_from(ids), min_size=2, max_size=3), max_size=3),
-            min_size=1,
-            max_size=3,
-        )
-    )
+    base = draw(base_chain(ids))
     n = draw(st.integers(2, 3))
     top = draw(st.integers(0, n - 1))
     pieces = []
@@ -446,24 +443,47 @@ def piece_systems(draw):
         else:
             carrier = draw(st.frozensets(st.sampled_from(ids), min_size=2))
         pts = points(p for p in ids if p in carrier)
-        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=3))
-        levels = [[m & carrier for m in base[j] if m & carrier] for j in picks]
+        levels = cut_picks(draw, base, carrier)
         if draw(st.booleans()):
             extra = draw(st.frozensets(st.sampled_from(pts.ids), min_size=min(2, len(pts))))
-            levels[draw(st.integers(0, len(levels) - 1))].append(extra)
-        # without the singletons a level need not cover its carrier
-        singletons = [frozenset({p}) for p in pts.ids] if draw(st.booleans()) else []
-        space = ScaledSpace(pts, tuple(Family(pts, tuple(lv + singletons)) for lv in levels))
-        pieces.append(Piece(f"P{k}", carrier, space))
+            for lv in levels[draw(st.integers(0, len(levels) - 1)):]:
+                lv.append(extra)
+        pieces.append(Piece(f"P{k}", carrier, chain_space(pts, levels)))
     return ambient, pieces
+
+
+def base_chain(ids):
+    """One to three drawn levels, accumulated: base level k holds the members
+    of every drawn level up to k, so each base level refines the next."""
+    drawn = st.lists(
+        st.lists(st.frozensets(st.sampled_from(ids), min_size=2, max_size=3), max_size=3),
+        min_size=1,
+        max_size=3,
+    )
+    return drawn.map(lambda levels: list(accumulate(levels)))
+
+
+def cut_picks(draw, base, carrier):
+    """One to three base levels, picked in growing order with repeats, cut to
+    the carrier with empty cuts dropped."""
+    picks = sorted(draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=3)))
+    return [[m & carrier for m in base[j] if m & carrier] for j in picks]
+
+
+def chain_space(pts, levels):
+    """The levels with every singleton of pts added, as a space built
+    directly."""
+    singletons = [frozenset({p}) for p in pts.ids]
+    return ScaledSpace(pts, tuple(Family(pts, tuple(lv + singletons)) for lv in levels))
 
 
 @given(piece_systems())
 @settings(max_examples=300)
 def test_coincidence_matches_the_oracle(data):
+    """coincidence_failure on two chains restricted to their overlap names
+    the oracle's first failing side and level."""
     ambient, pieces = data
     ids = ambient.ids
-    expected = None
     for r in range(len(pieces)):
         for s in range(r + 1, len(pieces)):
             a, b = pieces[r], pieces[s]
@@ -473,20 +493,6 @@ def test_coincidence_matches_the_oracle(data):
             want = coincidence_oracle(ids, a.space, b.space, oracles.to_mask(ids, inter))
             got = coincidence_failure(restrict(a.space, inter), restrict(b.space, inter))
             assert got == want
-            if want is not None and expected is None:
-                side, lvl = want
-                owner = a.name if side == "first" else b.name
-                expected = (
-                    f"restrictions of pieces {a.name} and {b.name} do not coincide: "
-                    f"level {lvl} of {owner} restricted to the intersection "
-                    f"essentially refines no level of the other"
-                )
-    if expected is None:
-        validate_system(ambient, pieces)
-    else:
-        with pytest.raises(ValidationError) as exc:
-            validate_system(ambient, pieces)
-        assert str(exc.value) == expected
 
 
 def test_loading_a_system_compares_each_piece_with_the_top_piece_once(monkeypatch):
@@ -503,16 +509,6 @@ def test_loading_a_system_compares_each_piece_with_the_top_piece_once(monkeypatc
     assert doc_to_system(body) == system
     # one per piece but the top one, where every overlapping pair would be 120
     assert len(calls) == len(system.pieces) - 1 == 15
-
-
-def chain_ok(piece):
-    """Does the piece's chain cover its points and refine level by level?"""
-    pts = piece.space.points
-    try:
-        check_chain([lv.masks for lv in piece.space.levels], (1 << len(pts)) - 1, pts.ids)
-    except ValidationError:
-        return False
-    return True
 
 
 def system_body(ambient, pieces):
@@ -548,28 +544,8 @@ def _first_pair_misses_the_top():
     return ambient, pieces
 
 
-@given(piece_systems())
-@example(_first_pair_misses_the_top())
-@settings(max_examples=150)
-def test_decoder_checks_coincidence_as_validate_system_does(data):
-    """The decoder compares with the top piece as validate_system does, and
-    gives the same system or the same first failing pair and level."""
-    ambient, pieces = data
-    assume(all(map(chain_ok, pieces)))
-    body = system_body(ambient, pieces)
-    try:
-        want = validate_system(ambient, pieces)
-    except ValidationError as exc:
-        with pytest.raises(ValidationError) as got:
-            doc_to_system(body)
-        assert str(got.value) == str(exc)
-    else:
-        assert doc_to_system(body) == want
-
-
 def test_the_first_failing_pair_may_miss_the_top_piece():
     ambient, pieces = _first_pair_misses_the_top()
-    assert all(map(chain_ok, pieces))
     with pytest.raises(ValidationError) as exc:
         doc_to_system(system_body(ambient, pieces))
     assert str(exc.value) == (
@@ -585,19 +561,14 @@ def planted_failures(draw):
 
     The top piece carries all points and sits at index 2 or later, so
     (P0, P1) is the first pair a pairwise scan reaches. Both carriers hold
-    two points x and y; one level of P0 gains the member {x, y}, and no
-    member of P1 holds both, so that level fits no level of P1 on the
-    overlap. Levels are otherwise drawn as in piece_systems.
+    two points x and y; one level of P0, and every level after it, gains
+    the member {x, y}, and no member of P1 holds both, so that level fits no
+    level of P1 on the overlap. Levels are otherwise drawn as in
+    piece_systems, so every chain covers and is monotone.
     """
     ids = tuple(str(i) for i in range(draw(st.integers(3, 8))))
     x, y = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
-    base = draw(
-        st.lists(
-            st.lists(st.frozensets(st.sampled_from(ids), min_size=2, max_size=3), max_size=3),
-            min_size=1,
-            max_size=3,
-        )
-    )
+    base = draw(base_chain(ids))
     n = draw(st.integers(3, 4))
     top = draw(st.integers(2, n - 1))
     pieces = []
@@ -608,16 +579,20 @@ def planted_failures(draw):
             carrier = draw(st.frozensets(st.sampled_from(ids), min_size=2))
             carrier |= {x, y} if k < 2 else set()
         pts = points(p for p in ids if p in carrier)
-        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=3))
-        levels = [[m & carrier for m in base[j] if m & carrier] for j in picks]
+        levels = cut_picks(draw, base, carrier)
         if k == 0:
-            levels[draw(st.integers(0, len(levels) - 1))].append(frozenset({x, y}))
+            for lv in levels[draw(st.integers(0, len(levels) - 1)):]:
+                lv.append(frozenset({x, y}))
         elif k == 1:
-            levels = [[m - {y} if x in m else m for m in lv] for lv in levels]
-        singletons = [frozenset({p}) for p in pts.ids] if draw(st.booleans()) else []
-        space = ScaledSpace(pts, tuple(Family(pts, tuple(lv + singletons)) for lv in levels))
-        pieces.append(Piece(f"P{k}", carrier, space))
+            # each member holding x and y splits in two; every level still
+            # lists the members of the level before, so the chain stays monotone
+            levels = [[h for m in lv for h in split(m, x, y)] for lv in levels]
+        pieces.append(Piece(f"P{k}", carrier, chain_space(pts, levels)))
     return points(ids), pieces
+
+
+def split(m, x, y):
+    return (m - {y}, m - {x}) if {x, y} <= m else (m,)
 
 
 def pairwise_first_failure(ambient, pieces):
@@ -652,7 +627,55 @@ def test_a_failing_pair_off_the_top_piece_is_named_as_a_pairwise_scan_names_it(d
     with pytest.raises(ValidationError) as exc:
         validate_system(ambient, pieces)
     assert str(exc.value) == want
-    if all(map(chain_ok, pieces)):
-        with pytest.raises(ValidationError) as exc:
-            doc_to_system(system_body(ambient, pieces))
-        assert str(exc.value) == want
+
+
+def one_piece_system(*levels):
+    """A system over {a, b, c} with one piece, whose levels are lists of
+    members written as strings; the space is built directly, unchecked."""
+    ambient = points("abc")
+    space = ScaledSpace(ambient, tuple(fam(ambient, *lv) for lv in levels))
+    return ambient, [Piece("P", frozenset(ambient.ids), space)]
+
+
+UNCOVERED = one_piece_system(["ab"], ["a", "b", "c"])
+NOT_MONOTONE = one_piece_system(["a", "b", "c"], ["ab", "c"], ["a", "bc"])
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        (UNCOVERED, "level 1 does not cover: point 'c' is in no member"),
+        (NOT_MONOTONE, "chain not monotone: level 2 does not refine level 3"),
+        (one_piece_system(), "a scaled space needs at least one level"),
+    ],
+    ids=["uncovered", "not-monotone", "empty"],
+)
+def test_validate_system_checks_each_piece_chain(system, message):
+    with pytest.raises(ValidationError) as exc:
+        validate_system(*system)
+    assert str(exc.value) == message
+
+
+def chain_fault(piece):
+    """The oracle's first fault of the piece's chain, or None."""
+    return chain_oracle(piece.space.points.ids, [lv.masks for lv in piece.space.levels])
+
+
+@given(st.one_of(piece_systems(), planted_failures(), deep_piece_systems()))
+@example(_first_pair_misses_the_top())
+@example(UNCOVERED)
+@example(NOT_MONOTONE)
+@settings(max_examples=400)
+def test_decoder_checks_coincidence_as_validate_system_does(data):
+    """validate_system and the decoder give the oracle's outcome: the first
+    chain fault, else the first pair that a pairwise scan finds failing,
+    with its first failing level. A system they accept round-trips through
+    its document to an equal system."""
+    ambient, pieces = data
+    want = next(filter(None, map(chain_fault, pieces)), None)
+    want = want or pairwise_first_failure(ambient, pieces)
+    assert outcome(validate_system, ambient, pieces) == want
+    assert outcome(doc_to_system, system_body(ambient, pieces)) == want
+    if want is None:
+        system = validate_system(ambient, pieces)
+        assert doc_to_system(system_to_doc(system).body) == system
