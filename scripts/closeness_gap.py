@@ -33,9 +33,9 @@ def main() -> int:
 
     print("per piece, the maps become close once the chain is deep enough:")
     for n, chain in enumerate(inst.piece_chains, start=1):
-        carrier = inst.system.pieces[n - 1].carrier
+        pts = inst.system.pieces[n - 1].space.points
         level = close_check(
-            restrict_map(inst.f, carrier), restrict_map(inst.g, carrier), chain
+            restrict_map(inst.f, pts), restrict_map(inst.g, pts), chain
         )
         print(f"  piece X{n:<2} close at level {level} of its chain")
     print()

@@ -1,9 +1,10 @@
 """Finite presentations of asymptotic filtered colimits.
 
-A FilteredSystem is a list of pieces (carrier + scaled space over it) covering
-an ambient point set, with an upper-bound map on piece pairs and pairwise
-coincidence of the chains restricted to each overlap. validate_system checks
-each piece's chain as validate_space does, then carriers, directedness and
+A FilteredSystem is a list of pieces covering an ambient point set, with an
+upper-bound table on piece pairs and pairwise coincidence of the chains
+restricted to each overlap. A piece is a named scaled space whose points,
+listed in ambient order, are its carrier. validate_system checks each
+piece's chain as validate_space does, then coverage, directedness and
 coincidence on bitmasks over the ambient index, without building restricted
 spaces. Every piece chain is checked monotone and covering, so each overlap
 is compared on top levels. The core, validate_pieces, which the system
@@ -35,6 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import DomainError, TruncationError, ValidationError
 from .families import (
     Family,
+    Point,
     PointSet,
     Subset,
     chain_components,
@@ -51,8 +53,9 @@ from .spaces import ScaledSpace, coincidence_masks, is_bounded, validate_space
 
 @dataclass(frozen=True)
 class Piece:
+    """A named space; its points, in ambient order, are the piece's carrier."""
+
     name: str
-    carrier: Subset
     space: ScaledSpace
 
 
@@ -70,15 +73,8 @@ class ColimitBoundedness:
 class FilteredSystem:
     ambient: PointSet
     pieces: tuple[Piece, ...]
-    upper: tuple[tuple[int, int, int], ...]
+    upper: dict[tuple[int, int], int] = field(hash=False)  # {(r, s): t} for r <= s
     meta: tuple[str, ...] = field(default=(), compare=False)
-    _upper_map: dict = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        m = {}
-        for r, s, t in self.upper:
-            m[(min(r, s), max(r, s))] = t
-        object.__setattr__(self, "_upper_map", m)
 
     def piece_index(self, name: str) -> int:
         """Index of the piece with this name, else the name read as an index."""
@@ -94,9 +90,8 @@ class FilteredSystem:
         return i
 
     def upper_piece(self, r: int, s: int) -> int:
-        key = (min(r, s), max(r, s))
         try:
-            return self._upper_map[key]
+            return self.upper[(min(r, s), max(r, s))]
         except KeyError:
             raise DomainError(f"no upper bound recorded for pieces {r}, {s}") from None
 
@@ -115,45 +110,40 @@ def validate_system(
     """Check each piece's chain, coverage, directedness, and pairwise
     coincidence of restrictions.
 
-    Per piece, in order: its carrier lies in the ambient set, its space is
-    over the carrier, and its chain passes validate_space (at least one
-    level, each over the piece's points, each covering, the chain
-    monotone); a cover or monotonicity fault reads as the system decoder
-    words it. Carriers become ambient-indexed bitmasks, and validate_pieces
-    checks the system.
+    Per piece, in order: its points are ambient points, listed in ambient
+    order, and its chain passes validate_space (at least one level, each
+    over the piece's points, each covering, the chain monotone); a cover or
+    monotonicity fault reads as the system decoder words it. Then
+    validate_pieces checks the system.
 
     When upper is None or partial, missing pairs are filled by scanning for
     the least piece whose carrier contains the union; an unfillable pair is a
-    directedness failure.
+    directedness failure, and a pair named in both orders is refused.
     """
     pieces = tuple(pieces)
     if not pieces:
         raise ValidationError("a system needs at least one piece")
-    carriers = []
     for p in pieces:
-        if not ambient._bit.keys() >= p.carrier:
-            raise DomainError(f"piece {p.name!r} carrier leaves the ambient set")
-        carriers.append(ambient.mask(p.carrier))
-        if p.space.points.ids != ambient.points_of(carriers[-1]):
-            raise DomainError(f"piece {p.name!r} space is not over its carrier")
+        if tuple(q for q in ambient.ids if q in p.space.points) != p.space.points.ids:
+            raise DomainError(f"piece {p.name!r} points are not ambient points in ambient order")
         validate_space(p.space.points, p.space.levels)
-    return validate_pieces(ambient, pieces, carriers, upper, meta)
+    return validate_pieces(ambient, pieces, upper, meta)
 
 
 def validate_pieces(
     ambient: PointSet,
     pieces: Sequence[Piece],
-    carriers: Sequence[int],
     upper: Optional[Mapping[tuple[int, int], int]],
     meta: Iterable[str],
 ) -> FilteredSystem:
-    """The checks of validate_system on pieces whose chains are already
-    checked: distinct names, coverage, directedness and coincidence.
+    """The checks of validate_system on pieces whose points are ambient
+    points in ambient order and whose chains are already checked: distinct
+    names, coverage, directedness and coincidence.
 
-    Per piece, ``carriers`` holds the carrier as an ambient mask. Only this
-    code puts chain members on the ambient index: every piece's top level,
-    on which coincidence is decided, and the full chains of a pair that
-    fails, to name its first failing level as coincidence_masks does. Every
+    Each carrier becomes an ambient mask here. Only this code puts chain
+    members on the ambient index: every piece's top level, on which
+    coincidence is decided, and the full chains of a pair that fails, to
+    name its first failing level as coincidence_masks does. Every
     chain is monotone, so comparing top levels is exact: every level refines
     its chain's top, so a level fits wherever its top fits, and a level that
     fits some level of the other chain fits that chain's top.
@@ -178,6 +168,7 @@ def validate_pieces(
     names = [p.name for p in pieces]
     if len(set(names)) != len(names):
         raise ValidationError("piece names must be distinct")
+    carriers = [ambient.mask(p.space.points.ids) for p in pieces]
     q = uncovered_point(Family.from_masks(ambient, tuple(carriers)))
     if q is not None:
         raise ValidationError(f"carriers do not cover: point {q!r} is in no piece")
@@ -186,7 +177,13 @@ def validate_pieces(
     n = len(pieces)
     for r in range(n):
         for s in range(r, n):
-            t = None if upper is None else upper.get((r, s), upper.get((s, r)))
+            t = None
+            if upper is not None:
+                if r < s and (r, s) in upper and (s, r) in upper:
+                    raise ValidationError(
+                        f"upper bound of pieces {names[r]} and {names[s]} given twice"
+                    )
+                t = upper.get((r, s), upper.get((s, r)))
             union = carriers[r] | carriers[s]
             if t is not None:
                 if union & ~carriers[t]:
@@ -203,8 +200,7 @@ def validate_pieces(
                     )
             table[(r, s)] = t
 
-    triples = tuple(sorted((r, s, t) for (r, s), t in table.items()))
-    system = FilteredSystem(ambient, tuple(pieces), triples, tuple(meta))
+    system = FilteredSystem(ambient, tuple(pieces), table, tuple(meta))
     tops = [[set(reroot(p.space.levels[-1], ambient).masks)] for p in pieces]
     top = system.top_piece()
     if any(
@@ -231,17 +227,17 @@ def validate_pieces(
     return system
 
 
-def strip(f: Family, carrier: Subset) -> Family:
-    """Drop singleton members lying outside the carrier; keep everything else."""
-    inside = f.space.mask(p for p in carrier if p in f.space)
+def strip(f: Family, keep: Iterable[Point]) -> Family:
+    """Drop singleton members lying outside keep; keep everything else."""
+    inside = f.space.mask(p for p in keep if p in f.space)
     return Family.from_masks(f.space, tuple(m for m in f.masks if m & (m - 1) or not m & ~inside))
 
 
-def stripped(f: Family, carrier: Subset, pts: PointSet) -> Optional[Family]:
-    """f stripped to the carrier and viewed over pts, which holds it; None
-    when a member with two or more points leaves the carrier."""
+def stripped(f: Family, keep: Iterable[Point], pts: PointSet) -> Optional[Family]:
+    """f stripped to keep and viewed over pts, which holds it; None when a
+    member with two or more points leaves keep."""
     try:
-        return reroot(strip(f, carrier), pts)
+        return reroot(strip(f, keep), pts)
     except DomainError:
         return None
 
@@ -259,7 +255,7 @@ def colimit_bounded(system: FilteredSystem, f: Family) -> Optional[ColimitBounde
     """
     _check_ambient(system, f)
     for s, piece in enumerate(system.pieces):
-        inner = stripped(f, piece.carrier, piece.space.points)
+        inner = stripped(f, piece.space.points, piece.space.points)
         lvl = None if inner is None else is_bounded(piece.space, inner)
         if lvl is not None:
             return ColimitBoundedness(s, lvl)
@@ -274,7 +270,7 @@ def check_boundedness(system: FilteredSystem, f: Family, cert: ColimitBoundednes
     piece = system.pieces[cert.piece]
     if not 1 <= cert.level <= piece.space.depth:
         return False
-    inner = stripped(f, piece.carrier, piece.space.points)
+    inner = stripped(f, piece.space.points, piece.space.points)
     return inner is not None and essentially_refines(inner, piece.space.level(cert.level))
 
 
@@ -300,8 +296,8 @@ def colimit_star(
         )
     t = system.upper_piece(cf.piece, cg.piece)
     pt = system.pieces[t]
-    fs = stripped(f, system.pieces[cf.piece].carrier, pt.space.points)
-    gs = stripped(g, system.pieces[cg.piece].carrier, pt.space.points)
+    fs = stripped(f, system.pieces[cf.piece].space.points, pt.space.points)
+    gs = stripped(g, system.pieces[cg.piece].space.points, pt.space.points)
     i = is_bounded(pt.space, fs)
     j = is_bounded(pt.space, gs)
     if i is None or j is None:

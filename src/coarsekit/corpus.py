@@ -82,7 +82,7 @@ def _nested_system(
         levels = tuple(
             cut(Family.from_masks(ambient, tuple(lv.masks[i] for i in at)), pts) for lv in balls
         )
-        pieces.append(Piece(name, frozenset(pts.ids), ScaledSpace(pts, levels)))
+        pieces.append(Piece(name, ScaledSpace(pts, levels)))
     return validate_system(ambient, tuple(pieces), None, meta)
 
 
@@ -210,7 +210,7 @@ def gen_disjoint_union(
             for l in range(len(rs))
         )
         name = "+".join(f"M{k}" for k in group)
-        pieces.append(Piece(name, frozenset(pts.ids), ScaledSpace(pts, levels)))
+        pieces.append(Piece(name, ScaledSpace(pts, levels)))
     meta = (
         f"truncation: {len(islands)} islands, pieces up to pairs plus the union",
         "radii: " + ", ".join(str(r) for r in rs),
@@ -422,13 +422,11 @@ def gen_random_system(seed: int, caps: RandomCaps = RandomCaps()) -> FilteredSys
             for j in range(sub_count):
                 if blocks is not None:
                     chosen = rng.sample(range(len(blocks)), rng.randint(1, len(blocks) - 1))
-                    carrier = frozenset(p for b in sorted(chosen) for p in blocks[b])
+                    keep = frozenset(p for b in sorted(chosen) for p in blocks[b])
                 else:
-                    carrier = frozenset(rng.sample(ids, rng.randint(1, n - 1)))
-                pieces.append(
-                    Piece(f"sub{j}", carrier, restrict(full_space, carrier))
-                )
-            pieces.append(Piece("all", frozenset(ids), full_space))
+                    keep = frozenset(rng.sample(ids, rng.randint(1, n - 1)))
+                pieces.append(Piece(f"sub{j}", restrict(full_space, keep)))
+            pieces.append(Piece("all", full_space))
             meta = (
                 f"seed: {seed}",
                 f"variant: {variant}",

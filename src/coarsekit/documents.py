@@ -15,7 +15,8 @@ of a list of members is decoded once; ball chains repeat members often. A
 repeated point in a member counts once. Covering and monotonicity are
 checked on the same masks by spaces.check_chain. A system piece's members
 are read over the piece's own points, never over the ambient index:
-colimit.validate_pieces puts the masks it needs there.
+colimit.validate_pieces puts the masks it needs there. A piece is a name and
+a space, and its ``carrier`` key lists that space's points in ambient order.
 
 Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
 the witness class and its body fields in decode order, each as (body key,
@@ -253,15 +254,17 @@ def doc_to_system(body, path="body") -> FilteredSystem:
     compared on top levels: colimit.validate_pieces puts those on the
     ambient index and checks the system. Every piece is read and checked in
     full before the next, and every piece before the upper triples, the meta
-    lines and the checks across pieces. An upper triple's faults are reported
-    in order: not a triple, then its first non-integer entry, then its first
-    entry out of range; its path is built only for the report."""
+    lines and the checks across pieces. A piece's space is over its carrier
+    in ambient order. An upper triple's faults are reported in order: not a
+    triple, then its first non-integer entry, then its first entry out of
+    range, then a pair already named, in either order; its path is built
+    only for the report."""
     _check_keys(body, ("ambient", "pieces"), ("upper", "meta"), path)
     ambient = _points(body["ambient"], f"{path}.ambient")
     raw_pieces = body["pieces"]
     if not isinstance(raw_pieces, list) or not raw_pieces:
         _fail("expected a non-empty list of pieces", f"{path}.pieces")
-    pieces, carriers = [], []
+    pieces = []
     for i, rp in enumerate(raw_pieces):
         p_path = f"{path}.pieces[{i}]"
         _check_keys(rp, ("name", "carrier", "scales"), (), p_path)
@@ -273,14 +276,9 @@ def doc_to_system(body, path="body") -> FilteredSystem:
                 _fail(f"unknown point {p!r}", f"{p_path}.carrier")
         if len(set(carrier_ids)) != len(carrier_ids):
             _fail("duplicate point in carrier", f"{p_path}.carrier")
-        carrier = frozenset(carrier_ids)
-        if len(carrier) == len(ambient):
-            sub = ambient
-        else:
-            sub = PointSet(tuple(p for p in ambient.ids if p in carrier))
+        sub = ambient if len(carrier_ids) == len(ambient) else PointSet(ambient.sort(carrier_ids))
         levels = _scales(rp["scales"], sub, f"{p_path}.scales")
-        carriers.append(ambient.mask(carrier))
-        pieces.append(Piece(rp["name"], carrier, ScaledSpace(sub, levels)))
+        pieces.append(Piece(rp["name"], ScaledSpace(sub, levels)))
     upper = None
     if "upper" in body:
         raw_upper = body["upper"]
@@ -298,9 +296,12 @@ def doc_to_system(body, path="body") -> FilteredSystem:
                 if not 0 <= x < n:
                     _fail(f"piece index {x} out of range", f"{path}.upper[{i}]")
             r, s, t = triple
-            upper[(r, s)] = t
+            pair = (min(r, s), max(r, s))
+            if pair in upper:
+                _fail(f"upper bound of pieces {r} and {s} given twice", f"{path}.upper[{i}]")
+            upper[pair] = t
     meta = _str_list(body.get("meta", []), f"{path}.meta")
-    return validate_pieces(ambient, pieces, carriers, upper, meta)
+    return validate_pieces(ambient, pieces, upper, meta)
 
 
 def system_to_doc(system: FilteredSystem) -> Document:
@@ -309,12 +310,12 @@ def system_to_doc(system: FilteredSystem) -> Document:
         "pieces": [
             {
                 "name": pc.name,
-                "carrier": list(system.ambient.sort(pc.carrier)),
+                "carrier": list(pc.space.points.ids),
                 "scales": _encode(pc.space.levels),
             }
             for pc in system.pieces
         ],
-        "upper": [list(t) for t in system.upper],
+        "upper": [[r, s, t] for (r, s), t in sorted(system.upper.items())],
     }
     if system.meta:
         body["meta"] = list(system.meta)
@@ -538,7 +539,7 @@ def _read_sets(raw, path, got) -> tuple:
 
 
 def _write_by_point(rows, w) -> dict:
-    return dict(zip(w.space.ids, _encode(rows)))
+    return dict(zip(w.scale.space.ids, _encode(rows)))
 
 
 def _read_bounds(raw, path, got) -> tuple:

@@ -88,13 +88,13 @@ def amenability_lift(
     pc = system.pieces[piece]
     if u.space != system.ambient:
         raise DomainError("input family is not over the system's ambient point set")
-    inner = stripped(u, pc.carrier, pc.space.points)
+    inner = stripped(u, pc.space.points, pc.space.points)
     if inner is None:
         raise DomainError("input family has a member outside the piece's carrier")
     if family_key(inner) != family_key(w.scale):
         raise DomainError("piece witness input does not match the stripped input")
     require_verified(amenability_verify(pc.space, w), "piece witness does not verify")
-    inside = u.space.mask(pc.carrier)
+    inside = u.space.mask(pc.space.points.ids)
     outside = tuple(m for m in u.masks if m & ~inside)
     v = Family.from_masks(u.space, reroot(w.v, u.space).masks + outside)
     return AmenabilityWitness(u, v, w.eps, piece_certificate(system, piece, w.v, w.v_bound))

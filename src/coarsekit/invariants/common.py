@@ -85,8 +85,8 @@ def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[i
 
 def outside_points(system: FilteredSystem, piece: int) -> tuple[Point, ...]:
     """Ambient points off the piece's carrier, in ambient order."""
-    carrier = system.pieces[piece].carrier
-    return tuple(p for p in system.ambient.ids if p not in carrier)
+    pts = system.pieces[piece].space.points
+    return tuple(p for p in system.ambient.ids if p not in pts)
 
 
 def require_verified(report: Report, text: str) -> None:
@@ -126,7 +126,7 @@ def unit_padded_rows(
     out = []
     k = 0
     for p in system.ambient.ids:
-        if p in pc.carrier:
+        if p in pc.space.points:
             out.append(rows[pc.space.points.index(p)] + zero_pad)
         else:
             out.append(zero_row + zero_pad[:k] + (Fraction(1),) + zero_pad[k + 1 :])

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError, number_text
-from ..families import Family, Point, PointSet, bits
+from ..families import Family, Point, bits
 from ..reports import Clause, Report, from_clauses
 from .common import (
     Bound,
@@ -46,7 +46,6 @@ def sq_dist(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class PinchWitness:
-    space: PointSet
     dim: int
     coords: tuple[tuple[Fraction, ...], ...]
     scale: Family
@@ -58,7 +57,7 @@ class PinchWitness:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("embedding dimension must be at least 1")
-        if len(self.coords) != len(self.space):
+        if len(self.coords) != len(self.scale.space):
             raise DomainError("one coordinate row per point is required")
         for row in self.coords:
             if len(row) != self.dim:
@@ -67,21 +66,17 @@ class PinchWitness:
             raise DomainError("separation and diameter thresholds must be positive")
 
     def vec(self, p: Point) -> tuple[Fraction, ...]:
-        return self.coords[self.space.index(p)]
+        return self.coords[self.scale.space.index(p)]
 
 
-def pinch_witness(space, dim, coords, scale, sep, c, eps, sep_bound=None) -> PinchWitness:
+def pinch_witness(dim, coords, scale, sep, c, eps, sep_bound=None) -> PinchWitness:
     rows = tuple(tuple(Fraction(v) for v in row) for row in coords)
-    return PinchWitness(
-        space, dim, rows, scale, sep, Fraction(c), Fraction(eps), sep_bound
-    )
+    return PinchWitness(dim, rows, scale, sep, Fraction(c), Fraction(eps), sep_bound)
 
 
 def pinch_verify(target: Target, w: PinchWitness) -> Report:
     ensure_over_target(target, w.scale, "input scale")
     ensure_over_target(target, w.sep, "separation family")
-    if w.space != w.scale.space:
-        raise DomainError("embedding is not over the target's point set")
     clauses = [bound_clause("separation family bounded", target, w.sep, w.sep_bound)]
 
     den, rows = integer_rows(w.coords)
@@ -92,7 +87,7 @@ def pinch_verify(target: Target, w: PinchWitness) -> Report:
         as |a|^2 + |b|^2 - 2 a.b: exact, since every entry is an integer."""
         return norms[a] + norms[b] - 2 * sum(map(mul, rows[a], rows[b]))
 
-    ids = w.space.ids
+    ids = w.scale.space.ids
     worst_pair = None
     worst = -1
     for m in w.scale.masks:
@@ -150,7 +145,6 @@ def pinch_lift(system: FilteredSystem, piece: int, w: PinchWitness) -> PinchWitn
         pinch_verify(system.pieces[piece].space, w), "piece witness does not verify"
     )
     return PinchWitness(
-        system.ambient,
         w.dim + len(outside_points(system, piece)),
         unit_padded_rows(system, piece, w.coords),
         extend_to_ambient(system, w.scale),

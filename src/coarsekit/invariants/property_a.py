@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..colimit import FilteredSystem, extend_to_ambient
 from ..errors import DomainError
-from ..families import Family, Point, PointSet, bits, star_mask
+from ..families import Family, Point, bits, star_mask
 from ..reports import Clause, Report, from_clauses, offense_clause
 from ..spaces import ScaledSpace
 from .common import (
@@ -32,7 +32,6 @@ Tag = tuple[Point, int]
 
 @dataclass(frozen=True)
 class PropertyAFamily:
-    space: PointSet
     n_cap: int
     sets: tuple[frozenset, ...]
     scale: Family
@@ -43,7 +42,7 @@ class PropertyAFamily:
     def __post_init__(self):
         if self.n_cap < 1:
             raise DomainError("index cap must be at least 1")
-        if len(self.sets) != len(self.space):
+        if len(self.sets) != len(self.scale.space):
             raise DomainError("one tag set per point is required")
         for a in self.sets:
             for entry in a:
@@ -53,7 +52,7 @@ class PropertyAFamily:
                     or not isinstance(entry[1], int)
                 ):
                     raise DomainError("tags must be (point, index) pairs")
-                if entry[0] not in self.space:
+                if entry[0] not in self.scale.space:
                     raise DomainError(f"tag point {entry[0]!r} is not in the space")
                 if entry[1] < 1:
                     raise DomainError("tag indices start at 1")
@@ -61,7 +60,7 @@ class PropertyAFamily:
             raise DomainError("ratio threshold must be positive")
 
     def tags(self, p: Point) -> frozenset:
-        return self.sets[self.space.index(p)]
+        return self.sets[self.scale.space.index(p)]
 
 
 def geometry_cap(target: Target) -> int:
@@ -80,7 +79,7 @@ def pair_ratio(w: PropertyAFamily, x: Point, y: Point) -> Optional[Fraction]:
 
 def _base_offense(w: PropertyAFamily) -> Optional[str]:
     """The first point whose tag set lacks its own index-1 tag."""
-    for p in w.space.ids:
+    for p in w.scale.space.ids:
         if (p, 1) not in w.tags(p):
             return f"point {p!r} lacks its base tag"
     return None
@@ -88,7 +87,7 @@ def _base_offense(w: PropertyAFamily) -> Optional[str]:
 
 def _confined_offense(w: PropertyAFamily) -> Optional[str]:
     """The first tag, in sorted order per point, past the index cap or off the support star."""
-    ids, index = w.space.ids, w.space.index
+    ids, index = w.scale.space.ids, w.scale.space.index
     inc = w.support.incidence
     for i, p in enumerate(ids):
         star = star_mask(1 << i, inc)
@@ -100,7 +99,7 @@ def _confined_offense(w: PropertyAFamily) -> Optional[str]:
 
 def _ratio_offense(w: PropertyAFamily) -> Optional[str]:
     """The first pair within a scale star whose ratio is undefined or reaches eps."""
-    ids = w.space.ids
+    ids = w.scale.space.ids
     inc = w.scale.incidence
     for i, x in enumerate(ids):
         for j in bits(star_mask(1 << i, inc)):
@@ -116,8 +115,6 @@ def _ratio_offense(w: PropertyAFamily) -> Optional[str]:
 def property_a_verify(target: Target, w: PropertyAFamily) -> Report:
     ensure_over_target(target, w.scale, "input scale")
     ensure_over_target(target, w.support, "support family")
-    if w.space != w.scale.space:
-        raise DomainError("tag sets are not over the target's point set")
     cap = f"largest member size {geometry_cap(target)}, index cap {w.n_cap}"
     clauses = [
         Clause("bounded geometry cap", True, cap),
@@ -136,11 +133,10 @@ def property_a_lift(
     pc = system.pieces[piece]
     require_verified(property_a_verify(pc.space, w), "piece witness does not verify")
     sets = tuple(
-        w.tags(p) if p in pc.carrier else frozenset({(p, 1)})
+        w.tags(p) if p in pc.space.points else frozenset({(p, 1)})
         for p in system.ambient.ids
     )
     return PropertyAFamily(
-        system.ambient,
         w.n_cap,
         sets,
         extend_to_ambient(system, w.scale),

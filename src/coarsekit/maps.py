@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Union
 
 from .colimit import FilteredSystem, system_weakly_bounded
 from .errors import DomainError
@@ -77,8 +77,8 @@ def compose(outer: GroundedMap, inner: GroundedMap) -> GroundedMap:
     )
 
 
-def restrict_map(f: GroundedMap, carrier: Subset) -> GroundedMap:
-    sub = PointSet(tuple(p for p in f.domain.ids if p in carrier))
+def restrict_map(f: GroundedMap, keep: Collection[Point]) -> GroundedMap:
+    sub = PointSet(tuple(p for p in f.domain.ids if p in keep))
     return GroundedMap(sub, f.codomain, tuple(f(p) for p in sub.ids))
 
 
@@ -234,7 +234,10 @@ def system_bornologous_check(
     if f.domain != src.ambient:
         raise DomainError("map domain is not the system's ambient point set")
     return _image_report(
-        (f"piece {pc.name} ", _bounding_levels(restrict_map(f, pc.carrier), pc.space.levels, dst))
+        (
+            f"piece {pc.name} ",
+            _bounding_levels(restrict_map(f, pc.space.points), pc.space.levels, dst),
+        )
         for pc in src.pieces
     )
 

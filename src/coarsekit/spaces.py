@@ -111,16 +111,16 @@ def _level_masks(pts: PointSet, levels: Sequence[Family]) -> Iterator[tuple[int,
         yield lv.masks
 
 
-def check_chain(levels: Iterable[Collection[int]], carrier: int, ids: Sequence[Point]) -> None:
+def check_chain(levels: Iterable[Collection[int]], full: int, ids: Sequence[Point]) -> None:
     """Covering and monotonicity of a chain given as per-level member masks.
 
-    ``carrier`` is the mask of the chain's points and ``ids[i]`` names bit i.
+    ``full`` is the mask of the chain's points and ``ids[i]`` names bit i.
     Every level's cover is checked, in level order, before any monotonicity;
     an uncovered point is named in point order.
     """
     out = []
     for i, lv in enumerate(levels, 1):
-        gap = carrier & ~reduce(or_, lv, 0)
+        gap = full & ~reduce(or_, lv, 0)
         if gap:
             missing = ids[(gap & -gap).bit_length() - 1]
             raise ValidationError(f"level {i} does not cover: point {missing!r} is in no member")
@@ -144,16 +144,16 @@ def is_bounded(space: ScaledSpace, f: Family) -> Optional[int]:
     return None
 
 
-def restrict(space: ScaledSpace, carrier: Subset) -> ScaledSpace:
-    """Subspace on a non-empty carrier: intersect members and drop empties.
+def restrict(space: ScaledSpace, keep: Subset) -> ScaledSpace:
+    """Subspace on the non-empty point set keep: intersect members, drop empties.
 
     The result needs no revalidation, because restriction keeps a valid
-    chain valid. Each level still covers: a point of the carrier lies in
-    some member m, so it lies in m & carrier, which is kept. The chain stays
-    monotone: if m is inside w then m & carrier is inside w & carrier, and
-    that is non-empty, so kept, whenever m & carrier is.
+    chain valid. Each level still covers: a point of keep lies in some
+    member m, so it lies in m & keep, which is kept. The chain stays
+    monotone: if m is inside w then m & keep is inside w & keep, and that
+    is non-empty, so kept, whenever m & keep is.
     """
-    inside = space.points.mask(carrier)
+    inside = space.points.mask(keep)
     if not inside:
         raise DomainError("restriction carrier must be non-empty")
     pts = PointSet(space.points.points_of(inside))

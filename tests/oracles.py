@@ -31,12 +31,10 @@ def refines_masks(u: list[int], v: list[int]) -> bool:
     return all(any(m & ~w == 0 for w in v) for m in u)
 
 
-def essentially_refines_masks(u: list[int], v: list[int], carrier=None) -> bool:
+def essentially_refines_masks(u: list[int], v: list[int]) -> bool:
     for m in u:
         if bin(m).count("1") <= 1:
             continue
-        if carrier is not None and m & ~carrier:
-            return False
         if not any(m & ~w == 0 for w in v):
             return False
     return True

@@ -161,7 +161,7 @@ def test_criterion_02_bornologous_restriction_equivalence():
             f = GroundedMap(fs.ambient, dst.points, images)
             whole = system_bornologous_check(f, fs, dst)
             piece_reports = [
-                bornologous_check(restrict_map(f, pc.carrier), pc.space, dst)
+                bornologous_check(restrict_map(f, pc.space.points), pc.space, dst)
                 for pc in fs.pieces
             ]
             verdicts = [whole.verdict] + [r.verdict for r in piece_reports]
@@ -243,7 +243,6 @@ def island_pinch_witness(pc):
     for p in ids:
         blocks.setdefault(p.split(":", 1)[0], []).append(p)
     return PinchWitness(
-        pc.space.points,
         1,
         tuple((Fraction(int(p.split(":", 1)[0])),) for p in ids),
         pc.space.level(1),
@@ -267,11 +266,11 @@ def test_criterion_05_pinch_lift_geometry():
                 failures += 1
             if lifted.c != 1:
                 failures += 1
-            outside = [p for p in fs.ambient.ids if p not in pc.carrier]
-            inside = [p for p in fs.ambient.ids if p in pc.carrier]
+            outside = [p for p in fs.ambient.ids if p not in pc.space.points]
+            inside = [p for p in fs.ambient.ids if p in pc.space.points]
 
             def row(p):
-                return lifted.coords[lifted.space.index(p)]
+                return lifted.vec(p)
 
             for a, b in itertools.combinations(outside, 2):
                 outside_pairs += 1
@@ -301,7 +300,7 @@ def test_criterion_06_amenability_lift_outside_ratio_one():
             if amenability_verify(pc.space, w).verdict is not Verdict.VERIFIED:
                 continue
             outside_singletons = tuple(
-                frozenset({p}) for p in fs.ambient.ids if p not in pc.carrier
+                frozenset({p}) for p in fs.ambient.ids if p not in pc.space.points
             )
             u = Family(
                 fs.ambient,
@@ -319,7 +318,7 @@ def test_criterion_06_amenability_lift_outside_ratio_one():
             if lifted.eps != w.eps:
                 failures += 1
             for p in fs.ambient.ids:
-                if p in pc.carrier:
+                if p in pc.space.points:
                     continue
                 outside_checked += 1
                 if horizon_ratio(lifted.scale, lifted.v, p) != Fraction(1):
@@ -342,7 +341,6 @@ def test_criterion_07_property_a_lift_outside_ratio_zero():
                 pc.space.points, tuple(frozenset({p}) for p in ids)
             )
             w = PropertyAFamily(
-                pc.space.points,
                 1,
                 tuple(frozenset({(p, 1)}) for p in ids),
                 singles,
@@ -360,7 +358,7 @@ def test_criterion_07_property_a_lift_outside_ratio_zero():
             if lifted.eps != w.eps:
                 failures += 1
             for p in fs.ambient.ids:
-                if p in pc.carrier:
+                if p in pc.space.points:
                     continue
                 outside_checked += 1
                 if lifted.tags(p) != frozenset({(p, 1)}):
@@ -392,9 +390,9 @@ def shallow_merge_fixtures():
     fs = validate_system(
         ambient,
         [
-            Piece("a", a, restrict(top, a)),
-            Piece("b", b, restrict(top, b)),
-            Piece("all", frozenset(ambient.ids), top),
+            Piece("a", restrict(top, a)),
+            Piece("b", restrict(top, b)),
+            Piece("all", top),
         ],
     )
     pa = points(["0", "1", "2"])
@@ -457,9 +455,9 @@ def test_criterion_09_closeness_counterexample():
     failures = levels_checked = 0
     inst = gen_unit_interval(8)
     for n, chain in enumerate(inst.piece_chains, start=1):
-        carrier = inst.system.pieces[n - 1].carrier
+        pts = inst.system.pieces[n - 1].space.points
         if close_check(
-            restrict_map(inst.f, carrier), restrict_map(inst.g, carrier), chain
+            restrict_map(inst.f, pts), restrict_map(inst.g, pts), chain
         ) is None:
             failures += 1
     if close_check(inst.f, inst.g, inst.colimit_chain) is not None:

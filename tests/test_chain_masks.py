@@ -116,7 +116,7 @@ def deep_piece_systems(draw, mixed=False):
         pts = points(p for j, p in enumerate(ids) if carrier >> j & 1)
         members = [tuple(oracles.from_mask(ids, m) for m in lv) for lv in levels]
         space = ScaledSpace(pts, tuple(Family(pts, lv) for lv in members))
-        pieces.append(Piece(f"P{k}", oracles.from_mask(ids, carrier), space))
+        pieces.append(Piece(f"P{k}", space))
     return points(ids), pieces
 
 

@@ -59,7 +59,7 @@ def ball_space(n, radii):
 
 def single_piece(sp, name="all"):
     return validate_system(
-        sp.points, [Piece(name, frozenset(sp.points.ids), sp)]
+        sp.points, [Piece(name, sp)]
     )
 
 
@@ -981,7 +981,7 @@ def test_members_with_a_repeated_point_decode_as_their_set(tmp_path, capsys):
     sp = ball_space(4, (1, 3))
     ids = list(sp.points.ids)
     left = frozenset({"0", "1", "2"})
-    pieces = [Piece("left", left, restrict(sp, left)), Piece("all", frozenset(ids), sp)]
+    pieces = [Piece("left", restrict(sp, left)), Piece("all", sp)]
     clean = {
         "space": space_to_doc(sp),
         "system": system_to_doc(validate_system(sp.points, pieces)),

@@ -26,9 +26,10 @@ from coarsekit.colimit import (
     system_weakly_bounded,
     validate_system,
 )
-from coarsekit.corpus import gen_c0, gen_random_system, gen_unit_interval
-from coarsekit.documents import doc_to_system, system_to_doc
+from coarsekit.corpus import gen_c0, gen_disjoint_union, gen_random_system, gen_unit_interval
+from coarsekit.documents import doc_to_system, emit_document, system_to_doc
 from coarsekit.families import Family, family, points, refines, reroot, star_family
+from coarsekit.maps import path_metric
 from coarsekit.spaces import (
     ScaledSpace,
     coincidence_failure,
@@ -38,43 +39,8 @@ from coarsekit.spaces import (
 )
 
 import oracles
+from builders import fam, line_space, overlap_system
 from test_chain_masks import chain_oracle, deep_piece_systems, outcome
-
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
-
-
-def line_space(ids):
-    """Integer-labelled line with ball levels at radii 1, 2, 4, ..."""
-    pts = points(ids)
-    vals = [int(p) for p in ids]
-    levels = []
-    r = 1
-    diam = max(vals) - min(vals)
-    while True:
-        members = [
-            frozenset(q for q, w in zip(ids, vals) if abs(w - v) <= r) for v in vals
-        ]
-        levels.append(family(pts, members))
-        if r >= diam:
-            break
-        r *= 2
-    return validate_space(pts, levels)
-
-
-def overlap_system():
-    """Three pieces of a five-point line: left, right, everything."""
-    ambient = points([str(i) for i in range(5)])
-    full = line_space(ambient.ids)
-    left = frozenset({"0", "1", "2"})
-    right = frozenset({"2", "3", "4"})
-    pieces = [
-        Piece("left", left, restrict(full, left)),
-        Piece("right", right, restrict(full, right)),
-        Piece("all", frozenset(ambient.ids), full),
-    ]
-    return validate_system(ambient, pieces)
 
 
 def test_validate_system_synthesizes_upper_bounds():
@@ -91,7 +57,7 @@ def test_validate_system_synthesizes_upper_bounds():
 def test_validate_system_rejects_duplicate_names():
     ambient = points(["0"])
     sp = validate_space(ambient, [fam(ambient, {"0"})])
-    piece = Piece("p", frozenset({"0"}), sp)
+    piece = Piece("p", sp)
     with pytest.raises(ValidationError, match="distinct"):
         validate_system(ambient, [piece, piece])
 
@@ -101,7 +67,7 @@ def test_validate_system_rejects_carrier_gaps():
     sub = points(["0"])
     sp = validate_space(sub, [fam(sub, {"0"})])
     with pytest.raises(ValidationError, match="'1'"):
-        validate_system(ambient, [Piece("p", frozenset({"0"}), sp)])
+        validate_system(ambient, [Piece("p", sp)])
 
 
 def test_validate_system_carrier_errors_name_the_first_fault():
@@ -109,9 +75,14 @@ def test_validate_system_carrier_errors_name_the_first_fault():
     sub = points(["1"])
     sp = validate_space(sub, [fam(sub, {"1"})])
     with pytest.raises(ValidationError, match=r"^carriers do not cover: point '0' is in no"):
-        validate_system(ambient, [Piece("p", frozenset({"1"}), sp)])
-    with pytest.raises(DomainError, match=r"^piece 'p' carrier leaves the ambient set$"):
-        validate_system(ambient, [Piece("p", frozenset({"1", "9"}), sp)])
+        validate_system(ambient, [Piece("p", sp)])
+    # a point outside the ambient set, then points out of ambient order
+    for ids in (["1", "9"], ["2", "1"]):
+        sp = validate_space(points(ids), [fam(points(ids), *({q} for q in ids))])
+        with pytest.raises(
+            DomainError, match=r"^piece 'p' points are not ambient points in ambient order$"
+        ):
+            validate_system(ambient, [Piece("p", sp)])
 
 
 def test_validate_system_rejects_undirected_pieces():
@@ -119,8 +90,8 @@ def test_validate_system_rejects_undirected_pieces():
     a = points(["0"])
     b = points(["1"])
     pieces = [
-        Piece("a", frozenset({"0"}), validate_space(a, [fam(a, {"0"})])),
-        Piece("b", frozenset({"1"}), validate_space(b, [fam(b, {"1"})])),
+        Piece("a", validate_space(a, [fam(a, {"0"})])),
+        Piece("b", validate_space(b, [fam(b, {"1"})])),
     ]
     with pytest.raises(ValidationError, match="directedness"):
         validate_system(ambient, pieces)
@@ -131,22 +102,48 @@ def test_validate_system_rejects_a_bad_explicit_upper_bound():
     full = line_space(ambient.ids)
     left = frozenset({"0", "1", "2"})
     pieces = [
-        Piece("left", left, restrict(full, left)),
-        Piece("all", frozenset(ambient.ids), full),
+        Piece("left", restrict(full, left)),
+        Piece("all", full),
     ]
     with pytest.raises(ValidationError, match="does not contain the union"):
         validate_system(ambient, pieces, upper={(0, 1): 0})
 
 
+def test_validate_system_refuses_a_pair_named_in_both_orders():
+    """Both claims are refused together, even when one of them is true."""
+    fs = overlap_system()
+    with pytest.raises(
+        ValidationError, match=r"^upper bound of pieces left and right given twice$"
+    ):
+        validate_system(fs.ambient, fs.pieces, upper={(0, 1): 2, (1, 0): 0})
+    assert validate_system(fs.ambient, fs.pieces, upper={(1, 0): 2}) == fs
+
+
+@pytest.mark.parametrize(
+    "fs",
+    [
+        gen_c0(2, 1),
+        gen_disjoint_union([path_metric(points(["a", "b"])), path_metric(points(["c"]))]),
+        gen_unit_interval(8).system,
+        *(gen_random_system(seed) for seed in range(5)),
+    ],
+    ids=["c0", "disjoint-union", "unit-interval", *(f"random-{k}" for k in range(5))],
+)
+def test_a_system_rebuilt_from_its_parts_is_equal_and_emits_the_same_bytes(fs):
+    rebuilt = validate_system(fs.ambient, fs.pieces, fs.upper, fs.meta)
+    assert rebuilt == fs
+    assert rebuilt.upper == fs.upper
+    assert emit_document(system_to_doc(rebuilt)) == emit_document(system_to_doc(fs))
+
+
 def test_validate_system_rejects_non_coinciding_restrictions():
     ambient = points(["0", "1"])
-    carrier = frozenset({"0", "1"})
     fine = validate_space(ambient, [fam(ambient, {"0"}, {"1"})])
     coarse = validate_space(
         ambient,
         [fam(ambient, {"0"}, {"1"}), fam(ambient, {"0", "1"})],
     )
-    pieces = [Piece("a", carrier, fine), Piece("b", carrier, coarse)]
+    pieces = [Piece("a", fine), Piece("b", coarse)]
     with pytest.raises(ValidationError, match="coincide"):
         validate_system(ambient, pieces)
 
@@ -186,7 +183,6 @@ def test_colimit_bounded_reports_absence_within_truncation():
         [
             Piece(
                 "all",
-                frozenset(ambient.ids),
                 validate_space(ambient, [fam(ambient, {"0"}, {"1"}, {"2"})]),
             )
         ],
@@ -230,7 +226,6 @@ def test_colimit_star_requires_bounded_inputs():
         [
             Piece(
                 "only",
-                frozenset(ambient.ids),
                 validate_space(ambient, [fam(ambient, {"0"}, {"1"}, {"2"})]),
             )
         ],
@@ -258,7 +253,7 @@ def test_colimit_star_respects_the_star_budget():
     ]
     sp = validate_space(pts, levels)
     assert sp.star_depth == 1
-    fs = validate_system(ambient, [Piece("only", frozenset(ambient.ids), sp)])
+    fs = validate_system(ambient, [Piece("only", sp)])
     f = fam(ambient, {"1", "2"})
     with pytest.raises(TruncationError, match="star budget"):
         colimit_star(fs, f, f)
@@ -319,9 +314,9 @@ def test_system_components_and_weak_boundedness():
     fs = validate_system(
         ambient,
         [
-            Piece("a", a, sp_a),
-            Piece("b", b, sp_b),
-            Piece("all", frozenset(ambient.ids), top),
+            Piece("a", sp_a),
+            Piece("b", sp_b),
+            Piece("all", top),
         ],
     )
     assert system_coarse_components(fs) == (a, b)
@@ -347,7 +342,7 @@ def test_piece_weak_boundedness_does_not_transport():
     )
     fs = validate_system(
         ambient,
-        [Piece("s", carrier, sp_s), Piece("t", frozenset(ambient.ids), sp_t)],
+        [Piece("s", sp_s), Piece("t", sp_t)],
     )
     assert weakly_bounded(sp_s, carrier)
     assert system_coarse_components(fs) == (frozenset(ambient.ids),)
@@ -391,7 +386,7 @@ def test_random_system_certificates_survive_oracle_audit(seed):
             cert = colimit_bounded(fs, ext)
             assert cert is not None
             target = fs.pieces[cert.piece]
-            inner = reroot(strip(ext, target.carrier), target.space.points)
+            inner = reroot(strip(ext, target.space.points), target.space.points)
             ids = target.space.points.ids
             got = oracles.essentially_refines_masks(
                 [oracles.to_mask(ids, m) for m in inner.members],
@@ -399,7 +394,6 @@ def test_random_system_certificates_survive_oracle_audit(seed):
                     oracles.to_mask(ids, m)
                     for m in target.space.level(cert.level).members
                 ],
-                None,
             )
             assert got
 
@@ -448,7 +442,7 @@ def piece_systems(draw):
             extra = draw(st.frozensets(st.sampled_from(pts.ids), min_size=min(2, len(pts))))
             for lv in levels[draw(st.integers(0, len(levels) - 1)):]:
                 lv.append(extra)
-        pieces.append(Piece(f"P{k}", carrier, chain_space(pts, levels)))
+        pieces.append(Piece(f"P{k}", chain_space(pts, levels)))
     return ambient, pieces
 
 
@@ -487,7 +481,7 @@ def test_coincidence_matches_the_oracle(data):
     for r in range(len(pieces)):
         for s in range(r + 1, len(pieces)):
             a, b = pieces[r], pieces[s]
-            inter = a.carrier & b.carrier
+            inter = frozenset(a.space.points) & frozenset(b.space.points)
             if not inter:
                 continue
             want = coincidence_oracle(ids, a.space, b.space, oracles.to_mask(ids, inter))
@@ -517,7 +511,7 @@ def system_body(ambient, pieces):
         "pieces": [
             {
                 "name": p.name,
-                "carrier": list(ambient.sort(p.carrier)),
+                "carrier": list(p.space.points.ids),
                 "scales": [
                     [list(p.space.points.points_of(m)) for m in lv.masks] for lv in p.space.levels
                 ],
@@ -540,7 +534,7 @@ def _first_pair_misses_the_top():
     for name, carrier, levels in parts:
         pts = points(carrier)
         space = ScaledSpace(pts, tuple(fam(pts, *lv) for lv in levels))
-        pieces.append(Piece(name, frozenset(carrier), space))
+        pieces.append(Piece(name, space))
     return ambient, pieces
 
 
@@ -587,7 +581,7 @@ def planted_failures(draw):
             # each member holding x and y splits in two; every level still
             # lists the members of the level before, so the chain stays monotone
             levels = [[h for m in lv for h in split(m, x, y)] for lv in levels]
-        pieces.append(Piece(f"P{k}", carrier, chain_space(pts, levels)))
+        pieces.append(Piece(f"P{k}", chain_space(pts, levels)))
     return points(ids), pieces
 
 
@@ -602,7 +596,7 @@ def pairwise_first_failure(ambient, pieces):
     for r in range(len(pieces)):
         for s in range(r + 1, len(pieces)):
             a, b = pieces[r], pieces[s]
-            inter = a.carrier & b.carrier
+            inter = frozenset(a.space.points) & frozenset(b.space.points)
             want = inter and coincidence_oracle(ids, a.space, b.space, oracles.to_mask(ids, inter))
             if want:
                 side, lvl = want
@@ -634,7 +628,7 @@ def one_piece_system(*levels):
     members written as strings; the space is built directly, unchecked."""
     ambient = points("abc")
     space = ScaledSpace(ambient, tuple(fam(ambient, *lv) for lv in levels))
-    return ambient, [Piece("P", frozenset(ambient.ids), space)]
+    return ambient, [Piece("P", space)]
 
 
 UNCOVERED = one_piece_system(["ab"], ["a", "b", "c"])

@@ -43,8 +43,8 @@ def test_two_coordinate_grid_nests_pieces():
     fs = gen_c0(2, 1)
     assert len(fs.ambient) == 9
     assert [p.name for p in fs.pieces] == ["grid1", "grid2"]
-    assert fs.pieces[0].carrier == frozenset({"-1,0", "0,0", "1,0"})
-    assert fs.pieces[0].carrier < fs.pieces[1].carrier
+    assert fs.pieces[0].space.points.ids == ("-1,0", "0,0", "1,0")
+    assert set(fs.pieces[0].space.points) < set(fs.pieces[1].space.points)
     assert fs.upper_piece(0, 1) == 1
     assert fs.pieces[1].space.depth == 3
 
@@ -105,7 +105,7 @@ def test_unit_interval_smallest_instance():
     fs = inst.system
     assert fs.ambient.ids == ("1", "1/2", "1/3")
     assert [p.name for p in fs.pieces] == ["X1", "X2"]
-    assert fs.pieces[0].carrier == frozenset({"1", "1/2"})
+    assert fs.pieces[0].space.points.ids == ("1", "1/2")
     assert inst.f.images == ("1", "2", "3")
     assert set(inst.g.images) == {"1"}
     assert inst.colimit_chain.depth == 1
@@ -127,9 +127,9 @@ def test_unit_interval_colimit_chain_fails_at_harmonic_points():
 def test_unit_interval_piece_chains_succeed():
     inst = gen_unit_interval(8)
     for n, chain in enumerate(inst.piece_chains, start=1):
-        carrier = inst.system.pieces[n - 1].carrier
-        f = restrict_map(inst.f, carrier)
-        g = restrict_map(inst.g, carrier)
+        pts = inst.system.pieces[n - 1].space.points
+        f = restrict_map(inst.f, pts)
+        g = restrict_map(inst.g, pts)
         assert close_check(f, g, chain) is not None
 
 

@@ -132,7 +132,6 @@ def test_witness_round_trips_on_a_space_target():
     assert witness_round_trip("witness:exactness", exact, sp) == exact
 
     pinch = PinchWitness(
-        pts,
         2,
         ((Fraction(0), Fraction(0)),) * 3,
         scale,
@@ -147,7 +146,6 @@ def test_witness_round_trips_on_a_space_target():
     assert witness_round_trip("witness:amenability", amen, sp) == amen
 
     prop_a = PropertyAFamily(
-        pts,
         1,
         tuple(frozenset({(p, 1)}) for p in pts.ids),
         scale,

@@ -25,13 +25,10 @@ from coarsekit.families import (
 )
 
 import oracles
+from builders import fam
 
 X5 = points(["1", "2", "3", "4", "5"])
 X6 = points(["1", "2", "3", "4", "5", "6"])
-
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
 
 
 # strategies over a fixed eight-point universe

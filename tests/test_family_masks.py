@@ -95,7 +95,7 @@ def test_members_view_keeps_member_order(data):
 
 
 @given(families(count=2))
-def test_essential_refinement_with_and_without_carrier(data):
+def test_essential_refinement_agrees_on_mask_built_and_checked_families(data):
     _, u, v = data
     for fu, fv in ((u, v), (checked(u), checked(v))):
         assert essentially_refines(fu, fv) == oracles.essentially_refines_masks(
@@ -312,7 +312,7 @@ def _spy_inputs(tmp_path) -> list[tuple[list[str], int]]:
     metric = save_doc("metric.json", metric_to_doc(target))
     spread = grounded_map(pts, target.points, dict(zip("012", "xyz")))
     spread = save_doc("spread.json", map_to_doc(spread))
-    lsys = system_to_doc(validate_system(pts, [Piece("all", frozenset(pts.ids), line)]))
+    lsys = system_to_doc(validate_system(pts, [Piece("all", line)]))
     lsys = save_doc("lsys.json", lsys)
     scale = save("scale.json", "family", {"points": list("012"), "members": [["0", "1"], ["2"]]})
     bset = save("b.json", "family", {"points": list("012"), "members": [["0"], ["1", "0"]]})

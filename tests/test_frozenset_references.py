@@ -130,7 +130,7 @@ def amenability_lift_reference(system, piece, w, u):
     pc = system.pieces[piece]
     if not amenability_reference(pc.space, w):
         raise DomainError("piece witness does not verify")
-    outside = tuple(m for m in u.members if len(m) == 1 and not m <= pc.carrier)
+    outside = tuple(m for m in u.members if len(m) == 1 and not m <= set(pc.space.points))
     v = Family(system.ambient, reroot(w.v, system.ambient).members + outside)
     return AmenabilityWitness(u, v, w.eps, piece_certificate(system, piece, w.v, w.v_bound))
 
@@ -143,7 +143,7 @@ def two_piece_systems(draw):
     ids = sp.points.ids
     kept = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids) - 1, unique=True))
     carrier = frozenset(kept)
-    pieces = [Piece("part", carrier, restrict(sp, carrier)), Piece("all", frozenset(ids), sp)]
+    pieces = [Piece("part", restrict(sp, carrier)), Piece("all", sp)]
     return validate_system(sp.points, pieces)
 
 
@@ -155,7 +155,7 @@ def test_amenability_lift_matches_the_reference(system, data, eps):
     scale = family_over(data.draw, pc.space.points)
     companion = family_over(data.draw, pc.space.points)
     w = AmenabilityWitness(scale, companion, eps, None)
-    outside = [p for p in system.ambient.ids if p not in pc.carrier]
+    outside = [p for p in system.ambient.ids if p not in pc.space.points]
     singles = data.draw(st.lists(st.sampled_from(outside), max_size=2 * len(outside)))
     members = reroot(scale, system.ambient).members + tuple(frozenset({p}) for p in singles)
     u = Family(system.ambient, data.draw(st.permutations(members)))
@@ -182,7 +182,7 @@ def property_a_reference(target, w: PropertyAFamily):
         Clause("bounded geometry cap", True, f"largest member size {cap}, index cap {w.n_cap}"),
         bound_clause("support family bounded", target, w.support, w.support_bound),
     ]
-    ids = w.space.ids
+    ids = w.scale.space.ids
     base = next((p for p in ids if (p, 1) not in w.tags(p)), None)
     clauses.append(
         Clause(
@@ -231,7 +231,7 @@ def test_property_a_verify_matches_the_reference(sp, data, eps, n_cap):
         if data.draw(st.booleans()):
             tags ^= set(data.draw(st.lists(tag, max_size=2)))
         sets.append(frozenset(tags))
-    w = PropertyAFamily(pts, n_cap, tuple(sets), scale, support, eps)
+    w = PropertyAFamily(n_cap, tuple(sets), scale, support, eps)
     got = property_a_verify(sp, w)
     assert got == property_a_reference(sp, w)
     event(f"property A: {got.verdict.value}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coarsekit import DomainError, Verdict
-from coarsekit.colimit import ColimitBoundedness, Piece, validate_system
+from coarsekit.colimit import ColimitBoundedness
 from coarsekit.families import Family, family, points, reroot
 from coarsekit.invariants import (
     AmenabilityWitness,
@@ -16,28 +16,9 @@ from coarsekit.invariants import (
     covered_points,
     horizon_ratio,
 )
-from coarsekit.spaces import restrict, validate_space
+from coarsekit.spaces import validate_space
 
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
-
-
-def line_space(ids):
-    pts = points(ids)
-    vals = [int(p) for p in ids]
-    levels = []
-    r = 1
-    diam = max(vals) - min(vals) if len(vals) > 1 else 1
-    while True:
-        members = [
-            frozenset(q for q, w in zip(ids, vals) if abs(w - v) <= r) for v in vals
-        ]
-        levels.append(family(pts, members))
-        if r >= diam:
-            break
-        r *= 2
-    return validate_space(pts, levels)
+from builders import fam, line_space, overlap_system
 
 
 Y5 = points(["0", "1", "2", "3", "4"])
@@ -130,21 +111,6 @@ def test_verify_rejects_bad_thresholds_and_spaces():
     other = points(["z"])
     with pytest.raises(DomainError):
         amenability_verify(sp, AmenabilityWitness(fam(other, {"z"}), u, Fraction(1), 1))
-
-
-def overlap_system():
-    ambient = Y5
-    full = line_space(ambient.ids)
-    left = frozenset({"0", "1", "2"})
-    right = frozenset({"2", "3", "4"})
-    return validate_system(
-        ambient,
-        [
-            Piece("left", left, restrict(full, left)),
-            Piece("right", right, restrict(full, right)),
-            Piece("all", frozenset(ambient.ids), full),
-        ],
-    )
 
 
 def piece_witness(piece):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from coarsekit import DomainError, Verdict
 from coarsekit.colimit import Piece, validate_system
-from coarsekit.families import family, points
+from coarsekit.families import points
 from coarsekit.invariants import (
     ApcWitness,
     apc_probe,
@@ -15,28 +15,9 @@ from coarsekit.invariants import (
     apc_verify,
     colimit_probe_chain,
 )
-from coarsekit.spaces import restrict, validate_space
+from coarsekit.spaces import validate_space
 
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
-
-
-def line_space(ids):
-    pts = points(ids)
-    vals = [int(p) for p in ids]
-    levels = []
-    r = 1
-    diam = max(vals) - min(vals) if len(vals) > 1 else 1
-    while True:
-        members = [
-            frozenset(q for q, w in zip(ids, vals) if abs(w - v) <= r) for v in vals
-        ]
-        levels.append(family(pts, members))
-        if r >= diam:
-            break
-        r *= 2
-    return validate_space(pts, levels)
+from builders import fam, line_space, overlap_system
 
 
 P3 = points(["a", "b", "c"])
@@ -138,22 +119,7 @@ def test_search_returns_none_when_the_chain_runs_out():
 def single_piece_system():
     sp = line_space([str(i) for i in range(5)])
     return validate_system(
-        sp.points, [Piece("all", frozenset(sp.points.ids), sp)]
-    )
-
-
-def overlap_system():
-    ambient = points([str(i) for i in range(5)])
-    full = line_space(ambient.ids)
-    left = frozenset({"0", "1", "2"})
-    right = frozenset({"2", "3", "4"})
-    return validate_system(
-        ambient,
-        [
-            Piece("left", left, restrict(full, left)),
-            Piece("right", right, restrict(full, right)),
-            Piece("all", frozenset(ambient.ids), full),
-        ],
+        sp.points, [Piece("all", sp)]
     )
 
 

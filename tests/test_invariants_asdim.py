@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsekit import DomainError, Verdict
-from coarsekit.colimit import ColimitBoundedness, Piece, validate_system
+from coarsekit.colimit import ColimitBoundedness
 from coarsekit.corpus import gen_c0
 from coarsekit.families import Family, family, points
 from coarsekit.invariants import (
@@ -16,30 +16,10 @@ from coarsekit.invariants import (
     asdim_search,
     asdim_verify,
 )
-from coarsekit.spaces import restrict, validate_space
+from coarsekit.spaces import validate_space
 
 import asdim_oracle
-
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
-
-
-def line_space(ids):
-    pts = points(ids)
-    vals = [int(p) for p in ids]
-    levels = []
-    r = 1
-    diam = max(vals) - min(vals) if len(vals) > 1 else 1
-    while True:
-        members = [
-            frozenset(q for q, w in zip(ids, vals) if abs(w - v) <= r) for v in vals
-        ]
-        levels.append(family(pts, members))
-        if r >= diam:
-            break
-        r *= 2
-    return validate_space(pts, levels)
+from builders import fam, line_space, overlap_system
 
 
 Y5 = points(["0", "1", "2", "3", "4"])
@@ -279,21 +259,6 @@ def test_scale_given_as_a_level_index():
     found = asdim_search(sp, 1, 1)
     assert found.witness is not None
     assert found.witness.scale == sp.level(1)
-
-
-def overlap_system():
-    ambient = Y5
-    full = line_space(ambient.ids)
-    left = frozenset({"0", "1", "2"})
-    right = frozenset({"2", "3", "4"})
-    return validate_system(
-        ambient,
-        [
-            Piece("left", left, restrict(full, left)),
-            Piece("right", right, restrict(full, right)),
-            Piece("all", frozenset(ambient.ids), full),
-        ],
-    )
 
 
 def test_lift_carries_a_piece_witness_to_the_colimit():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coarsekit import DomainError, Verdict
-from coarsekit.colimit import ColimitBoundedness, Piece, validate_system
+from coarsekit.colimit import ColimitBoundedness
 from coarsekit.families import family, points
 from coarsekit.invariants import (
     ExactnessWitness,
@@ -21,28 +21,9 @@ from coarsekit.invariants import (
 )
 from coarsekit.invariants.common import bound_clause
 from coarsekit.reports import Clause, from_clauses
-from coarsekit.spaces import restrict, validate_space
+from coarsekit.spaces import validate_space
 
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
-
-
-def line_space(ids):
-    pts = points(ids)
-    vals = [int(p) for p in ids]
-    levels = []
-    r = 1
-    diam = max(vals) - min(vals) if len(vals) > 1 else 1
-    while True:
-        members = [
-            frozenset(q for q, w in zip(ids, vals) if abs(w - v) <= r) for v in vals
-        ]
-        levels.append(family(pts, members))
-        if r >= diam:
-            break
-        r *= 2
-    return validate_space(pts, levels)
+from builders import fam, line_space, overlap_system
 
 
 def adjacent_pairs(pts):
@@ -177,21 +158,6 @@ def test_verify_re_checks_hand_built_rows():
     report = exactness_verify(sp, w)
     assert report.verdict is Verdict.REFUTED
     assert any("sum to 1/2" in c.detail for c in report.failures())
-
-
-def overlap_system():
-    ambient = points([str(i) for i in range(5)])
-    full = line_space(ambient.ids)
-    left = frozenset({"0", "1", "2"})
-    right = frozenset({"2", "3", "4"})
-    return validate_system(
-        ambient,
-        [
-            Piece("left", left, restrict(full, left)),
-            Piece("right", right, restrict(full, right)),
-            Piece("all", frozenset(ambient.ids), full),
-        ],
-    )
 
 
 def piece_tent(piece_points):

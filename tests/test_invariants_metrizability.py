@@ -6,7 +6,7 @@ import pytest
 
 from coarsekit import DomainError, TruncationError, Verdict
 from coarsekit.colimit import Piece, validate_system
-from coarsekit.families import family, points
+from coarsekit.families import points
 from coarsekit.invariants import (
     combined_pair,
     generator_set,
@@ -15,26 +15,7 @@ from coarsekit.invariants import (
 )
 from coarsekit.spaces import restrict, validate_space
 
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
-
-
-def line_space(ids):
-    pts = points(ids)
-    vals = [int(p) for p in ids]
-    levels = []
-    r = 1
-    diam = max(vals) - min(vals) if len(vals) > 1 else 1
-    while True:
-        members = [
-            frozenset(q for q, w in zip(ids, vals) if abs(w - v) <= r) for v in vals
-        ]
-        levels.append(family(pts, members))
-        if r >= diam:
-            break
-        r *= 2
-    return validate_space(pts, levels)
+from builders import fam, line_space
 
 
 P3 = points(["a", "b", "c"])
@@ -101,9 +82,9 @@ def island_system():
     return validate_system(
         ambient,
         [
-            Piece("a", a, restrict(top, a)),
-            Piece("b", b, restrict(top, b)),
-            Piece("all", frozenset(ambient.ids), top),
+            Piece("a", restrict(top, a)),
+            Piece("b", restrict(top, b)),
+            Piece("all", top),
         ],
     )
 
@@ -111,7 +92,7 @@ def island_system():
 def test_single_piece_merge_is_the_identity():
     sp = line_space([str(i) for i in range(5)])
     fs = validate_system(
-        sp.points, [Piece("all", frozenset(sp.points.ids), sp)]
+        sp.points, [Piece("all", sp)]
     )
     gs = generator_set(sp.points, sp.levels)
     merged, report = metrizability_merge(fs, [gs])
@@ -151,9 +132,9 @@ def wide_island_system():
     return validate_system(
         ambient,
         [
-            Piece("a", a, restrict(top, a)),
-            Piece("b", b, restrict(top, b)),
-            Piece("all", frozenset(ambient.ids), top),
+            Piece("a", restrict(top, a)),
+            Piece("b", restrict(top, b)),
+            Piece("all", top),
         ],
     )
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coarsekit import Clause, DomainError, Verdict, from_clauses
-from coarsekit.colimit import ColimitBoundedness, Piece, validate_system
+from coarsekit.colimit import ColimitBoundedness
 from coarsekit.families import family, points
 from coarsekit.invariants import (
     pinch_lift,
@@ -16,28 +16,9 @@ from coarsekit.invariants import (
     pinch_witness,
     sq_dist,
 )
-from coarsekit.spaces import restrict, validate_space
+from coarsekit.spaces import validate_space
 
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
-
-
-def line_space(ids):
-    pts = points(ids)
-    vals = [int(p) for p in ids]
-    levels = []
-    r = 1
-    diam = max(vals) - min(vals) if len(vals) > 1 else 1
-    while True:
-        members = [
-            frozenset(q for q, w in zip(ids, vals) if abs(w - v) <= r) for v in vals
-        ]
-        levels.append(family(pts, members))
-        if r >= diam:
-            break
-        r *= 2
-    return validate_space(pts, levels)
+from builders import fam, overlap_system
 
 
 P3 = points(["a", "b", "c"])
@@ -58,15 +39,15 @@ def test_witness_constructor_validates_shape_and_thresholds():
     scale = fam(P3, {"a", "b"})
     sep = fam(P3, {"a", "b", "c"})
     with pytest.raises(DomainError, match="dimension"):
-        pinch_witness(P3, 0, [[], [], []], scale, sep, 1, 1)
+        pinch_witness(0, [[], [], []], scale, sep, 1, 1)
     with pytest.raises(DomainError, match="row per point"):
-        pinch_witness(P3, 1, [[0], [0]], scale, sep, 1, 1)
+        pinch_witness(1, [[0], [0]], scale, sep, 1, 1)
     with pytest.raises(DomainError, match="row length"):
-        pinch_witness(P3, 2, [[0], [0], [0]], scale, sep, 1, 1)
+        pinch_witness(2, [[0], [0], [0]], scale, sep, 1, 1)
     with pytest.raises(DomainError, match="positive"):
-        pinch_witness(P3, 1, [[0], [0], [0]], scale, sep, 0, 1)
+        pinch_witness(1, [[0], [0], [0]], scale, sep, 0, 1)
     with pytest.raises(DomainError, match="positive"):
-        pinch_witness(P3, 1, [[0], [0], [0]], scale, sep, 1, 0)
+        pinch_witness(1, [[0], [0], [0]], scale, sep, 1, 0)
 
 
 def test_sq_dist_is_exact():
@@ -78,7 +59,6 @@ def test_sq_dist_is_exact():
 def test_constant_embedding_with_whole_set_separation():
     sp = path_abc()
     w = pinch_witness(
-        P3,
         1,
         [[0], [0], [0]],
         sp.level(2),
@@ -93,7 +73,6 @@ def test_constant_embedding_with_whole_set_separation():
 def test_half_gap_pairs_refute_separation():
     sp = path_abc()
     w = pinch_witness(
-        P3,
         1,
         [[0], ["1/2"], [5]],
         sp.level(1),
@@ -112,7 +91,6 @@ def test_thresholds_compare_squared_and_exactly():
     sp = path_abc()
     # diameter exactly at the threshold must fail: the comparison is strict
     at_eps = pinch_witness(
-        P3,
         1,
         [[0], [1], [0]],
         fam(P3, {"a", "b"}),
@@ -125,7 +103,6 @@ def test_thresholds_compare_squared_and_exactly():
 
     # separation exactly at the threshold passes: the comparison is not strict
     at_c = pinch_witness(
-        P3,
         1,
         [[0], [1], [2]],
         fam(P3, {"a"}),
@@ -142,16 +119,15 @@ def test_thresholds_compare_squared_and_exactly():
     rows = [[0], [1 - Fraction(1, 10**10)]]
     apart = fam(pair, {"a"}, {"b"})
     together = fam(pair, {"a", "b"})
-    too_close = pinch_witness(pair, 1, rows, apart, apart, 1, 1, sep_bound=1)
+    too_close = pinch_witness(1, rows, apart, apart, 1, 1, sep_bound=1)
     assert pinch_verify(near, too_close).verdict is Verdict.REFUTED
-    small_image = pinch_witness(pair, 1, rows, together, together, 1, 1, sep_bound=2)
+    small_image = pinch_witness(1, rows, together, together, 1, 1, sep_bound=2)
     assert pinch_verify(near, small_image).verdict is Verdict.VERIFIED
 
 
 def test_claimed_separation_bound_is_checked():
     sp = path_abc()
     w = pinch_witness(
-        P3,
         1,
         [[0], [0], [0]],
         sp.level(1),
@@ -164,25 +140,9 @@ def test_claimed_separation_bound_is_checked():
     assert any("does not check" in c.detail for c in report.failures())
 
 
-def overlap_system():
-    ambient = points([str(i) for i in range(5)])
-    full = line_space(ambient.ids)
-    left = frozenset({"0", "1", "2"})
-    right = frozenset({"2", "3", "4"})
-    return validate_system(
-        ambient,
-        [
-            Piece("left", left, restrict(full, left)),
-            Piece("right", right, restrict(full, right)),
-            Piece("all", frozenset(ambient.ids), full),
-        ],
-    )
-
-
 def piece_witness(piece):
     pts = piece.space.points
     return pinch_witness(
-        pts,
         1,
         [[0]] * len(pts),
         piece.space.level(1),
@@ -215,7 +175,6 @@ def test_lift_requires_unit_calibration():
     piece = fs.pieces[0]
     pts = piece.space.points
     off = pinch_witness(
-        pts,
         1,
         [[0]] * len(pts),
         piece.space.level(1),
@@ -232,7 +191,6 @@ def test_lift_rejects_a_failing_piece_witness():
     piece = fs.pieces[0]
     pts = piece.space.points
     spread = pinch_witness(
-        pts,
         1,
         [[0], [5], [10]],
         piece.space.level(1),
@@ -256,7 +214,7 @@ def reference_clauses(w):
 
     worst_pair, worst = None, None
     for m in w.scale.members:
-        inside = w.space.sort(m)
+        inside = w.scale.space.sort(m)
         for a, p in enumerate(inside):
             for q in inside[a + 1 :]:
                 if worst is None or sq(p, q) > worst:
@@ -268,7 +226,7 @@ def reference_clauses(w):
     )
 
     nearest_pair, nearest = None, None
-    ids = w.space.ids
+    ids = w.scale.space.ids
     for a, p in enumerate(ids):
         for q in ids[a + 1 :]:
             if any(p in m and q in m for m in w.sep.members):
@@ -306,7 +264,7 @@ def witness_cases(draw):
     subsets = st.lists(st.sampled_from(ids), unique=True, max_size=n)
     scale = family(pts, draw(st.lists(subsets, max_size=4)))
     sep = family(pts, draw(st.lists(subsets, max_size=5)))
-    w = pinch_witness(pts, dim + len(axes), rows, scale, sep, draw(positive), draw(positive))
+    w = pinch_witness(dim + len(axes), rows, scale, sep, draw(positive), draw(positive))
     return validate_space(pts, [family(pts, [ids])]), w
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coarsekit import DomainError, Verdict
-from coarsekit.colimit import ColimitBoundedness, Piece, validate_system
+from coarsekit.colimit import ColimitBoundedness
 from coarsekit.families import family, points
 from coarsekit.invariants import (
     PropertyAFamily,
@@ -16,28 +16,9 @@ from coarsekit.invariants import (
     property_a_lift,
     property_a_verify,
 )
-from coarsekit.spaces import restrict, validate_space
+from coarsekit.spaces import validate_space
 
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
-
-
-def line_space(ids):
-    pts = points(ids)
-    vals = [int(p) for p in ids]
-    levels = []
-    r = 1
-    diam = max(vals) - min(vals) if len(vals) > 1 else 1
-    while True:
-        members = [
-            frozenset(q for q, w in zip(ids, vals) if abs(w - v) <= r) for v in vals
-        ]
-        levels.append(family(pts, members))
-        if r >= diam:
-            break
-        r *= 2
-    return validate_space(pts, levels)
+from builders import fam, overlap_system
 
 
 P2 = points(["a", "b"])
@@ -46,7 +27,6 @@ P2 = points(["a", "b"])
 def self_tags(pts, n_cap=1, eps=Fraction(1, 2), support=None, bound=1):
     singles = family(pts, [frozenset({p}) for p in pts.ids])
     return PropertyAFamily(
-        pts,
         n_cap,
         tuple(frozenset({(p, 1)}) for p in pts.ids),
         singles,
@@ -60,21 +40,21 @@ def test_constructor_validates_tags():
     singles = family(P2, [frozenset({p}) for p in P2.ids])
     good = tuple(frozenset({(p, 1)}) for p in P2.ids)
     with pytest.raises(DomainError, match="cap"):
-        PropertyAFamily(P2, 0, good, singles, singles, Fraction(1))
+        PropertyAFamily(0, good, singles, singles, Fraction(1))
     with pytest.raises(DomainError, match="per point"):
-        PropertyAFamily(P2, 1, good[:1], singles, singles, Fraction(1))
+        PropertyAFamily(1, good[:1], singles, singles, Fraction(1))
     with pytest.raises(DomainError, match="pairs"):
-        PropertyAFamily(P2, 1, (frozenset({"a"}), good[1]), singles, singles, Fraction(1))
+        PropertyAFamily(1, (frozenset({"a"}), good[1]), singles, singles, Fraction(1))
     with pytest.raises(DomainError, match="not in the space"):
         PropertyAFamily(
-            P2, 1, (frozenset({("z", 1)}), good[1]), singles, singles, Fraction(1)
+            1, (frozenset({("z", 1)}), good[1]), singles, singles, Fraction(1)
         )
     with pytest.raises(DomainError, match="start at 1"):
         PropertyAFamily(
-            P2, 1, (frozenset({("a", 0)}), good[1]), singles, singles, Fraction(1)
+            1, (frozenset({("a", 0)}), good[1]), singles, singles, Fraction(1)
         )
     with pytest.raises(DomainError, match="positive"):
-        PropertyAFamily(P2, 1, good, singles, singles, Fraction(0))
+        PropertyAFamily(1, good, singles, singles, Fraction(0))
 
 
 def test_pair_ratio_is_exact_or_undefined():
@@ -85,7 +65,6 @@ def test_pair_ratio_is_exact_or_undefined():
     pts = points(["a", "b"])
     singles = family(pts, [frozenset({p}) for p in pts.ids])
     w2 = PropertyAFamily(
-        pts,
         2,
         (
             frozenset({("a", 1), ("a", 2)}),
@@ -121,7 +100,7 @@ def test_shared_block_tags_have_zero_ratio_on_islands():
     left = frozenset({("a", 1), ("b", 1)})
     right = frozenset({("c", 1), ("d", 1)})
     w = PropertyAFamily(
-        pts, 1, (left, left, right, right), sp.level(2), sp.level(2), Fraction(1, 2), 2
+        1, (left, left, right, right), sp.level(2), sp.level(2), Fraction(1, 2), 2
     )
     assert property_a_verify(sp, w).verdict is Verdict.VERIFIED
     assert pair_ratio(w, "a", "b") == 0
@@ -131,7 +110,7 @@ def test_disjoint_neighbour_tags_are_a_dedicated_failure():
     sp = validate_space(P2, [fam(P2, {"a", "b"})])
     w = self_tags(P2, support=fam(P2, {"a", "b"}), bound=1)
     broken = PropertyAFamily(
-        P2, 1, w.sets, fam(P2, {"a", "b"}), fam(P2, {"a", "b"}), Fraction(1, 2), 1
+        1, w.sets, fam(P2, {"a", "b"}), fam(P2, {"a", "b"}), Fraction(1, 2), 1
     )
     report = property_a_verify(sp, broken)
     assert report.verdict is Verdict.REFUTED
@@ -146,7 +125,7 @@ def test_ratio_threshold_is_strict():
     shared = frozenset({("a", 1), ("b", 1)})
     bigger = frozenset({("a", 1), ("b", 1), ("b", 2)})
     w = PropertyAFamily(
-        P2, 2, (shared, bigger), fam(P2, {"a", "b"}), fam(P2, {"a", "b"}), Fraction(1, 2), 1
+        2, (shared, bigger), fam(P2, {"a", "b"}), fam(P2, {"a", "b"}), Fraction(1, 2), 1
     )
     report = property_a_verify(sp, w)
     assert report.verdict is Verdict.REFUTED
@@ -156,7 +135,7 @@ def test_ratio_threshold_is_strict():
     )
 
     loose = PropertyAFamily(
-        P2, 2, (shared, bigger), fam(P2, {"a", "b"}), fam(P2, {"a", "b"}), Fraction(2, 3), 1
+        2, (shared, bigger), fam(P2, {"a", "b"}), fam(P2, {"a", "b"}), Fraction(2, 3), 1
     )
     assert property_a_verify(sp, loose).verdict is Verdict.VERIFIED
 
@@ -164,7 +143,6 @@ def test_ratio_threshold_is_strict():
 def test_missing_base_tag_is_reported():
     sp = validate_space(P2, [fam(P2, {"a", "b"})])
     w = PropertyAFamily(
-        P2,
         1,
         (frozenset({("b", 1)}), frozenset({("a", 1), ("b", 1)})),
         fam(P2, {"a", "b"}),
@@ -189,12 +167,11 @@ def test_tags_must_stay_inside_support_stars():
         frozenset({("c", 1)}),
     )
     singles = sp.level(1)
-    w = PropertyAFamily(pts, 1, sets, singles, singles, Fraction(1, 2), 1)
+    w = PropertyAFamily(1, sets, singles, singles, Fraction(1, 2), 1)
     report = property_a_verify(sp, w)
     assert any("escapes the support star" in c.detail for c in report.failures())
 
     over_cap = PropertyAFamily(
-        pts,
         1,
         (
             frozenset({("a", 1), ("a", 2)}),
@@ -208,21 +185,6 @@ def test_tags_must_stay_inside_support_stars():
     )
     report = property_a_verify(sp, over_cap)
     assert any("escapes" in c.detail for c in report.failures())
-
-
-def overlap_system():
-    ambient = points([str(i) for i in range(5)])
-    full = line_space(ambient.ids)
-    left = frozenset({"0", "1", "2"})
-    right = frozenset({"2", "3", "4"})
-    return validate_system(
-        ambient,
-        [
-            Piece("left", left, restrict(full, left)),
-            Piece("right", right, restrict(full, right)),
-            Piece("all", frozenset(ambient.ids), full),
-        ],
-    )
 
 
 def test_geometry_cap_spans_all_pieces():
@@ -250,7 +212,6 @@ def test_lift_rejects_a_failing_piece_witness():
     pts = piece.space.points
     singles = family(pts, [frozenset({p}) for p in pts.ids])
     broken = PropertyAFamily(
-        pts,
         1,
         tuple(frozenset({(pts.ids[0], 1)}) for _ in pts.ids),
         singles,

@@ -165,6 +165,17 @@ SINGLE = [
         {"pieces.1.scales": [[["b"], ["c"], ["d"]], [["b", "c"], ["d"]]]},
         coincide("P1", "P2", 2, "P2"),
     ),
+    # a pair named twice, in either order, even when one claim is true
+    (
+        "system",
+        {"upper": [[0, 1, 2], [1, 0, 0]]},
+        ParseError("upper bound of pieces 1 and 0 given twice", "body.upper[1]"),
+    ),
+    (
+        "system",
+        {"upper": [[0, 1, 0], [0, 1, 2]]},
+        ParseError("upper bound of pieces 0 and 1 given twice", "body.upper[1]"),
+    ),
 ]
 
 MULTI = [

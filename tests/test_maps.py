@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coarsekit import DomainError, Verdict
-from coarsekit.colimit import Piece, extend_to_ambient, extended_level, validate_system
+from coarsekit.colimit import extend_to_ambient, extended_level
 from coarsekit.corpus import gen_c0, gen_random_system, gen_unit_interval
 from coarsekit import maps
 from coarsekit.families import Family, family, points
@@ -37,28 +37,9 @@ from coarsekit.maps import (
     system_slowly_oscillating_verify,
 )
 from coarsekit.reports import Clause, from_clauses
-from coarsekit.spaces import is_bounded, restrict, validate_space
+from coarsekit.spaces import is_bounded, validate_space
 
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
-
-
-def line_space(ids):
-    pts = points(ids)
-    vals = [int(p) for p in ids]
-    levels = []
-    r = 1
-    diam = max(vals) - min(vals) if len(vals) > 1 else 1
-    while True:
-        members = [
-            frozenset(q for q, w in zip(ids, vals) if abs(w - v) <= r) for v in vals
-        ]
-        levels.append(family(pts, members))
-        if r >= diam:
-            break
-        r *= 2
-    return validate_space(pts, levels)
+from builders import fam, line_space, overlap_system
 
 
 X3 = points(["0", "1", "2"])
@@ -270,21 +251,6 @@ def test_bornologous_check_rejects_mismatched_endpoints():
         bornologous_check(identity_map(X3), line_space(X3.ids), line_space(Y5.ids))
 
 
-def overlap_system():
-    ambient = Y5
-    full = line_space(ambient.ids)
-    left = frozenset({"0", "1", "2"})
-    right = frozenset({"2", "3", "4"})
-    return validate_system(
-        ambient,
-        [
-            Piece("left", left, restrict(full, left)),
-            Piece("right", right, restrict(full, right)),
-            Piece("all", frozenset(ambient.ids), full),
-        ],
-    )
-
-
 def test_system_check_conjoins_piece_checks():
     fs = overlap_system()
     dst = line_space([str(i) for i in range(9)])
@@ -293,7 +259,7 @@ def test_system_check_conjoins_piece_checks():
     assert whole.verdict is Verdict.VERIFIED
     for piece in fs.pieces:
         part = bornologous_check(
-            restrict_map(double, piece.carrier), piece.space, dst
+            restrict_map(double, piece.space.points), piece.space, dst
         )
         assert part.verdict is Verdict.VERIFIED
 

@@ -21,7 +21,7 @@ def test_a_claimed_bound_that_does_not_check_fails_with_its_detail():
     pts = points(["a", "b"])
     sp = validate_space(pts, [family(pts, [{"a"}, {"b"}]), family(pts, [{"a", "b"}])])
     pair = family(pts, [{"a", "b"}])
-    system = validate_system(pts, [Piece("all", frozenset(pts.ids), sp)])
+    system = validate_system(pts, [Piece("all", sp)])
     failed = Clause("pair bounded", False, "claimed boundedness certificate does not check")
     assert bound_clause("pair bounded", sp, pair, 1) == failed
     assert bound_clause("pair bounded", system, pair, ColimitBoundedness(0, 1)) == failed

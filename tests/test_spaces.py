@@ -21,12 +21,9 @@ from coarsekit.spaces import (
 )
 
 import oracles
+from builders import fam
 
 P3 = points(["1", "2", "3"])
-
-
-def fam(space, *members):
-    return family(space, [frozenset(m) for m in members])
 
 
 def path3():
