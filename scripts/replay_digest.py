@@ -11,6 +11,12 @@ operation, its argv, exit code, stdout, stderr and the bytes of its ``-o``
 file. Two checkouts that print the same digest for a workload and seed gave
 byte-identical answers on every operation of it.
 
+With ``--passes N`` the pass runs N times in the one process, with its
+documents written afresh each time, and prints one line per pass. A later
+pass reads the same bytes again, so it is served the values the CLI decoded
+in the first, as far as the CLI still keeps them; every line matching shows
+that no command changes a decoded value.
+
 Like ``bench/run.py``, the script re-executes itself with ``PYTHONHASHSEED=0``
 and without ``PYTHONPATH``.
 """
@@ -83,12 +89,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--passes", type=int, default=1, help="passes in this one process")
     args = ap.parse_args()
     pin_environment()
     os.chdir(ROOT)
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
-    digest, count = replay(args.workload, args.seed)
-    print(f"{args.workload} seed {args.seed}: {count} operations, sha256 {digest}")
+    for _ in range(args.passes):
+        digest, count = replay(args.workload, args.seed)
+        print(f"{args.workload} seed {args.seed}: {count} operations, sha256 {digest}")
     return 0
 
 

@@ -5,6 +5,10 @@ truncation, 64 for usage mistakes, 65 for unreadable or invalid input
 documents. Reports print as text by default; --format structured emits a
 single report document whose provenance (input digests, tool version) is
 stable across reruns on identical inputs.
+
+Every read of an input document reads and digests its file. Identical bytes
+are parsed and decoded once per process: a later read, such as the next
+command of a caller that runs many, reuses the decoded value.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,33 +87,59 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load(args, path: str, kinds: Sequence[str]) -> docs.Document:
-    """Read, digest and parse one input document.
-
-    The digest is taken of the bytes that are parsed, before anything is
-    written, and recorded in args.digests for the report's provenance.
-    """
+def _digested(args, path: str) -> bytes:
+    """The bytes of one input document, whose digest is recorded in
+    args.digests for the report's provenance before anything is written."""
     data = Path(path).read_bytes()
     args.digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    return data
+
+
+def _check_kind(path: str, kind: str, kinds: Sequence[str]) -> None:
+    if kind not in kinds:
+        raise ParseError(f"{path}: expected a {' or '.join(kinds)} document, got {kind!r}")
+
+
+def _parse(path: str, data: bytes, kinds: Sequence[str]) -> docs.Document:
+    """Parse the bytes of one input document of the given kinds."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     doc = docs.parse_document(text)
-    if doc.kind not in kinds:
-        raise ParseError(
-            f"{path}: expected a {' or '.join(kinds)} document, got {doc.kind!r}"
-        )
+    _check_kind(path, doc.kind, kinds)
     return doc
+
+
+# Decoded inputs, least recently used first: (digest, the interpreter's
+# integer-digit limit, ids of the decode target) -> (kind, value, target).
+# An entry keeps its target alive, so an id in a live key names that one
+# object. Only decodes that succeed are stored.
+_DECODED: OrderedDict = OrderedDict()
+DECODED_ENTRIES = 64
 
 
 def _read(args, path: str, kinds: Sequence[str], *target):
     """Load one input document of the given kinds and decode its body.
 
-    A witness body other than a generator set decodes over target.
+    A witness body other than a generator set decodes over target. Bytes
+    already decoded in this process, over the same target, are not parsed
+    or decoded again: the value decoded then is returned, once its kind is
+    checked against kinds. Every read still reads and digests the file.
     """
-    doc = _load(args, path, kinds)
-    return docs.DECODERS[doc.kind](doc.body, *target)
+    data = _digested(args, path)
+    key = (args.digests[path], sys.get_int_max_str_digits(), *map(id, target))
+    entry = _DECODED.get(key)
+    if entry is None:
+        doc = _parse(path, data, kinds)
+        entry = (doc.kind, docs.DECODERS[doc.kind](doc.body, *target), target)
+        _DECODED[key] = entry
+        if len(_DECODED) > DECODED_ENTRIES:
+            _DECODED.popitem(last=False)
+    else:
+        _check_kind(path, entry[0], kinds)
+        _DECODED.move_to_end(key)
+    return entry[1]
 
 
 def _load_family(args, path: str, pts: PointSet) -> Family:
@@ -184,7 +215,7 @@ def _render_search(args, outcome: SearchOutcome, name: str, artifact: str, encod
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args, args.document, ("space", "system"))
+    doc = _parse(args.document, _digested(args, args.document), ("space", "system"))
     try:
         decoded = docs.DECODERS[doc.kind](doc.body)
     except (ValidationError, DomainError) as exc:
@@ -621,8 +652,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit status.
+
+    Decoded inputs outlive the call: the process keeps the last
+    DECODED_ENTRIES of them, each with its decode target, for later calls.
+    """
     args = build_parser().parse_args(argv)
-    # input path -> digest, filled by _load; made per call, since a default
+    # input path -> digest, filled by _digested; made per call, since a default
     # on the reused parser would be one dict shared by every call
     args.digests = {}
     try:

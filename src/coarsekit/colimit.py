@@ -116,9 +116,11 @@ def validate_system(
     monotonicity fault reads as the system decoder words it. Then
     validate_pieces checks the system.
 
-    When upper is None or partial, missing pairs are filled by scanning for
-    the least piece whose carrier contains the union; an unfillable pair is a
-    directedness failure, and a pair named in both orders is refused.
+    Every key of upper is a pair of piece indices and every value a piece
+    index. When upper is None or partial, missing pairs are filled by
+    scanning for the least piece whose carrier contains the union; an
+    unfillable pair is a directedness failure, and a pair named in both
+    orders is refused.
     """
     pieces = tuple(pieces)
     if not pieces:
@@ -127,6 +129,17 @@ def validate_system(
         if tuple(q for q in ambient.ids if q in p.space.points) != p.space.points.ids:
             raise DomainError(f"piece {p.name!r} points are not ambient points in ambient order")
         validate_space(p.space.points, p.space.levels)
+    n = len(pieces)
+    index = lambda x: isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+    for pair, t in (upper or {}).items():
+        if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(index, pair))):
+            raise ValidationError(f"upper bound given for {pair!r}, which is not a pair of pieces")
+        if not index(t):
+            r, s = pair
+            raise ValidationError(
+                f"upper bound of pieces {pieces[r].name} and {pieces[s].name} is {t!r}, "
+                "not a piece index"
+            )
     return validate_pieces(ambient, pieces, upper, meta)
 
 

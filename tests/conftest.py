@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+from collections import OrderedDict
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+from coarsekit import cli
 
 settings.register_profile(
     "coarsekit",
@@ -8,3 +13,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("coarsekit")
+
+
+@pytest.fixture(autouse=True)
+def memo(monkeypatch):
+    """An empty memo of decoded inputs for each test, so that no test is
+    served a value an earlier test decoded."""
+    fresh = OrderedDict()
+    monkeypatch.setattr(cli, "_DECODED", fresh)
+    return fresh

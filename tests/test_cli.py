@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import io
@@ -223,6 +224,95 @@ def test_provenance_digests_the_bytes_read_before_the_output_is_written(tmp_path
     assert report.body["provenance"]["inputs"][f] == "sha256:" + before
 
 
+def read(path, kinds, *target):
+    """cli._read as one command makes it, with its own digest record."""
+    return cli._read(argparse.Namespace(digests={}), path, kinds, *target)
+
+
+def test_a_second_read_of_the_same_bytes_is_served_decoded(tmp_path, deep_system, memo, capsys):
+    system = read(deep_system, ("system",))
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(Path(deep_system).read_bytes())
+    args = argparse.Namespace(digests={})
+    assert cli._read(args, str(copy), ("system",)) is system
+    assert args.digests == {str(copy): "sha256:" + hashlib.sha256(copy.read_bytes()).hexdigest()}
+
+    memo.clear()
+    pts = points([str(i) for i in range(5)])
+    f = save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"1"}),))))
+    out_path = tmp_path / "star.json"
+    answers = []
+    for _ in range(2):  # cold, then every input from the memo
+        assert main(["star", deep_system, f, f, "--format", "structured", "-o", str(out_path)]) == 0
+        answers.append((capsys.readouterr(), out_path.read_bytes()))
+    assert len(memo) == 2
+    assert answers[0] == answers[1]
+
+
+def test_a_rewritten_file_is_decoded_afresh(tmp_path, memo):
+    pts = points(["a", "b"])
+    path = save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"a"}),))))
+    assert read(path, ("family",)).members == (frozenset({"a"}),)
+    save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"a", "b"}),))))
+    assert read(path, ("family",)).members == (frozenset({"a", "b"}),)
+
+
+def test_an_invalid_document_fails_alike_on_every_read(tmp_path, deep_system, memo, capsys):
+    bad = save(tmp_path, "bad.json", Document("family", "1", {"points": ["0"], "members": [["9"]]}))
+    answers = []
+    for _ in range(2):
+        assert main(["bounded", deep_system, bad]) == 65
+        answers.append(capsys.readouterr())
+    assert answers[0] == answers[1]
+    assert answers[0].err.startswith("coarsekit: input error: ")
+    assert len(memo) == 1  # the system alone
+
+
+def test_a_kind_mismatch_reads_alike_from_the_memo(tmp_path, deep_system, memo, capsys):
+    pts = points([str(i) for i in range(5)])
+    f = save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"1"}),))))
+    argv = ["check", "asdim", f, "--n", "1", "--witness", f]
+    assert main(["bounded", deep_system, f]) == 0
+    capsys.readouterr()
+    assert main(argv) == 65  # the family is in the memo
+    served = capsys.readouterr()
+    memo.clear()
+    assert main(argv) == 65
+    assert capsys.readouterr() == served
+    assert served.err == (
+        f"coarsekit: input error: {f}: expected a space or system document, got 'family'\n"
+    )
+
+
+def test_a_witness_over_another_target_is_decoded_again(tmp_path, memo):
+    first, second = ball_space(3, (1, 2)), ball_space(3, (1, 2))
+    w = AmenabilityWitness(first.level(1), first.level(1), Fraction(2), None)
+    path = save(tmp_path, "amen.json", witness_to_doc("witness:amenability", w))
+    kinds = ("witness:amenability",)
+    over_first = read(path, kinds, first)
+    assert read(path, kinds, first) is over_first
+    over_second = read(path, kinds, second)
+    assert over_second is not over_first
+    assert over_second.scale.space is second.points
+    assert len(memo) == 2
+
+
+def test_a_lowered_digit_limit_refuses_a_document_again(tmp_path, memo):
+    big = "1" + "0" * 5000
+    path = tmp_path / "big.json"
+    body = f'{{"points": ["a", "b"], "dist": [[0, {big}], [{big}, 0]]}}'
+    path.write_text(f'{{"kind": "metric", "version": "1", "body": {body}}}\n', encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(6000)
+        assert read(str(path), ("metric",)).rows[0][1] == int(big)
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ParseError, match="an integer has more than 4300 digits"):
+            read(str(path), ("metric",))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [(b"\xff{}", "not UTF-8 text"), (b"[" * 100000, "nests too deeply")],
@@ -272,7 +362,7 @@ def pair_space_doc(tmp_path):
 
 
 def test_check_asdim_search_finds_or_refutes(tmp_path, capsys):
-    sp, space_path = pair_space_doc(tmp_path)
+    _, space_path = pair_space_doc(tmp_path)
     out_path = tmp_path / "witness.json"
     code = main(
         [

@@ -120,6 +120,24 @@ def test_validate_system_refuses_a_pair_named_in_both_orders():
 
 
 @pytest.mark.parametrize(
+    "upper, message",
+    [
+        ({(0, 1): 9}, "upper bound of pieces left and right is 9, not a piece index"),
+        ({(0, 1): -1}, "upper bound of pieces left and right is -1, not a piece index"),
+        ({(0, 1): True}, "upper bound of pieces left and right is True, not a piece index"),
+        (
+            {(0, 7): 0, (5, 5): 9},
+            r"upper bound given for \(0, 7\), which is not a pair of pieces",
+        ),
+    ],
+)
+def test_validate_system_refuses_upper_entries_that_name_no_piece(upper, message):
+    fs = overlap_system()
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        validate_system(fs.ambient, fs.pieces, upper=upper)
+
+
+@pytest.mark.parametrize(
     "fs",
     [
         gen_c0(2, 1),

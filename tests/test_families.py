@@ -243,14 +243,14 @@ def test_refinement_is_transitive(data):
 
 @given(space_and_families(count=2))
 def test_refinement_implies_essential_refinement(data):
-    space, u, v = data
+    _, u, v = data
     if refines(u, v):
         assert essentially_refines(u, v)
 
 
 @given(space_and_families(count=2))
 def test_refinement_matches_mask_oracle(data):
-    space, u, v = data
+    _, u, v = data
     assert refines(u, v) == oracles.refines_masks(as_masks(u), as_masks(v))
 
 
@@ -262,7 +262,7 @@ def test_essential_refinement_matches_mask_oracle(data):
 
 @given(space_and_families())
 def test_trivial_extension_covers_and_adds_at_most_one_layer(data):
-    space, u = data
+    _, u = data
     out = trivial_extension(u)
     assert covers(out)
     assert multiplicity(out) <= multiplicity(u) + 1
@@ -277,7 +277,7 @@ def test_multiplicity_matches_mask_oracle(data):
 
 @given(space_and_families())
 def test_components_partition_the_covered_points(data):
-    space, u = data
+    _, u = data
     blocks = chain_components(u)
     seen: set = set()
     for b in blocks:

@@ -77,7 +77,7 @@ def checked(u: Family) -> Family:
 
 @given(families())
 def test_trusted_and_checked_families_agree(data):
-    space, u = data
+    _, u = data
     v = checked(u)
     assert u == v and hash(u) == hash(v)
     assert u.masks == v.masks

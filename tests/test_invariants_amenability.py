@@ -114,7 +114,6 @@ def test_verify_rejects_bad_thresholds_and_spaces():
 
 
 def piece_witness(piece):
-    singles = piece.space.level(1)
     scale = family(
         piece.space.points, [frozenset({p}) for p in piece.space.points.ids]
     )

@@ -24,10 +24,10 @@ OTHER_SEED_7 = {
 }
 
 
-def replay_line(workload: str) -> str:
+def replay_line(workload: str, passes: int = 1) -> str:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "replay_digest.py"),
-         "--workload", workload, "--seed", "7"],
+         "--workload", workload, "--seed", "7", "--passes", str(passes)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -48,3 +48,15 @@ def test_replay_digest_is_unchanged(workload):
     assert replay_line(workload) == (
         f"{workload} seed 7: {count} operations, sha256 {digest}\n"
     )
+
+
+def test_a_second_pass_in_one_process_answers_byte_for_byte_alike():
+    """The second pass reads every input again, each of grid-cli's and most
+    of harmonic-cli's already decoded in the first, so a command that
+    changed a decoded value shows here."""
+    want = {
+        "grid-cli": f"grid-cli seed 7: 35 operations, sha256 {OTHER_SEED_7['grid-cli'][1]}\n",
+        "harmonic-cli": f"harmonic-cli seed 7: 93 operations, sha256 {HARMONIC_SEED_7}\n",
+    }
+    for workload, line in want.items():
+        assert replay_line(workload, passes=2) == line * 2, workload
