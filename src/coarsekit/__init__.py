@@ -39,8 +39,6 @@ from .families import (
 from .reports import Clause, Report, SearchOutcome, Verdict, from_clauses
 from .spaces import (
     ScaledSpace,
-    chains_coincide,
-    coarse_chain_component,
     coarse_components,
     coincidence_failure,
     is_bounded,
@@ -58,7 +56,6 @@ from .colimit import (
     extend_to_ambient,
     extended_level,
     strip,
-    system_coarse_components,
     system_weakly_bounded,
     validate_system,
 )

@@ -21,6 +21,14 @@ cut to their overlap lies in a member of T, and that member cut to s lies
 in a member of s. Only a failing system runs the pairwise scan, which names
 the first failing pair and its first failing level.
 
+System-wide questions are asked of T's top level. Lemma: in a validated
+system every piece member lies in a member of T's top level. A member with
+two or more points lies in a member of its own chain's top level, and that
+level coincides with T on the piece's carrier, so the member lies in a
+member of T's top level; a single point does too, since that level covers.
+So system_weakly_bounded is weakly_bounded on T's space, and property A's
+geometry cap reads T's top level.
+
 A family over the ambient set is colimit-bounded when, for some piece, every
 member with more than one point sits inside the carrier and the family
 stripped of outside singletons is bounded in that piece's chain. stripped
@@ -39,16 +47,13 @@ from .families import (
     Point,
     PointSet,
     Subset,
-    chain_components,
-    component_masks,
     essentially_refines,
-    first_misfit,
     reroot,
     star_family,
     trivial_extension,
     uncovered_point,
 )
-from .spaces import ScaledSpace, coincidence_masks, is_bounded, validate_space
+from .spaces import ScaledSpace, coincidence_masks, is_bounded, validate_space, weakly_bounded
 
 
 @dataclass(frozen=True)
@@ -131,27 +136,35 @@ def validate_system(
         validate_space(p.space.points, p.space.levels)
     n = len(pieces)
     index = lambda x: isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+    table: dict[tuple[int, int], int] = {}
     for pair, t in (upper or {}).items():
         if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(index, pair))):
             raise ValidationError(f"upper bound given for {pair!r}, which is not a pair of pieces")
+        r, s = pair
         if not index(t):
-            r, s = pair
             raise ValidationError(
                 f"upper bound of pieces {pieces[r].name} and {pieces[s].name} is {t!r}, "
                 "not a piece index"
             )
-    return validate_pieces(ambient, pieces, upper, meta)
+        r, s = key = (min(pair), max(pair))
+        if key in table:
+            raise ValidationError(
+                f"upper bound of pieces {pieces[r].name} and {pieces[s].name} given twice"
+            )
+        table[key] = t
+    return validate_pieces(ambient, pieces, table, meta)
 
 
 def validate_pieces(
     ambient: PointSet,
     pieces: Sequence[Piece],
-    upper: Optional[Mapping[tuple[int, int], int]],
+    upper: Mapping[tuple[int, int], int],
     meta: Iterable[str],
 ) -> FilteredSystem:
     """The checks of validate_system on pieces whose points are ambient
-    points in ambient order and whose chains are already checked: distinct
-    names, coverage, directedness and coincidence.
+    points in ambient order and whose chains are already checked, with upper
+    keyed by piece pairs (r, s), r <= s: distinct names, coverage,
+    directedness and coincidence.
 
     Each carrier becomes an ambient mask here. Only this code puts chain
     members on the ambient index: every piece's top level, on which
@@ -190,13 +203,7 @@ def validate_pieces(
     n = len(pieces)
     for r in range(n):
         for s in range(r, n):
-            t = None
-            if upper is not None:
-                if r < s and (r, s) in upper and (s, r) in upper:
-                    raise ValidationError(
-                        f"upper bound of pieces {names[r]} and {names[s]} given twice"
-                    )
-                t = upper.get((r, s), upper.get((s, r)))
+            t = upper.get((r, s))
             union = carriers[r] | carriers[s]
             if t is not None:
                 if union & ~carriers[t]:
@@ -340,19 +347,6 @@ def extended_level(system: FilteredSystem, piece: int, level: int) -> Family:
     return extend_to_ambient(system, system.pieces[piece].space.level(level))
 
 
-def _ambient_members(system: FilteredSystem) -> tuple[int, ...]:
-    """Every member of every piece level, as a mask over the ambient set."""
-    levels = (lv for pc in system.pieces for lv in pc.space.levels)
-    return tuple(m for lv in levels for m in reroot(lv, system.ambient).masks)
-
-
-def system_coarse_components(system: FilteredSystem) -> tuple[Subset, ...]:
-    """Transitive closure of per-piece coarse components over the ambient set:
-    the overlap blocks of every piece level's members at once."""
-    return chain_components(Family.from_masks(system.ambient, _ambient_members(system)))
-
-
 def system_weakly_bounded(system: FilteredSystem, b: Subset) -> bool:
-    bm = system.ambient.mask(b)
-    pool = _ambient_members(system)
-    return first_misfit([bm & block for block in component_masks(pool)], pool) is None
+    """b is weakly bounded in the top piece's space; see the module docstring."""
+    return weakly_bounded(system.pieces[system.top_piece()].space, b)

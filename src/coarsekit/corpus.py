@@ -4,8 +4,8 @@ Each generator returns a fully validated system (or a bundle around one) and
 records its truncation parameters in the system's meta strings. Sizes are
 capped so every instance stays enumerable; exceeding a cap is a hard error,
 not a silent clamp. Levels are built as member masks: balls as prefixes of
-each point's distance order, island balls shifted to the island's bits in a
-piece, and random covers and coarsenings as unions of point bits.
+each point's distance order, over the ambient set and cut to each piece by
+_nested_system, and random covers and coarsenings as unions of point bits.
 """
 
 from __future__ import annotations
@@ -172,14 +172,13 @@ def gen_disjoint_union(
     islands: Sequence[MetricTarget], radii: Optional[Sequence] = None
 ) -> FilteredSystem:
     """Union-of-islands system: pieces are single islands, island pairs, and
-    the full union; balls never cross islands, so piece chains agree on
-    every overlap by construction.
+    the full union, each cutting the ambient balls; islands lie at infinite
+    distance, so balls never cross them and piece chains agree on every
+    overlap by construction.
     """
     check_island_caps([len(isl.points) for isl in islands])
-    tagged = [
-        (k, p, f"{k}:{p}") for k, isl in enumerate(islands) for p in isl.points.ids
-    ]
-    ambient = PointSet(tuple(full_id for _, _, full_id in tagged))
+    where = {f"{k}:{p}": (k, p) for k, isl in enumerate(islands) for p in isl.points.ids}
+    ambient = PointSet(tuple(where))
     finite = [
         d
         for isl in islands
@@ -190,32 +189,24 @@ def gen_disjoint_union(
     diameter = max(finite) if finite else Fraction(0)
     rs = _check_radii(radii) if radii is not None else _doubling_radii(diameter)
 
+    def dist(a, b):
+        (k, p), (l, q) = where[a], where[b]
+        return islands[k].dist(p, q) if k == l else INF
+
     groups: list[tuple[int, ...]] = [(k,) for k in range(len(islands))]
     groups += list(itertools.combinations(range(len(islands)), 2))
     full = tuple(range(len(islands)))
     if full not in groups:
         groups.append(full)
-
-    island_levels = [_ball_levels(isl.points, isl.dist, rs) for isl in islands]
-    pieces = []
-    for group in groups:
-        pts = PointSet(tuple(full_id for k, _, full_id in tagged if k in group))
-        # an island's bits follow those of the group's earlier islands
-        sizes = (len(islands[k].points) for k in group)
-        shift = dict(zip(group, itertools.accumulate(sizes, initial=0)))
-        levels = tuple(
-            Family.from_masks(
-                pts, tuple(m << shift[k] for k in group for m in island_levels[k][l].masks)
-            )
-            for l in range(len(rs))
-        )
-        name = "+".join(f"M{k}" for k in group)
-        pieces.append(Piece(name, ScaledSpace(pts, levels)))
+    named = (
+        ("+".join(f"M{k}" for k in g), PointSet(tuple(a for a in where if where[a][0] in g)))
+        for g in groups
+    )
     meta = (
         f"truncation: {len(islands)} islands, pieces up to pairs plus the union",
         "radii: " + ", ".join(str(r) for r in rs),
     )
-    return validate_system(ambient, tuple(pieces), None, meta)
+    return _nested_system(_ball_levels(ambient, dist, rs), named, meta)
 
 
 # the harmonic-point interval with its reciprocal map

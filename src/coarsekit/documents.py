@@ -279,12 +279,11 @@ def doc_to_system(body, path="body") -> FilteredSystem:
         sub = ambient if len(carrier_ids) == len(ambient) else PointSet(ambient.sort(carrier_ids))
         levels = _scales(rp["scales"], sub, f"{p_path}.scales")
         pieces.append(Piece(rp["name"], ScaledSpace(sub, levels)))
-    upper = None
+    upper = {}
     if "upper" in body:
         raw_upper = body["upper"]
         if not isinstance(raw_upper, list):
             _fail("expected a list of triples", f"{path}.upper")
-        upper = {}
         n = len(pieces)
         for i, triple in enumerate(raw_upper):
             if not isinstance(triple, list) or len(triple) != 3:

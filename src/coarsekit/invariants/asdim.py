@@ -91,23 +91,26 @@ def _search(
 
     holds[i] is the bitset of top members containing item i, and fits[g]
     the AND of its items' holds, so a union fits iff fits[g] & holds[i] is
-    nonzero. Each assign call is one node; passing budget nodes raises
+    nonzero. The walk is depth first, with an explicit trail of placements
+    in place of recursion, so its depth is not bounded by the interpreter's
+    stack: each item tries the groups in order and then a new one, and when
+    none takes it the last placement is undone and moved to its next group.
+    Each item offered to the groups is one node; passing budget nodes raises
     _BudgetSpent."""
     holds = [sum(1 << t for t, v in enumerate(tops) if m & ~v == 0) for m in items]
     counts = [0] * size
     groups: list[int] = []
     fits: list[int] = []
-    nodes = 0
-
-    def assign(i: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        nodes += 1
+    trail: list[tuple[int, int, int, list[int], bool]] = []  # (group, union, fit, fresh, new)
+    nodes, start = 1, 0
+    while True:
         if nodes > budget:
             raise _BudgetSpent
+        i = len(trail)
         if i == len(items):
             return tuple(groups)
         m, h = items[i], holds[i]
-        for gi in range(len(groups) + 1):
+        for gi in range(start, len(groups) + 1):
             new = gi == len(groups)
             g, f = (0, -1) if new else (groups[gi], fits[gi])
             if not f & h:
@@ -121,18 +124,21 @@ def _search(
             groups[gi], fits[gi] = g | m, f & h
             for k in fresh:
                 counts[k] += 1
-            found = assign(i + 1)
-            if found is not None:
-                return found
+            trail.append((gi, g, f, fresh, new))
+            nodes, start = nodes + 1, 0
+            break
+        else:
+            if not trail:
+                return None
+            gi, g, f, fresh, new = trail.pop()
             for k in fresh:
                 counts[k] -= 1
-            groups[gi], fits[gi] = g, f
             if new:
                 groups.pop()
                 fits.pop()
-        return None
-
-    return assign(0)
+            else:
+                groups[gi], fits[gi] = g, f
+            start = gi + 1
 
 
 def asdim_search(

@@ -64,9 +64,10 @@ class PropertyAFamily:
 
 
 def geometry_cap(target: Target) -> int:
-    """Largest member size over every level in sight."""
-    spaces = [target] if isinstance(target, ScaledSpace) else [pc.space for pc in target.pieces]
-    return max(m.bit_count() for sp in spaces for lv in sp.levels for m in lv.masks)
+    """Largest member size over every level in sight: that of the top level,
+    of the top piece for a system (see the spaces and colimit docstrings)."""
+    space = target if isinstance(target, ScaledSpace) else target.pieces[target.top_piece()].space
+    return max(m.bit_count() for m in space.levels[-1].masks)
 
 
 def pair_ratio(w: PropertyAFamily, x: Point, y: Point) -> Optional[Fraction]:

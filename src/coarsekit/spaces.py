@@ -14,7 +14,14 @@ Covering and monotonicity are checked once, on member bitmasks, by
 check_chain: validate_space hands it its families' masks, and the space and
 system decoders the masks they built while reading each member.
 validate_system runs validate_space on every piece, so every piece chain is
-checked monotone and covering, and each overlap is compared on top levels.
+checked monotone and covering.
+
+Chain-wide questions are asked of the top level. Lemma: on a monotone chain
+every member lies in a member of the top level, so a set fits some member
+of some level exactly when it fits a top-level member, and members of all
+levels together overlap into the same blocks as the top level's members.
+Hence coarse_components and weakly_bounded read only the top level, and
+coincidence_masks compares each cut level with the other chain's top.
 
 Every fit test here (monotonicity, star depth, boundedness, coincidence) is
 families.first_misfit. Coincidence of two chains on a shared carrier is
@@ -160,11 +167,6 @@ def restrict(space: ScaledSpace, keep: Subset) -> ScaledSpace:
     return ScaledSpace(pts, tuple(cut(lv, pts) for lv in space.levels))
 
 
-def chains_coincide(a: ScaledSpace, b: ScaledSpace) -> bool:
-    """Mutual essential cofinality of the two chains over the same points."""
-    return coincidence_failure(a, b) is None
-
-
 def coincidence_failure(a: ScaledSpace, b: ScaledSpace) -> Optional[tuple[str, int]]:
     """Which side and 1-based level breaks coincidence, for error reporting."""
     if a.points != b.points:
@@ -183,38 +185,26 @@ def coincidence_masks(
     essentially refines no level of the other chain cut alike, or None.
     A cut member with at most one point is ignored, and equal cut members
     are checked once. The other side's members need no cut: m & inter sits
-    inside w & inter exactly when it sits inside w. Levels are tried from
-    the top down, which on a monotone chain settles at the first try.
+    inside w & inter exactly when it sits inside w. Both chains must be
+    monotone, so a level fits some level of the other chain exactly when it
+    fits that chain's top level, the only one tried.
     """
     for side, xs, ys in (("first", a, b), ("second", b, a)):
         for i, lx in enumerate(xs, 1):
             cut = {r for m in lx if (r := m & inter) & (r - 1)}
-            if all(first_misfit(cut, ly) is not None for ly in reversed(ys)):
+            if first_misfit(cut, ys[-1]) is not None:
                 return (side, i)
     return None
 
 
 def coarse_components(space: ScaledSpace) -> tuple[Subset, ...]:
-    """Partition of the points by overlap-connectivity through any chain level.
-
-    The chain is monotone, so this equals the top level's block partition and
-    also the union over levels of per-level blocks.
-    """
-    masks = tuple(m for lv in space.levels for m in lv.masks)
-    return chain_components(Family.from_masks(space.points, masks))
-
-
-def coarse_chain_component(space: ScaledSpace, p: Point) -> Subset:
-    if p not in space.points:
-        raise DomainError(f"point {p!r} not in this space")
-    for block in coarse_components(space):
-        if p in block:
-            return block
-    raise AssertionError("components must cover the point set")
+    """Partition of the points by overlap-connectivity through any chain
+    level: the top level's blocks."""
+    return chain_components(space.levels[-1])
 
 
 def weakly_bounded(space: ScaledSpace, b: Subset) -> bool:
-    """b meets every coarse component inside a single member of some level."""
+    """b meets every coarse component inside a single top-level member."""
     bm = space.points.mask(b)
-    pool = [m for lv in space.levels for m in lv.masks]
-    return first_misfit([bm & block for block in component_masks(pool)], pool) is None
+    top = space.levels[-1].masks
+    return first_misfit([bm & block for block in component_masks(top)], top) is None

@@ -89,3 +89,20 @@ def star_depth_masks(levels: list[list[int]]) -> int:
             for j in range(d)
         )
     )
+
+
+def all_level_masks(ids, levels) -> list[int]:
+    """Every member of every level, each given as its points, as a mask over
+    ids. The levels may come from several chains, such as every piece of a
+    system with ids the ambient points."""
+    return [to_mask(ids, m) for lv in levels for m in lv]
+
+
+def weakly_bounded_masks(pool: list[int], b: int) -> bool:
+    """b meets each overlap block of the pooled members inside one pooled
+    member."""
+    return refines_masks([b & block for block in components_masks(pool)], pool)
+
+
+def largest_member_masks(pool: list[int]) -> int:
+    return max(bin(m).count("1") for m in pool)

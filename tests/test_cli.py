@@ -421,6 +421,21 @@ def test_check_asdim_search_past_its_node_budget_is_undecided(tmp_path, capsys):
     assert "refuted" not in out
 
 
+def test_check_asdim_search_on_a_long_path_is_not_bounded_by_the_stack(tmp_path):
+    """A 1500-point path whose first level is its 1499 adjacent pairs: the
+    search places one pair per node, far past the interpreter's recursion
+    limit, and verifies."""
+    pts = points([str(i) for i in range(1500)])
+    pairs = tuple(0b11 << i for i in range(1499))
+    levels = [Family.from_masks(pts, pairs), Family.from_masks(pts, (2**1500 - 1,))]
+    sp = validate_space(pts, levels)
+    argv = ["check", "asdim", save(tmp_path, "path.json", space_to_doc(sp))]
+    code, out, err = _fresh_process([*argv, "--search", "--n", "1", "--level", "1"])
+    assert (code, err) == (0, "")
+    assert "verdict: verified" in out
+    assert "Traceback" not in out
+
+
 def so_search_argv(tmp_path, images):
     """map-check so --search for the map with these images from a
     three-point line to two points at distance 1."""

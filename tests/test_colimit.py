@@ -22,7 +22,6 @@ from coarsekit.colimit import (
     extend_to_ambient,
     extended_level,
     strip,
-    system_coarse_components,
     system_weakly_bounded,
     validate_system,
 )
@@ -32,6 +31,7 @@ from coarsekit.families import Family, family, points, refines, reroot, star_fam
 from coarsekit.maps import path_metric
 from coarsekit.spaces import (
     ScaledSpace,
+    coarse_components,
     coincidence_failure,
     restrict,
     validate_space,
@@ -337,12 +337,14 @@ def test_system_components_and_weak_boundedness():
             Piece("all", top),
         ],
     )
-    assert system_coarse_components(fs) == (a, b)
+    assert coarse_components(fs.pieces[fs.top_piece()].space) == (a, b)
     assert system_weakly_bounded(fs, frozenset({"0", "2"}))
     assert system_weakly_bounded(fs, frozenset())
 
-    merged = system_coarse_components(overlap_system())
-    assert merged == (frozenset(overlap_system().ambient.ids),)
+    merged = overlap_system()
+    assert coarse_components(merged.pieces[merged.top_piece()].space) == (
+        frozenset(merged.ambient.ids),
+    )
 
 
 def test_piece_weak_boundedness_does_not_transport():
@@ -363,7 +365,7 @@ def test_piece_weak_boundedness_does_not_transport():
         [Piece("s", sp_s), Piece("t", sp_t)],
     )
     assert weakly_bounded(sp_s, carrier)
-    assert system_coarse_components(fs) == (frozenset(ambient.ids),)
+    assert coarse_components(fs.pieces[fs.top_piece()].space) == (frozenset(ambient.ids),)
     assert not system_weakly_bounded(fs, carrier)
 
 

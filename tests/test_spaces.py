@@ -9,8 +9,6 @@ from coarsekit import DomainError, ValidationError
 from coarsekit.corpus import gen_c0
 from coarsekit.families import family, points
 from coarsekit.spaces import (
-    chains_coincide,
-    coarse_chain_component,
     coarse_components,
     coincidence_failure,
     essentially_refines,
@@ -235,11 +233,9 @@ def test_restrict_rejects_an_empty_carrier():
 def test_coincidence_is_blind_to_level_bookkeeping():
     sp = path3()
     doubled = validate_space(P3, sp.levels + (sp.levels[-1],))
-    assert chains_coincide(sp, doubled)
     assert coincidence_failure(sp, doubled) is None
 
     fine = validate_space(P3, [fam(P3, {"1"}, {"2"}, {"3"})])
-    assert not chains_coincide(sp, fine)
     side, level = coincidence_failure(sp, fine)
     assert side == "first" and level == 2
 
@@ -262,9 +258,6 @@ def test_coarse_components_split_islands():
         frozenset({"1", "2"}),
         frozenset({"3", "4"}),
     )
-    assert coarse_chain_component(sp, "4") == frozenset({"3", "4"})
-    with pytest.raises(DomainError):
-        coarse_chain_component(sp, "9")
 
     assert weakly_bounded(sp, frozenset({"1", "3"}))
     assert weakly_bounded(sp, frozenset({"1", "2", "3"}))

@@ -1,12 +1,13 @@
 """No module of the package imports a name it never reads, or defines a
-constant that nothing reads.
+constant or a private helper that nothing reads.
 
 The toolchain has no linter, so this reads each module's syntax tree: every
 name an import statement binds must be read somewhere in the module, and
-every upper-case name a module assigns at its top level must be read, bare
-or as an attribute, somewhere under ``src``, ``tests``, ``scripts`` or
-``bench``. The ``__init__`` modules are left out, since their imports are
-the re-exported API.
+every upper-case name a module assigns at its top level, and every function
+or class it defines there under a name starting with an underscore, must be
+read, bare or as an attribute, somewhere under ``src``, ``tests``,
+``scripts`` or ``bench``. The ``__init__`` modules are left out, since
+their imports are the re-exported API.
 """
 
 from __future__ import annotations
@@ -84,13 +85,47 @@ def test_the_check_reports_each_unread_constant():
     ]
 
 
-def test_every_module_constant_is_read_somewhere():
+def read_anywhere() -> set[str]:
+    """Every name read, bare or as an attribute, by a file under READERS."""
     sources = [p.read_text(encoding="utf-8") for d in READERS for p in (ROOT / d).rglob("*.py")]
-    read = set().union(*map(names_read, sources))
+    return set().union(*map(names_read, sources))
+
+
+def unread_in_package(check) -> dict[str, list[str]]:
+    """Per package module, what check finds unread by any file under READERS."""
+    read = read_anywhere()
     modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
-    found = {
+    return {
         str(p.relative_to(PACKAGE)): names
         for p in modules
-        if (names := unread_constants(p.read_text(encoding="utf-8"), read))
+        if (names := check(p.read_text(encoding="utf-8"), read))
     }
-    assert found == {}
+
+
+def test_every_module_constant_is_read_somewhere():
+    assert unread_in_package(unread_constants) == {}
+
+
+def unread_private_helpers(source: str, read: set[str]) -> list[str]:
+    """The functions and classes defined at the source's top level under a
+    name starting with an underscore and not in read, with their lines."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.parse(source).body
+        if isinstance(node, defs) and node.name.startswith("_") and node.name not in read
+    ]
+
+
+def test_the_check_reports_each_unread_private_helper():
+    source = (
+        "def _a():\n    return _b\n\n"
+        "def _b():\n    pass\n\n"
+        "class _C:\n    def _d(self):\n        pass\n\n"
+        "def e():\n    pass\n"
+    )
+    assert unread_private_helpers(source, names_read(source)) == ["_a (line 1)", "_C (line 7)"]
+
+
+def test_every_private_helper_is_read_somewhere():
+    assert unread_in_package(unread_private_helpers) == {}
