@@ -41,8 +41,10 @@ from .spaces import (
     ScaledSpace,
     coarse_components,
     coincidence_failure,
+    deepen,
     is_bounded,
     restrict,
+    truncate,
     validate_space,
     weakly_bounded,
 )
@@ -53,6 +55,7 @@ from .colimit import (
     check_boundedness,
     colimit_bounded,
     colimit_star,
+    deepen_system,
     extend_to_ambient,
     extended_level,
     strip,

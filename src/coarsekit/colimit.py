@@ -3,15 +3,14 @@
 A FilteredSystem is a list of pieces covering an ambient point set, with an
 upper-bound table on piece pairs and pairwise coincidence of the chains
 restricted to each overlap. A piece is a named scaled space whose points,
-listed in ambient order, are its carrier. validate_system checks each
-piece's chain as validate_space does, then coverage, directedness and
-coincidence on bitmasks over the ambient index, without building restricted
-spaces. Every piece chain is checked monotone and covering, so each overlap
-is compared on top levels. The core, validate_pieces, which the system
-decoder shares once it has checked each chain itself, is the only code that
-puts chain members on the ambient index: each piece's top level, on which
-coincidence is decided, and the full chains of a failing pair, to name the
-failing level.
+listed in ambient order, are its carrier. A piece's space checked its
+chain when it was built, so every piece chain is monotone and covering and
+each overlap is compared on top levels. validate_system checks coverage,
+directedness and coincidence on bitmasks over the ambient index, without
+building restricted spaces. Its core, validate_pieces, which the system
+decoder shares, is the only code that puts chain members on the ambient
+index: each piece's top level, on which coincidence is decided, and the
+full chains of a failing pair, to name the failing level.
 
 Coincidence is checked against one top piece T, whose carrier is the whole
 ambient set: one comparison per other piece, on that piece's carrier, in
@@ -37,7 +36,7 @@ gives that family over the piece's points, or None when it does not exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -53,7 +52,7 @@ from .families import (
     trivial_extension,
     uncovered_point,
 )
-from .spaces import ScaledSpace, coincidence_masks, is_bounded, validate_space, weakly_bounded
+from .spaces import ScaledSpace, coincidence_masks, deepen, is_bounded, weakly_bounded
 
 
 @dataclass(frozen=True)
@@ -82,11 +81,14 @@ class FilteredSystem:
     meta: tuple[str, ...] = field(default=(), compare=False)
 
     def piece_index(self, name: str) -> int:
-        """Index of the piece with this name, else the name read as an index."""
+        """Index of the piece with this name, else the name read as an index
+        when it is ASCII digits only."""
         for i, p in enumerate(self.pieces):
             if p.name == name:
                 return i
         try:
+            if not (name.isascii() and name.isdigit()):
+                raise ValueError(name)
             i = int(name)
         except ValueError:
             raise DomainError(f"no piece named {name!r}") from None
@@ -112,14 +114,11 @@ def validate_system(
     upper: Optional[Mapping[tuple[int, int], int]] = None,
     meta: Iterable[str] = (),
 ) -> FilteredSystem:
-    """Check each piece's chain, coverage, directedness, and pairwise
-    coincidence of restrictions.
+    """Check coverage, directedness, and pairwise coincidence of
+    restrictions; each piece's space checked its own chain when it was built.
 
     Per piece, in order: its points are ambient points, listed in ambient
-    order, and its chain passes validate_space (at least one level, each
-    over the piece's points, each covering, the chain monotone); a cover or
-    monotonicity fault reads as the system decoder words it. Then
-    validate_pieces checks the system.
+    order. Then validate_pieces checks the system.
 
     Every key of upper is a pair of piece indices and every value a piece
     index. When upper is None or partial, missing pairs are filled by
@@ -133,7 +132,6 @@ def validate_system(
     for p in pieces:
         if tuple(q for q in ambient.ids if q in p.space.points) != p.space.points.ids:
             raise DomainError(f"piece {p.name!r} points are not ambient points in ambient order")
-        validate_space(p.space.points, p.space.levels)
     n = len(pieces)
     index = lambda x: isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
     table: dict[tuple[int, int], int] = {}
@@ -162,9 +160,8 @@ def validate_pieces(
     meta: Iterable[str],
 ) -> FilteredSystem:
     """The checks of validate_system on pieces whose points are ambient
-    points in ambient order and whose chains are already checked, with upper
-    keyed by piece pairs (r, s), r <= s: distinct names, coverage,
-    directedness and coincidence.
+    points in ambient order, with upper keyed by piece pairs (r, s), r <= s:
+    distinct names, coverage, directedness and coincidence.
 
     Each carrier becomes an ambient mask here. Only this code puts chain
     members on the ambient index: every piece's top level, on which
@@ -245,6 +242,15 @@ def validate_pieces(
                 )
         raise AssertionError("a piece that fails against the top piece fails with it")
     return system
+
+
+def deepen_system(system: FilteredSystem) -> FilteredSystem:
+    """Every piece deepened (spaces.deepen), with the same upper table. It
+    stays valid: carriers are unchanged, and each overlap compares two
+    single members cut to the same carrier, which every level of either
+    piece, cut alike, fits."""
+    pieces = tuple(Piece(p.name, deepen(p.space)) for p in system.pieces)
+    return replace(system, pieces=pieces)
 
 
 def strip(f: Family, keep: Iterable[Point]) -> Family:

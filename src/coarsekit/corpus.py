@@ -82,7 +82,7 @@ def _nested_system(
         levels = tuple(
             cut(Family.from_masks(ambient, tuple(lv.masks[i] for i in at)), pts) for lv in balls
         )
-        pieces.append(Piece(name, ScaledSpace(pts, levels)))
+        pieces.append(Piece(name, validate_space(pts, levels)))
     return validate_system(ambient, tuple(pieces), None, meta)
 
 

@@ -12,8 +12,8 @@ Every decoder builds each member's bitmask once, while reading it, by a bit
 lookup that is also the check that its points are known, and hands the masks
 to Family.from_masks, which checks nothing again. Each distinct member list
 of a list of members is decoded once; ball chains repeat members often. A
-repeated point in a member counts once. Covering and monotonicity are
-checked on the same masks by spaces.check_chain. A system piece's members
+repeated point in a member counts once. Each space checks its chain on the
+same masks when it is built (spaces.ScaledSpace). A system piece's members
 are read over the piece's own points, never over the ambient index:
 colimit.validate_pieces puts the masks it needs there. A piece is a name and
 a space, and its ``carrier`` key lists that space's points in ambient order.
@@ -68,7 +68,7 @@ from .invariants import (
 from .invariants.common import target_points
 from .maps import GroundedMap, MetricTarget, INF, metric_target
 from .reports import Report
-from .spaces import ScaledSpace, check_chain
+from .spaces import ScaledSpace, validate_space
 
 VERSION = "1"
 
@@ -192,14 +192,6 @@ def _family(v, pts: PointSet, path) -> Family:
     return Family.from_masks(pts, _masks(v, pts, path))
 
 
-def _scales(v, pts: PointSet, path) -> tuple[Family, ...]:
-    """The scales as families over pts, each member read once; covering and
-    monotonicity are checked on their masks by spaces.check_chain."""
-    levels = _family_list(v, pts, path, "scales")
-    check_chain([lv.masks for lv in levels], (1 << len(pts)) - 1, pts.ids)
-    return levels
-
-
 def _family_list(v, pts: PointSet, path, what) -> tuple[Family, ...]:
     if not isinstance(v, list) or not v:
         _fail(f"expected a non-empty list of {what}", path)
@@ -233,10 +225,10 @@ def _encode(value):
 
 def doc_to_space(body, path="body") -> ScaledSpace:
     """A space from its body. Each member's mask is built once, while it is
-    read, and spaces.check_chain checks covering and monotonicity on them."""
+    read; the space checks its chain when it is built."""
     _check_keys(body, ("points", "scales"), (), path)
     pts = _points(body["points"], f"{path}.points")
-    return ScaledSpace(pts, _scales(body["scales"], pts, f"{path}.scales"))
+    return validate_space(pts, _family_list(body["scales"], pts, f"{path}.scales", "scales"))
 
 
 def space_to_doc(sp: ScaledSpace) -> Document:
@@ -249,16 +241,15 @@ def space_to_doc(sp: ScaledSpace) -> Document:
 
 def doc_to_system(body, path="body") -> FilteredSystem:
     """A system from its body. Each piece's members are read once, over the
-    piece's own points, and spaces.check_chain checks each chain on their
-    masks, so every piece chain is monotone and covering and each overlap is
-    compared on top levels: colimit.validate_pieces puts those on the
-    ambient index and checks the system. Every piece is read and checked in
-    full before the next, and every piece before the upper triples, the meta
-    lines and the checks across pieces. A piece's space is over its carrier
-    in ambient order. An upper triple's faults are reported in order: not a
-    triple, then its first non-integer entry, then its first entry out of
-    range, then a pair already named, in either order; its path is built
-    only for the report."""
+    piece's own points, and each piece's space checks its chain when it is
+    built, so each overlap is compared on top levels: colimit.validate_pieces
+    puts those on the ambient index and checks the system. Every piece is
+    read and checked in full before the next, and every piece before the
+    upper triples, the meta lines and the checks across pieces. A piece's
+    space is over its carrier in ambient order. An upper triple's faults are
+    reported in order: not a triple, then its first non-integer entry, then
+    its first entry out of range, then a pair already named, in either
+    order; its path is built only for the report."""
     _check_keys(body, ("ambient", "pieces"), ("upper", "meta"), path)
     ambient = _points(body["ambient"], f"{path}.ambient")
     raw_pieces = body["pieces"]
@@ -277,8 +268,8 @@ def doc_to_system(body, path="body") -> FilteredSystem:
         if len(set(carrier_ids)) != len(carrier_ids):
             _fail("duplicate point in carrier", f"{p_path}.carrier")
         sub = ambient if len(carrier_ids) == len(ambient) else PointSet(ambient.sort(carrier_ids))
-        levels = _scales(rp["scales"], sub, f"{p_path}.scales")
-        pieces.append(Piece(rp["name"], ScaledSpace(sub, levels)))
+        levels = _family_list(rp["scales"], sub, f"{p_path}.scales", "scales")
+        pieces.append(Piece(rp["name"], validate_space(sub, levels)))
     upper = {}
     if "upper" in body:
         raw_upper = body["upper"]

@@ -1,20 +1,17 @@
 """Scaled spaces: finite monotone chains of covers standing in for an
 infinite large scale structure.
 
+A ScaledSpace checks its chain when it is built, so every space is a
+monotone chain of covers, and validate_space only builds one.
+
 A ScaledSpace carries its certified star depth: the largest d such that for
 all levels i, j <= d the member-wise star of level i against level j
-essentially refines some level of the chain. On a monotone chain, which
-validate_space, both decoders and restrict guarantee, every such star lies
-inside a star of level d against itself, so that diagonal star decides it.
-Operations that would need stars past that depth raise TruncationError
-instead of silently extending the chain. Star depth is certified lazily, on
-its first read, and kept with the space; only the colimit star reads it.
-
-Covering and monotonicity are checked once, on member bitmasks, by
-check_chain: validate_space hands it its families' masks, and the space and
-system decoders the masks they built while reading each member.
-validate_system runs validate_space on every piece, so every piece chain is
-checked monotone and covering.
+essentially refines some level of the chain. On a monotone chain every such
+star lies inside a star of level d against itself, so that diagonal star
+decides it. Operations that would need stars past that depth raise
+TruncationError instead of silently extending the chain. Star depth is
+certified lazily, on its first read, and kept with the space; only the
+colimit star reads it.
 
 Chain-wide questions are asked of the top level. Lemma: on a monotone chain
 every member lies in a member of the top level, so a set fits some member
@@ -34,12 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
 from .families import (
     Family,
-    Point,
     PointSet,
     Subset,
     chain_components,
@@ -53,8 +49,31 @@ from .families import (
 
 @dataclass(frozen=True)
 class ScaledSpace:
+    """A monotone chain of covers of a point set, checked when built. The
+    first fault raises: no level; then per level, a level over another point
+    set (DomainError) or the first point it leaves uncovered; then the first
+    level that does not refine the next."""
+
     points: PointSet
     levels: tuple[Family, ...]
+
+    def __post_init__(self):
+        if not self.levels:
+            raise ValidationError("a scaled space needs at least one level")
+        pts, levels = self.points, self.levels
+        full = (1 << len(pts)) - 1
+        for i, lv in enumerate(levels, 1):
+            if lv.space != pts:
+                raise DomainError(f"level {i} is not over the space's point set")
+            gap = full & ~reduce(or_, lv.masks, 0)
+            if gap:
+                p = pts.ids[(gap & -gap).bit_length() - 1]
+                raise ValidationError(f"level {i} does not cover: point {p!r} is in no member")
+        for i in range(1, len(levels)):
+            if first_misfit(levels[i - 1].masks, levels[i].masks) is not None:
+                raise ValidationError(
+                    f"chain not monotone: level {i} does not refine level {i + 1}"
+                )
 
     @cached_property
     def star_depth(self) -> int:
@@ -96,45 +115,9 @@ def _compute_star_depth(levels: tuple[Family, ...]) -> int:
 
 
 def validate_space(pts: PointSet, levels: Iterable[Family]) -> ScaledSpace:
-    """Check covering and monotonicity and build the space.
-
-    Star depth is not certified here: ScaledSpace.star_depth certifies it on
-    its first read.
-    """
-    levels = tuple(levels)
-    if not levels:
-        raise ValidationError("a scaled space needs at least one level")
-    check_chain(_level_masks(pts, levels), (1 << len(pts)) - 1, pts.ids)
-    return ScaledSpace(pts, levels)
-
-
-def _level_masks(pts: PointSet, levels: Sequence[Family]) -> Iterator[tuple[int, ...]]:
-    """Each level's member masks, read as check_chain reaches the level, so a
-    level over another point set is reported after the earlier levels'
-    covers and before any monotonicity."""
-    for i, lv in enumerate(levels, 1):
-        if lv.space != pts:
-            raise DomainError(f"level {i} is not over the space's point set")
-        yield lv.masks
-
-
-def check_chain(levels: Iterable[Collection[int]], full: int, ids: Sequence[Point]) -> None:
-    """Covering and monotonicity of a chain given as per-level member masks.
-
-    ``full`` is the mask of the chain's points and ``ids[i]`` names bit i.
-    Every level's cover is checked, in level order, before any monotonicity;
-    an uncovered point is named in point order.
-    """
-    out = []
-    for i, lv in enumerate(levels, 1):
-        gap = full & ~reduce(or_, lv, 0)
-        if gap:
-            missing = ids[(gap & -gap).bit_length() - 1]
-            raise ValidationError(f"level {i} does not cover: point {missing!r} is in no member")
-        out.append(lv)
-    for i in range(1, len(out)):
-        if first_misfit(out[i - 1], out[i]) is not None:
-            raise ValidationError(f"chain not monotone: level {i} does not refine level {i + 1}")
+    """The space of these levels, which checks its chain; its star depth is
+    certified on first read (ScaledSpace.star_depth)."""
+    return ScaledSpace(pts, tuple(levels))
 
 
 def is_bounded(space: ScaledSpace, f: Family) -> Optional[int]:
@@ -152,19 +135,25 @@ def is_bounded(space: ScaledSpace, f: Family) -> Optional[int]:
 
 
 def restrict(space: ScaledSpace, keep: Subset) -> ScaledSpace:
-    """Subspace on the non-empty point set keep: intersect members, drop empties.
-
-    The result needs no revalidation, because restriction keeps a valid
-    chain valid. Each level still covers: a point of keep lies in some
-    member m, so it lies in m & keep, which is kept. The chain stays
-    monotone: if m is inside w then m & keep is inside w & keep, and that
-    is non-empty, so kept, whenever m & keep is.
-    """
+    """Subspace on the non-empty point set keep: intersect members, drop empties."""
     inside = space.points.mask(keep)
     if not inside:
         raise DomainError("restriction carrier must be non-empty")
     pts = PointSet(space.points.points_of(inside))
-    return ScaledSpace(pts, tuple(cut(lv, pts) for lv in space.levels))
+    return validate_space(pts, (cut(lv, pts) for lv in space.levels))
+
+
+def truncate(space: ScaledSpace, j: int) -> ScaledSpace:
+    """The shallower truncation of the first j levels."""
+    space.level(j)  # the range check
+    return validate_space(space.points, space.levels[:j])
+
+
+def deepen(space: ScaledSpace) -> ScaledSpace:
+    """The deeper truncation with one more top level, whose only member is
+    the whole point set."""
+    whole = Family.from_masks(space.points, ((1 << len(space.points)) - 1,))
+    return validate_space(space.points, (*space.levels, whole))
 
 
 def coincidence_failure(a: ScaledSpace, b: ScaledSpace) -> Optional[tuple[str, int]]:

@@ -6,19 +6,41 @@ refine: each level either grows every member of the level before by a point,
 in a shuffled order, or is drawn afresh. Members may be empty or repeated, and a
 level may leave points uncovered, so cover faults and monotonicity faults
 interleave. Deep piece systems cut one shared chain to each carrier.
+
+A space checks its chain when it is built, so a drawn piece that may be
+faulty keeps its raw parts: its ``space`` is a Chain of points and levels,
+and validate_built builds the spaces inside the call under test.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from typing import NamedTuple
 
-from coarsekit import ValidationError
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from coarsekit import DomainError, ValidationError
 from coarsekit.colimit import Piece, validate_system
 from coarsekit.documents import doc_to_space, doc_to_system
-from coarsekit.families import Family, points
+from coarsekit.families import Family, PointSet, points
 from coarsekit.spaces import ScaledSpace, validate_space
 
 import oracles
+
+
+class Chain(NamedTuple):
+    """The unchecked parts of a space."""
+
+    points: PointSet
+    levels: tuple[Family, ...]
+
+
+def validate_built(ambient, pieces):
+    """validate_system on the pieces, each space built, so checked, from the
+    points and levels of its Chain or space."""
+    return validate_system(
+        ambient, [Piece(p.name, ScaledSpace(p.space.points, p.space.levels)) for p in pieces]
+    )
 
 
 @st.composite
@@ -80,14 +102,27 @@ def chains(draw):
 
 
 @given(chains())
+@example((("1", "2", "3"), [[0b111], [0b001, 0b010, 0b100]]))
 @settings(max_examples=400)
 def test_chain_check_matches_the_oracle(data):
     ids, levels = data
     pts = points(ids)
     fams = [Family(pts, tuple(oracles.from_mask(ids, m) for m in lv)) for lv in levels]
     want = chain_oracle(ids, levels)
+    assert outcome(ScaledSpace, pts, tuple(fams)) == want
     assert outcome(validate_space, pts, fams) == want
     assert outcome(doc_to_space, {"points": list(ids), "scales": scales_body(ids, levels)}) == want
+
+
+@pytest.mark.parametrize("make", [ScaledSpace, validate_space])
+def test_a_space_needs_a_level_over_its_own_points(make):
+    pts = points("ab")
+    with pytest.raises(ValidationError, match="^a scaled space needs at least one level$"):
+        make(pts, ())
+    whole = Family(pts, (frozenset("ab"),))
+    other = Family(points("abc"), (frozenset("abc"),))
+    with pytest.raises(DomainError, match="^level 2 is not over the space's point set$"):
+        make(pts, (whole, other))
 
 
 @st.composite
@@ -97,7 +132,7 @@ def deep_piece_systems(draw, mixed=False):
     levels; a piece may gain one extra member on one level and every level
     after it. Every chain covers and is monotone. With ``mixed`` the shared
     chain is sometimes drawn as in mixed_chains, so a piece's chain may miss
-    points or fail to refine upward."""
+    points or fail to refine upward. Each piece's space is a Chain."""
     ids = tuple(str(k) for k in range(draw(st.integers(2, 7))))
     width = len(ids)
     grow_only = not mixed or draw(st.booleans())
@@ -115,8 +150,7 @@ def deep_piece_systems(draw, mixed=False):
                 lv.append(extra)
         pts = points(p for j, p in enumerate(ids) if carrier >> j & 1)
         members = [tuple(oracles.from_mask(ids, m) for m in lv) for lv in levels]
-        space = ScaledSpace(pts, tuple(Family(pts, lv) for lv in members))
-        pieces.append(Piece(f"P{k}", space))
+        pieces.append(Piece(f"P{k}", Chain(pts, tuple(Family(pts, lv) for lv in members))))
     return points(ids), pieces
 
 
@@ -131,7 +165,7 @@ def test_cofinal_coincidence_matches_the_oracle(data):
     ambient, pieces = data
     want = next(filter(None, map(chain_fault, pieces)), None)
     want = want or pairwise_first_failure(ambient, pieces)
-    assert outcome(validate_system, ambient, pieces) == want
+    assert outcome(validate_built, ambient, pieces) == want
     assert outcome(doc_to_system, system_body(ambient, pieces)) == want
 
 
@@ -142,7 +176,7 @@ def test_deep_piece_systems_reach_every_outcome():
     @given(deep_piece_systems())
     @settings(max_examples=300, database=None, derandomize=True)
     def record(data):
-        got = outcome(validate_system, *data)
+        got = outcome(validate_built, *data)
         pair = got is not None and got.startswith("restrictions of pieces ")
         seen.add("pair fails" if pair else got or "pairs pass")
 

@@ -19,7 +19,7 @@ import pytest
 from coarsekit import DomainError, ParseError, __version__, cli, maps
 from coarsekit.cli import build_parser, main
 from coarsekit.colimit import Piece, validate_system
-from coarsekit.corpus import gen_c0, gen_disjoint_union
+from coarsekit.corpus import gen_c0, gen_disjoint_union, gen_unit_interval
 from coarsekit.documents import (
     DECODERS,
     Document,
@@ -663,6 +663,26 @@ def test_lift_then_check(tmp_path, capsys, inv, piece):
     assert main(lift) == 0
     assert main(check) == 0
     assert capsys.readouterr().out.count("verdict: verified") == 2
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["1_0", " 1 ", "+1", "\u0661", "1" * 5000],
+    ids=["underscore", "spaces", "plus", "arabic-indic", "5000-digits"],
+)
+def test_a_piece_index_is_ascii_digits_only(tmp_path, capsys, name):
+    """Eleven pieces, so ``1_0`` read as an integer would select piece 10."""
+    system = save(tmp_path, "sys.json", system_to_doc(gen_unit_interval(11).system))
+    argv = ["lift", "exactness", system, "--piece", name, "--witness", str(tmp_path / "w.json")]
+    assert main(argv) == 65
+    assert capsys.readouterr().err == f"coarsekit: input error: no piece named {name!r}\n"
+
+
+def test_a_piece_is_selected_by_its_ascii_index():
+    fs = gen_unit_interval(11).system
+    assert fs.piece_index("10") == fs.piece_index("010") == fs.piece_index("X11") == 10
+    with pytest.raises(DomainError, match="^piece index 11 out of range$"):
+        fs.piece_index("11")
 
 
 def test_tracer_sees_every_verify_and_lift(tmp_path):

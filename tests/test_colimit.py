@@ -40,7 +40,7 @@ from coarsekit.spaces import (
 
 import oracles
 from builders import fam, line_space, overlap_system
-from test_chain_masks import chain_oracle, deep_piece_systems, outcome
+from test_chain_masks import Chain, chain_oracle, deep_piece_systems, outcome, validate_built
 
 
 def test_validate_system_synthesizes_upper_bounds():
@@ -645,10 +645,9 @@ def test_a_failing_pair_off_the_top_piece_is_named_as_a_pairwise_scan_names_it(d
 
 def one_piece_system(*levels):
     """A system over {a, b, c} with one piece, whose levels are lists of
-    members written as strings; the space is built directly, unchecked."""
+    members written as strings; the space is left a Chain, unchecked."""
     ambient = points("abc")
-    space = ScaledSpace(ambient, tuple(fam(ambient, *lv) for lv in levels))
-    return ambient, [Piece("P", space)]
+    return ambient, [Piece("P", Chain(ambient, tuple(fam(ambient, *lv) for lv in levels)))]
 
 
 UNCOVERED = one_piece_system(["ab"], ["a", "b", "c"])
@@ -666,7 +665,7 @@ NOT_MONOTONE = one_piece_system(["a", "b", "c"], ["ab", "c"], ["a", "bc"])
 )
 def test_validate_system_checks_each_piece_chain(system, message):
     with pytest.raises(ValidationError) as exc:
-        validate_system(*system)
+        validate_built(*system)
     assert str(exc.value) == message
 
 
@@ -688,8 +687,8 @@ def test_decoder_checks_coincidence_as_validate_system_does(data):
     ambient, pieces = data
     want = next(filter(None, map(chain_fault, pieces)), None)
     want = want or pairwise_first_failure(ambient, pieces)
-    assert outcome(validate_system, ambient, pieces) == want
+    assert outcome(validate_built, ambient, pieces) == want
     assert outcome(doc_to_system, system_body(ambient, pieces)) == want
     if want is None:
-        system = validate_system(ambient, pieces)
+        system = validate_built(ambient, pieces)
         assert doc_to_system(system_to_doc(system).body) == system

@@ -15,7 +15,7 @@ from functools import lru_cache
 from hypothesis import assume, given, strategies as st
 
 from coarsekit import ValidationError
-from coarsekit.colimit import system_weakly_bounded, validate_system
+from coarsekit.colimit import system_weakly_bounded
 from coarsekit.corpus import gen_c0, gen_disjoint_union, gen_random_system, gen_unit_interval
 from coarsekit.families import points
 from coarsekit.invariants import geometry_cap
@@ -23,7 +23,7 @@ from coarsekit.maps import path_metric
 from coarsekit.spaces import coarse_components, validate_space, weakly_bounded
 
 import oracles
-from test_chain_masks import deep_piece_systems
+from test_chain_masks import deep_piece_systems, validate_built
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +50,7 @@ def systems_and_sets(draw):
         fs = draw(st.sampled_from(corpus()[:8] if kind == "generated" else corpus()[8:]))
     else:
         try:
-            fs = validate_system(*draw(deep_piece_systems()))
+            fs = validate_built(*draw(deep_piece_systems()))
         except ValidationError:
             assume(False)
     b = draw(st.sets(st.sampled_from(fs.ambient.ids), min_size=2, max_size=6))
