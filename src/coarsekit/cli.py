@@ -6,9 +6,17 @@ documents. Reports print as text by default; --format structured emits a
 single report document whose provenance (input digests, tool version) is
 stable across reruns on identical inputs.
 
+A command's argv is parsed in one argparse pass: when it starts with a
+command's exact name, that command's own parser reads the rest, as the top
+parser would have it do; anything else goes to the top parser. Either way
+leftover arguments are refused by the top parser.
+
 Every read of an input document reads and digests its file. Identical bytes
 are parsed and decoded once per process: a later read, such as the next
 command of a caller that runs many, reuses the decoded value.
+
+An output document is emitted once. The -o file holds that text, and a
+structured report nests the same text as its artifacts entry.
 """
 
 from __future__ import annotations
@@ -82,6 +90,8 @@ _EXIT = {
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict  # command name -> its subparser, on the top parser only
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
@@ -90,7 +100,8 @@ class _Parser(argparse.ArgumentParser):
 def _digested(args, path: str) -> bytes:
     """The bytes of one input document, whose digest is recorded in
     args.digests for the report's provenance before anything is written."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     args.digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
     return data
 
@@ -167,24 +178,27 @@ def _writing():
 def _render(args, report: Report, artifact=None) -> int:
     """Print the report, persist the artifact if -o was given, return the exit code.
 
-    Provenance lists the digest of every document the command read.
+    Provenance lists the digest of every document the command read. The
+    artifact is emitted once: the -o file and the structured report's
+    artifacts entry are written from the same text.
     """
     out = getattr(args, "output", None)
-    if artifact is not None and out:
-        with _writing():
-            Path(out).write_text(docs.emit_document(artifact[1]), encoding="utf-8")
+    structured = getattr(args, "format", "text") == "structured"
+    text = None
+    if artifact is not None and (out or structured):
+        text = docs.emit_document(artifact[1])
+        if out:
+            with _writing(), open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     provenance = {
         "inputs": args.digests,
         "tool": f"coarsekit {__version__}",
         "seed": None,
     }
-    if getattr(args, "format", "text") == "structured":
+    if structured:
         body = dict(docs.report_to_doc(report, provenance).body)
-        if artifact is not None:
-            name, adoc = artifact
-            body["artifacts"] = {
-                name: {"kind": adoc.kind, "version": adoc.version, "body": adoc.body}
-            }
+        if text is not None:
+            body["artifacts"] = {artifact[0]: docs.Emitted(text[:-1])}
         sys.stdout.write(docs.emit_document(docs.Document("report", docs.VERSION, body)))
     else:
         print(f"verdict: {report.verdict.value}")
@@ -574,6 +588,7 @@ def build_parser() -> _Parser:
         help="write the produced document (witness, family, ...) here",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    parser.commands = sub.choices
 
     sp = sub.add_parser("validate", parents=[common], help="validate a space or system document")
     sp.add_argument("document")
@@ -651,13 +666,36 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one argparse pass.
+
+    Given a command's exact name first, the top parser would only record it
+    and hand the rest to that command's parser, so the command's parser is
+    called here directly. Anything else (no argv, --version, -h, a name it
+    does not know or abbreviates, an option before the command) goes to the
+    top parser. Leftover arguments are refused by the top parser, with its
+    usage, as parse_args would.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit status.
 
     Decoded inputs outlive the call: the process keeps the last
     DECODED_ENTRIES of them, each with its decode target, for later calls.
     """
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     # input path -> digest, filled by _digested; made per call, since a default
     # on the reused parser would be one dict shared by every call
     args.digests = {}

@@ -35,8 +35,9 @@ pure-Python encoder whenever an indent is asked for. The rule: ``": "`` after
 each key, a comma, a newline and the indent between items, ``{}`` and ``[]``
 for empty containers, strings escaped to ASCII. Its values are str, None,
 bool, int, float (``NaN``, ``Infinity`` and ``-Infinity`` as ``json`` writes
-them), list or tuple, and dict with str keys; any other value or key raises
-``TypeError``.
+them), list or tuple, dict with str keys, and ``Emitted``, a document's text
+already emitted, which is nested as it stands, re-indented to its place; any
+other value or key raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -723,6 +724,17 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+@dataclass(frozen=True)
+class Emitted:
+    """The text emit_document gave for a document, less its final newline.
+
+    _write nests it at any indent without writing the document again: its
+    newlines are all structural, since escaped strings hold none.
+    """
+
+    text: str
+
+
 def _write(value, indent: str, out: list) -> None:
     """Append the canonical text of one JSON value, nested at ``indent``."""
     if isinstance(value, str):
@@ -767,6 +779,8 @@ def _write(value, indent: str, out: list) -> None:
             head = sep
             _write(value[k], inner, out)
         out.append("\n" + indent + "}")
+    elif isinstance(value, Emitted):
+        out.append(value.text.replace("\n", "\n" + indent))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

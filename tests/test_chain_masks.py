@@ -94,6 +94,65 @@ def outcome(fn, *args):
     return None
 
 
+def chain_fault(piece):
+    """The oracle's first fault of the piece's chain, or None."""
+    return chain_oracle(piece.space.points.ids, [lv.masks for lv in piece.space.levels])
+
+
+def coincidence_oracle(ids, a, b, inter):
+    """First (side, level) at which one chain, restricted to the inter mask
+    with empties dropped, essentially refines no level of the other."""
+
+    def cut(space):
+        return [
+            [r for m in lv.members if (r := oracles.to_mask(ids, m) & inter)]
+            for lv in space.levels
+        ]
+
+    ca, cb = cut(a), cut(b)
+    for side, xs, ys in (("first", ca, cb), ("second", cb, ca)):
+        for i, lx in enumerate(xs, 1):
+            if not any(oracles.essentially_refines_masks(lx, ly) for ly in ys):
+                return side, i
+    return None
+
+
+def pairwise_first_failure(ambient, pieces):
+    """The error text for the first overlapping pair, in index order, whose
+    chains fail the coincidence oracle on their overlap, or None."""
+    ids = ambient.ids
+    for r in range(len(pieces)):
+        for s in range(r + 1, len(pieces)):
+            a, b = pieces[r], pieces[s]
+            inter = frozenset(a.space.points) & frozenset(b.space.points)
+            want = inter and coincidence_oracle(ids, a.space, b.space, oracles.to_mask(ids, inter))
+            if want:
+                side, lvl = want
+                owner = a.name if side == "first" else b.name
+                return (
+                    f"restrictions of pieces {a.name} and {b.name} do not coincide: "
+                    f"level {lvl} of {owner} restricted to the intersection "
+                    f"essentially refines no level of the other"
+                )
+    return None
+
+
+def system_body(ambient, pieces):
+    return {
+        "ambient": list(ambient.ids),
+        "pieces": [
+            {
+                "name": p.name,
+                "carrier": list(p.space.points.ids),
+                "scales": [
+                    [list(p.space.points.points_of(m)) for m in lv.masks] for lv in p.space.levels
+                ],
+            }
+            for p in pieces
+        ],
+    }
+
+
 @st.composite
 def chains(draw):
     ids = tuple(str(k) for k in range(draw(st.integers(1, 6))))
@@ -160,8 +219,6 @@ def test_cofinal_coincidence_matches_the_oracle(data):
     """On deep chains, where coincidence compares only top levels,
     validate_system and the decoder give the oracle's first chain fault,
     else the first pair that a pairwise scan finds failing."""
-    from test_colimit import chain_fault, pairwise_first_failure, system_body
-
     ambient, pieces = data
     want = next(filter(None, map(chain_fault, pieces)), None)
     want = want or pairwise_first_failure(ambient, pieces)

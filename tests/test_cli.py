@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from coarsekit import DomainError, ParseError, __version__, cli, maps
+from coarsekit import documents as docs
 from coarsekit.cli import build_parser, main
 from coarsekit.colimit import Piece, validate_system
 from coarsekit.corpus import gen_c0, gen_disjoint_union, gen_unit_interval
@@ -68,6 +69,40 @@ def save(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(emit_document(doc), encoding="utf-8")
     return str(path)
+
+
+PARSE_ARGS = cli._parse_args
+
+
+def _parsed(parse, argv):
+    """The fields of parse(argv)'s namespace, or its exit code, with what it
+    wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def parsed_both_ways(monkeypatch):
+    """Every argv that a test here runs through main is parsed twice, by
+    main's one-pass dispatch and by the top parser alone, and must give the
+    same namespace, or the same exit code, stdout and stderr."""
+
+    def parse(argv):
+        got = _parsed(PARSE_ARGS, argv)
+        assert got == _parsed(build_parser().parse_args, argv), argv
+        result, out, err = got
+        sys.stdout.write(out)
+        sys.stderr.write(err)
+        if isinstance(result, dict):
+            return argparse.Namespace(**result)
+        raise SystemExit(result)
+
+    monkeypatch.setattr(cli, "_parse_args", parse)
 
 
 @pytest.fixture
@@ -665,6 +700,30 @@ def test_lift_then_check(tmp_path, capsys, inv, piece):
     assert capsys.readouterr().out.count("verdict: verified") == 2
 
 
+def test_a_structured_lift_emits_its_artifact_once(tmp_path, capsys, monkeypatch):
+    """The -o file and the report's artifacts entry are one emission: the
+    artifact's body passes through the writer once."""
+    lift, _ = lift_then_check_argv(tmp_path, "pinch", "M0")
+    made, written = [], []
+
+    def witness_to_doc(*args, real=docs.witness_to_doc):
+        made.append(real(*args))
+        return made[-1]
+
+    def write(value, *rest, real=docs._write):
+        written.append(value)
+        real(value, *rest)
+
+    monkeypatch.setattr(docs, "witness_to_doc", witness_to_doc)
+    monkeypatch.setattr(docs, "_write", write)
+    assert main([*lift, "--format", "structured"]) == 0
+    [artifact] = made
+    assert sum(value is artifact.body for value in written) == 1
+    report = json.loads(capsys.readouterr().out)
+    saved = Path(lift[lift.index("-o") + 1]).read_text(encoding="utf-8")
+    assert report["body"]["artifacts"] == {"witness": json.loads(saved)}
+
+
 @pytest.mark.parametrize(
     "name",
     ["1_0", " 1 ", "+1", "\u0661", "1" * 5000],
@@ -1023,6 +1082,67 @@ def test_reused_parser_answers_like_a_fresh_process(tmp_path, monkeypatch):
     assert [code for code, _, _ in reused] == [64, 0, 0, 0, 64, 2, 0, 0, 0]
     for argv, answer in zip(argvs, reused):
         assert answer == _fresh_process(argv), argv
+
+
+EDGE_ARGVS = [
+    [],
+    ["--version"],
+    ["-h"],
+    ["lif", "pinch", "s"],
+    ["--format", "structured", "validate", "x"],
+    ["validate", "a", "b"],
+    ["star", "a", "b", "c", "--", "x"],
+    ["check", "--version"],
+    ["check", "-h"],
+    ["probe", "apc", "s", "--budget", "-1"],
+    ["lift", "pinch", "s", "--wit", "w"],
+]
+
+
+def test_edge_argvs_answer_as_through_the_top_parser(tmp_path, monkeypatch):
+    """Usage errors, help, --version, an abbreviated command or option and
+    leftover arguments: main answers alike with its one-pass dispatch and
+    with the top parser alone. No file named here exists."""
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the same width
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_parse_args", PARSE_ARGS)
+    direct = [_in_process(argv) for argv in EDGE_ARGVS]
+    monkeypatch.setattr(cli, "_parse_args", build_parser().parse_args)
+    assert direct == [_in_process(argv) for argv in EDGE_ARGVS]
+    assert [code for code, _, _ in direct] == [64, 0, 0, 64, 64, 64, 64, 64, 0, 64, 65]
+    assert direct[5][2].endswith("coarsekit: error: unrecognized arguments: b\n")
+
+
+WORKLOAD_ARGVS = """
+import json, sys
+import grid, harmonic, randomcli
+from harness import Documents
+
+argvs = []
+for workload in (grid, harmonic, randomcli):
+    out = Documents()
+    plan = workload.setup(out, workload.NAME, 7)
+    out.write()
+    argvs += [op.argv for op in workload.operations(plan)]
+json.dump(argvs, sys.stdout)
+"""
+
+
+def test_every_benchmark_argv_parses_as_through_the_top_parser(tmp_path):
+    """One seed-7 pass of each benchmark workload, its documents written
+    under tmp_path, where the workloads' operations read some of them."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "bench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKLOAD_ARGVS],
+        cwd=tmp_path, capture_output=True, text=True, env=env, check=True,
+    )
+    argvs = json.loads(proc.stdout)
+    assert len(argvs) == 35 + 93 + 2288
+    parser = build_parser()
+    for argv in argvs:
+        assert vars(PARSE_ARGS(argv)) == vars(parser.parse_args(argv)), argv
 
 
 def _three_piece_body(member):

@@ -40,7 +40,16 @@ from coarsekit.spaces import (
 
 import oracles
 from builders import fam, line_space, overlap_system
-from test_chain_masks import Chain, chain_oracle, deep_piece_systems, outcome, validate_built
+from test_chain_masks import (
+    Chain,
+    chain_fault,
+    coincidence_oracle,
+    deep_piece_systems,
+    outcome,
+    pairwise_first_failure,
+    system_body,
+    validate_built,
+)
 
 
 def test_validate_system_synthesizes_upper_bounds():
@@ -418,24 +427,6 @@ def test_random_system_certificates_survive_oracle_audit(seed):
             assert got
 
 
-def coincidence_oracle(ids, a, b, inter):
-    """First (side, level) at which one chain, restricted to the inter mask
-    with empties dropped, essentially refines no level of the other."""
-
-    def cut(space):
-        return [
-            [r for m in lv.members if (r := oracles.to_mask(ids, m) & inter)]
-            for lv in space.levels
-        ]
-
-    ca, cb = cut(a), cut(b)
-    for side, xs, ys in (("first", ca, cb), ("second", cb, ca)):
-        for i, lx in enumerate(xs, 1):
-            if not any(oracles.essentially_refines_masks(lx, ly) for ly in ys):
-                return side, i
-    return None
-
-
 @st.composite
 def piece_systems(draw):
     """Two or three pieces over at most 8 points, one of them carrying all.
@@ -525,22 +516,6 @@ def test_loading_a_system_compares_each_piece_with_the_top_piece_once(monkeypatc
     assert len(calls) == len(system.pieces) - 1 == 15
 
 
-def system_body(ambient, pieces):
-    return {
-        "ambient": list(ambient.ids),
-        "pieces": [
-            {
-                "name": p.name,
-                "carrier": list(p.space.points.ids),
-                "scales": [
-                    [list(p.space.points.points_of(m)) for m in lv.masks] for lv in p.space.levels
-                ],
-            }
-            for p in pieces
-        ],
-    }
-
-
 def _first_pair_misses_the_top():
     """P0 and P1 fail on their overlap {b, c}, and so do P1 and the top P2;
     P0 and P2 coincide. The pairwise scan names P0 and P1."""
@@ -609,26 +584,6 @@ def split(m, x, y):
     return (m - {y}, m - {x}) if {x, y} <= m else (m,)
 
 
-def pairwise_first_failure(ambient, pieces):
-    """The error text for the first overlapping pair, in index order, whose
-    chains fail the coincidence oracle on their overlap, or None."""
-    ids = ambient.ids
-    for r in range(len(pieces)):
-        for s in range(r + 1, len(pieces)):
-            a, b = pieces[r], pieces[s]
-            inter = frozenset(a.space.points) & frozenset(b.space.points)
-            want = inter and coincidence_oracle(ids, a.space, b.space, oracles.to_mask(ids, inter))
-            if want:
-                side, lvl = want
-                owner = a.name if side == "first" else b.name
-                return (
-                    f"restrictions of pieces {a.name} and {b.name} do not coincide: "
-                    f"level {lvl} of {owner} restricted to the intersection "
-                    f"essentially refines no level of the other"
-                )
-    return None
-
-
 @given(planted_failures())
 @settings(max_examples=150)
 def test_a_failing_pair_off_the_top_piece_is_named_as_a_pairwise_scan_names_it(data):
@@ -667,11 +622,6 @@ def test_validate_system_checks_each_piece_chain(system, message):
     with pytest.raises(ValidationError) as exc:
         validate_built(*system)
     assert str(exc.value) == message
-
-
-def chain_fault(piece):
-    """The oracle's first fault of the piece's chain, or None."""
-    return chain_oracle(piece.space.points.ids, [lv.masks for lv in piece.space.levels])
 
 
 @given(st.one_of(piece_systems(), planted_failures(), deep_piece_systems()))

@@ -10,7 +10,7 @@ from functools import reduce
 from operator import or_
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from coarsekit import ParseError, ValidationError
 from coarsekit.colimit import ColimitBoundedness, extended_level
@@ -18,6 +18,7 @@ from coarsekit.corpus import gen_disjoint_union, gen_random_system
 from coarsekit.documents import (
     DECODERS,
     Document,
+    Emitted,
     _encode_fraction,
     _fraction,
     doc_to_family,
@@ -236,6 +237,45 @@ def test_emission_matches_json_dumps(kind, version, body):
     assert emit_document(Document(kind, version, body)) == (
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
+
+
+# JSON values in which documents stand at any depth, in one another's bodies too.
+NESTED_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_KEYS, inner, max_size=3)
+    | st.builds(Document, JSON_TEXT, JSON_TEXT, st.dictionaries(JSON_KEYS, inner, max_size=3)),
+    max_leaves=16,
+)
+
+
+def nest(value, place):
+    """value with every document in it, innermost first, replaced by place(doc)."""
+    if isinstance(value, Document):
+        return place(Document(value.kind, value.version, nest(value.body, place)))
+    if isinstance(value, (list, tuple)):
+        return [nest(v, place) for v in value]
+    if isinstance(value, dict):
+        return {k: nest(v, place) for k, v in value.items()}
+    return value
+
+
+def envelope(doc):
+    return {"kind": doc.kind, "version": doc.version, "body": doc.body}
+
+
+def pre_emitted(doc):
+    return Emitted(emit_document(doc)[:-1])
+
+
+@given(JSON_TEXT, st.dictionaries(JSON_KEYS, NESTED_DOCUMENTS, max_size=4))
+@example("report", {"artifacts": {"w": Document("family", "1", {"m": [["a"], Document("k", "1", {})]})}})
+def test_a_pre_emitted_document_writes_as_its_envelope(kind, body):
+    """A document's emitted text, wrapped in Emitted at any depth, gives the
+    bytes that its envelope gives in that place."""
+    want = emit_document(Document(kind, "1", nest(body, envelope)))
+    assert emit_document(Document(kind, "1", nest(body, pre_emitted))) == want
 
 
 @pytest.mark.parametrize(
