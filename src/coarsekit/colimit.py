@@ -3,25 +3,35 @@
 A FilteredSystem is a list of pieces covering an ambient point set, with an
 upper-bound table on piece pairs and pairwise coincidence of the chains
 restricted to each overlap. A piece is a named scaled space whose points,
-listed in ambient order, are its carrier. A piece's space checked its
-chain when it was built, so every piece chain is monotone and covering and
-each overlap is compared on top levels. validate_system checks coverage,
-directedness and coincidence on bitmasks over the ambient index, without
-building restricted spaces. Its core, validate_pieces, which the system
-decoder shares, is the only code that puts chain members on the ambient
-index: each piece's top level, on which coincidence is decided, and the
-full chains of a failing pair, to name the failing level.
+listed in ambient order, are its carrier. A system checks itself when it is
+built (FilteredSystem.__post_init__), as a piece's space checked its chain:
+every FilteredSystem value, however it was made, is covering, directed and
+coincident. The check runs on bitmasks over the ambient index, without
+building restricted spaces, and is the only code that puts chain members
+there: each piece's top level, on which coincidence is decided, and the
+full chains of a failing pair, to name the failing level. Every piece chain
+is monotone, so comparing top levels is exact: every level refines its
+chain's top, so a level fits wherever its top fits, and a level that fits
+some level of the other chain fits that chain's top.
 
 Coincidence is checked against one top piece T, whose carrier is the whole
-ambient set: one comparison per other piece, on that piece's carrier, in
-place of one per overlapping pair. That decides every pair (the lemma in
-validate_pieces): when pieces r and s each coincide with T, a member of r
-cut to their overlap lies in a member of T, and that member cut to s lies
-in a member of s. Only a failing system runs the pairwise scan, which names
-the first failing pair and its first failing level.
+ambient set: upper_piece folded over every piece (top_piece). Each other
+piece is compared with T on its own carrier, one comparison per piece in
+place of one per overlapping pair. Lemma: if every piece coincides with T,
+every pair coincides. Let pieces r and s each coincide with T on their own
+carriers, and take a level of r. It fits, cut to r's carrier, some level L
+of T, and L, cut to s's carrier, fits some level of s. A member m of the
+level of r, cut to the overlap of r and s, with two or more points, lies in
+m cut to r's carrier, so in some member w of L. Then w cut to s's carrier
+holds those two or more points, so it lies in some member of that level of
+s, and so does m cut to the overlap. The same holds with r and s swapped.
+Only a failing system runs the pairwise scan: it compares the top levels of
+every overlapping pair in order and names the first failing pair and its
+first failing level. It finds one, since a piece that fails against T
+makes a failing pair with T.
 
-System-wide questions are asked of T's top level. Lemma: in a validated
-system every piece member lies in a member of T's top level. A member with
+System-wide questions are asked of T's top level. Lemma: every piece
+member lies in a member of T's top level. A member with
 two or more points lies in a member of its own chain's top level, and that
 level coincides with T on the piece's carrier, so the member lies in a
 member of T's top level; a single point does too, since that level covers.
@@ -75,10 +85,108 @@ class ColimitBoundedness:
 
 @dataclass(frozen=True)
 class FilteredSystem:
+    """Pieces covering the ambient set, directed by the upper table and
+    coinciding on overlaps, checked when built (see the module docstring).
+    The checks, in order: at least one piece; each piece's points are
+    ambient points in ambient order; upper's keys are piece pairs and its
+    values pieces, with no pair named twice in either order; distinct names;
+    coverage; directedness, which fills a missing pair with the least piece
+    holding the union; coincidence. Stored: pieces and meta as tuples, upper
+    as the full table."""
+
     ambient: PointSet
     pieces: tuple[Piece, ...]
     upper: dict[tuple[int, int], int] = field(hash=False)  # {(r, s): t} for r <= s
     meta: tuple[str, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        ambient, pieces = self.ambient, tuple(self.pieces)
+        if not pieces:
+            raise ValidationError("a system needs at least one piece")
+        carriers = []
+        for p in pieces:
+            ids = p.space.points.ids
+            mask = ambient.mask(filter(ambient.__contains__, ids))
+            if ambient.points_of(mask) != ids:
+                raise DomainError(
+                    f"piece {p.name!r} points are not ambient points in ambient order"
+                )
+            carriers.append(mask)
+        n = len(pieces)
+        names = [p.name for p in pieces]
+        index = lambda x: isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+        given: dict[tuple[int, int], int] = {}
+        for pair, t in self.upper.items():
+            if not (
+                isinstance(pair, tuple) and len(pair) == 2 and index(pair[0]) and index(pair[1])
+            ):
+                raise ValidationError(
+                    f"upper bound given for {pair!r}, which is not a pair of pieces"
+                )
+            r, s = pair
+            if not index(t):
+                raise ValidationError(
+                    f"upper bound of pieces {names[r]} and {names[s]} is {t!r}, not a piece index"
+                )
+            r, s = key = (r, s) if r <= s else (s, r)
+            if key in given:
+                raise ValidationError(
+                    f"upper bound of pieces {names[r]} and {names[s]} given twice"
+                )
+            given[key] = t
+
+        if len(set(names)) != n:
+            raise ValidationError("piece names must be distinct")
+        q = uncovered_point(Family.from_masks(ambient, tuple(carriers)))
+        if q is not None:
+            raise ValidationError(f"carriers do not cover: point {q!r} is in no piece")
+        table: dict[tuple[int, int], int] = {}
+        for r in range(n):
+            for s in range(r, n):
+                t = given.get((r, s))
+                union = carriers[r] | carriers[s]
+                if t is not None:
+                    if union & ~carriers[t]:
+                        raise ValidationError(
+                            f"directedness failure: upper({names[r]}, {names[s]}) = "
+                            f"{names[t]} does not contain the union"
+                        )
+                else:
+                    t = next((c for c in range(n) if not union & ~carriers[c]), None)
+                    if t is None:
+                        raise ValidationError(
+                            f"directedness failure: no piece contains "
+                            f"{names[r]} union {names[s]}"
+                        )
+                table[(r, s)] = t
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "upper", table)
+        object.__setattr__(self, "meta", tuple(self.meta))
+
+        tops = [[set(reroot(p.space.levels[-1], ambient).masks)] for p in pieces]
+        top = self.top_piece()
+        if all(
+            coincidence_masks(tops[r], tops[top], carriers[r]) is None
+            for r in range(n)
+            if r != top
+        ):
+            return
+        for r in range(n):
+            for s in range(r + 1, n):
+                inter = carriers[r] & carriers[s]
+                if not inter or coincidence_masks(tops[r], tops[s], inter) is None:
+                    continue
+                full = [
+                    [reroot(lv, ambient).masks for lv in pieces[x].space.levels] for x in (r, s)
+                ]
+                side, lvl = coincidence_masks(full[0], full[1], inter)
+                owner = names[r] if side == "first" else names[s]
+                raise ValidationError(
+                    f"restrictions of pieces {names[r]} and {names[s]} do not "
+                    f"coincide: level {lvl} of {owner} restricted to the "
+                    f"intersection essentially refines no level of the other"
+                )
+        raise AssertionError("a piece that fails against the top piece fails with it")
 
     def piece_index(self, name: str) -> int:
         """Index of the piece with this name, else the name read as an index
@@ -114,141 +222,15 @@ def validate_system(
     upper: Optional[Mapping[tuple[int, int], int]] = None,
     meta: Iterable[str] = (),
 ) -> FilteredSystem:
-    """Check coverage, directedness, and pairwise coincidence of
-    restrictions; each piece's space checked its own chain when it was built.
-
-    Per piece, in order: its points are ambient points, listed in ambient
-    order. Then validate_pieces checks the system.
-
-    Every key of upper is a pair of piece indices and every value a piece
-    index. When upper is None or partial, missing pairs are filled by
-    scanning for the least piece whose carrier contains the union; an
-    unfillable pair is a directedness failure, and a pair named in both
-    orders is refused.
-    """
-    pieces = tuple(pieces)
-    if not pieces:
-        raise ValidationError("a system needs at least one piece")
-    for p in pieces:
-        if tuple(q for q in ambient.ids if q in p.space.points) != p.space.points.ids:
-            raise DomainError(f"piece {p.name!r} points are not ambient points in ambient order")
-    n = len(pieces)
-    index = lambda x: isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
-    table: dict[tuple[int, int], int] = {}
-    for pair, t in (upper or {}).items():
-        if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(index, pair))):
-            raise ValidationError(f"upper bound given for {pair!r}, which is not a pair of pieces")
-        r, s = pair
-        if not index(t):
-            raise ValidationError(
-                f"upper bound of pieces {pieces[r].name} and {pieces[s].name} is {t!r}, "
-                "not a piece index"
-            )
-        r, s = key = (min(pair), max(pair))
-        if key in table:
-            raise ValidationError(
-                f"upper bound of pieces {pieces[r].name} and {pieces[s].name} given twice"
-            )
-        table[key] = t
-    return validate_pieces(ambient, pieces, table, meta)
-
-
-def validate_pieces(
-    ambient: PointSet,
-    pieces: Sequence[Piece],
-    upper: Mapping[tuple[int, int], int],
-    meta: Iterable[str],
-) -> FilteredSystem:
-    """The checks of validate_system on pieces whose points are ambient
-    points in ambient order, with upper keyed by piece pairs (r, s), r <= s:
-    distinct names, coverage, directedness and coincidence.
-
-    Each carrier becomes an ambient mask here. Only this code puts chain
-    members on the ambient index: every piece's top level, on which
-    coincidence is decided, and the full chains of a pair that fails, to
-    name its first failing level as coincidence_masks does. Every
-    chain is monotone, so comparing top levels is exact: every level refines
-    its chain's top, so a level fits wherever its top fits, and a level that
-    fits some level of the other chain fits that chain's top.
-
-    Folding the directedness table over every piece (top_piece) gives a top
-    piece T whose carrier holds every carrier, so the whole ambient set. Each
-    other piece is compared with T on its own carrier, and if all of them
-    coincide with T, every pair coincides. Lemma: let pieces r and s each
-    coincide with T on their own carriers, and take a level of r. It fits,
-    cut to r's carrier, some level L of T, and L, cut to s's carrier, fits
-    some level of s. A member m of the level of r, cut to the overlap of r
-    and s, with two or more points, lies in m cut to r's carrier, so in some
-    member w of L. Then w cut to s's carrier holds those two or more points,
-    so it lies in some member of that level of s, and so does m cut to the
-    overlap. The same holds with r and s swapped.
-
-    Otherwise the pairwise scan runs: it compares the top levels of every
-    overlapping pair in order and names the first failing pair and
-    level. It finds a failing pair, since a piece that fails against T
-    makes one with T.
-    """
-    names = [p.name for p in pieces]
-    if len(set(names)) != len(names):
-        raise ValidationError("piece names must be distinct")
-    carriers = [ambient.mask(p.space.points.ids) for p in pieces]
-    q = uncovered_point(Family.from_masks(ambient, tuple(carriers)))
-    if q is not None:
-        raise ValidationError(f"carriers do not cover: point {q!r} is in no piece")
-
-    table: dict[tuple[int, int], int] = {}
-    n = len(pieces)
-    for r in range(n):
-        for s in range(r, n):
-            t = upper.get((r, s))
-            union = carriers[r] | carriers[s]
-            if t is not None:
-                if union & ~carriers[t]:
-                    raise ValidationError(
-                        f"directedness failure: upper({names[r]}, {names[s]}) = "
-                        f"{names[t]} does not contain the union"
-                    )
-            else:
-                t = next((c for c in range(n) if not union & ~carriers[c]), None)
-                if t is None:
-                    raise ValidationError(
-                        f"directedness failure: no piece contains "
-                        f"{names[r]} union {names[s]}"
-                    )
-            table[(r, s)] = t
-
-    system = FilteredSystem(ambient, tuple(pieces), table, tuple(meta))
-    tops = [[set(reroot(p.space.levels[-1], ambient).masks)] for p in pieces]
-    top = system.top_piece()
-    if any(
-        coincidence_masks(tops[r], tops[top], carriers[r]) is not None
-        for r in range(n)
-        if r != top
-    ):
-        for r in range(n):
-            for s in range(r + 1, n):
-                inter = carriers[r] & carriers[s]
-                if not inter or coincidence_masks(tops[r], tops[s], inter) is None:
-                    continue
-                full = [
-                    [reroot(lv, ambient).masks for lv in pieces[x].space.levels] for x in (r, s)
-                ]
-                side, lvl = coincidence_masks(full[0], full[1], inter)
-                owner = names[r] if side == "first" else names[s]
-                raise ValidationError(
-                    f"restrictions of pieces {names[r]} and {names[s]} do not "
-                    f"coincide: level {lvl} of {owner} restricted to the "
-                    f"intersection essentially refines no level of the other"
-                )
-        raise AssertionError("a piece that fails against the top piece fails with it")
-    return system
+    """The system of these pieces, checked when built; upper may be partial."""
+    return FilteredSystem(ambient, tuple(pieces), upper or {}, tuple(meta))
 
 
 def deepen_system(system: FilteredSystem) -> FilteredSystem:
-    """Every piece deepened (spaces.deepen), with the same upper table. It
-    stays valid: carriers are unchanged, and each overlap compares two
-    single members cut to the same carrier, which every level of either
-    piece, cut alike, fits."""
+    """Every piece deepened (spaces.deepen), with the same upper table. The
+    rebuilt system checks itself and passes: carriers are unchanged, and
+    each overlap compares two single members cut to the same carrier, which
+    every level of either piece, cut alike, fits."""
     pieces = tuple(Piece(p.name, deepen(p.space)) for p in system.pieces)
     return replace(system, pieces=pieces)
 

@@ -13,10 +13,11 @@ lookup that is also the check that its points are known, and hands the masks
 to Family.from_masks, which checks nothing again. Each distinct member list
 of a list of members is decoded once; ball chains repeat members often. A
 repeated point in a member counts once. Each space checks its chain on the
-same masks when it is built (spaces.ScaledSpace). A system piece's members
-are read over the piece's own points, never over the ambient index:
-colimit.validate_pieces puts the masks it needs there. A piece is a name and
-a space, and its ``carrier`` key lists that space's points in ambient order.
+same masks when it is built (spaces.ScaledSpace), and so does each system
+(colimit.FilteredSystem). A system piece's members are read over the
+piece's own points, never over the ambient index: the system's check puts
+the masks it needs there. A piece is a name and a space, and its
+``carrier`` key lists that space's points in ambient order.
 
 Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
 the witness class and its body fields in decode order, each as (body key,
@@ -52,7 +53,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, or_
 from typing import Any, Callable, NamedTuple, Optional, Union
 
-from .colimit import ColimitBoundedness, FilteredSystem, Piece, extended_level, validate_pieces
+from .colimit import ColimitBoundedness, FilteredSystem, Piece, extended_level, validate_system
 from .errors import CoarseError, ParseError
 from .families import Family, PointSet
 from .invariants import (
@@ -243,14 +244,14 @@ def space_to_doc(sp: ScaledSpace) -> Document:
 def doc_to_system(body, path="body") -> FilteredSystem:
     """A system from its body. Each piece's members are read once, over the
     piece's own points, and each piece's space checks its chain when it is
-    built, so each overlap is compared on top levels: colimit.validate_pieces
-    puts those on the ambient index and checks the system. Every piece is
-    read and checked in full before the next, and every piece before the
-    upper triples, the meta lines and the checks across pieces. A piece's
-    space is over its carrier in ambient order. An upper triple's faults are
-    reported in order: not a triple, then its first non-integer entry, then
-    its first entry out of range, then a pair already named, in either
-    order; its path is built only for the report."""
+    built; colimit.validate_system builds the system, which checks itself,
+    comparing each overlap on top levels. Every piece is read and checked in
+    full before the next, and every piece before the upper triples, the meta
+    lines and the checks across pieces. A piece's space is over its carrier
+    in ambient order. An upper triple's faults are reported in order: not a
+    triple, then its first non-integer entry, then its first entry out of
+    range, then a pair already named, in either order; its path is built
+    only for the report."""
     _check_keys(body, ("ambient", "pieces"), ("upper", "meta"), path)
     ambient = _points(body["ambient"], f"{path}.ambient")
     raw_pieces = body["pieces"]
@@ -292,7 +293,7 @@ def doc_to_system(body, path="body") -> FilteredSystem:
                 _fail(f"upper bound of pieces {r} and {s} given twice", f"{path}.upper[{i}]")
             upper[pair] = t
     meta = _str_list(body.get("meta", []), f"{path}.meta")
-    return validate_pieces(ambient, pieces, upper, meta)
+    return validate_system(ambient, pieces, upper, meta)
 
 
 def system_to_doc(system: FilteredSystem) -> Document:

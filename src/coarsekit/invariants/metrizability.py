@@ -20,18 +20,21 @@ from ..reports import Clause, Report, from_clauses
 
 @dataclass(frozen=True)
 class GeneratorSet:
+    """At least one family, each over space; checked when built."""
+
     space: PointSet
     families: tuple[Family, ...]
 
+    def __post_init__(self):
+        if not self.families:
+            raise DomainError("a generator set needs at least one family")
+        for fam in self.families:
+            if fam.space != self.space:
+                raise DomainError("generator family is not over the stated point set")
+
 
 def generator_set(space: PointSet, families: Sequence[Family]) -> GeneratorSet:
-    families = tuple(families)
-    if not families:
-        raise DomainError("a generator set needs at least one family")
-    for fam in families:
-        if fam.space != space:
-            raise DomainError("generator family is not over the stated point set")
-    return GeneratorSet(space, families)
+    return GeneratorSet(space, tuple(families))
 
 
 def combined_pair(a: Family, b: Family) -> Family:

@@ -788,6 +788,25 @@ def test_tracer_sees_every_search(tmp_path, deep_system):
         assert got[metric] > 0, metric
 
 
+def test_tracer_sees_the_decoders_system_check(deep_system, capsys):
+    """The decoder builds its system through validate_system, so the
+    system's self-check is timed as colimit.validate_s, not as decoding."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("coarsekit_bench_tracing_systems", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        assert main(["validate", deep_system]) == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.snapshot()["colimit.validate_s"] > 0
+
+
 def test_lift_generators(tmp_path, capsys):
     fs = gen_disjoint_union(
         [path_metric(points(["a", "b"])), path_metric(points(["c", "d"]))]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -15,6 +16,7 @@ from coarsekit import (
 from coarsekit import colimit, spaces
 from coarsekit.colimit import (
     ColimitBoundedness,
+    FilteredSystem,
     Piece,
     check_boundedness,
     colimit_bounded,
@@ -161,6 +163,35 @@ def test_a_system_rebuilt_from_its_parts_is_equal_and_emits_the_same_bytes(fs):
     assert rebuilt == fs
     assert rebuilt.upper == fs.upper
     assert emit_document(system_to_doc(rebuilt)) == emit_document(system_to_doc(fs))
+
+
+def test_a_directly_built_system_checks_itself():
+    """A system whose only piece misses a point is refused when built, not
+    answered from later as if its top piece covered."""
+    ambient = points("abc")
+    ab = points("ab")
+    piece = Piece("P", validate_space(ab, [fam(ab, {"a"}, {"b"})]))
+    with pytest.raises(
+        ValidationError, match=r"^carriers do not cover: point 'c' is in no piece$"
+    ):
+        FilteredSystem(ambient, (piece,), {(0, 0): 0})
+
+
+def test_a_system_built_directly_equals_the_validated_one():
+    fs = overlap_system()
+    direct = FilteredSystem(fs.ambient, list(fs.pieces), {})
+    assert direct == validate_system(fs.ambient, fs.pieces) == fs
+    assert direct.upper == fs.upper
+    assert isinstance(direct.pieces, tuple) and direct.meta == ()
+
+
+def test_a_replaced_system_checks_itself():
+    fs = overlap_system()
+    with pytest.raises(ValidationError, match="not a pair of pieces"):
+        replace(fs, pieces=fs.pieces[:1])
+    with pytest.raises(ValidationError, match="does not contain the union"):
+        replace(fs, upper={**fs.upper, (0, 1): 0})
+    assert replace(fs, meta=["x"]).meta == ("x",)
 
 
 def test_validate_system_rejects_non_coinciding_restrictions():
@@ -587,7 +618,7 @@ def split(m, x, y):
 @given(planted_failures())
 @settings(max_examples=150)
 def test_a_failing_pair_off_the_top_piece_is_named_as_a_pairwise_scan_names_it(data):
-    """validate_pieces finds the failure against the top piece, and then
+    """The system check finds the failure against the top piece, and then
     names the same first failing pair and level as a plain pairwise scan:
     the planted pair, which misses the top piece."""
     ambient, pieces = data
@@ -642,3 +673,20 @@ def test_decoder_checks_coincidence_as_validate_system_does(data):
     if want is None:
         system = validate_built(ambient, pieces)
         assert doc_to_system(system_to_doc(system).body) == system
+
+
+@given(st.one_of(piece_systems(), planted_failures(), deep_piece_systems()))
+@example(_first_pair_misses_the_top())
+@settings(max_examples=100)
+def test_a_directly_built_system_gives_the_oracle_outcome(data):
+    """FilteredSystem itself, with no upper table, refuses what the oracle
+    refuses, with its message, and accepts the rest."""
+    ambient, pieces = data
+    want = next(filter(None, map(chain_fault, pieces)), None)
+    want = want or pairwise_first_failure(ambient, pieces)
+
+    def direct(ambient, pieces):
+        built = [Piece(p.name, ScaledSpace(p.space.points, p.space.levels)) for p in pieces]
+        return FilteredSystem(ambient, tuple(built), {})
+
+    assert outcome(direct, ambient, pieces) == want

@@ -8,6 +8,7 @@ from coarsekit import DomainError, TruncationError, Verdict
 from coarsekit.colimit import Piece, validate_system
 from coarsekit.families import points
 from coarsekit.invariants import (
+    GeneratorSet,
     combined_pair,
     generator_set,
     metrizability_generator_check,
@@ -27,6 +28,18 @@ def test_generator_set_validates_inputs():
     other = points(["z"])
     with pytest.raises(DomainError, match="point set"):
         generator_set(P3, [fam(other, {"z"})])
+
+
+def test_a_generator_set_checks_itself_when_built():
+    with pytest.raises(DomainError, match="^a generator set needs at least one family$"):
+        GeneratorSet(P3, ())
+    other = points(["z"])
+    with pytest.raises(
+        DomainError, match="^generator family is not over the stated point set$"
+    ):
+        GeneratorSet(P3, (fam(P3, {"a"}), fam(other, {"z"})))
+    families = (fam(P3, {"a", "b"}, {"c"}),)
+    assert GeneratorSet(P3, families) == generator_set(P3, list(families))
 
 
 def test_combined_pair_concatenates_members_and_stars():
