@@ -4,7 +4,12 @@ Every document is {"kind": ..., "version": "1", "body": ...}. Unknown fields
 are rejected, rationals travel as integers or "p/q" strings with an optional
 leading minus and in no other text form, metric infinities as "inf". An
 integral rational is written as its numerator; a ``Fraction`` passes straight
-through the encoder, neither wrapped again nor compared with infinity.
+through the encoder, neither wrapped again nor compared with infinity, and an
+int is written as it is. The entries of weight and coordinate matrices are
+read as they are held: a JSON integer as an int, any other rational as a
+``Fraction``. A lifted matrix is mostly the int 0, and every pass over it,
+here and in the verifiers, runs on ints; each coordinate row is encoded in
+one pass over its entries and written in one join.
 Emission is canonical: sorted keys, two-space indent, members listed in point
 order, so equal objects serialize to equal bytes.
 
@@ -38,7 +43,9 @@ for empty containers, strings escaped to ASCII. Its values are str, None,
 bool, int, float (``NaN``, ``Infinity`` and ``-Infinity`` as ``json`` writes
 them), list or tuple, dict with str keys, and ``Emitted``, a document's text
 already emitted, which is nested as it stands, re-indented to its place; any
-other value or key raises ``TypeError``.
+other value or key raises ``TypeError``. A list of strings is written in one
+join, and so is a list of scalars, through one table keyed by exact type, so
+that a bool is never written as an int; other lists go item by item.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import sys
 from dataclasses import dataclass, fields as class_fields
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, or_
 from typing import Any, Callable, NamedTuple, Optional, Union
@@ -132,13 +140,21 @@ def _fraction(v, path, allow_inf=False):
 
 
 def _encode_fraction(v) -> Union[int, str]:
-    """A rational as its integer or its "p/q" text, INF as "inf". A Fraction
-    is never INF and needs no wrapping."""
+    """A rational as its integer or its "p/q" text, INF as "inf". An int is
+    returned as it is; a Fraction is never INF and needs no wrapping."""
+    if type(v) is int:
+        return v
     if not isinstance(v, Fraction):
         if v == INF:
             return "inf"
         v = Fraction(v)
     return v.numerator if v.denominator == 1 else str(v)
+
+
+def _entry(v, path):
+    """A matrix entry: a JSON integer as an int, any other rational as a
+    Fraction."""
+    return v if type(v) is int else _fraction(v, path)
 
 
 def _points(v, path) -> PointSet:
@@ -475,14 +491,14 @@ def _read_weights(raw, path, got):
     pos = {name: k for k, name in enumerate(indices)}
     rows = []
     for p in pts.ids:
-        row = [Fraction(0)] * len(indices)
+        row = [0] * len(indices)
         cell = raw.get(p, {})
         if not isinstance(cell, dict):
             _fail(f"weights at {p!r} must be an object", path)
         for name, v in cell.items():
             if name not in pos:
                 _fail(f"unknown index {name!r}", f"{path}.{p}")
-            row[pos[name]] = _fraction(v, f"{path}.{p}.{name}")
+            row[pos[name]] = _entry(v, f"{path}.{p}.{name}")
         rows.append(tuple(row))
     return partition_of_unity(pts, indices, rows)
 
@@ -490,7 +506,7 @@ def _read_weights(raw, path, got):
 def _write_weights(pou, w) -> dict:
     """Each point's nonzero weights; a point with none is left out."""
     cells = (
-        (p, {name: _encode(v) for name, v in zip(pou.indices, row) if v != 0})
+        (p, {name: _encode_fraction(v) for name, v in compress(zip(pou.indices, row), row)})
         for p, row in zip(pou.space.ids, pou.rows)
     )
     return {p: cell for p, cell in cells if cell}
@@ -507,8 +523,12 @@ def _read_coords(raw, path, got) -> tuple:
         if not isinstance(row, list) or len(row) != dim:
             _fail(f"coordinates of {p!r} must be a list of length {dim}", path)
         row_path = f"{path}.{p}"
-        rows.append(tuple(_fraction(v, row_path) for v in row))
+        rows.append(tuple(_entry(v, row_path) for v in row))
     return tuple(rows)
+
+
+def _write_coords(coords, w) -> dict:
+    return dict(zip(w.scale.space.ids, (list(map(_encode_fraction, row)) for row in coords)))
 
 
 def _read_sets(raw, path, got) -> tuple:
@@ -560,7 +580,7 @@ POINTS = FieldType(lambda raw, path, got: _points(raw, path))
 FAMILIES = FieldType(lambda raw, path, got: _family_list(raw, got["space"], path, "families"))
 SELECTIONS = FieldType(lambda raw, path, got: _family_list(raw, got["space"], path, "selections"))
 WEIGHTS = FieldType(_read_weights, _write_weights)
-COORDS = FieldType(_read_coords, _write_by_point)
+COORDS = FieldType(_read_coords, _write_coords)
 SETS = FieldType(_read_sets, _write_by_point)
 
 
@@ -736,6 +756,17 @@ class Emitted:
     text: str
 
 
+# The text of a scalar by its exact type: a bool is not written as an int,
+# and a subclass of any of these is written item by item.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+    float: _float_text,
+}
+
+
 def _write(value, indent: str, out: list) -> None:
     """Append the canonical text of one JSON value, nested at ``indent``."""
     if isinstance(value, str):
@@ -762,10 +793,21 @@ def _write(value, indent: str, out: list) -> None:
             # the encoder raises TypeError at the first item that is not.
             out.append(sep.join(map(encode_basestring_ascii, value)))
         except TypeError:
-            _write(value[0], inner, out)
-            for v in value[1:]:
-                out.append(sep)
-                _write(v, inner, out)
+            # Then lists of scalars, such as coordinate rows; a list that
+            # starts with a container goes item by item at once.
+            text = None
+            if type(value[0]) in _SCALAR_TEXT:
+                try:
+                    text = sep.join([_SCALAR_TEXT[type(v)](v) for v in value])
+                except KeyError:
+                    pass
+            if text is None:
+                _write(value[0], inner, out)
+                for v in value[1:]:
+                    out.append(sep)
+                    _write(v, inner, out)
+            else:
+                out.append(text)
         out.append("\n" + indent + "]")
     elif isinstance(value, dict):
         if not value:

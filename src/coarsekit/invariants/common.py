@@ -9,8 +9,9 @@ claim that fails to check is a hard failure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, compress, count, repeat
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, floordiv, lshift, mul
 from typing import Sequence, Union
 
 from ..colimit import ColimitBoundedness, FilteredSystem, check_boundedness, colimit_bounded
@@ -69,15 +70,35 @@ def bound_clause(name: str, target: Target, fam: Family, bound: Bound) -> Clause
     return offense_clause(name, "claimed boundedness certificate does not check")
 
 
-def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+Entry = Union[int, Fraction]
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def rational(v) -> Entry:
+    """A matrix entry: an int stays an int, anything else, a bool too,
+    becomes a Fraction. Lifted witness matrices are mostly zeros, and passes
+    over int entries run in C."""
+    return v if type(v) is int else Fraction(v)
+
+
+def nonzero_mask(entries: Sequence[Entry]) -> int:
+    """The bitmask of the positions of the nonzero entries."""
+    return sum(map(lshift, repeat(1), compress(count(), entries)))
+
+
+def integer_rows(rows: Sequence[Sequence[Entry]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``(den, rows)``: den is the lcm of the entries' distinct denominators,
     and rows are the rows times den, as integers. Integer rows, as in every
-    corpus pinch witness, are their numerators, left unscaled."""
-    den = lcm(*{v.denominator for row in rows for v in row})
+    corpus pinch witness, are their numerators, left unscaled. An int entry
+    is its own numerator over 1, so only Fraction entries cost Python calls."""
+    den = lcm(*set(map(_denominator, chain.from_iterable(rows))))
     if den == 1:
-        numerator = attrgetter("numerator")
-        return den, tuple(tuple(map(numerator, row)) for row in rows)
-    return den, tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+        return den, tuple(tuple(map(_numerator, row)) for row in rows)
+    return den, tuple(
+        tuple(map(mul, map(_numerator, row), map(floordiv, repeat(den), map(_denominator, row))))
+        for row in rows
+    )
 
 
 # steps shared by the lifters, which push a verified piece witness to the colimit
@@ -113,22 +134,23 @@ def piece_certificate(
 
 
 def unit_padded_rows(
-    system: FilteredSystem, piece: int, rows: tuple[tuple[Fraction, ...], ...]
-) -> tuple[tuple[Fraction, ...], ...]:
+    system: FilteredSystem, piece: int, rows: tuple[tuple[Entry, ...], ...]
+) -> tuple[tuple[Entry, ...], ...]:
     """Rows over the ambient set from rows over the piece's points.
 
     A piece row gains one zero per outside point; the k-th outside point gets
-    zeros in the piece's columns and the k-th unit vector after them.
+    zeros in the piece's columns and the k-th unit vector after them. The
+    padding entries are the ints 0 and 1.
     """
     pc = system.pieces[piece]
-    zero_pad = (Fraction(0),) * len(outside_points(system, piece))
-    zero_row = (Fraction(0),) * len(rows[0])
+    zero_pad = (0,) * len(outside_points(system, piece))
+    zero_row = (0,) * len(rows[0])
     out = []
     k = 0
     for p in system.ambient.ids:
         if p in pc.space.points:
             out.append(rows[pc.space.points.index(p)] + zero_pad)
         else:
-            out.append(zero_row + zero_pad[:k] + (Fraction(1),) + zero_pad[k + 1 :])
+            out.append(zero_row + zero_pad[:k] + (1,) + zero_pad[k + 1 :])
             k += 1
     return tuple(out)

@@ -4,6 +4,11 @@ All weights are rationals and sums are compared exactly; there is no drift
 tolerance anywhere in this module. The checks scale every weight row by the
 lcm of all weight denominators once, so each row sum and each l1 variation is
 an integer over that common denominator.
+
+Integral weights are held as ints and only the others as Fractions. A lifted
+partition is zero-extended off its piece and gives each outside point a delta
+of its own, so most of its weights are the int 0, and the support family
+reads the nonzero weights of each column without a Python step per zero.
 """
 
 from __future__ import annotations
@@ -21,12 +26,15 @@ from ..families import Family, Point, PointSet, bits
 from ..reports import Report, from_clauses, offense_clause
 from .common import (
     Bound,
+    Entry,
     Target,
     bound_clause,
     ensure_over_target,
     integer_rows,
+    nonzero_mask,
     outside_points,
     piece_certificate,
+    rational,
     require_verified,
     unit_padded_rows,
 )
@@ -36,7 +44,7 @@ from .common import (
 class PartitionOfUnity:
     space: PointSet
     indices: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Entry, ...], ...]
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
@@ -53,7 +61,7 @@ class PartitionOfUnity:
         rows are the weight rows times den, as integers."""
         return integer_rows(self.rows)
 
-    def weight(self, p: Point, i: int) -> Fraction:
+    def weight(self, p: Point, i: int) -> Entry:
         return self.rows[self.space.index(p)][i]
 
     def support(self, i: int) -> frozenset:
@@ -64,7 +72,7 @@ class PartitionOfUnity:
 
 def partition_of_unity(space: PointSet, indices, rows) -> PartitionOfUnity:
     """Validated construction: nonnegative rational rows summing to one."""
-    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    rows = tuple(tuple(map(rational, row)) for row in rows)
     pou = PartitionOfUnity(space, tuple(indices), rows)
     offense = _unit_offense(pou)
     if offense is not None:
@@ -86,8 +94,7 @@ def _unit_offense(pou: PartitionOfUnity) -> Optional[str]:
 
 def support_family(pou: PartitionOfUnity) -> Family:
     """One member per index: the points where its weight is nonzero."""
-    cols = (sum(1 << p for p, v in enumerate(col) if v) for col in zip(*pou.rows))
-    return Family.from_masks(pou.space, tuple(cols))
+    return Family.from_masks(pou.space, tuple(map(nonzero_mask, zip(*pou.rows))))
 
 
 def _scaled_l1(rows, a: int, b: int) -> int:

@@ -8,6 +8,11 @@ floating point or tolerance enters any verdict. It scales every coordinate
 row by the lcm of all denominators once, so each squared distance is an
 integer, two squared row norms less twice a dot product, over that
 denominator squared.
+
+Integral coordinates are held as ints and only the others as Fractions. A
+lifted witness gives every outside point its own unit axis, so most of its
+coordinates are the int 0, and most pairs of its rows have disjoint
+supports: for such a pair the dot product is 0 and is not computed.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ from ..families import Family, Point, bits
 from ..reports import Clause, Report, from_clauses
 from .common import (
     Bound,
+    Entry,
     Target,
     bound_clause,
     ensure_over_target,
     integer_rows,
+    nonzero_mask,
     outside_points,
     piece_certificate,
+    rational,
     require_verified,
     unit_padded_rows,
 )
@@ -40,14 +48,14 @@ def comparison_tolerance() -> Fraction:
     return Fraction(0)
 
 
-def sq_dist(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+def sq_dist(a: Sequence[Entry], b: Sequence[Entry]) -> Fraction:
     return sum(((x - y) ** 2 for x, y in zip(a, b)), Fraction(0))
 
 
 @dataclass(frozen=True)
 class PinchWitness:
     dim: int
-    coords: tuple[tuple[Fraction, ...], ...]
+    coords: tuple[tuple[Entry, ...], ...]
     scale: Family
     sep: Family
     c: Fraction
@@ -65,12 +73,12 @@ class PinchWitness:
         if self.c <= 0 or self.eps <= 0:
             raise DomainError("separation and diameter thresholds must be positive")
 
-    def vec(self, p: Point) -> tuple[Fraction, ...]:
+    def vec(self, p: Point) -> tuple[Entry, ...]:
         return self.coords[self.scale.space.index(p)]
 
 
 def pinch_witness(dim, coords, scale, sep, c, eps, sep_bound=None) -> PinchWitness:
-    rows = tuple(tuple(Fraction(v) for v in row) for row in coords)
+    rows = tuple(tuple(map(rational, row)) for row in coords)
     return PinchWitness(dim, rows, scale, sep, Fraction(c), Fraction(eps), sep_bound)
 
 
@@ -81,11 +89,17 @@ def pinch_verify(target: Target, w: PinchWitness) -> Report:
 
     den, rows = integer_rows(w.coords)
     norms = [sum(map(mul, row, row)) for row in rows]
+    supports = list(map(nonzero_mask, rows))
+    rows = [row[: s.bit_length()] for row, s in zip(rows, supports)]
 
     def sq(a: int, b: int) -> int:
         """Squared distance between the points at indices a and b, times den**2,
-        as |a|^2 + |b|^2 - 2 a.b: exact, since every entry is an integer."""
-        return norms[a] + norms[b] - 2 * sum(map(mul, rows[a], rows[b]))
+        as |a|^2 + |b|^2 - 2 a.b: exact, since every entry is an integer. Rows
+        with disjoint supports have a.b = 0; each row ends at its last nonzero
+        entry, where the product stops."""
+        if supports[a] & supports[b]:
+            return norms[a] + norms[b] - 2 * sum(map(mul, rows[a], rows[b]))
+        return norms[a] + norms[b]
 
     ids = w.scale.space.ids
     worst_pair = None

@@ -7,6 +7,7 @@ import math
 import re
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 from operator import or_
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from coarsekit import ParseError, ValidationError
 from coarsekit.colimit import ColimitBoundedness, extended_level
-from coarsekit.corpus import gen_disjoint_union, gen_random_system
+from coarsekit.corpus import gen_c0, gen_disjoint_union, gen_random_system
 from coarsekit.documents import (
     DECODERS,
     Document,
@@ -38,7 +39,7 @@ from coarsekit.documents import (
     system_to_doc,
     witness_to_doc,
 )
-from coarsekit.families import Family, points
+from coarsekit.families import Family, bits, points
 from coarsekit.invariants import (
     AmenabilityWitness,
     ApcWitness,
@@ -47,8 +48,11 @@ from coarsekit.invariants import (
     PinchWitness,
     PropertyAFamily,
     amenability_verify,
+    exactness_lift,
     generator_set,
     partition_of_unity,
+    pinch_lift,
+    pinch_witness,
 )
 from coarsekit.maps import INF, grounded_map, metric_target, path_metric
 from coarsekit.spaces import validate_space
@@ -157,6 +161,47 @@ def test_witness_round_trips_on_a_space_target():
     assert witness_round_trip("witness:property_a", prop_a, sp) == prop_a
 
 
+def lifted_grid_witness(kind):
+    """The system gen_c0(2, 3) and a witness of kind on its piece grid1,
+    lifted to the colimit: integer coordinates separated off the singletons,
+    or uniform weights over the level-1 members holding each point."""
+    fs = gen_c0(2, 3)
+    idx = fs.piece_index("grid1")
+    sp = fs.pieces[idx].space
+    level1 = sp.level(1)
+    if kind == "witness:pinch":
+        coords = [tuple(int(v) for v in p.split(",")) for p in sp.points.ids]
+        worst = max(
+            sum((x - y) ** 2 for x, y in zip(coords[a], coords[b]))
+            for m in level1.masks
+            for a in bits(m)
+            for b in bits(m)
+        )
+        singletons = Family.from_masks(sp.points, tuple(1 << i for i in range(len(coords))))
+        w = pinch_witness(len(coords[0]), coords, level1, singletons, 1, isqrt(worst) + 1, 1)
+        return fs, pinch_lift(fs, idx, w)
+    holders = [[i for i, m in enumerate(level1.masks) if m >> p & 1] for p in range(len(sp.points))]
+    rows = [
+        [Fraction(1, len(held)) if i in held else 0 for i in range(len(level1.masks))]
+        for held in holders
+    ]
+    pou = partition_of_unity(sp.points, [f"m{i}" for i in range(len(level1.masks))], rows)
+    return fs, exactness_lift(fs, idx, ExactnessWitness(level1, Fraction(5, 2), pou, 1))
+
+
+@pytest.mark.parametrize("kind", ["witness:pinch", "witness:exactness"])
+def test_a_lifted_witness_round_trips_with_its_integral_entries_as_ints(kind):
+    fs, lifted = lifted_grid_witness(kind)
+    text = emit_document(witness_to_doc(kind, lifted))
+    got = DECODERS[kind](parse_document(text).body, fs)
+    assert got == lifted
+    for w in (lifted, got):
+        entries = [v for row in (w.coords if kind == "witness:pinch" else w.pou.rows) for v in row]
+        assert {type(v) for v in entries if v.denominator == 1} == {int}
+        assert all(type(v) is Fraction for v in entries if v.denominator != 1)
+    assert emit_document(witness_to_doc(kind, got)) == text
+
+
 def test_apc_witness_without_a_chain_is_written_and_read_with_a_null_chain():
     sp = pair_space()
     whole = Family(sp.points, (frozenset(sp.points.ids),))
@@ -232,6 +277,7 @@ JSON_VALUES = st.recursive(
 
 
 @given(JSON_TEXT, JSON_TEXT, st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=5))
+@example("report", "1", {"row": [True, 1, None, "x", 1.5, False, 0]})
 def test_emission_matches_json_dumps(kind, version, body):
     payload = {"kind": kind, "version": version, "body": body}
     assert emit_document(Document(kind, version, body)) == (

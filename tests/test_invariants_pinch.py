@@ -249,18 +249,22 @@ positive = st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=
 
 @st.composite
 def witness_cases(draw):
-    """Rows with mixed and negative denominators, then the zero-padded unit
-    columns a lift appends for some of the points, over scale and separation
-    families whose members overlap."""
+    """Rows of int entries and of Fractions with mixed and negative
+    denominators, some of them all zero, then the int 0 and 1 unit columns a
+    lift appends for some of the points, over scale and separation families
+    whose members overlap. Zero rows and unit columns give pairs of rows with
+    disjoint supports."""
     n = draw(st.integers(min_value=2, max_value=7))
     ids = [f"p{i}" for i in range(n)]
     pts = points(ids)
     dim = draw(st.integers(min_value=1, max_value=3))
-    rows = [draw(st.lists(rationals, min_size=dim, max_size=dim)) for _ in ids]
+    entries = rationals | st.integers(min_value=-3, max_value=3)
+    zero = st.lists(st.sampled_from([0, Fraction(0)]), min_size=dim, max_size=dim)
+    rows = [draw(zero | st.lists(entries, min_size=dim, max_size=dim)) for _ in ids]
     lifted = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     axes = [i for i, on in enumerate(lifted) if on]
     for i, row in enumerate(rows):
-        row += [Fraction(1) if i == k else Fraction(0) for k in axes]
+        row += [1 if i == k else 0 for k in axes]
     subsets = st.lists(st.sampled_from(ids), unique=True, max_size=n)
     scale = family(pts, draw(st.lists(subsets, max_size=4)))
     sep = family(pts, draw(st.lists(subsets, max_size=5)))

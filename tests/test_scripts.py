@@ -1,9 +1,11 @@
-"""Smoke tests of ``scripts/closeness_gap.py`` and ``scripts/probe_apc.py``
-on small instances: each runs to exit 0 and prints its summary lines."""
+"""Smoke tests of ``scripts/closeness_gap.py``, ``scripts/probe_apc.py`` and
+``scripts/witness_timing.py`` on small instances: each runs to exit 0 and
+prints its summary lines."""
 
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -40,3 +42,25 @@ def test_probe_apc_reverifies_every_witness_and_claims_no_negative(monkeypatch, 
         "claimed negatives       0",
         "re-verification fails   0",
     ]
+
+
+# sha256 over the emitted lifted witnesses of both cases; how a matrix entry
+# is held, as an int or a Fraction, changes none of their bytes.
+LIFTED_DIGEST = "b2c568dfbaf719252afa17219ce41112ca9e74982e83436f37c138da309f4aef"
+
+
+def test_witness_timing_lifts_and_re_emits_every_witness(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ on it
+    rc, lines = run_script("witness_timing", ["--repeat", "1"], monkeypatch, capsys)
+    assert rc == 0
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "c0-2x3 grid1 pinch",
+        "c0-2x3 grid1 exactness",
+        "c0-3x2 grid2 pinch",
+        "c0-3x2 grid2 exactness",
+    ]
+    assert lines[0].startswith("c0-2x3 grid1 pinch: 49 points, width 44, lift ")
+    assert lines[3].startswith("c0-3x2 grid2 exactness: 125 points, width 125, lift ")
+    for line in lines[:-1]:
+        assert re.search(r", verify \d+\.\d{3} ms, emit \d+\.\d{3} ms, decode \d+\.\d{3} ms$", line)
+    assert lines[-1] == f"lifted 4 witnesses, 0 re-emit other bytes, sha256 {LIFTED_DIGEST}"
