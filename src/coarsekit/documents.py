@@ -76,7 +76,7 @@ from .invariants import (
     partition_of_unity,
 )
 from .invariants.common import target_points
-from .maps import GroundedMap, MetricTarget, INF, metric_target
+from .maps import GroundedMap, MetricTarget, INF, grounded_map, metric_target
 from .reports import Report
 from .spaces import ScaledSpace, validate_space
 
@@ -233,9 +233,12 @@ def _encode(value):
     return value  # a str, an int, or the null bound
 
 
-# Structural problems raise ParseError; builders below let the semantic
-# checks (covering, monotonicity, coincidence, metric axioms) surface as
-# ValidationError or DomainError so callers can tell the layers apart.
+# Decoders check what reading needs (JSON types, field names, point names),
+# as ParseError at its path; every other fact is checked once, by the builder
+# the decoder calls. One call on one path (PointSet, grounded_map, a level)
+# has its error located there; a fact across pieces, levels or points surfaces
+# as the builder's ValidationError or DomainError, so callers can tell the
+# layers apart.
 
 
 # space
@@ -264,10 +267,12 @@ def doc_to_system(body, path="body") -> FilteredSystem:
     comparing each overlap on top levels. Every piece is read and checked in
     full before the next, and every piece before the upper triples, the meta
     lines and the checks across pieces. A piece's space is over its carrier
-    in ambient order. An upper triple's faults are reported in order: not a
-    triple, then its first non-integer entry, then its first entry out of
-    range, then a pair already named, in either order; its path is built
-    only for the report."""
+    in ambient order. An upper triple's read faults are reported in order:
+    not a triple, then its first non-integer entry, then a pair (r, s)
+    already given in that order; its path is built only for the report. An
+    index out of range and a pair given again in reverse order are the
+    system's own checks, made after the meta lines are read, and raise its
+    ValidationError naming the pieces."""
     _check_keys(body, ("ambient", "pieces"), ("upper", "meta"), path)
     ambient = _points(body["ambient"], f"{path}.ambient")
     raw_pieces = body["pieces"]
@@ -279,13 +284,11 @@ def doc_to_system(body, path="body") -> FilteredSystem:
         _check_keys(rp, ("name", "carrier", "scales"), (), p_path)
         if not isinstance(rp["name"], str):
             _fail("piece name must be a string", f"{p_path}.name")
-        carrier_ids = _str_list(rp["carrier"], f"{p_path}.carrier")
-        for p in carrier_ids:
+        carrier = _points(rp["carrier"], f"{p_path}.carrier")
+        for p in carrier:
             if p not in ambient:
                 _fail(f"unknown point {p!r}", f"{p_path}.carrier")
-        if len(set(carrier_ids)) != len(carrier_ids):
-            _fail("duplicate point in carrier", f"{p_path}.carrier")
-        sub = ambient if len(carrier_ids) == len(ambient) else PointSet(ambient.sort(carrier_ids))
+        sub = ambient if len(carrier) == len(ambient) else PointSet(ambient.sort(carrier))
         levels = _family_list(rp["scales"], sub, f"{p_path}.scales", "scales")
         pieces.append(Piece(rp["name"], validate_space(sub, levels)))
     upper = {}
@@ -293,21 +296,16 @@ def doc_to_system(body, path="body") -> FilteredSystem:
         raw_upper = body["upper"]
         if not isinstance(raw_upper, list):
             _fail("expected a list of triples", f"{path}.upper")
-        n = len(pieces)
         for i, triple in enumerate(raw_upper):
             if not isinstance(triple, list) or len(triple) != 3:
                 _fail("expected a [r, s, t] triple", f"{path}.upper[{i}]")
             for x in triple:
                 if not isinstance(x, int) or isinstance(x, bool):
                     _fail("expected an integer", f"{path}.upper[{i}]")
-            for x in triple:
-                if not 0 <= x < n:
-                    _fail(f"piece index {x} out of range", f"{path}.upper[{i}]")
             r, s, t = triple
-            pair = (min(r, s), max(r, s))
-            if pair in upper:
+            if (r, s) in upper:
                 _fail(f"upper bound of pieces {r} and {s} given twice", f"{path}.upper[{i}]")
-            upper[pair] = t
+            upper[r, s] = t
     meta = _str_list(body.get("meta", []), f"{path}.meta")
     return validate_system(ambient, pieces, upper, meta)
 
@@ -359,12 +357,10 @@ def doc_to_map(body, path="body") -> GroundedMap:
             _fail(f"image of {k!r} must be a string", f"{path}.table")
         if k not in domain:
             _fail(f"unknown domain point {k!r}", f"{path}.table")
-        if v not in codomain:
-            _fail(f"unknown codomain point {v!r}", f"{path}.table")
-    missing = next((p for p in domain.ids if p not in table), None)
-    if missing is not None:
-        _fail(f"no image for point {missing!r}", f"{path}.table")
-    return GroundedMap(domain, codomain, tuple(table[p] for p in domain.ids))
+    try:
+        return grounded_map(domain, codomain, table)
+    except CoarseError as exc:
+        _fail(str(exc), f"{path}.table")
 
 
 def map_to_doc(m: GroundedMap) -> Document:
@@ -383,12 +379,12 @@ def doc_to_metric(body, path="body") -> MetricTarget:
     _check_keys(body, ("points", "dist"), (), path)
     pts = _points(body["points"], f"{path}.points")
     raw = body["dist"]
-    if not isinstance(raw, list) or len(raw) != len(pts):
-        _fail("expected one distance row per point", f"{path}.dist")
+    if not isinstance(raw, list):
+        _fail("expected a list of distance rows", f"{path}.dist")
     rows = []
     for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != len(pts):
-            _fail("row length must match the point count", f"{path}.dist[{i}]")
+        if not isinstance(row, list):
+            _fail("expected a list of distances", f"{path}.dist[{i}]")
         rows.append(
             tuple(
                 _fraction(v, f"{path}.dist[{i}][{j}]", allow_inf=True)
@@ -419,18 +415,17 @@ def resolve_scale(value, target: Target, path="scale") -> Family:
             s = _int(value["piece"], f"{path}.piece")
             if not 0 <= s < len(target.pieces):
                 _fail(f"piece index {s} out of range", f"{path}.piece")
-            i = _int(value["level"], f"{path}.level")
-            depth = target.pieces[s].space.depth
-            if not 1 <= i <= depth:
-                _fail(f"level {i} out of range 1..{depth}", f"{path}.level")
-            return extended_level(target, s, i)
-        _check_keys(value, ("level",), (), path)
-        if not isinstance(target, ScaledSpace):
-            _fail("a bare level reference needs a single-space target", path)
+            level = partial(extended_level, target, s)
+        else:
+            _check_keys(value, ("level",), (), path)
+            if not isinstance(target, ScaledSpace):
+                _fail("a bare level reference needs a single-space target", path)
+            level = target.level
         i = _int(value["level"], f"{path}.level")
-        if not 1 <= i <= target.depth:
-            _fail(f"level {i} out of range 1..{target.depth}", f"{path}.level")
-        return target.level(i)
+        try:
+            return level(i)
+        except CoarseError as exc:
+            _fail(str(exc), f"{path}.level")
     if isinstance(value, list):
         pts = target_points(target)
         return _family(value, pts, path)
@@ -709,10 +704,10 @@ def parse_document(text: str) -> Document:
     """Strict parse of the envelope: JSON text, the three envelope fields, a
     known kind and the supported version, all as ParseError.
 
-    The body is left as read; its DECODERS entry checks it, once a witness
-    has its verification target. There, structural problems raise
-    ParseError, and a well-formed body that fails its semantic checks
-    raises ValidationError or DomainError from the relevant builder.
+    The body is left as read; its DECODERS entry reads it, once a witness
+    has its verification target, raising ParseError where reading fails and
+    ValidationError or DomainError from the builder it calls (see the
+    comment above doc_to_space).
     """
     try:
         raw = json.loads(text)

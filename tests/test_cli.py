@@ -132,6 +132,31 @@ def test_validate_refuted_on_semantic_failure(tmp_path, capsys):
     assert "[FAIL] document validates" in out
 
 
+@pytest.mark.parametrize(
+    "upper, detail",
+    [
+        ([[0, 1, 3]], "upper bound of pieces P0 and P1 is 3, not a piece index"),
+        ([[0, 1, 0]], "directedness failure: upper(P0, P1) = P0 does not contain the union"),
+    ],
+)
+def test_validate_refutes_upper_bounds_the_system_rejects(tmp_path, capsys, upper, detail):
+    """An upper entry naming piece 3 of 3 fails the system's own check, and
+    validate refutes it as it refutes a directedness failure."""
+    body = {
+        "ambient": ["a", "b", "c"],
+        "pieces": [
+            {"name": name, "carrier": list(ids), "scales": [[list(ids)]]}
+            for name, ids in (("P0", "ab"), ("P1", "bc"), ("P2", "abc"))
+        ],
+        "upper": upper,
+    }
+    path = save(tmp_path, "system.json", Document("system", "1", body))
+    assert main(["validate", path]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] document validates" in out
+    assert detail in out
+
+
 def test_data_errors_exit_65(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["validate", missing]) == 65
@@ -848,6 +873,17 @@ def test_map_check_bornologous_and_close(tmp_path, capsys):
     assert main(["map-check", "close", shallow, ident5, ident5]) == 0
     assert main(["map-check", "close", shallow, ident5, const5]) == 1
     assert "verdict: refuted" in capsys.readouterr().out
+
+
+def test_map_check_refuses_an_image_outside_the_codomain(tmp_path, capsys):
+    ids = ["0", "1", "2"]
+    space_path = save(tmp_path, "line3.json", space_to_doc(ball_space(3, (1, 2))))
+    body = {"domain": ids, "codomain": ids, "table": {"0": "0", "1": "1", "2": "9"}}
+    bad = save(tmp_path, "bad.json", Document("map", "1", body))
+    assert main(["map-check", "bornologous", space_path, space_path, bad]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "body.table: image '9' is not in the codomain" in captured.err
 
 
 def test_map_check_close_refuses_maps_off_the_target_points(tmp_path, capsys):

@@ -419,6 +419,11 @@ def test_scale_value_forms():
         resolve_scale({"level": 4}, sp)
     with pytest.raises(ParseError, match="piece index 9 out of range"):
         resolve_scale({"piece": 9, "level": 1}, fs)
+    with pytest.raises(ParseError) as exc:
+        resolve_scale({"piece": 0, "level": 9}, fs)
+    depth = fs.pieces[0].space.depth
+    assert str(exc.value) == f"scale.level: level 9 out of range 1..{depth}"
+    assert exc.value.path == "scale.level"
     with pytest.raises(ParseError, match="level reference or a member list"):
         resolve_scale("top", sp)
 
@@ -439,10 +444,10 @@ def test_map_table_errors():
         "codomain": ["x"],
         "table": {"a": "x"},
     }
-    with pytest.raises(ParseError, match="no image for point 'b'"):
+    with pytest.raises(ParseError, match="^body.table: no image given for point 'b'$"):
         doc_to_map(body)
     body["table"] = {"a": "x", "b": "q"}
-    with pytest.raises(ParseError, match="unknown codomain point 'q'"):
+    with pytest.raises(ParseError, match="^body.table: image 'q' is not in the codomain$"):
         doc_to_map(body)
     body["table"] = {"a": "x", "b": "x", "z": "x"}
     with pytest.raises(ParseError, match="unknown domain point 'z'"):

@@ -6,8 +6,9 @@ it and pins the error class, message and path that ``doc_to_space`` or
 two decoders; the multi-fault cases pin the order in which a load checks:
 every scale of a chain is parsed before any level's cover is checked, every
 level's cover before any monotonicity, each piece in full before the next,
-and every piece before the upper triples, the meta lines and the
-system-wide checks.
+every piece before the upper triples and the meta lines, and those before
+the system-wide checks, which include the range of each upper entry and a
+pair named again in reverse order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import copy
 
 import pytest
 
-from coarsekit import DomainError, ParseError, ValidationError
+from coarsekit import ParseError, ValidationError
 from coarsekit.documents import doc_to_space, doc_to_system
 
 SPACE = {
@@ -115,9 +116,13 @@ SINGLE = [
     (
         "system",
         {"pieces.1.carrier": ["b", "c", "b"]},
-        ParseError("duplicate point in carrier", "body.pieces[1].carrier"),
+        ParseError("duplicate point id 'b'", "body.pieces[1].carrier"),
     ),
-    ("system", {"pieces.1.carrier": []}, DomainError("point set must be non-empty")),
+    (
+        "system",
+        {"pieces.1.carrier": []},
+        ParseError("point set must be non-empty", "body.pieces[1].carrier"),
+    ),
     (
         "system",
         {"pieces.1.scales.1.0": ["b", "a"]},
@@ -128,7 +133,11 @@ SINGLE = [
     ("system", {"upper": {}}, ParseError("expected a list of triples", "body.upper")),
     ("system", {"upper.0": [0, 1]}, ParseError("expected a [r, s, t] triple", "body.upper[0]")),
     ("system", {"upper.0": [0, "1", 2]}, ParseError("expected an integer", "body.upper[0]")),
-    ("system", {"upper.0": [0, 1, 3]}, ParseError("piece index 3 out of range", "body.upper[0]")),
+    (
+        "system",
+        {"upper.0": [0, 1, 3]},
+        ValidationError("upper bound of pieces P0 and P1 is 3, not a piece index"),
+    ),
     ("system", {"upper.0": [0, True, 1]}, ParseError("expected an integer", "body.upper[0]")),
     ("system", {"upper.0": [0, 1.0, 1]}, ParseError("expected an integer", "body.upper[0]")),
     ("system", {"upper.0": [[0], 1, 2]}, ParseError("expected an integer", "body.upper[0]")),
@@ -165,16 +174,23 @@ SINGLE = [
         {"pieces.1.scales": [[["b"], ["c"], ["d"]], [["b", "c"], ["d"]]]},
         coincide("P1", "P2", 2, "P2"),
     ),
-    # a pair named twice, in either order, even when one claim is true
+    # a pair named twice, in either order, even when one claim is true: the
+    # same order is a fault of the list, read at the second naming; the
+    # reverse order is the system's check
     (
         "system",
         {"upper": [[0, 1, 2], [1, 0, 0]]},
-        ParseError("upper bound of pieces 1 and 0 given twice", "body.upper[1]"),
+        ValidationError("upper bound of pieces P0 and P1 given twice"),
     ),
     (
         "system",
         {"upper": [[0, 1, 0], [0, 1, 2]]},
         ParseError("upper bound of pieces 0 and 1 given twice", "body.upper[1]"),
+    ),
+    (
+        "system",
+        {"upper.0": [0, 7, 1]},
+        ValidationError("upper bound given for (0, 7), which is not a pair of pieces"),
     ),
 ]
 
@@ -246,6 +262,19 @@ MULTI = [
         "system",
         {"pieces.0.scales": [[["a"], ["b"], ["c"]], [["b", "c"], ["a"]], [["b", "c"], ["a"]]]},
         coincide("P0", "P2", 2, "P2"),
+    ),
+    # meta lines, read by the decoder, before an upper entry out of range,
+    # which the system checks
+    (
+        "system",
+        {"upper.0": [0, 1, 9], "meta": [1]},
+        ParseError("expected a list of strings", "body.meta"),
+    ),
+    # a pair repeated in the same order is read before any entry's range
+    (
+        "system",
+        {"upper": [[0, 7, 1], [0, 7, 2]]},
+        ParseError("upper bound of pieces 0 and 7 given twice", "body.upper[1]"),
     ),
 ]
 

@@ -7,7 +7,8 @@ every upper-case name a module assigns at its top level, and every function
 or class it defines there under a name starting with an underscore, must be
 read, bare or as an attribute, somewhere under ``src``, ``tests``,
 ``scripts`` or ``bench``. The ``__init__`` modules are left out, since
-their imports are the re-exported API.
+their imports are the re-exported API. Every local name a function of a
+file under those directories binds must be read in that function.
 """
 
 from __future__ import annotations
@@ -129,3 +130,60 @@ def test_the_check_reports_each_unread_private_helper():
 
 def test_every_private_helper_is_read_somewhere():
     assert unread_in_package(unread_private_helpers) == {}
+
+
+def unread_locals(source: str) -> list[str]:
+    """Per function, the names it binds and never reads, with their lines.
+
+    A function's reads include those of the functions, lambdas and
+    comprehensions inside it; an augmented assignment counts as a read, and
+    names starting with an underscore are exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(fn))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for n in nodes:
+            if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name):
+                read.add(n.target.id)
+            elif isinstance(n, (ast.Global, ast.Nonlocal)):
+                read.update(n.names)
+        bound = {}
+        for n in nodes:
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                bound.setdefault(n.id, n.lineno)
+            elif isinstance(n, ast.ExceptHandler) and n.name:
+                bound.setdefault(n.name, n.lineno)
+        found += [
+            f"{fn.name}: {name} (line {line})"
+            for name, line in sorted(bound.items(), key=lambda item: item[1])
+            if not name.startswith("_") and name not in read
+        ]
+    return found
+
+
+def test_the_check_reports_each_unread_local():
+    source = (
+        "def f(xs):\n"
+        "    n = len(xs)\n"
+        "    total = 0\n"
+        "    for i, x in enumerate(xs):\n"
+        "        total += x\n"
+        "    try:\n"
+        "        _unused, kept = xs\n"
+        "    except ValueError as exc:\n"
+        "        pass\n"
+        "    return [kept for _ in xs]\n"
+    )
+    assert unread_locals(source) == ["f: n (line 2)", "f: i (line 4)", "f: exc (line 8)"]
+
+
+def test_no_function_binds_a_local_it_never_reads():
+    files = sorted(p for d in READERS for p in (ROOT / d).rglob("*.py"))
+    found = {
+        str(p.relative_to(ROOT)): names
+        for p in files
+        if (names := unread_locals(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
