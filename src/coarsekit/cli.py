@@ -379,10 +379,6 @@ def cmd_lift(args) -> int:
     system = _read(args, args.system, ("system",))
     if args.invariant == "generators":
         _require(args, args.parser, ["sets"])
-        if len(args.sets) != len(system.pieces):
-            raise DomainError(
-                f"{len(system.pieces)} generator sets are required, one per piece"
-            )
         piece_sets = [_read(args, path, ("witness:generators",)) for path in args.sets]
         try:
             merged, report = metrizability_merge(system, piece_sets)

@@ -28,11 +28,13 @@ Witness kinds are described once, in ``WITNESSES``: per ``witness:X`` kind,
 the witness class and its body fields in decode order, each as (body key,
 witness attribute, field type). ``decode_witness`` checks the required and
 optional keys and reads every field through its type; a field of an optional
-type may be left out, which reads as null. ``witness_to_doc`` writes every
-body back by type: families as member lists, rationals as text, bounds as an
-integer, null or certificate. Only the point-keyed weights, coordinates and
-tag sets and the apc bounds and chain have readers of their own.
-``DECODERS`` maps every kind to the decoder of its body.
+type may be left out, which reads as null. A field type only reads: the
+witness class checks its shape when it is built, and its verifier judges its
+claims. ``witness_to_doc`` writes every body back by type: families as
+member lists, rationals as text, bounds as an integer, null or certificate.
+Only the point-keyed weights, coordinates and tag sets and the apc bounds
+and chain have readers of their own. ``DECODERS`` maps every kind to the
+decoder of its body.
 
 ``emit_document`` is a small writer of its own. It gives the bytes the
 standard ``json`` encoder gives with a two-space indent, sorted keys and its
@@ -70,10 +72,10 @@ from .invariants import (
     AsdimWitness,
     ExactnessWitness,
     GeneratorSet,
+    PartitionOfUnity,
     PinchWitness,
     PropertyAFamily,
     Target,
-    partition_of_unity,
 )
 from .invariants.common import target_points
 from .maps import GroundedMap, MetricTarget, INF, grounded_map, metric_target
@@ -288,7 +290,9 @@ def doc_to_system(body, path="body") -> FilteredSystem:
         for p in carrier:
             if p not in ambient:
                 _fail(f"unknown point {p!r}", f"{p_path}.carrier")
-        sub = ambient if len(carrier) == len(ambient) else PointSet(ambient.sort(carrier))
+        if len(carrier) < len(ambient) and (ordered := ambient.sort(carrier)) != carrier.ids:
+            carrier = PointSet(ordered)
+        sub = ambient if len(carrier) == len(ambient) else carrier
         levels = _family_list(rp["scales"], sub, f"{p_path}.scales", "scales")
         pieces.append(Piece(rp["name"], validate_space(sub, levels)))
     upper = {}
@@ -445,13 +449,6 @@ def resolve_bound(value, path="bound"):
     _fail("expected null, a level, or a piece certificate", path)
 
 
-def _positive_fraction(v, path) -> Fraction:
-    f = _fraction(v, path)
-    if f <= 0:
-        _fail("expected a positive rational", path)
-    return f
-
-
 # witnesses: field types, the WITNESSES table, and its decoder and encoder
 
 
@@ -495,7 +492,7 @@ def _read_weights(raw, path, got):
                 _fail(f"unknown index {name!r}", f"{path}.{p}")
             row[pos[name]] = _entry(v, f"{path}.{p}.{name}")
         rows.append(tuple(row))
-    return partition_of_unity(pts, indices, rows)
+    return PartitionOfUnity(pts, indices, tuple(rows))
 
 
 def _write_weights(pou, w) -> dict:
@@ -508,15 +505,15 @@ def _write_weights(pou, w) -> dict:
 
 
 def _read_coords(raw, path, got) -> tuple:
-    pts, dim = got["space"], got["dim"]
+    pts = got["space"]
     raw = _by_point(raw, pts, path, "coordinate rows")
     rows = []
     for p in pts.ids:
         if p not in raw:
             _fail(f"no coordinates for point {p!r}", path)
         row = raw[p]
-        if not isinstance(row, list) or len(row) != dim:
-            _fail(f"coordinates of {p!r} must be a list of length {dim}", path)
+        if not isinstance(row, list):
+            _fail(f"coordinates of {p!r} must be a list", path)
         row_path = f"{path}.{p}"
         rows.append(tuple(_entry(v, row_path) for v in row))
     return tuple(rows)
@@ -550,8 +547,8 @@ def _write_by_point(rows, w) -> dict:
 
 
 def _read_bounds(raw, path, got) -> tuple:
-    if not isinstance(raw, list) or len(raw) != len(got["selections"]):
-        _fail("expected one bound per selection", path)
+    if not isinstance(raw, list):
+        _fail("expected a list of bounds", path)
     return tuple(resolve_bound(b, f"{path}[{i}]") for i, b in enumerate(raw))
 
 
@@ -565,7 +562,7 @@ def _read_chain(raw, path, got) -> Optional[tuple]:
 
 SCALE = FieldType(lambda raw, path, got: resolve_scale(raw, got["target"], path))
 FAMILY = FieldType(lambda raw, path, got: _family(raw, got["space"], path))
-POSITIVE = FieldType(lambda raw, path, got: _positive_fraction(raw, path))
+FRACTION = FieldType(lambda raw, path, got: _fraction(raw, path))
 INTEGER = FieldType(lambda raw, path, got: _int(raw, path))
 BOUND = FieldType(lambda raw, path, got: resolve_bound(raw, path), optional=True)
 BOUNDS = FieldType(_read_bounds)
@@ -598,7 +595,7 @@ WITNESSES = {
     )),
     "witness:exactness": WitnessCodec(ExactnessWitness, (
         ("scale", "scale", SCALE),
-        ("eps", "eps", POSITIVE),
+        ("eps", "eps", FRACTION),
         ("indices", "pou.indices", NAMES),
         ("weights", "pou", WEIGHTS),
         ("support_bound", "support_bound", BOUND),
@@ -606,8 +603,8 @@ WITNESSES = {
     "witness:pinch": WitnessCodec(PinchWitness, (
         ("scale", "scale", SCALE),
         ("sep", "sep", FAMILY),
-        ("c", "c", POSITIVE),
-        ("eps", "eps", POSITIVE),
+        ("c", "c", FRACTION),
+        ("eps", "eps", FRACTION),
         ("dim", "dim", INTEGER),
         ("coords", "coords", COORDS),
         ("sep_bound", "sep_bound", BOUND),
@@ -615,13 +612,13 @@ WITNESSES = {
     "witness:amenability": WitnessCodec(AmenabilityWitness, (
         ("scale", "scale", SCALE),
         ("companion", "v", FAMILY),
-        ("eps", "eps", POSITIVE),
+        ("eps", "eps", FRACTION),
         ("bound", "v_bound", BOUND),
     )),
     "witness:property_a": WitnessCodec(PropertyAFamily, (
         ("scale", "scale", SCALE),
         ("support", "support", FAMILY),
-        ("eps", "eps", POSITIVE),
+        ("eps", "eps", FRACTION),
         ("n_cap", "n_cap", INTEGER),
         ("sets", "sets", SETS),
         ("support_bound", "support_bound", BOUND),

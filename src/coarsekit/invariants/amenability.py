@@ -31,6 +31,10 @@ class AmenabilityWitness:
     eps: Fraction
     v_bound: Bound = None
 
+    def __post_init__(self):
+        if self.eps <= 0:
+            raise DomainError("ratio threshold must be positive")
+
 
 def covered_points(scale: Family) -> tuple[Point, ...]:
     return scale.space.points_of(reduce(or_, scale.masks, 0))
@@ -61,8 +65,6 @@ def _horizon_offense(w: AmenabilityWitness) -> Optional[str]:
 
 
 def amenability_verify(target: Target, w: AmenabilityWitness) -> Report:
-    if w.eps <= 0:
-        raise DomainError("ratio threshold must be positive")
     ensure_over_target(target, w.scale, "input scale")
     ensure_over_target(target, w.v, "companion family")
     clauses = [

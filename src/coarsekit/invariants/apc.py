@@ -18,7 +18,7 @@ from ..errors import DomainError
 from ..families import Family, PointSet, refines, star_family, uncovered_point
 from ..reports import Clause, Report, SearchOutcome, from_clauses, offense_clause
 from ..spaces import ScaledSpace
-from .common import Bound, Target, bound_clause, find_bound, target_points
+from .common import Bound, Target, bound_clause, ensure_over_target, find_bound, target_points
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,12 @@ class ApcWitness:
     selections: tuple[Family, ...]
     bounds: tuple[Bound, ...]
     chain: Optional[tuple[Family, ...]] = None  # None: the target's own levels
+
+    def __post_init__(self):
+        if not self.selections:
+            raise DomainError("a witness needs at least one selection")
+        if len(self.bounds) != len(self.selections):
+            raise DomainError("one boundedness claim per selection is required")
 
 
 def _default_chain(target: Target, n: int) -> tuple[Family, ...]:
@@ -64,21 +70,15 @@ def _star_offense(sel: Family, scale: Family) -> Optional[str]:
 
 def apc_verify(target: Target, w: ApcWitness) -> Report:
     n = len(w.selections)
-    if n == 0:
-        raise DomainError("a witness needs at least one selection")
-    if len(w.bounds) != n:
-        raise DomainError("one boundedness claim per selection is required")
     chain = w.chain if w.chain is not None else _default_chain(target, n)
     if len(chain) < n:
         raise DomainError("chain is shorter than the witness prefix")
     chain = chain[:n]
     pts = target_points(target)
     for fam in chain:
-        if fam.space != pts:
-            raise DomainError("chain entry is not over the target's point set")
+        ensure_over_target(target, fam, "chain entry")
     for fam in w.selections:
-        if fam.space != pts:
-            raise DomainError("selection is not over the target's point set")
+        ensure_over_target(target, fam, "selection")
 
     clauses = [offense_clause("chain monotone", _monotone_offense(chain))]
     for j, (sel, b) in enumerate(zip(w.selections, w.bounds), start=1):
@@ -106,8 +106,7 @@ def apc_search(target: Target, chain: Sequence[Family]) -> SearchOutcome:
     selections: list[Family] = []
     bounds: list[Bound] = []
     for u in chain:
-        if u.space != pts:
-            raise DomainError("chain entry is not over the target's point set")
+        ensure_over_target(target, u, "chain entry")
         present = set(u.masks)
         singletons = (1 << i for i in range(len(pts)))
         pool = Family.from_masks(pts, u.masks + tuple(b for b in singletons if b not in present))

@@ -114,6 +114,12 @@ class ExactnessWitness:
     pou: PartitionOfUnity
     support_bound: Bound = None
 
+    def __post_init__(self):
+        if self.eps <= 0:
+            raise DomainError("variation threshold must be positive")
+        if self.pou.space != self.scale.space:
+            raise DomainError("partition of unity is not over the input scale's point set")
+
 
 def _variation_offense(w: ExactnessWitness) -> Optional[str]:
     """The first pair inside a scale member whose variation reaches eps."""
@@ -130,11 +136,7 @@ def _variation_offense(w: ExactnessWitness) -> Optional[str]:
 
 
 def exactness_verify(target: Target, w: ExactnessWitness) -> Report:
-    if w.eps <= 0:
-        raise DomainError("variation threshold must be positive")
     ensure_over_target(target, w.scale, "input scale")
-    if w.pou.space != w.scale.space:
-        raise DomainError("partition of unity is not over the target's point set")
     clauses = [
         bound_clause("support family bounded", target, support_family(w.pou), w.support_bound),
         offense_clause("weights form a unit partition at every point", _unit_offense(w.pou)),

@@ -608,6 +608,38 @@ def test_check_amenability_witness(tmp_path, capsys):
     assert "verdict: verified" in capsys.readouterr().out
 
 
+def test_check_exactness_refutes_weights_that_do_not_sum_to_one(tmp_path, capsys):
+    """Non-unit weights read and build a witness whose claim fails: refuted,
+    exit 1, with the unit clause naming the point. A threshold that is not
+    positive builds no witness: an input error, exit 65."""
+    pts = points(["a", "b", "c"])
+    sp = validate_space(
+        pts, [Family(pts, tuple(frozenset(p) for p in "abc")), Family(pts, (frozenset("abc"),))]
+    )
+    space_path = save(tmp_path, "abc.json", space_to_doc(sp))
+    body = {
+        "scale": {"level": 1},
+        "eps": 1,
+        "indices": ["u", "v"],
+        "weights": {"a": {"u": 1, "v": 1}, "b": {"u": 1}, "c": {"u": 1}},
+    }
+    heavy = save(tmp_path, "heavy.json", Document("witness:exactness", "1", body))
+    argv = ["check", "exactness", space_path, "--witness", heavy, "--format", "structured"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)["body"]
+    assert report["verdict"] == "refuted"
+    [unit] = [c for c in report["clauses"] if not c["ok"]]
+    assert unit["name"] == "weights form a unit partition at every point"
+    assert unit["detail"] == "weights at point 'a' sum to 2, not 1"
+
+    body["eps"] = 0
+    flat = save(tmp_path, "flat.json", Document("witness:exactness", "1", body))
+    assert main(["check", "exactness", space_path, "--witness", flat]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "variation threshold must be positive" in captured.err
+
+
 def test_check_generators(tmp_path, capsys):
     pts = points(["a", "b", "c"])
     closed = generator_set(
@@ -853,7 +885,7 @@ def test_lift_generators(tmp_path, capsys):
 
     code = main(["lift", "generators", system, "--sets", set_paths[0]])
     assert code == 65
-    assert "one per piece" in capsys.readouterr().err
+    assert "one generator set per piece is required" in capsys.readouterr().err
 
 
 def test_map_check_bornologous_and_close(tmp_path, capsys):

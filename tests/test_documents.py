@@ -13,7 +13,7 @@ from operator import or_
 import pytest
 from hypothesis import example, given, strategies as st
 
-from coarsekit import ParseError, ValidationError
+from coarsekit import DomainError, ParseError, ValidationError
 from coarsekit.colimit import ColimitBoundedness, extended_level
 from coarsekit.corpus import gen_c0, gen_disjoint_union, gen_random_system
 from coarsekit.documents import (
@@ -93,6 +93,18 @@ def test_system_round_trip_keeps_upper_and_meta():
     assert back == fs
     assert back.upper == fs.upper
     assert back.meta == fs.meta
+
+
+def test_a_carrier_out_of_ambient_order_is_read_in_ambient_order():
+    """A carrier written in ambient order, as system_to_doc writes it, is the
+    piece's point set as read; any other order is put in ambient order."""
+    fs = gen_disjoint_union([path_metric(points(["a", "b", "c"])), path_metric(points(["d"]))])
+    body = reparse(system_to_doc(fs)).body
+    assert any(len(pc["carrier"]) > 1 for pc in body["pieces"])
+    assert doc_to_system(body) == fs
+    for pc in body["pieces"]:
+        pc["carrier"].reverse()
+    assert doc_to_system(body) == fs
 
 
 def test_family_map_metric_round_trips():
@@ -394,7 +406,7 @@ def test_fraction_forms():
     with pytest.raises(ParseError, match="infinity is not allowed here"):
         DECODERS["witness:amenability"](w_body, sp)
     w_body["eps"] = "-1/2"
-    with pytest.raises(ParseError, match="positive rational"):
+    with pytest.raises(DomainError, match="ratio threshold must be positive"):
         DECODERS["witness:amenability"](w_body, sp)
     # an exponent would make Fraction build a ten-million-digit integer
     w_body["eps"] = "1e10000000"

@@ -3,7 +3,9 @@
 Each case takes a valid witness body, makes exactly one change to it and
 pins the ParseError's message and path. Missing and unknown fields, one
 wrongly typed value per field type and unknown points in the point-keyed
-rows are covered for every kind.
+rows are covered for every kind. A second table pins the DomainError of a
+body that reads but whose witness refuses to be built: a witness's shape is
+its class's own check, made once, after every field is read.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import copy
 
 import pytest
 
-from coarsekit import ParseError
+from coarsekit import DomainError, ParseError
 from coarsekit.documents import DECODERS
 from coarsekit.families import Family, points
 from coarsekit.spaces import validate_space
@@ -110,11 +112,11 @@ CASES = [
     ("apc", ["extra"], 0, "unknown field 'extra'", "body"),
     ("apc", ["selections"], [], "expected a non-empty list of selections", "body.selections"),
     ("apc", ["selections", 0], "x", "expected a list of members", "body.selections[0]"),
-    ("apc", ["bounds"], [3, 3], "expected one bound per selection", "body.bounds"),
+    ("apc", ["bounds"], 3, "expected a list of bounds", "body.bounds"),
     ("apc", ["bounds", 0], True, BOUND_MSG, "body.bounds[0]"),
     ("apc", ["chain"], [], "expected a non-empty list of scales", "body.chain"),
     ("apc", ["chain", 1], "top", SCALE_MSG, "body.chain[1]"),
-    # exactness: scale, positive rational, names, weights, optional bound
+    # exactness: scale, rational, names, weights, optional bound
     ("exactness", ["scale"], DROP, "missing field 'scale'", "body"),
     ("exactness", ["eps"], DROP, "missing field 'eps'", "body"),
     ("exactness", ["indices"], DROP, "missing field 'indices'", "body"),
@@ -125,7 +127,7 @@ CASES = [
     ("exactness", ["eps"], [1], "expected an integer or a 'p/q' string", "body.eps"),
     ("exactness", ["eps"], "1/0", "malformed rational '1/0'", "body.eps"),
     ("exactness", ["eps"], "inf", "infinity is not allowed here", "body.eps"),
-    ("exactness", ["eps"], 0, "expected a positive rational", "body.eps"),
+    ("exactness", ["eps"], 0.5, "expected an integer or a 'p/q' string", "body.eps"),
     ("exactness", ["indices"], "u", "expected a list of strings", "body.indices"),
     (
         "exactness", ["weights"], [],
@@ -136,7 +138,7 @@ CASES = [
     ("exactness", ["weights", "a", "v"], 0, "unknown index 'v'", "body.weights.a"),
     ("exactness", ["weights", "a", "u"], True, "expected a rational", "body.weights.a.u"),
     ("exactness", ["support_bound"], "x", BOUND_MSG, "body.support_bound"),
-    # pinch: scale, family, positive rationals, integer, coords, optional bound
+    # pinch: scale, family, rationals, integer, coords, optional bound
     ("pinch", ["scale"], DROP, "missing field 'scale'", "body"),
     ("pinch", ["sep"], DROP, "missing field 'sep'", "body"),
     ("pinch", ["c"], DROP, "missing field 'c'", "body"),
@@ -147,7 +149,7 @@ CASES = [
     ("pinch", ["scale"], None, SCALE_MSG, "body.scale"),
     ("pinch", ["sep"], {}, "expected a list of members", "body.sep"),
     ("pinch", ["c"], "x", "malformed rational 'x'", "body.c"),
-    ("pinch", ["eps"], "-1/3", "expected a positive rational", "body.eps"),
+    ("pinch", ["eps"], "1/3.0", "malformed rational '1/3.0'", "body.eps"),
     ("pinch", ["dim"], "2", "expected an integer", "body.dim"),
     ("pinch", ["dim"], False, "expected an integer", "body.dim"),
     (
@@ -156,13 +158,10 @@ CASES = [
     ),
     ("pinch", ["coords", "zz"], [0, 0], "unknown point 'zz'", "body.coords"),
     ("pinch", ["coords", "a"], DROP, "no coordinates for point 'a'", "body.coords"),
-    (
-        "pinch", ["coords", "b"], [0],
-        "coordinates of 'b' must be a list of length 2", "body.coords",
-    ),
+    ("pinch", ["coords", "b"], "0", "coordinates of 'b' must be a list", "body.coords"),
     ("pinch", ["coords", "c", 1], "1/0", "malformed rational '1/0'", "body.coords.c"),
     ("pinch", ["sep_bound"], [], BOUND_MSG, "body.sep_bound"),
-    # amenability: scale, family, positive rational, optional bound
+    # amenability: scale, family, rational, optional bound
     ("amenability", ["scale"], DROP, "missing field 'scale'", "body"),
     ("amenability", ["companion"], DROP, "missing field 'companion'", "body"),
     ("amenability", ["eps"], DROP, "missing field 'eps'", "body"),
@@ -174,7 +173,7 @@ CASES = [
     ("amenability", ["companion"], [["a", 1]], "expected a list of strings", "body.companion[0]"),
     ("amenability", ["eps"], None, "expected an integer or a 'p/q' string", "body.eps"),
     ("amenability", ["bound"], "3", BOUND_MSG, "body.bound"),
-    # property A: scale, family, positive rational, integer, sets, optional bound
+    # property A: scale, family, rational, integer, sets, optional bound
     ("property_a", ["scale"], DROP, "missing field 'scale'", "body"),
     ("property_a", ["support"], DROP, "missing field 'support'", "body"),
     ("property_a", ["eps"], DROP, "missing field 'eps'", "body"),
@@ -207,6 +206,20 @@ CASES = [
     ("generators", ["families"], [], "expected a non-empty list of families", "body.families"),
     ("generators", ["families", 1], "x", "expected a list of members", "body.families[1]"),
     ("generators", ["families", 0, 2, 0], "zz", "unknown point 'zz'", "body.families[0][2]"),
+]
+
+# (kind, key path into the body, new value, the witness class's message)
+SHAPE_CASES = [
+    ("apc", ["bounds"], [3, 3], "one boundedness claim per selection is required"),
+    ("exactness", ["eps"], 0, "variation threshold must be positive"),
+    ("exactness", ["indices"], ["u", "u"], "partition indices must be distinct"),
+    ("pinch", ["eps"], "-1/3", "separation and diameter thresholds must be positive"),
+    ("pinch", ["c"], 0, "separation and diameter thresholds must be positive"),
+    ("pinch", ["dim"], 0, "embedding dimension must be at least 1"),
+    ("pinch", ["coords", "b"], [0], "coordinate row length must match the dimension"),
+    ("amenability", ["eps"], "-1/2", "ratio threshold must be positive"),
+    ("property_a", ["eps"], 0, "ratio threshold must be positive"),
+    ("property_a", ["n_cap"], 0, "index cap must be at least 1"),
 ]
 
 
@@ -249,3 +262,15 @@ def test_single_fault_message_and_path(kind, keys, value, message, path):
         decode(kind, body)
     assert exc.value.path == path
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "kind, keys, value, message",
+    SHAPE_CASES,
+    ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}" for c in SHAPE_CASES],
+)
+def test_a_witness_refuses_a_body_that_reads(kind, keys, value, message):
+    body = mutated(VALID[kind][1], keys, value)
+    with pytest.raises(DomainError) as exc:
+        decode(kind, body)
+    assert str(exc.value) == message
