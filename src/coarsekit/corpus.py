@@ -6,6 +6,13 @@ capped so every instance stays enumerable; exceeding a cap is a hard error,
 not a silent clamp. Levels are built as member masks: balls as prefixes of
 each point's distance order, over the ambient set and cut to each piece by
 _nested_system, and random covers and coarsenings as unions of point bits.
+
+Balls are built from one distance row per point, which each generator forms
+from the data it holds: grid l1 rows as sums of per-axis rows, line and
+harmonic rows from int values (the harmonic points scaled by the lcm of
+their denominators), island rows with INF off the island. Where every finite
+distance is an int, the radii are compared floored (``_int_radii``), so no
+comparison meets a Fraction; the meta strings keep the radii as given.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Iterable, Optional, Sequence
 
 from .colimit import FilteredSystem, Piece, validate_system
@@ -48,25 +55,36 @@ def _check_radii(radii) -> tuple:
     return out
 
 
-def _ball_levels(pts: PointSet, dist, radii) -> tuple[Family, ...]:
+def _ball_levels(pts: PointSet, rows: Iterable[Sequence], radii: Sequence) -> tuple[Family, ...]:
     """One Family per radius: the closed ball around each point, in point
-    order. Each point's distance row is computed once and sorted; its ball
-    of radius r is the prefix of that order up to ``bisect_right(row, r)``.
+    order. ``rows`` gives each point's distances to every point, in point
+    order. Each row is sorted once, and its ball of radius r is the prefix of
+    that order up to ``bisect_right``. The radii are taken in sorted order,
+    so each ball extends the one before it: a point's masks cost n shifts in
+    all, however many radii there are. Radii may come unsorted or repeated;
+    level l is always the balls of radii[l]. Callers whose finite distances
+    are all ints pass their radii through ``_int_radii``, so that bisect
+    compares ints only; a table with Fraction distances keeps Fraction radii.
     """
-    ids = pts.ids
-    balls = []
-    for p in ids:
-        row = [dist(p, q) for q in ids]
-        order = sorted(range(len(ids)), key=row.__getitem__)
-        row = [row[i] for i in order]
-        prefix = {}
-        for r in radii:
-            k = bisect_right(row, r)
-            if k not in prefix:
-                prefix[k] = sum(map((1).__lshift__, order[:k]))
-            balls.append(prefix[k])
-    depth = len(radii)
-    return tuple(Family.from_masks(pts, tuple(balls[l::depth])) for l in range(depth))
+    span = range(len(pts))
+    by_size = sorted(range(len(radii)), key=radii.__getitem__)
+    levels: list[list[int]] = [[] for _ in radii]
+    for row in rows:
+        order = sorted(span, key=row.__getitem__)
+        ordered = list(map(row.__getitem__, order))
+        k = mask = 0
+        for lv in by_size:
+            j = bisect_right(ordered, radii[lv], k)
+            mask += sum(map((1).__lshift__, order[k:j]))
+            k = j
+            levels[lv].append(mask)
+    return tuple(Family.from_masks(pts, tuple(lv)) for lv in levels)
+
+
+def _int_radii(radii) -> list[int]:
+    """Comparison radii for int distances: an int d is at most r exactly
+    when it is at most floor(r), and INF compares alike with either."""
+    return [math.floor(r) for r in radii]
 
 
 def _nested_system(
@@ -132,13 +150,21 @@ def gen_c0(s_max: int, box: int, radii: Optional[Sequence] = None) -> FilteredSy
     ident = {c: ",".join(str(v) for v in c) for c in coords}
     ambient = PointSet(tuple(ident[c] for c in coords))
 
-    def l1(a, b):
-        return sum(map(abs, map(operator.sub, a, b)))
-
     diameter = Fraction(2 * box * s_max)
     rs = _check_radii(radii) if radii is not None else _doubling_radii(diameter)
-    by_id = {ident[c]: c for c in coords}
-    balls = _ball_levels(ambient, lambda p, q: l1(by_id[p], by_id[q]), rs)
+    if s_max == 1:
+        rows = _line_rows(range(-box, box + 1))
+    else:
+        # l1 rows as sums of per-axis rows, axis[a][v][i] = |v - coords[i][a]|,
+        # each shared by the side ** (s_max - 1) points whose coordinate a is
+        # v; one axis shares none, and its table would be all n rows at once
+        axis = [
+            {v: list(map(abs, map(v.__sub__, col))) for v in range(-box, box + 1)}
+            for col in zip(*coords)
+        ]
+        add_rows = partial(map, operator.add)
+        rows = (list(reduce(add_rows, (axis[a][v] for a, v in enumerate(c)))) for c in coords)
+    balls = _ball_levels(ambient, rows, _int_radii(rs))
     named = (
         (f"grid{s}", PointSet(tuple(ident[c] for c in coords if all(v == 0 for v in c[s:]))))
         for s in range(1, s_max + 1)
@@ -189,10 +215,13 @@ def gen_disjoint_union(
     diameter = max(finite) if finite else Fraction(0)
     rs = _check_radii(radii) if radii is not None else _doubling_radii(diameter)
 
-    def dist(a, b):
-        (k, p), (l, q) = where[a], where[b]
-        return islands[k].dist(p, q) if k == l else INF
-
+    # a row of island k: its own distances there, INF on every other island
+    blank = [(INF,) * len(isl.points) for isl in islands]
+    rows = (
+        list(itertools.chain(*blank[:k], row, *blank[k + 1 :]))
+        for k, isl in enumerate(islands)
+        for row in isl.rows
+    )
     groups: list[tuple[int, ...]] = [(k,) for k in range(len(islands))]
     groups += list(itertools.combinations(range(len(islands)), 2))
     full = tuple(range(len(islands)))
@@ -206,7 +235,7 @@ def gen_disjoint_union(
         f"truncation: {len(islands)} islands, pieces up to pairs plus the union",
         "radii: " + ", ".join(str(r) for r in rs),
     )
-    return _nested_system(_ball_levels(ambient, dist, rs), named, meta)
+    return _nested_system(_ball_levels(ambient, rows, rs), named, meta)
 
 
 # the harmonic-point interval with its reciprocal map
@@ -231,13 +260,13 @@ class UnitIntervalInstance:
     colimit_chain: ScaledSpace
 
 
+def _line_rows(values: Sequence[int]):
+    """Each value's distances |x - y| to every value, as rows in value order."""
+    return (list(map(abs, map(x.__sub__, values))) for x in values)
+
+
 def _integer_chain(pts: PointSet, radii: Sequence[int]) -> ScaledSpace:
-    value = {p: int(p) for p in pts.ids}
-
-    def dist(a, b):
-        return abs(value[a] - value[b])
-
-    return validate_space(pts, _ball_levels(pts, dist, radii))
+    return validate_space(pts, _ball_levels(pts, _line_rows(list(map(int, pts.ids))), radii))
 
 
 def gen_unit_interval(n_max: int) -> UnitIntervalInstance:
@@ -255,10 +284,8 @@ def gen_unit_interval(n_max: int) -> UnitIntervalInstance:
     # Balls from integer distances: every value scaled by the lcm of the
     # denominators, and the radii with it.
     scale = math.lcm(*range(1, n_max + 2))
-    scaled = {ident[v]: v.numerator * (scale // v.denominator) for v in values}
-    balls = _ball_levels(
-        ambient, lambda p, q: abs(scaled[p] - scaled[q]), [r * scale for r in ladder]
-    )
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    balls = _ball_levels(ambient, _line_rows(scaled), _int_radii(r * scale for r in ladder))
     named = ((f"X{n}", PointSet(ambient.ids[: n + 1])) for n in range(1, n_max + 1))
     meta = (
         f"truncation: harmonic points 1/m for m up to {n_max + 1}",
@@ -343,11 +370,7 @@ def _line_levels(pts: PointSet, depth: int) -> tuple[Family, ...]:
     while len(radii) < depth:
         radii.append(max(Fraction(1), radii[-1] / 2))
     radii.reverse()
-
-    def dist(a, b):
-        return abs(pts.index(a) - pts.index(b))
-
-    return _ball_levels(pts, dist, radii)
+    return _ball_levels(pts, _line_rows(range(n)), _int_radii(radii))
 
 
 def _island_levels(rng: random.Random, pts: PointSet, depth: int):
@@ -364,16 +387,14 @@ def _island_levels(rng: random.Random, pts: PointSet, depth: int):
     home = {p: b for b, block in enumerate(blocks) for p in block}
     spot = {p: i for block in blocks for i, p in enumerate(block)}
 
-    def dist(a, b):
-        if home[a] != home[b]:
-            return INF
-        return abs(spot[a] - spot[b])
-
+    rows = (
+        [abs(spot[p] - spot[q]) if home[p] == home[q] else INF for q in ids] for p in ids
+    )
     radii = [Fraction(2 ** (depth - 1 - j)) for j in range(depth)]
     radii.reverse()
     top = max(len(b) for b in blocks)
     radii[-1] = max(radii[-1], Fraction(top))
-    return _ball_levels(pts, dist, radii), blocks, home
+    return _ball_levels(pts, rows, _int_radii(radii)), blocks, home
 
 
 def gen_random_system(seed: int, caps: RandomCaps = RandomCaps()) -> FilteredSystem:

@@ -213,8 +213,8 @@ def _family(v, pts: PointSet, path) -> Family:
 
 
 def _family_list(v, pts: PointSet, path, what) -> tuple[Family, ...]:
-    if not isinstance(v, list) or not v:
-        _fail(f"expected a non-empty list of {what}", path)
+    if not isinstance(v, list):
+        _fail(f"expected a list of {what}", path)
     return tuple(_family(m, pts, f"{path}[{i}]") for i, m in enumerate(v))
 
 

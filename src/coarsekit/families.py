@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import cycle
+from itertools import compress, cycle
 from operator import or_
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -32,6 +32,8 @@ from .errors import DomainError
 
 Point = str
 Subset = frozenset
+
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as 0/1 bytes
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,19 @@ class PointSet:
             raise DomainError(f"point {exc.args[0]!r} not in this point set") from None
 
     def points_of(self, mask: int) -> tuple[Point, ...]:
-        """The points of a mask over this point set, in point order."""
+        """The points of a mask over this point set, in point order.
+
+        A dense mask is named in one C pass: its binary digits, low bit
+        first, as 0/1 bytes that ``compress`` selects the ids by. A sparse
+        mask takes one loop step per set bit. The dense pass costs about
+        1/16 of a loop step per point plus six steps, so a mask of k bits on
+        n points takes the loop while 16k <= n + 96.
+        """
         ids = self.ids
+        if mask.bit_count() * 16 > len(ids) + 96:
+            # through a list: a tuple grown from an iterator is resized as it
+            # grows, and the small ones then pile up on the tuple free lists
+            return tuple(list(compress(ids, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))))
         out = []
         while mask:
             low = mask & -mask

@@ -19,6 +19,11 @@ def from_mask(ids, mask: int) -> frozenset:
     return frozenset(p for i, p in enumerate(ids) if mask >> i & 1)
 
 
+def ordered_from_mask(ids, mask: int) -> tuple:
+    """The points of the mask, in the order of ids."""
+    return tuple(p for i, p in enumerate(ids) if mask >> i & 1)
+
+
 def star_mask(v: int, fam: list[int]) -> int:
     out = v
     for m in fam:

@@ -132,6 +132,19 @@ def test_validate_refuted_on_semantic_failure(tmp_path, capsys):
     assert "[FAIL] document validates" in out
 
 
+def test_validate_refutes_a_space_with_no_levels(tmp_path, capsys):
+    """An empty scale list reads; the space refuses it when built. A scale
+    list that is not a list does not read."""
+    path = save(tmp_path, "empty.json", Document("space", "1", {"points": ["a"], "scales": []}))
+    assert main(["validate", path]) == 1
+    assert "[FAIL] document validates: a scaled space needs at least one level" in (
+        capsys.readouterr().out
+    )
+    path = save(tmp_path, "bare.json", Document("space", "1", {"points": ["a"], "scales": 3}))
+    assert main(["validate", path]) == 65
+    assert "body.scales: expected a list of scales" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "upper, detail",
     [

@@ -14,6 +14,7 @@ from coarsekit.colimit import validate_system
 from coarsekit.corpus import (
     RandomCaps,
     _ball_levels,
+    _int_radii,
     gen_c0,
     gen_disjoint_union,
     gen_random_system,
@@ -198,32 +199,36 @@ def test_infinite_distances_never_enter_balls():
 # balls against their literal definition
 
 
+FRACTIONS = st.fractions(0, 6, max_denominator=4)
+
+
 @st.composite
-def distances_and_radii(draw):
-    """Up to seven points in blocks, with int or Fraction distances drawn per
-    ordered pair inside a block and INF between blocks, and radii drawn with
-    repeats from a small pool that holds some of the distances exactly."""
+def distances_and_radii(draw, distance=st.one_of(st.integers(0, 6), FRACTIONS)):
+    """Up to seven points in blocks, with distances drawn per ordered pair
+    inside a block (int or Fraction by default) and INF between blocks, the
+    table's rows in point order, and radii drawn unsorted and with repeats
+    from a small pool that holds some of the distances exactly and some
+    drawn int or Fraction values."""
     n = draw(st.integers(min_value=1, max_value=7))
     block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    value = st.one_of(
-        st.integers(0, 6), st.fractions(0, 6, max_denominator=4)
-    )
     table = {
-        (i, j): draw(value) if block[i] == block[j] else INF
+        (i, j): draw(distance) if block[i] == block[j] else INF
         for i in range(n)
         for j in range(n)
     }
     finite = sorted({d for d in table.values() if d != INF})
+    value = st.one_of(st.integers(0, 6), FRACTIONS)
     pool = finite[:3] + draw(st.lists(value, min_size=1, max_size=2))
     radii = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
     pts = points(f"p{i}" for i in range(n))
-    return pts, (lambda p, q: table[pts.index(p), pts.index(q)]), radii
+    rows = [[table[i, j] for j in range(n)] for i in range(n)]
+    return pts, (lambda p, q: table[pts.index(p), pts.index(q)]), rows, radii
 
 
 @given(distances_and_radii())
 def test_ball_levels_match_the_definition(case):
-    pts, dist, radii = case
-    levels = _ball_levels(pts, dist, radii)
+    pts, dist, rows, radii = case
+    levels = _ball_levels(pts, rows, radii)
     assert len(levels) == len(radii)
     for lv, r in zip(levels, radii):
         assert lv.space == pts
@@ -232,9 +237,19 @@ def test_ball_levels_match_the_definition(case):
         )
 
 
+@given(distances_and_radii(distance=st.integers(0, 6)))
+def test_int_distances_give_the_same_balls_under_floored_radii(case):
+    pts, _, rows, radii = case
+    floored = _int_radii(radii)
+    assert all(type(r) is int for r in floored)
+    assert [lv.masks for lv in _ball_levels(pts, rows, floored)] == [
+        lv.masks for lv in _ball_levels(pts, rows, radii)
+    ]
+
+
 def test_one_point_balls_hold_the_point():
     pts = points(["o"])
-    levels = _ball_levels(pts, lambda p, q: 0, [Fraction(1, 2), 1, 1])
+    levels = _ball_levels(pts, [[0]], [Fraction(1, 2), 1, 1])
     assert [lv.members for lv in levels] == [(frozenset({"o"}),)] * 3
 
 
@@ -255,10 +270,16 @@ _spec.loader.exec_module(corpus_digest)
     [
         ("c0 --s-max 3 --box 2", 1,
          "339d662dc70b6e42ae151ec94c80d53f32e9c5ee152d0399e95959be83d3770a"),
+        ("c0 --s-max 3 --box 3", 1,
+         "0f53ddefbc3b26836f9ebae6f1936608e292c03399afe7224bfcbd5bed9f7cbd"),
+        ("c0 --s-max 1 --box 255", 1,
+         "43ca5e7afe361dedc5324e13446a030c17a728a624dfcf915edb7832041b53d4"),
         ("c0 --s-max 2 --box 3 --radii 1,3/2,3,12", 1,
          "8ac9669afe264334daae8ac56563171d8524bdf1e9411096c510d849697b4940"),
         ("unit-interval --n-max 16", 21,
          "f0224ef5d51156f2c3f5ee207895c3040de261b88691eac6bbb5a249b8e9e9bb"),
+        ("unit-interval --n-max 64", 69,
+         "f852245503e65b543074e259d2e83db1ca174d3445d9f4eaaf04f670422e889e"),
         ("disjoint-union --islands 16,16,16,16", 1,
          "9c6ea13d055f59f102baa0c662456f96d9b7976e736afd479ea36e32dbfc0dc6"),
         ("disjoint-union --islands 3,1,2 --radii 1,2", 1,

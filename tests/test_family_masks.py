@@ -128,6 +128,37 @@ def test_bits_walks_the_set_bits_in_increasing_order(mask):
     assert bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+@st.composite
+def point_masks(draw):
+    """A point set of 1 to 600 points, named against their order, and a mask
+    over it: empty, one bit, the top bit, sparse (up to a few bits past the
+    dense/sparse crossover of ``points_of``), full, full but for a few bits,
+    or any."""
+    n = draw(st.integers(1, 600))
+    full = (1 << n) - 1
+    few = st.lists(st.integers(0, n - 1), max_size=(n + 96) // 16 + 3)
+    mask = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, n - 1).map((1).__lshift__),
+            st.just(1 << n - 1),
+            few.map(lambda ix: sum({1 << i for i in ix})),
+            st.just(full),
+            few.map(lambda ix: full & ~sum({1 << i for i in ix})),
+            st.integers(0, full),
+        )
+    )
+    return tuple(str(n - i) for i in range(n)), mask
+
+
+@given(point_masks())
+def test_points_of_names_the_set_bits_in_point_order(case):
+    ids, mask = case
+    got = points(ids).points_of(mask)
+    assert got == oracles.ordered_from_mask(ids, mask)
+    assert frozenset(got) == oracles.from_mask(ids, mask)
+
+
 @given(families(), st.data())
 def test_horizon_indices_match_the_oracle(data, draw):
     space, u = data

@@ -83,7 +83,7 @@ SINGLE = [
     ("space", {"points": "abcd"}, ParseError("expected a list of strings", "body.points")),
     ("space", {"points": []}, ParseError("point set must be non-empty", "body.points")),
     ("space", {"points": ["a", "a"]}, ParseError("duplicate point id 'a'", "body.points")),
-    ("space", {"scales": []}, ParseError("expected a non-empty list of scales", "body.scales")),
+    ("space", {"scales": []}, ValidationError("a scaled space needs at least one level")),
     ("space", {"scales.1": "ab"}, ParseError("expected a list of members", "body.scales[1]")),
     ("space", {"scales.1.0": "ab"}, NOT_STRINGS),
     ("space", {"scales.1.0": ["a", 1]}, NOT_STRINGS),

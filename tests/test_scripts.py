@@ -1,6 +1,6 @@
-"""Smoke tests of ``scripts/closeness_gap.py``, ``scripts/probe_apc.py`` and
-``scripts/witness_timing.py`` on small instances: each runs to exit 0 and
-prints its summary lines."""
+"""Smoke tests of ``scripts/closeness_gap.py``, ``scripts/probe_apc.py``,
+``scripts/witness_timing.py`` and ``scripts/corpus_digest.py`` on small
+instances: each runs to exit 0 and prints its summary lines."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import importlib.util
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,3 +66,29 @@ def test_witness_timing_lifts_and_re_emits_every_witness(monkeypatch, capsys):
     for line in lines[:-1]:
         assert re.search(r", verify \d+\.\d{3} ms, emit \d+\.\d{3} ms, decode \d+\.\d{3} ms$", line)
     assert lines[-1] == f"lifted 4 witnesses, 0 re-emit other bytes, sha256 {LIFTED_DIGEST}"
+
+
+def test_corpus_digest_repeats_a_case_and_prints_its_best_time(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on it
+    rc, once = run_script("corpus_digest", ["c0 --s-max 2 --box 1"], monkeypatch, capsys)
+    assert rc == 0
+    rc, lines = run_script(
+        "corpus_digest", ["--repeat", "3", "c0 --s-max 2 --box 1", "random --seed 3"],
+        monkeypatch, capsys,
+    )
+    assert rc == 0
+    assert len(lines) == 2
+    shape = r"^{}: 1 files, sha256 [0-9a-f]{{64}}, \d+\.\d{{3}} s$"
+    assert re.match(shape.format("c0 --s-max 2 --box 1"), lines[0])
+    assert re.match(shape.format("random --seed 3"), lines[1])
+    # the digest of three calls is the digest of one
+    assert lines[0].rsplit(", ", 1)[0] == once[0].rsplit(", ", 1)[0]
+    assert "d20d05c76b59a7b8855686633b2083daee02106e0917556cbab3f8e0b451bf4f" in lines[1]
+
+
+def test_corpus_digest_refuses_fewer_than_one_call(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(SystemExit) as exc:
+        run_script("corpus_digest", ["--repeat", "0", "random --seed 3"], monkeypatch, capsys)
+    assert exc.value.code == 2
+    assert "--repeat must be at least 1" in capsys.readouterr().err

@@ -110,7 +110,7 @@ CASES = [
     ("apc", ["selections"], DROP, "missing field 'selections'", "body"),
     ("apc", ["bounds"], DROP, "missing field 'bounds'", "body"),
     ("apc", ["extra"], 0, "unknown field 'extra'", "body"),
-    ("apc", ["selections"], [], "expected a non-empty list of selections", "body.selections"),
+    ("apc", ["selections"], 3, "expected a list of selections", "body.selections"),
     ("apc", ["selections", 0], "x", "expected a list of members", "body.selections[0]"),
     ("apc", ["bounds"], 3, "expected a list of bounds", "body.bounds"),
     ("apc", ["bounds", 0], True, BOUND_MSG, "body.bounds[0]"),
@@ -197,19 +197,20 @@ CASES = [
         "property_a", ["support_bound"], {"piece": 0, "level": "1"},
         "expected an integer", "body.support_bound.level",
     ),
-    # generators: points and a non-empty list of families
+    # generators: points and a list of families
     ("generators", ["points"], DROP, "missing field 'points'", "body"),
     ("generators", ["families"], DROP, "missing field 'families'", "body"),
     ("generators", ["extra"], 0, "unknown field 'extra'", "body"),
     ("generators", ["points"], "abc", "expected a list of strings", "body.points"),
     ("generators", ["points", 2], "a", "duplicate point id 'a'", "body.points"),
-    ("generators", ["families"], [], "expected a non-empty list of families", "body.families"),
+    ("generators", ["families"], "x", "expected a list of families", "body.families"),
     ("generators", ["families", 1], "x", "expected a list of members", "body.families[1]"),
     ("generators", ["families", 0, 2, 0], "zz", "unknown point 'zz'", "body.families[0][2]"),
 ]
 
 # (kind, key path into the body, new value, the witness class's message)
 SHAPE_CASES = [
+    ("apc", ["selections"], [], "a witness needs at least one selection"),
     ("apc", ["bounds"], [3, 3], "one boundedness claim per selection is required"),
     ("exactness", ["eps"], 0, "variation threshold must be positive"),
     ("exactness", ["indices"], ["u", "u"], "partition indices must be distinct"),
@@ -220,6 +221,7 @@ SHAPE_CASES = [
     ("amenability", ["eps"], "-1/2", "ratio threshold must be positive"),
     ("property_a", ["eps"], 0, "ratio threshold must be positive"),
     ("property_a", ["n_cap"], 0, "index cap must be at least 1"),
+    ("generators", ["families"], [], "a generator set needs at least one family"),
 ]
 
 
