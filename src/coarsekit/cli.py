@@ -11,9 +11,9 @@ command's exact name, that command's own parser reads the rest, as the top
 parser would have it do; anything else goes to the top parser. Either way
 leftover arguments are refused by the top parser.
 
-Every read of an input document reads and digests its file. Identical bytes
-are parsed and decoded once per process: a later read, such as the next
-command of a caller that runs many, reuses the decoded value.
+Every read of an input document, validate's included, reads and digests its
+file. Identical bytes are parsed and decoded once per process: a later read,
+such as the next command of a caller that runs many, reuses the decoded value.
 
 An output document is emitted once. The -o file holds that text, and a
 structured report nests the same text as its artifacts entry.
@@ -123,19 +123,20 @@ def _parse(path: str, data: bytes, kinds: Sequence[str]) -> docs.Document:
 
 
 # Decoded inputs, least recently used first: (digest, the interpreter's
-# integer-digit limit, ids of the decode target) -> (kind, value, target).
-# An entry keeps its target alive, so an id in a live key names that one
-# object. Only decodes that succeed are stored.
+# integer-digit limit, ids of the decode target) -> (kind, value, target, the
+# body's field names). An entry keeps its target alive, so an id in a live key
+# names that one object. Only decodes that succeed are stored.
 _DECODED: OrderedDict = OrderedDict()
 DECODED_ENTRIES = 64
 
 
-def _read(args, path: str, kinds: Sequence[str], *target):
-    """Load one input document of the given kinds and decode its body.
+def _entry(args, path: str, kinds: Sequence[str], *target) -> tuple:
+    """The memo entry of one input document of the given kinds, decoded
+    over target.
 
     A witness body other than a generator set decodes over target. Bytes
     already decoded in this process, over the same target, are not parsed
-    or decoded again: the value decoded then is returned, once its kind is
+    or decoded again: the entry made then is returned, once its kind is
     checked against kinds. Every read still reads and digests the file.
     """
     data = _digested(args, path)
@@ -143,14 +144,21 @@ def _read(args, path: str, kinds: Sequence[str], *target):
     entry = _DECODED.get(key)
     if entry is None:
         doc = _parse(path, data, kinds)
-        entry = (doc.kind, docs.DECODERS[doc.kind](doc.body, *target), target)
+        value = docs.DECODERS[doc.kind](doc.body, *target)
+        entry = (doc.kind, value, target, frozenset(doc.body))
         _DECODED[key] = entry
         if len(_DECODED) > DECODED_ENTRIES:
             _DECODED.popitem(last=False)
     else:
         _check_kind(path, entry[0], kinds)
         _DECODED.move_to_end(key)
-    return entry[1]
+    return entry
+
+
+def _read(args, path: str, kinds: Sequence[str], *target):
+    """Load one input document of the given kinds and decode its body over
+    target, once per process for the same bytes (see _entry)."""
+    return _entry(args, path, kinds, *target)[1]
 
 
 def _load_family(args, path: str, pts: PointSet) -> Family:
@@ -229,17 +237,26 @@ def _render_search(args, outcome: SearchOutcome, name: str, artifact: str, encod
 
 
 def cmd_validate(args) -> int:
-    doc = _parse(args.document, _digested(args, args.document), ("space", "system"))
+    """Validate a space or system document, read as every command reads it.
+
+    Every fact reported here is checked by the constructors that decoding
+    builds through, and the memo holds only decodes that succeeded, keyed by
+    the bytes' digest and the integer-digit limit. So a memo hit means these
+    exact bytes already passed every check in this process, and is verified
+    without a parse or decode. A decode failure is a refuted report, and no
+    entry is stored for it. The system detail names whether the body gave
+    an upper table, as the entry's field names record.
+    """
     try:
-        decoded = docs.DECODERS[doc.kind](doc.body)
+        kind, decoded, _, fields = _entry(args, args.document, ("space", "system"))
     except (ValidationError, DomainError) as exc:
         return _render(args, from_clauses([offense_clause("document validates", str(exc))]))
-    if doc.kind == "space":
+    if kind == "space":
         clauses = [Clause("space validates", True, "chain is monotone and covering")]
     else:
         detail = (
             "upper bounds given in the document"
-            if "upper" in doc.body
+            if "upper" in fields
             else "upper bounds synthesized by containment search"
         )
         clauses = [

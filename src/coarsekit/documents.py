@@ -697,9 +697,25 @@ DECODERS = {
 KINDS = tuple(DECODERS)
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object from its key-value pairs, refusing a repeated key: a
+    reader that kept the first value would see another document behind the
+    same digest."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(f"duplicate key {key!r} in a JSON object")
+    return obj
+
+
+_JSON = json.JSONDecoder(object_pairs_hook=_json_object)  # one scanner, built once
+
+
 def parse_document(text: str) -> Document:
-    """Strict parse of the envelope: JSON text, the three envelope fields, a
-    known kind and the supported version, all as ParseError.
+    """Strict parse of the envelope: JSON text with no repeated object key,
+    the three envelope fields, a known kind and the supported version, all
+    as ParseError.
 
     The body is left as read; its DECODERS entry reads it, once a witness
     has its verification target, raising ParseError where reading fails and
@@ -707,7 +723,9 @@ def parse_document(text: str) -> Document:
     comment above doc_to_space).
     """
     try:
-        raw = json.loads(text)
+        if text.startswith("\ufeff"):  # json.loads refuses a BOM so; its decoder does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -386,6 +386,90 @@ def test_a_lowered_digit_limit_refuses_a_document_again(tmp_path, memo):
         sys.set_int_max_str_digits(limit)
 
 
+def _validate_inputs(tmp_path, shape):
+    """A document for validate, and an argv that decodes it first through
+    another command."""
+    if shape == "space":
+        _, space = pair_space_doc(tmp_path)
+        return space, ["check", "asdim", space, "--n", "1", "--search", "--level", "1"]
+    body = system_to_doc(single_piece(ball_space(5, (1, 2)))).body
+    if shape == "no-upper":
+        del body["upper"]
+    elif shape == "empty-upper":
+        body["upper"] = []
+    system = save(tmp_path, f"{shape}.json", Document("system", "1", body))
+    pts = points([str(i) for i in range(5)])
+    fam = save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"1", "2"}),))))
+    return system, ["bounded", system, fam]
+
+
+@pytest.mark.parametrize(
+    "shape, detail",
+    [
+        ("upper", "upper bounds given in the document"),
+        ("empty-upper", "upper bounds given in the document"),
+        ("no-upper", "upper bounds synthesized by containment search"),
+        ("space", "chain is monotone and covering"),
+    ],
+    ids=["upper", "empty-upper", "no-upper", "space"],
+)
+def test_validate_answers_alike_cold_and_from_the_memo(tmp_path, memo, capsys, shape, detail):
+    """The detail says whether the body gave an upper table, including an
+    empty one, whichever command decoded the bytes first."""
+    path, other = _validate_inputs(tmp_path, shape)
+    digest = "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    validate = ["validate", path, "--format", "structured"]
+    assert main(validate) == 0
+    cold = capsys.readouterr()
+    assert detail in cold.out
+    assert cold.err == ""
+    for first in (validate, other):
+        memo.clear()
+        main(first)
+        capsys.readouterr()
+        held = set(memo)
+        assert main(validate) == 0
+        assert set(memo) == held and next(reversed(memo))[0] == digest  # served from the memo
+        assert capsys.readouterr() == cold
+
+
+def test_a_batch_decodes_its_system_once(tmp_path, deep_system, memo, monkeypatch, capsys):
+    decoded = []
+    decode = DECODERS["system"]
+
+    def counted(*args):
+        decoded.append(args)
+        return decode(*args)
+
+    monkeypatch.setitem(docs.DECODERS, "system", counted)
+    pts = points([str(i) for i in range(5)])
+    f = save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"1", "2"}),))))
+    assert main(["validate", deep_system]) == 0
+    assert main(["bounded", deep_system, f]) == 0
+    assert main(["star", deep_system, f, f]) == 0
+    assert len(decoded) == 1
+
+    body = system_to_doc(single_piece(ball_space(3, (1,)))).body
+    body["upper"] = [[0, 0, 1]]
+    bad = save(tmp_path, "bad.json", Document("system", "1", body))
+    memo.clear()
+    capsys.readouterr()
+    answers = []
+    for _ in range(2):
+        assert main(["validate", bad, "--format", "structured"]) == 1
+        answers.append(capsys.readouterr())
+    assert answers[0] == answers[1]
+    assert "not a piece index" in answers[0].out
+    assert len(memo) == 0
+
+
+def test_a_one_shot_validate_prints_what_the_memo_serves(deep_system, memo):
+    argv = ["validate", deep_system, "--format", "structured"]
+    assert _in_process(argv) == _in_process(argv)  # cold, then from the memo
+    assert len(memo) == 1
+    assert _fresh_process(argv) == _in_process(argv)
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [(b"\xff{}", "not UTF-8 text"), (b"[" * 100000, "nests too deeply")],

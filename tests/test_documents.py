@@ -367,6 +367,36 @@ def test_envelope_errors():
         parse_document('{"kind": "family", "version": "1"}')
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (
+            '{"kind": "space", "version": "1", "body": '
+            '{"points": ["a", "b"], "scales": [[["a", "b"]]], "points": ["a"]}}',
+            "points",
+        ),
+        ('{"kind": "family", "kind": "space", "version": "1", "body": {}}', "kind"),
+        ('{"kind": "map", "version": "1", "body": {"table": {"a": "x", "a": "y"}}}', "a"),
+        ('[{"x": 1, "x": 1}]', "x"),  # the same value twice is refused too
+    ],
+    ids=["body", "envelope", "nested", "outside-the-envelope"],
+)
+def test_a_repeated_object_key_is_a_parse_error(text, key):
+    """JSON readers differ on which of two values of one key they keep, so
+    another reader could see another document behind the same digest."""
+    assert len(json.loads(text)) >= 1  # the standard reader keeps one silently
+    with pytest.raises(ParseError, match=re.escape(f"duplicate key {key!r} in a JSON object")):
+        parse_document(text)
+
+
+def test_a_byte_order_mark_is_refused_as_json_loads_words_it():
+    with pytest.raises(ParseError) as exc:
+        parse_document("\ufeff" + emit_document(Document("family", "1", {})))
+    assert str(exc.value) == (
+        "malformed JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    )
+
+
 def test_semantic_failures_are_not_parse_errors():
     body = {"points": ["a", "b"], "scales": [[["a"]]]}
     with pytest.raises(ValidationError, match="'b'"):
