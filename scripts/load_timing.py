@@ -8,8 +8,9 @@ in-process and emits their documents: the system document, and a space
 document for every space the instance carries (the piece chains and the
 colimit chain of a unit interval, each piece's chain otherwise). For each
 case and document kind the script prints the document count, their total
-size, and the best of N wall times of ``parse_document`` (envelope only), of
-``doc_to_system`` or ``doc_to_space``, and of ``emit_document`` on
+size, and the best of N wall times of SHA-256 over the documents as bytes
+(what the CLI records as an input's digest), of ``parse_document`` (envelope
+only), of ``doc_to_system`` or ``doc_to_space``, and of ``emit_document`` on
 ``system_to_doc`` or ``space_to_doc``, each over all of them, in milliseconds.
 Each system line also gives the star depth summed over every piece of every
 system, in levels, and the best of N wall times of certifying all of those
@@ -99,6 +100,7 @@ def load_timing(names, repeat: int) -> tuple[list[str], str, int, int]:
             ]
             texts = [docs.emit_document(to_doc(obj)) for obj in objs]
             bodies = [docs.parse_document(t).body for t in texts]
+            hash_s = _best(hashlib.sha256, [t.encode() for t in texts], repeat)
             parse_s = _best(docs.parse_document, texts, repeat)
             decode_s = _best(decode, bodies, repeat)
             emit_s = _best(lambda obj: docs.emit_document(to_doc(obj)), objs, repeat)
@@ -110,6 +112,7 @@ def load_timing(names, repeat: int) -> tuple[list[str], str, int, int]:
             size = sum(map(len, texts))
             line = (
                 f"{name} {kind}: {len(texts)} documents, {size} bytes, "
+                f"digest {hash_s * 1e3:.3f} ms, "
                 f"parse {parse_s * 1e3:.3f} ms, decode {decode_s * 1e3:.3f} ms, "
                 f"emit {emit_s * 1e3:.3f} ms"
             )

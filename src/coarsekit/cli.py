@@ -11,9 +11,13 @@ command's exact name, that command's own parser reads the rest, as the top
 parser would have it do; anything else goes to the top parser. Either way
 leftover arguments are refused by the top parser.
 
-Every read of an input document, validate's included, reads and digests its
-file. Identical bytes are parsed and decoded once per process: a later read,
-such as the next command of a caller that runs many, reuses the decoded value.
+Every read of an input document, validate's included, reads its file, and
+provenance records the SHA-256 of exactly the bytes read. The process keeps
+the bytes and digest of the 64 most recently read paths, so their bytes stay
+in memory: a re-read whose bytes equal that path's last read reuses its
+digest, and any other bytes are hashed afresh. Identical bytes are parsed and
+decoded once per process: a later read, such as the next command of a caller
+that runs many, reuses the decoded value.
 
 An output document is emitted once. The -o file holds that text, and a
 structured report nests the same text as its artifacts entry.
@@ -97,15 +101,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _digested(args, path: str) -> bytes:
-    """The bytes of one input document, whose digest is recorded in
-    args.digests for the report's provenance before anything is written."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    args.digests[path] = "sha256:" + hashlib.sha256(data).hexdigest()
-    return data
-
-
 def _check_kind(path: str, kind: str, kinds: Sequence[str]) -> None:
     if kind not in kinds:
         raise ParseError(f"{path}: expected a {' or '.join(kinds)} document, got {kind!r}")
@@ -129,6 +124,30 @@ def _parse(path: str, data: bytes, kinds: Sequence[str]) -> docs.Document:
 _DECODED: OrderedDict = OrderedDict()
 DECODED_ENTRIES = 64
 
+# Input paths, least recently read first: path -> (bytes, digest) of its last
+# read, for at most DECODED_ENTRIES paths. Comparing bytes costs far less than
+# hashing them, so a re-read of the same bytes reuses their digest.
+_DIGESTED: OrderedDict = OrderedDict()
+
+
+def _digested(args, path: str) -> bytes:
+    """The bytes of one input document, whose digest is recorded in
+    args.digests for the report's provenance before anything is written.
+
+    The digest is always that of the bytes just read: it is taken afresh
+    unless they equal the bytes this path held when last read.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    last = _DIGESTED.pop(path, None)
+    if last is None or last[0] != data:
+        last = (data, "sha256:" + hashlib.sha256(data).hexdigest())
+    _DIGESTED[path] = last
+    if len(_DIGESTED) > DECODED_ENTRIES:
+        _DIGESTED.popitem(last=False)
+    args.digests[path] = last[1]
+    return data
+
 
 def _entry(args, path: str, kinds: Sequence[str], *target) -> tuple:
     """The memo entry of one input document of the given kinds, decoded
@@ -137,7 +156,8 @@ def _entry(args, path: str, kinds: Sequence[str], *target) -> tuple:
     A witness body other than a generator set decodes over target. Bytes
     already decoded in this process, over the same target, are not parsed
     or decoded again: the entry made then is returned, once its kind is
-    checked against kinds. Every read still reads and digests the file.
+    checked against kinds. Every read still reads the file and records the
+    digest of the bytes it read.
     """
     data = _digested(args, path)
     key = (args.digests[path], sys.get_int_max_str_digits(), *map(id, target))
@@ -707,6 +727,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Decoded inputs outlive the call: the process keeps the last
     DECODED_ENTRIES of them, each with its decode target, for later calls.
+    So do the bytes and digest of the last DECODED_ENTRIES paths read; a
+    later read of the same bytes at a path reuses the digest, and the
+    digest is always that of the bytes the call read.
     """
     args = _parse_args(argv)
     # input path -> digest, filled by _digested; made per call, since a default

@@ -17,8 +17,10 @@ settings.load_profile("coarsekit")
 
 @pytest.fixture(autouse=True)
 def memo(monkeypatch):
-    """An empty memo of decoded inputs for each test, so that no test is
-    served a value an earlier test decoded."""
+    """An empty memo of decoded inputs and an empty digest record for each
+    test, so that no test is served a value or a digest an earlier test
+    made. The memo is returned; the record is cli._DIGESTED."""
     fresh = OrderedDict()
     monkeypatch.setattr(cli, "_DECODED", fresh)
+    monkeypatch.setattr(cli, "_DIGESTED", OrderedDict())
     return fresh

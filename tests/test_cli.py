@@ -13,6 +13,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -295,6 +296,9 @@ def test_provenance_digests_the_bytes_read_before_the_output_is_written(tmp_path
     DECODERS[report.kind](report.body)
     assert hashlib.sha256(Path(f).read_bytes()).hexdigest() != before  # the star overwrote f
     assert report.body["provenance"]["inputs"][f] == "sha256:" + before
+    after = "sha256:" + hashlib.sha256(Path(f).read_bytes()).hexdigest()
+    assert main(["bounded", system, f, "--format", "structured"]) == 0
+    assert parse_document(capsys.readouterr().out).body["provenance"]["inputs"][f] == after
 
 
 def read(path, kinds, *target):
@@ -328,6 +332,65 @@ def test_a_rewritten_file_is_decoded_afresh(tmp_path, memo):
     assert read(path, ("family",)).members == (frozenset({"a"}),)
     save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"a", "b"}),))))
     assert read(path, ("family",)).members == (frozenset({"a", "b"}),)
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The bytes cli passes to SHA-256, in call order."""
+    seen = []
+    sha256 = hashlib.sha256
+
+    def counted(data):
+        seen.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=counted))
+    return seen
+
+
+def test_a_re_read_of_the_same_bytes_reuses_their_digest(deep_system, hashed, capsys):
+    argv = ["validate", deep_system, "--format", "structured"]
+    inputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        inputs.append(parse_document(capsys.readouterr().out).body["provenance"]["inputs"])
+    data = Path(deep_system).read_bytes()
+    assert hashed == [data]
+    assert inputs[0] == inputs[1] == {deep_system: "sha256:" + hashlib.sha256(data).hexdigest()}
+
+
+def test_a_same_length_rewrite_is_hashed_and_decoded_afresh(
+    tmp_path, deep_system, memo, hashed, capsys
+):
+    pts = points([str(i) for i in range(5)])
+    f = save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"1"}),))))
+    first = Path(f).read_bytes()
+    assert main(["bounded", deep_system, f]) == 0
+    save(tmp_path, "f.json", family_to_doc(Family(pts, (frozenset({"2"}),))))
+    second = Path(f).read_bytes()
+    assert len(second) == len(first) and second != first
+    capsys.readouterr()
+    assert main(["bounded", deep_system, f, "--format", "structured"]) == 0
+    digest = "sha256:" + hashlib.sha256(second).hexdigest()
+    assert parse_document(capsys.readouterr().out).body["provenance"]["inputs"][f] == digest
+    assert hashed == [Path(deep_system).read_bytes(), first, second]
+    (entry,) = (entry for key, entry in memo.items() if key[0] == digest)
+    assert entry[1].members == (frozenset({"2"}),)
+
+
+def test_the_digest_record_drops_the_least_recently_read_path(tmp_path):
+    paths = []
+    for i in range(cli.DECODED_ENTRIES + 1):
+        path = tmp_path / f"{i}.json"
+        path.write_bytes(b"%d" % i)
+        paths.append(str(path))
+    args = argparse.Namespace(digests={})
+    for path in paths[:-1]:
+        cli._digested(args, path)
+    assert list(cli._DIGESTED) == paths[:-1]
+    cli._digested(args, paths[0])  # now the most recently read
+    cli._digested(args, paths[-1])
+    assert list(cli._DIGESTED) == [*paths[2:-1], paths[0], paths[-1]]
 
 
 def test_an_invalid_document_fails_alike_on_every_read(tmp_path, deep_system, memo, capsys):

@@ -23,7 +23,8 @@ def test_unit_interval_8_loads_and_re_emits_byte_for_byte():
     ]
     assert lines[1].startswith("unit-interval-8 space: 9 documents, ")
     for line in lines:
-        assert re.search(r", decode \d+\.\d{3} ms, emit \d+\.\d{3} ms(,|$)", line), line
+        fields = r" bytes, digest \d+\.\d{3} ms, parse \d+\.\d{3} ms, decode \d+\.\d{3} ms, "
+        assert re.search(fields + r"emit \d+\.\d{3} ms(,|$)", line), line
     field = re.search(r", star depth (\d+) levels, \d+\.\d{3} ms$", lines[0])
     assert field, lines[0]
     pieces = gen_unit_interval(8).system.pieces
