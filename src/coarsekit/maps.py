@@ -7,7 +7,12 @@ Image boundedness words its clauses in one loop, for a space's levels and
 for a system's piece levels alike. A system's piece level is imaged by the
 map restricted to the piece's points, once per piece: extending the level
 to the ambient set would only add singletons, whose images are singletons,
-which no bound counts.
+which no bound counts. Lemma: the images of a monotone chain are monotone,
+since a member inside a member of the next level has its image inside that
+member's image. So the least target level bounding a level's image never
+falls from one level to the next: each level's search starts at the
+previous answer, and once no target level bounds an image, none bounds a
+later one, and the later levels are not imaged.
 Closeness is one per-level scan that checks the endpoints once and yields
 each target level's first violating point; close_check stops at the first
 clean level, and close_report words every level from the same scan.
@@ -83,13 +88,19 @@ def restrict_map(f: GroundedMap, keep: Collection[Point]) -> GroundedMap:
 
 
 def image_family(f: GroundedMap, u: Family) -> Family:
-    """The members' images. Each distinct member is imaged once, through one
-    table from domain index to image bit; ball levels repeat members."""
+    """The members' images. Each distinct member is imaged once; ball levels
+    repeat members."""
     if u.space != f.domain:
         raise DomainError("family is not over the map's domain")
-    table = tuple(map(f.codomain._bit.__getitem__, f.images))
-    image = {m: reduce(operator.or_, map(table.__getitem__, bits(m)), 0) for m in set(u.masks)}
+    image = _images(f, u.masks)
     return Family.from_masks(f.codomain, tuple(map(image.__getitem__, u.masks)))
+
+
+def _images(f: GroundedMap, masks: Iterable[int]) -> dict[int, int]:
+    """Each distinct mask over f's domain to its image mask, through one
+    table from domain index to image bit."""
+    table = tuple(map(f.codomain._bit.__getitem__, f.images))
+    return {m: reduce(operator.or_, map(table.__getitem__, bits(m)), 0) for m in set(masks)}
 
 
 @dataclass(frozen=True)
@@ -200,8 +211,17 @@ def bornologous_levels(
 def _bounding_levels(
     f: GroundedMap, levels: Iterable[Family], dst: ScaledSpace
 ) -> Iterator[Optional[int]]:
-    """Per level over f's domain, the least dst level bounding its image."""
-    return (is_bounded(dst, image_family(f, lv)) for lv in levels)
+    """Per level over f's domain, the least dst level bounding its image.
+    The levels must form a monotone chain: each search starts at the
+    previous answer, and after an unbounded image no level is imaged.
+    Only the distinct members of two or more points are imaged, and each
+    distinct image is searched once: a bound counts nothing else."""
+    j: Optional[int] = 1
+    for lv in levels:
+        if j is not None:
+            images = set(_images(f, (m for m in lv.masks if m & (m - 1))).values())
+            j = is_bounded(dst, Family.from_masks(dst.points, tuple(images)), start=j)
+        yield j
 
 
 def _image_report(parts: Iterable[tuple[str, Iterable[Optional[int]]]]) -> Report:

@@ -917,6 +917,27 @@ def test_lift_then_check(tmp_path, capsys, inv, piece):
     assert capsys.readouterr().out.count("verdict: verified") == 2
 
 
+def test_a_bound_naming_the_piece_past_the_last_refutes(tmp_path, capsys):
+    """A lifted asdim witness whose bound certificate names piece N, for a
+    system of N pieces, fails its bound clause instead of indexing past the
+    pieces."""
+    lift, check = lift_then_check_argv(tmp_path, "asdim", "M0")
+    assert main(lift) == 0
+    lifted = Path(lift[lift.index("-o") + 1])
+    doc = parse_document(lifted.read_text(encoding="utf-8"))
+    pieces = len(two_islands().pieces)
+    assert doc.body["bound"] == {"piece": 0, "level": 1}
+    body = {**doc.body, "bound": {"piece": pieces, "level": 1}}
+    save(tmp_path, lifted.name, Document(doc.kind, doc.version, body))
+    capsys.readouterr()
+    assert main([*check, "--format", "structured"]) == 1
+    report = json.loads(capsys.readouterr().out)["body"]
+    assert report["verdict"] == "refuted"
+    [failed] = [c for c in report["clauses"] if not c["ok"]]
+    assert failed["name"] == "coarsening bounded"
+    assert failed["detail"] == "claimed boundedness certificate does not check"
+
+
 def test_a_structured_lift_emits_its_artifact_once(tmp_path, capsys, monkeypatch):
     """The -o file and the report's artifacts entry are one emission: the
     artifact's body passes through the writer once."""

@@ -178,26 +178,51 @@ def chains(draw):
     full = (1 << len(space)) - 1
     first = base.masks + tuple(1 << i for i in range(len(space)) if not covered >> i & 1)
     levels = [first]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 3))):
         levels.append(tuple(m | draw(st.integers(0, full)) for m in levels[-1]))
     fams = [Family.from_masks(space, lv) for lv in levels]
     return validate_space(space, fams), draw(mask_lists(len(space)))
 
 
-@given(chains())
-def test_is_bounded_is_the_least_essentially_refined_level(data):
+@given(chains(), st.integers(1, 6))
+def test_is_bounded_is_the_least_essentially_refined_level(data, start):
+    """From level 1 and from any later start, past the depth too, where no
+    level is left to bound the family."""
     sp, fmasks = data
     f = Family.from_masks(sp.points, tuple(fmasks))
-    want = next(
-        (
-            i
-            for i, lv in enumerate(sp.levels, 1)
-            if oracles.essentially_refines_masks(fmasks, list(lv.masks))
-        ),
-        None,
-    )
+    least = [
+        i
+        for i, lv in enumerate(sp.levels, 1)
+        if oracles.essentially_refines_masks(fmasks, list(lv.masks))
+    ]
+    want = next(iter(least), None)
     assert is_bounded(sp, f) == want
     assert is_bounded(sp, checked(f)) == want
+    assert is_bounded(sp, f, start=start) == next((i for i in least if i >= start), None)
+
+
+def test_is_bounded_refuses_a_start_below_level_one():
+    sp = validate_space(points("ab"), [Family.from_masks(points("ab"), (3,))])
+    with pytest.raises(DomainError, match="^start level 0 is below 1$"):
+        is_bounded(sp, Family.from_masks(sp.points, (3,)), start=0)
+
+
+@given(families(), st.data())
+def test_holding_is_the_positions_of_the_members_holding_a_mask(data, draw):
+    """The AND of a mask's holders entries, from every position: nonzero
+    exactly when some member holds the mask, the empty mask and the empty
+    family included."""
+    space, u = data
+    full = (1 << len(space)) - 1
+    a = draw.draw(st.one_of(st.just(0), st.integers(0, full)))
+    masks = list(u.masks)
+    assert u.holders == tuple(
+        sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(space))
+    )
+    got = u.holding(a)
+    assert bool(got) == oracles.refines_masks([a], masks)
+    assert got == sum(1 << j for j, m in enumerate(masks) if oracles.refines_masks([a], [m]))
+    assert checked(u).holding(a) == got
 
 
 @given(families(), st.permutations(IDS))

@@ -406,6 +406,31 @@ def test_collapsing_map_fails_the_round_trip():
     assert not report
     failed = {c.name for c in report.failures()}
     assert "round trip on domain close to identity" in failed
+    assert report.verdict is Verdict.REFUTED
+    assert report.clauses == (
+        Clause("forward map bornologous", True, "all levels map"),
+        Clause("backward map bornologous", True, "all levels map"),
+        Clause("round trip on domain close to identity", False, "no level witnesses closeness"),
+        Clause("round trip on codomain close to identity", True, "close at level 1"),
+    )
+
+
+def test_an_unbounded_image_leaves_the_coarse_equivalence_undecided():
+    """Doubling into the radius-1 level alone bounds no image of a pair: the
+    forward clause fails as a truncation, every other clause passes."""
+    a = line_space(X3.ids)
+    shallow_b = validate_space(Y5, [line_space(Y5.ids).level(1)])
+    double = grounded_map(X3, Y5, lambda p: str(2 * int(p)))
+    halve = grounded_map(Y5, X3, lambda p: str(int(p) // 2))
+    report = coarse_equivalence_check(double, halve, a, shallow_b)
+    assert report.verdict is Verdict.UNDECIDED
+    absent = "no level of the target chain bounds the image family"
+    assert report.clauses == (
+        Clause("forward map bornologous", False, f"{absent}; {absent}", truncation=True),
+        Clause("backward map bornologous", True, "all levels map"),
+        Clause("round trip on domain close to identity", True, "close at level 1"),
+        Clause("round trip on codomain close to identity", True, "close at level 1"),
+    )
 
 
 def test_constant_maps_oscillate_slowly_with_empty_witness():
@@ -541,6 +566,44 @@ def test_every_map_is_close_to_itself_at_level_one(images):
 
 def GroundedMapFactory(images):
     return grounded_map(Y5, Y5, lambda p: str(images[int(p)]))
+
+
+@st.composite
+def monotone_chains(draw, ids):
+    """A chain over ids: every singleton, up to three drawn members (empty
+    ones included) and repeats of them, then up to three levels that each
+    grow every member of the one before by a drawn mask, most often by
+    nothing or one point, so that some chains stay fine to the top."""
+    pts, n = points(ids), len(ids)
+    members = [1 << k for k in range(n)] + draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))
+    members += draw(st.lists(st.sampled_from(members), max_size=2))
+    growth = st.one_of(
+        st.just(0), st.integers(0, n - 1).map(lambda k: 1 << k), st.integers(0, (1 << n) - 1)
+    )
+    levels = [tuple(members)]
+    for _ in range(draw(st.integers(0, 3))):
+        levels.append(tuple(m | draw(growth) for m in levels[-1]))
+    return validate_space(pts, [Family.from_masks(pts, lv) for lv in levels])
+
+
+@st.composite
+def bornologous_chains(draw):
+    """A map from a chain over up to six points into one over up to five."""
+    src = draw(monotone_chains([f"x{i}" for i in range(draw(st.integers(1, 6)))]))
+    dst = draw(monotone_chains([str(i) for i in range(draw(st.integers(1, 5)))]))
+    n = len(src.points)
+    images = draw(st.lists(st.sampled_from(dst.points.ids), min_size=n, max_size=n))
+    return GroundedMap(src.points, dst.points, tuple(images)), src, dst
+
+
+@given(bornologous_chains())
+def test_bornologous_levels_are_each_levels_own_least_bound(case):
+    """Each source level's search starts at the previous level's answer, and
+    a level that no target level bounds stops the imaging; neither moves an
+    answer from the search of every level on its own."""
+    f, src, dst = case
+    want = tuple(is_bounded(dst, image_family(f, lv)) for lv in src.levels)
+    assert bornologous_levels(f, src, dst) == want
 
 
 def extended_bornologous_check(f, src, dst):

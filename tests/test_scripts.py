@@ -1,6 +1,7 @@
 """Smoke tests of ``scripts/closeness_gap.py``, ``scripts/probe_apc.py``,
-``scripts/witness_timing.py`` and ``scripts/corpus_digest.py`` on small
-instances: each runs to exit 0 and prints its summary lines."""
+``scripts/witness_timing.py``, ``scripts/corpus_digest.py`` and
+``scripts/mutation_check.py`` on small instances: each runs to its exit code
+and prints its summary lines."""
 
 from __future__ import annotations
 
@@ -92,3 +93,46 @@ def test_corpus_digest_refuses_fewer_than_one_call(monkeypatch, capsys):
         run_script("corpus_digest", ["--repeat", "0", "random --seed 3"], monkeypatch, capsys)
     assert exc.value.code == 2
     assert "--repeat must be at least 1" in capsys.readouterr().err
+
+
+TINY_MODULE = """\
+def clamp(x, hi):
+    if x > hi:
+        return hi
+    return x
+
+
+def is_empty(xs):
+    return not xs
+
+
+def same(a, b):
+    return a == b
+"""
+
+TINY_TESTS = """\
+from tiny import clamp, is_empty
+
+
+def test_tiny():
+    assert clamp(5, 3) == 3 and clamp(1, 3) == 1
+    assert is_empty([])
+"""
+
+
+def test_mutation_check_lists_survivors_apart_from_known_equivalents(tmp_path, monkeypatch, capsys):
+    (tmp_path / "tiny.py").write_text(TINY_MODULE, encoding="utf-8")
+    (tmp_path / "test_tiny.py").write_text(TINY_TESTS, encoding="utf-8")
+    known = tmp_path / "known.txt"
+    known.write_text(
+        "# x = hi gives hi either way\ntiny.py clamp: x > hi -> x >= hi\n", encoding="utf-8"
+    )
+    args = ["tiny.py", "test_tiny.py", "--root", str(tmp_path), "--known", str(known)]
+    rc, lines = run_script("mutation_check", args, monkeypatch, capsys)
+    assert rc == 1
+    assert lines == [
+        "tiny.py: 3 mutants, 1 killed, 1 survived, 1 known equivalent",
+        "SURVIVED line 12: tiny.py same: a == b -> a != b",
+        "KNOWN    line 2: tiny.py clamp: x > hi -> x >= hi",
+    ]
+    assert (tmp_path / "tiny.py").read_text(encoding="utf-8") == TINY_MODULE
