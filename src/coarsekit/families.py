@@ -15,15 +15,9 @@ and cut intersects them with a smaller one and reindexes them over it
 (restrict, asdim_restrict and the corpus's nested pieces all cut).
 
 Each family operation has one kernel, on masks: incidence with star_mask for
-stars, first_misfit for refinement and essential refinement, holders for the
-fit of one mask against any member, and one body each for multiplicity,
-components, horizons and cover. Star here always includes the base set
-itself, so star_set(v, u) >= v even when no member of u meets v.
-
-holders serves spaces.is_bounded, which climbs a chain once per family. It
-relies on a lemma: on a monotone chain a member's least fitting level is
-monotone, since a member that fits level j fits every later level, so a
-climb that tries each member at the level reached so far never falls back.
+stars, first_misfit for refinement and essential refinement, and one body each
+for multiplicity, components, horizons and cover. Star here always includes
+the base set itself, so star_set(v, u) >= v even when no member of u meets v.
 """
 
 from __future__ import annotations
@@ -171,31 +165,6 @@ class Family:
                 inc[low.bit_length() - 1] |= mask
                 m ^= low
         return tuple(inc)
-
-    @cached_property
-    def holders(self) -> tuple[int, ...]:
-        """Per point index, the positions of the members holding that point,
-        as a bitmask over member positions; a point in no member has 0."""
-        hold = [0] * len(self.space)
-        for j, mask in enumerate(self.masks):
-            pos = 1 << j
-            while mask:
-                low = mask & -mask
-                hold[low.bit_length() - 1] |= pos
-                mask ^= low
-        return tuple(hold)
-
-    def holding(self, mask: int) -> int:
-        """The positions of the members that hold every point of mask: the
-        AND of its points' holders entries, starting from every position.
-        It is nonzero exactly when mask fits some member."""
-        out = (1 << len(self.masks)) - 1
-        hold = self.holders
-        while mask:
-            low = mask & -mask
-            out &= hold[low.bit_length() - 1]
-            mask ^= low
-        return out
 
     def __len__(self) -> int:
         return len(self.masks)

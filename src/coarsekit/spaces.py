@@ -20,18 +20,10 @@ levels together overlap into the same blocks as the top level's members.
 Hence coarse_components and weakly_bounded read only the top level, and
 coincidence_masks compares each cut level with the other chain's top.
 
-Every fit test of one family against one level here (monotonicity, star
-depth, coincidence, and boundedness at its first level) is
+Every fit test here (monotonicity, star depth, boundedness, coincidence) is
 families.first_misfit. Coincidence of two chains on a shared carrier is
 decided by one kernel, coincidence_masks, which cuts members to the carrier
 as bits and builds no restricted space; restrict builds one, by families.cut.
-
-is_bounded climbs the chain once instead of scanning it level by level.
-Lemma: on a monotone chain a member's least fitting level is monotone, since
-a member inside a member of level j lies inside a member of every later
-level. So the least level bounding a family is the largest of its members'
-least fitting levels, and each member is tried, through the level's
-families.Family.holders, only from the level the members before it reached.
 """
 
 from __future__ import annotations
@@ -133,31 +125,16 @@ def is_bounded(space: ScaledSpace, f: Family, start: int = 1) -> Optional[int]:
     any.
 
     Singleton and empty members never matter, so the all-singleton family is
-    bounded at level start. Level start is tried by one essentially_refines
-    scan; when it fails, the levels above it are climbed once (module
-    docstring), and one more essentially_refines call checks where the
-    climb stopped.
+    bounded at level start when the space has that level.
     """
     if f.space != space.points:
         raise DomainError("family is not over the space's point set")
     if start < 1:
         raise DomainError(f"start level {start} is below 1")
-    levels = space.levels
-    if start > len(levels):
-        return None
-    if essentially_refines(f, levels[start - 1]):
-        return start
-    i = start  # level start failed: the climb starts at the next level
-    for m in set(f.masks):
-        while i < len(levels) and m & (m - 1) and not levels[i].holding(m):
-            i += 1
-    if i == len(levels):
-        if essentially_refines(f, levels[-1]):
-            raise AssertionError("a member that fits no level fits the top level")
-        return None
-    if not essentially_refines(f, levels[i]):
-        raise AssertionError(f"the climb stopped at level {i + 1}, which the family does not fit")
-    return i + 1
+    for i in range(start, len(space.levels) + 1):
+        if essentially_refines(f, space.levels[i - 1]):
+            return i
+    return None
 
 
 def restrict(space: ScaledSpace, keep: Subset) -> ScaledSpace:

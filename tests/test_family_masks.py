@@ -207,24 +207,6 @@ def test_is_bounded_refuses_a_start_below_level_one():
         is_bounded(sp, Family.from_masks(sp.points, (3,)), start=0)
 
 
-@given(families(), st.data())
-def test_holding_is_the_positions_of_the_members_holding_a_mask(data, draw):
-    """The AND of a mask's holders entries, from every position: nonzero
-    exactly when some member holds the mask, the empty mask and the empty
-    family included."""
-    space, u = data
-    full = (1 << len(space)) - 1
-    a = draw.draw(st.one_of(st.just(0), st.integers(0, full)))
-    masks = list(u.masks)
-    assert u.holders == tuple(
-        sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(space))
-    )
-    got = u.holding(a)
-    assert bool(got) == oracles.refines_masks([a], masks)
-    assert got == sum(1 << j for j, m in enumerate(masks) if oracles.refines_masks([a], [m]))
-    assert checked(u).holding(a) == got
-
-
 @given(families(), st.permutations(IDS))
 def test_reroot_moves_members_to_another_point_order(data, order):
     space, u = data
