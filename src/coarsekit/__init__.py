@@ -77,7 +77,6 @@ from .maps import (
     identity_map,
     image_diameter,
     image_family,
-    metric_target,
     path_metric,
     restrict_map,
     slowly_oscillating_search,
@@ -119,7 +118,6 @@ from .invariants import (
     support_family,
 )
 from .corpus import (
-    RandomCaps,
     UnitIntervalInstance,
     gen_c0,
     gen_disjoint_union,

@@ -41,7 +41,6 @@ from . import __version__
 from . import documents as docs
 from .colimit import colimit_bounded, colimit_star
 from .corpus import (
-    RandomCaps,
     check_island_caps,
     gen_c0,
     gen_disjoint_union,
@@ -576,8 +575,7 @@ def cmd_corpus(args) -> int:
     else:
         if args.seed is None:
             args.parser.error("random needs --seed")
-        caps = RandomCaps(points=args.points, pieces=args.pieces, depth=args.depth)
-        system = gen_random_system(args.seed, caps)
+        system = gen_random_system(args.seed)
         save("system.json", docs.system_to_doc(system))
     for path in written:
         print(f"wrote {path}")
@@ -684,9 +682,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--islands", metavar="N1,N2,...", help="path island sizes")
     sp.add_argument("--n-max", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--points", type=int, default=12)
-    sp.add_argument("--pieces", type=int, default=4)
-    sp.add_argument("--depth", type=int, default=3)
     sp.set_defaults(func=cmd_corpus, parser=sp)
 
     sp = sub.add_parser("probe", parents=[common], help="run a two-sided witness probe")

@@ -327,21 +327,6 @@ def gen_unit_interval(n_max: int) -> UnitIntervalInstance:
 # seeded random systems
 
 
-@dataclass(frozen=True)
-class RandomCaps:
-    points: int = MAX_RANDOM_POINTS
-    pieces: int = MAX_RANDOM_PIECES
-    depth: int = MAX_RANDOM_DEPTH
-
-    def __post_init__(self):
-        if not 2 <= self.points <= MAX_RANDOM_POINTS:
-            raise DomainError(f"points cap must lie in 2..{MAX_RANDOM_POINTS}")
-        if not 1 <= self.pieces <= MAX_RANDOM_PIECES:
-            raise DomainError(f"pieces cap must lie in 1..{MAX_RANDOM_PIECES}")
-        if not 1 <= self.depth <= MAX_RANDOM_DEPTH:
-            raise DomainError(f"depth cap must lie in 1..{MAX_RANDOM_DEPTH}")
-
-
 def _coarsen(rng: random.Random, members: tuple, width: int) -> tuple:
     """Group the member masks randomly and take unions, one group per new member."""
     order = list(range(len(members)))
@@ -397,17 +382,18 @@ def _island_levels(rng: random.Random, pts: PointSet, depth: int):
     return _ball_levels(pts, rows, _int_radii(radii)), blocks, home
 
 
-def gen_random_system(seed: int, caps: RandomCaps = RandomCaps()) -> FilteredSystem:
+def gen_random_system(seed: int) -> FilteredSystem:
     """Deterministic random system: a full-carrier piece with a randomly
     grown chain plus a few sub-pieces carrying the restricted chain, so the
     result validates by construction. The rejection count is recorded in the
-    meta strings either way.
+    meta strings either way. Sizes are drawn up to MAX_RANDOM_POINTS points,
+    MAX_RANDOM_DEPTH levels and MAX_RANDOM_PIECES pieces.
     """
     rng = random.Random(seed)
     last: Optional[Exception] = None
     for attempt in range(1, 51):
-        n = rng.randint(2, caps.points)
-        depth = rng.randint(1, caps.depth)
+        n = rng.randint(2, MAX_RANDOM_POINTS)
+        depth = rng.randint(1, MAX_RANDOM_DEPTH)
         ids = [f"p{i}" for i in range(n)]
         ambient = PointSet(tuple(ids))
         variant = rng.choice(("blocks", "overlap", "line", "islands"))
@@ -429,7 +415,7 @@ def gen_random_system(seed: int, caps: RandomCaps = RandomCaps()) -> FilteredSys
             levels = tuple(Family.from_masks(ambient, lv) for lv in grown)
         try:
             full_space = validate_space(ambient, levels)
-            sub_count = rng.randint(0, caps.pieces - 1)
+            sub_count = rng.randint(0, MAX_RANDOM_PIECES - 1)
             pieces = []
             for j in range(sub_count):
                 if blocks is not None:

@@ -78,7 +78,7 @@ from .invariants import (
     Target,
 )
 from .invariants.common import target_points
-from .maps import GroundedMap, MetricTarget, INF, grounded_map, metric_target
+from .maps import GroundedMap, MetricTarget, INF, grounded_map
 from .reports import Report
 from .spaces import ScaledSpace, validate_space
 
@@ -395,7 +395,7 @@ def doc_to_metric(body, path="body") -> MetricTarget:
                 for j, v in enumerate(row)
             )
         )
-    return metric_target(pts, rows)
+    return MetricTarget(pts, rows)
 
 
 def metric_to_doc(t: MetricTarget) -> Document:

@@ -3,6 +3,8 @@
 Covers image boundedness level by level, closeness of map pairs, coarse
 equivalence round trips, and slowly oscillating behaviour against a metric
 target. All distance arithmetic is exact: rationals plus an infinity marker.
+A metric target checks its rows when it is built, so every MetricTarget is
+a metric, path_metric's included.
 Image boundedness words its clauses in one loop, for a space's levels and
 for a system's piece levels alike. A system's piece level is imaged by the
 map restricted to the piece's points, once per piece: extending the level
@@ -105,71 +107,77 @@ def _images(f: GroundedMap, masks: Iterable[int]) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class MetricTarget:
-    """Finite metric target with rational distances; math.inf marks unreachable pairs.
+    """Finite metric target with rational distances; INF marks unreachable pairs.
 
-    Unchecked: ``metric_target`` checks. ``path_metric``'s rows are a metric by
-    construction, and checking them takes 7 to 15 times as long as building them."""
+    Checked when built: each entry is read as a Fraction or INF, the rows
+    read are the rows kept, and the first fault raises DomainError: an entry
+    that is neither, a shape that does not match the points, a nonzero
+    self-distance, asymmetry, a negative entry, then the first failing
+    triangle."""
 
     points: PointSet
     rows: tuple[tuple[Distance, ...], ...]
+
+    def __post_init__(self):
+        pts = self.points
+        n = len(pts)
+        rows = tuple(
+            tuple(_distance(d, i, j) for j, d in enumerate(row))
+            for i, row in enumerate(self.rows)
+        )
+        object.__setattr__(self, "rows", rows)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise DomainError("distance matrix shape does not match the point set")
+        # The axioms run on integers: finite entries (the Fractions) scaled by
+        # the lcm of their denominators, INF replaced by a value above every
+        # finite one, so INF equals only INF, is positive and, once every
+        # entry is non-negative, any sum holding it exceeds every finite
+        # distance.
+        scale = math.lcm(*{d.denominator for row in rows for d in row if type(d) is Fraction})
+        ints = [
+            [d.numerator * (scale // d.denominator) if type(d) is Fraction else None for d in row]
+            for row in rows
+        ]
+        big = max((abs(d) for row in ints for d in row if d is not None), default=0) + 1
+        ints = [tuple(big if d is None else d for d in row) for row in ints]
+        cols = list(zip(*ints))
+        for i, row in enumerate(ints):
+            if row[i] != 0:
+                raise DomainError(f"nonzero self-distance at {pts.ids[i]!r}")
+            for a, b in zip(row, cols[i]):
+                if a != b:
+                    raise DomainError("distance matrix is not symmetric")
+                if a < 0:
+                    raise DomainError("negative distance")
+        # Symmetric now, so (i, j, k) fails exactly when (j, i, k) does, and
+        # the first failing triple has i < j (a zero diagonal never fails).
+        for i, ri in enumerate(ints):
+            for j in range(i + 1, n):
+                a, rj = ri[j], ints[j]
+                if a == big or a <= min(map(operator.add, ri, rj)):
+                    continue
+                k = next(k for k in range(n) if a > ri[k] + rj[k])
+                raise DomainError(
+                    f"triangle inequality fails on "
+                    f"({pts.ids[i]!r}, {pts.ids[j]!r}, {pts.ids[k]!r})"
+                )
 
     def dist(self, x: Point, y: Point) -> Distance:
         return self.rows[self.points.index(x)][self.points.index(y)]
 
 
 def _distance(d, i: int, j: int) -> Distance:
-    """Entry (i, j) as a Fraction, or INF itself."""
-    if d == INF:
+    """Entry (i, j) as a Fraction, or INF: a Fraction is kept as it is."""
+    if type(d) is Fraction:
         return d
+    if d == INF:
+        return INF
     try:
         return Fraction(d)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise DomainError(
             f"distance entry ({i}, {j}) is {d!r}, not a rational or positive infinity"
         ) from None
-
-
-def metric_target(pts: PointSet, rows) -> MetricTarget:
-    n = len(pts)
-    rows = tuple(
-        tuple(_distance(d, i, j) for j, d in enumerate(row))
-        for i, row in enumerate(rows)
-    )
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DomainError("distance matrix shape does not match the point set")
-    # The axioms run on integers: finite entries scaled by the lcm of their
-    # denominators, INF replaced by a value above every finite one, so INF
-    # equals only INF, is positive and, once every entry is non-negative,
-    # any sum holding it exceeds every finite distance.
-    scale = math.lcm(*{d.denominator for row in rows for d in row if d != INF})
-    ints = [
-        [None if d == INF else d.numerator * (scale // d.denominator) for d in row]
-        for row in rows
-    ]
-    big = max((abs(d) for row in ints for d in row if d is not None), default=0) + 1
-    ints = [tuple(big if d is None else d for d in row) for row in ints]
-    cols = list(zip(*ints))
-    for i, row in enumerate(ints):
-        if row[i] != 0:
-            raise DomainError(f"nonzero self-distance at {pts.ids[i]!r}")
-        for a, b in zip(row, cols[i]):
-            if a != b:
-                raise DomainError("distance matrix is not symmetric")
-            if a < 0:
-                raise DomainError("negative distance")
-    # Symmetric now, so (i, j, k) fails exactly when (j, i, k) does, and the
-    # first failing triple has i < j (a zero diagonal never fails).
-    for i, ri in enumerate(ints):
-        for j in range(i + 1, n):
-            a, rj = ri[j], ints[j]
-            if a == big or a <= min(map(operator.add, ri, rj)):
-                continue
-            k = next(k for k in range(n) if a > ri[k] + rj[k])
-            raise DomainError(
-                f"triangle inequality fails on "
-                f"({pts.ids[i]!r}, {pts.ids[j]!r}, {pts.ids[k]!r})"
-            )
-    return MetricTarget(pts, rows)
 
 
 def path_metric(pts: PointSet) -> MetricTarget:

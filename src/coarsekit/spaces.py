@@ -29,8 +29,7 @@ as bits and builds no restricted space; restrict builds one, by families.cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ValidationError
@@ -44,6 +43,7 @@ from .families import (
     essentially_refines,
     first_misfit,
     star_mask,
+    uncovered_point,
 )
 
 
@@ -60,14 +60,12 @@ class ScaledSpace:
     def __post_init__(self):
         if not self.levels:
             raise ValidationError("a scaled space needs at least one level")
-        pts, levels = self.points, self.levels
-        full = (1 << len(pts)) - 1
+        levels = self.levels
         for i, lv in enumerate(levels, 1):
-            if lv.space != pts:
+            if lv.space != self.points:
                 raise DomainError(f"level {i} is not over the space's point set")
-            gap = full & ~reduce(or_, lv.masks, 0)
-            if gap:
-                p = pts.ids[(gap & -gap).bit_length() - 1]
+            p = uncovered_point(lv)
+            if p is not None:
                 raise ValidationError(f"level {i} does not cover: point {p!r} is in no member")
         for i in range(1, len(levels)):
             if first_misfit(levels[i - 1].masks, levels[i].masks) is not None:

@@ -12,7 +12,9 @@ from hypothesis import given, strategies as st
 from coarsekit import DomainError
 from coarsekit.colimit import validate_system
 from coarsekit.corpus import (
-    RandomCaps,
+    MAX_RANDOM_DEPTH,
+    MAX_RANDOM_PIECES,
+    MAX_RANDOM_POINTS,
     _ball_levels,
     _int_radii,
     gen_c0,
@@ -24,9 +26,9 @@ from coarsekit.documents import emit_document, system_to_doc
 from coarsekit.families import points
 from coarsekit.maps import (
     INF,
+    MetricTarget,
     close_check,
     close_violation,
-    metric_target,
     path_metric,
     restrict_map,
 )
@@ -152,21 +154,13 @@ def test_random_systems_validate_and_replay():
         assert rebuilt.upper == fs.upper
 
 
-def test_random_caps_are_enforced():
-    with pytest.raises(DomainError):
-        RandomCaps(points=1)
-    with pytest.raises(DomainError):
-        RandomCaps(points=13)
-    with pytest.raises(DomainError):
-        RandomCaps(pieces=0)
-    with pytest.raises(DomainError):
-        RandomCaps(depth=4)
-
-    fs = gen_random_system(3, RandomCaps(points=4, pieces=2, depth=2))
-    assert len(fs.ambient) <= 4
-    assert len(fs.pieces) <= 2
-    for piece in fs.pieces:
-        assert piece.space.depth <= 2
+def test_random_systems_stay_within_the_caps():
+    for seed in range(200):
+        fs = gen_random_system(seed)
+        assert 2 <= len(fs.ambient) <= MAX_RANDOM_POINTS
+        assert 1 <= len(fs.pieces) <= MAX_RANDOM_PIECES
+        for piece in fs.pieces:
+            assert 1 <= piece.space.depth <= MAX_RANDOM_DEPTH
 
 
 def test_generated_documents_are_byte_stable():
@@ -185,7 +179,7 @@ def test_generated_documents_are_byte_stable():
 
 def test_infinite_distances_never_enter_balls():
     pts = points(["u", "v"])
-    split = metric_target(
+    split = MetricTarget(
         pts, [[0, float("inf")], [float("inf"), 0]]
     )
     fs = gen_disjoint_union([split, path_metric(points(["w"]))], radii=(1,))

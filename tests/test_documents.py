@@ -54,7 +54,7 @@ from coarsekit.invariants import (
     pinch_lift,
     pinch_witness,
 )
-from coarsekit.maps import INF, grounded_map, metric_target, path_metric
+from coarsekit.maps import INF, MetricTarget, grounded_map, path_metric
 from coarsekit.spaces import validate_space
 
 
@@ -115,14 +115,14 @@ def test_family_map_metric_round_trips():
     m = grounded_map(pts, points(["x", "y"]), {"a": "x", "b": "y", "c": "x"})
     assert doc_to_map(reparse(map_to_doc(m)).body) == m
 
-    t = metric_target(
+    t = MetricTarget(
         points(["u", "v"]), [[0, Fraction(3, 2)], [Fraction(3, 2), 0]]
     )
     assert doc_to_metric(reparse(metric_to_doc(t)).body) == t
 
 
 def test_metric_round_trip_keeps_infinities():
-    t = metric_target(points(["u", "v"]), [[0, INF], [INF, 0]])
+    t = MetricTarget(points(["u", "v"]), [[0, INF], [INF, 0]])
     body = reparse(metric_to_doc(t)).body
     assert body["dist"][0][1] == "inf"
     assert doc_to_metric(body) == t

@@ -31,7 +31,7 @@ from coarsekit.invariants.common import bound_clause, piece_certificate
 from coarsekit.maps import (
     INF,
     GroundedMap,
-    metric_target,
+    MetricTarget,
     slowly_oscillating_search,
     slowly_oscillating_verify,
 )
@@ -295,7 +295,7 @@ def so_cases(draw):
     k = draw(st.integers(1, 5))
     line = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
     rows = [[abs(i - j) if line[i] == line[j] else INF for j in range(k)] for i in range(k)]
-    target = metric_target(points(f"t{i}" for i in range(k)), rows)
+    target = MetricTarget(points(f"t{i}" for i in range(k)), rows)
     n = len(sp.points)
     images = draw(st.lists(st.sampled_from(target.points.ids), min_size=n, max_size=n))
     f = GroundedMap(sp.points, target.points, tuple(images))

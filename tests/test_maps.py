@@ -17,6 +17,7 @@ from coarsekit.families import Family, family, points
 from coarsekit.maps import (
     INF,
     GroundedMap,
+    MetricTarget,
     bornologous_check,
     bornologous_levels,
     close_check,
@@ -28,7 +29,6 @@ from coarsekit.maps import (
     identity_map,
     image_diameter,
     image_family,
-    metric_target,
     path_metric,
     restrict_map,
     slowly_oscillating_search,
@@ -103,18 +103,23 @@ def test_image_family_images_each_member_name_by_name(case):
 def test_metric_target_validates_the_axioms():
     pts = points(["a", "b"])
     with pytest.raises(DomainError, match="shape"):
-        metric_target(pts, [[0, 1]])
+        MetricTarget(pts, [[0, 1]])
     with pytest.raises(DomainError, match="self-distance"):
-        metric_target(pts, [[1, 1], [1, 0]])
+        MetricTarget(pts, [[1, 1], [1, 0]])
     with pytest.raises(DomainError, match="symmetric"):
-        metric_target(pts, [[0, 1], [2, 0]])
+        MetricTarget(pts, [[0, 1], [2, 0]])
     with pytest.raises(DomainError, match="negative"):
-        metric_target(pts, [[0, -1], [-1, 0]])
+        MetricTarget(pts, [[0, -1], [-1, 0]])
+    with pytest.raises(DomainError, match="symmetric"):
+        MetricTarget(points("xy"), ((0, -1), (5, 0)))
+    # a two-point source under these rows once verified slowly oscillating
+    with pytest.raises(DomainError, match="negative"):
+        MetricTarget(points("xy"), ((0, -7), (-7, 0)))
     p3 = points(["a", "b", "c"])
     with pytest.raises(DomainError, match="triangle"):
-        metric_target(p3, [[0, 5, 1], [5, 0, 1], [1, 1, 0]])
+        MetricTarget(p3, [[0, 5, 1], [5, 0, 1], [1, 1, 0]])
 
-    islands = metric_target(pts, [[0, INF], [INF, 0]])
+    islands = MetricTarget(pts, [[0, INF], [INF, 0]])
     assert islands.dist("a", "b") == INF
 
     line = path_metric(Y5)
@@ -185,13 +190,13 @@ def test_metric_target_agrees_with_the_fraction_reference(case):
     pts, rows = case
     expected = reference_metric_failure(pts, rows)
     if expected is None:
-        t = metric_target(pts, rows)
+        t = MetricTarget(pts, rows)
         assert t.rows == tuple(
             tuple(d if d == INF else Fraction(d) for d in row) for row in rows
         )
     else:
         with pytest.raises(DomainError) as exc:
-            metric_target(pts, rows)
+            MetricTarget(pts, rows)
         assert str(exc.value) == expected
 
 
@@ -204,7 +209,7 @@ def test_metric_target_names_the_first_failing_triple():
         [1, 1, INF, 0],
     ]
     with pytest.raises(DomainError) as exc:
-        metric_target(p4, rows)
+        MetricTarget(p4, rows)
     assert str(exc.value) == "triangle inequality fails on ('a', 'b', 'c')"
 
 
@@ -212,10 +217,20 @@ def test_metric_target_names_the_first_failing_triple():
 def test_metric_target_rejects_entries_that_are_not_rationals(bad):
     pts = points(["a", "b"])
     with pytest.raises(DomainError) as exc:
-        metric_target(pts, [[0, bad], [bad, 0]])
+        MetricTarget(pts, [[0, bad], [bad, 0]])
     assert str(exc.value) == (
         f"distance entry (0, 1) is {bad!r}, not a rational or positive infinity"
     )
+
+
+def test_metric_target_reads_entries_as_fractions_or_inf():
+    half = Fraction(1, 2)
+    far = float("inf")
+    assert far is not math.inf
+    t = MetricTarget(points("xyz"), [[0, half, far], [0.5, 0, far], [far, far, 0]])
+    assert t.rows == ((0, half, INF), (half, 0, INF), (INF, INF, 0))
+    assert t.rows[0][1] is half
+    assert t.dist("x", "z") == t.dist("z", "y") == INF
 
 def test_image_diameter_is_exact():
     f = identity_map(Y5)
@@ -224,7 +239,7 @@ def test_image_diameter_is_exact():
     assert image_diameter(f, target, frozenset({"0", "3", "4"})) == Fraction(4)
 
     pts = points(["a", "b"])
-    islands = metric_target(pts, [[0, INF], [INF, 0]])
+    islands = MetricTarget(pts, [[0, INF], [INF, 0]])
     g = identity_map(pts)
     assert image_diameter(g, islands, frozenset({"a", "b"})) == INF
 
